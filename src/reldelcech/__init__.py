@@ -9,7 +9,7 @@ relative Cech oracle is included for desk-scale cross-validation.
 """
 
 from .cech_oracle import ORACLE_CAP, BarcodeDiff, compare_barcodes, relative_cech
-from .delaunay import Simplex, Triangulation, delaunay, faces
+from .delaunay import Simplex, Triangulation, delaunay
 from .filtered_complex import Cell, FilteredComplex, build, dumps, loads
 from .geometry import (
     DIM_CAP,
@@ -67,7 +67,6 @@ __all__ = [
     "compare_barcodes",
     "delaunay",
     "dumps",
-    "faces",
     "in_sphere",
     "lift",
     "loads",

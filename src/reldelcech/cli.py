@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import traceback
@@ -23,7 +22,6 @@ from .geometry import InputError, PointCloud
 from .persistence import Barcode, barcode, boundary_matrix, reduce_matrix
 from .relative_lift import DEFAULT_FACTOR, build_pipeline
 
-_SEED_ENV = "RELDEL_SEED"
 _GEN_SEED = 20240801
 
 
@@ -268,7 +266,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = int(os.environ.get(_SEED_ENV, _GEN_SEED))
+    """CSV of complex sizes and timings over generated clouds.
+
+    The clouds and subsets are drawn from the fixed seed _GEN_SEED, so the
+    rows do not depend on RELDEL_SEED (which orders hull insertion only).
+    `wall_ms_delaunay` times all of build_pipeline.
+    """
     sizes = []
     for chunk in args.sizes:
         sizes.extend(int(s) for s in chunk.split(",") if s)
@@ -277,7 +280,7 @@ def cmd_bench(args) -> int:
     rows = ["n_total,d,cells_total,cells_subcomplex,wall_ms_delaunay,wall_ms_reduction"]
     ns, cs = [], []
     for n in sizes:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_GEN_SEED)
         cloud = generate_cloud(args.generator, n, args.dim, rng)
         n_sub = int(round(args.subset_fraction * n))
         a = set(rng.choice(n, size=n_sub, replace=False).tolist()) if n_sub else set()

@@ -322,10 +322,6 @@ class Triangulation:
             raise InputError(f"dimension {dim} out of range 0..{self.top_dim}")
         return list(self.simplices_by_dim[dim])
 
-    def has_simplex(self, s: Simplex) -> bool:
-        d = s.dim
-        return d in self.simplices_by_dim and s in set(self.simplices_by_dim[d])
-
     def insphere_sign(self, top: Simplex, query: int) -> int:
         """Perturbed in-circumsphere sign of a cloud vertex against a top
         simplex: +1 strictly inside under the symbolic perturbation, else -1.
@@ -386,9 +382,10 @@ def _hull_space(cloud: PointCloud):
 def delaunay(cloud: PointCloud) -> Triangulation:
     """Delaunay triangulation of a point cloud (affine rank <= 5).
 
-    Deterministic for a fixed input ordering; the insertion order of the
-    incremental hull is drawn from a fixed seed (override with the
-    RELDEL_SEED environment variable; the output does not depend on it).
+    Deterministic for a fixed input ordering.  The insertion order of the
+    incremental hull is drawn from a fixed seed; the RELDEL_SEED
+    environment variable overrides that seed and nothing else.  The output
+    does not depend on it.
     """
     if len(cloud) == 0:
         raise InputError("cannot triangulate an empty cloud")
@@ -413,8 +410,3 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     if not tops:
         raise AssertionError("hull produced no lower facets")
     return Triangulation(cloud, tops, rank, space)
-
-
-def faces(t: Triangulation, dim: int) -> list[Simplex]:
-    """All simplices of the given dimension, lexicographically ordered."""
-    return t.faces(dim)

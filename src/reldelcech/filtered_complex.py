@@ -60,16 +60,12 @@ class FilteredComplex:
                     )
         self.cells: tuple[Cell, ...] = tuple(norm)
         self.vertex_count = vertex_count
-        self._index = index
 
     def __len__(self):
         return len(self.cells)
 
     def __iter__(self):
         return iter(self.cells)
-
-    def cell_index(self, s: Simplex) -> int:
-        return self._index[s]
 
     def canonical_order(self) -> list[int]:
         """Indices sorted by (subcomplex first, value, dimension, vertices).
@@ -93,9 +89,6 @@ class FilteredComplex:
             if c.value <= t:
                 chi += -1 if c.simplex.dim % 2 else 1
         return chi
-
-    def max_dim(self) -> int:
-        return max((c.simplex.dim for c in self.cells), default=-1)
 
 
 def build(cells, vertex_count: int | None = None) -> FilteredComplex:

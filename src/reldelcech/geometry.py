@@ -232,17 +232,26 @@ def _circumball(support: list[tuple[float, ...]]) -> tuple[tuple[float, ...], fl
     return center, r
 
 
-def _welzl(pts: list[tuple[float, ...]], support: list[tuple[float, ...]], dim: int):
-    if not pts or len(support) == dim + 1:
-        if not support:
-            return None, -1.0, []
+def _welzl(pts: list[tuple[float, ...]], start: int, support: list[tuple[float, ...]], dim: int):
+    """Smallest ball of pts[start:] with `support` on its boundary.
+
+    The loop form of Welzl's recursion on the first point: the points are
+    scanned from last to first, and only a point outside the current ball
+    recurses, on the points after it and with itself added to the support.
+    Recursion depth is therefore at most dim + 1.
+    """
+    if support:
         center, r = _circumball(support)
+    else:
+        center, r = None, -1.0
+    if len(support) == dim + 1:
         return center, r, support
-    p = pts[0]
-    center, r, sup = _welzl(pts[1:], support, dim)
-    if center is not None and math.dist(center, p) <= r + MEB_TOL * (1.0 + r):
-        return center, r, sup
-    return _welzl(pts[1:], support + [p], dim)
+    sup = support
+    for i in range(len(pts) - 1, start - 1, -1):
+        p = pts[i]
+        if center is None or not math.dist(center, p) <= r + MEB_TOL * (1.0 + r):
+            center, r, sup = _welzl(pts, i + 1, support + [p], dim)
+    return center, r, sup
 
 
 def smallest_enclosing_ball(points) -> Ball:
@@ -258,7 +267,7 @@ def smallest_enclosing_ball(points) -> Ball:
     pts = sorted(set(pts))
     rng = random.Random(_MEB_SEED)
     rng.shuffle(pts)
-    _, _, support = _welzl(pts, [], dim)
+    _, _, support = _welzl(pts, 0, [], dim)
     # Recompute from the sorted support so that any point set sharing this
     # boundary set gets a bit-identical ball.
     center, r = _circumball(sorted(support)) if support else ((0.0,) * dim, 0.0)

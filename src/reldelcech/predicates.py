@@ -141,22 +141,6 @@ def filtered_det_sign(rows, scale: float | None = None) -> int | None:
     return None
 
 
-def det_sign(rows_float, rows_exact=None) -> int:
-    """Certified sign of a determinant.
-
-    `rows_float` is used for the filter; on failure the sign is recomputed
-    from `rows_exact` (exact Fraction rows; defaults to exact conversion of
-    `rows_float`, which is only valid when those entries are not themselves
-    rounded).
-    """
-    s = filtered_det_sign(rows_float)
-    if s is not None:
-        return s
-    if rows_exact is None:
-        rows_exact = [[Fraction(float(x)) for x in row] for row in rows_float]
-    return det_sign_exact(rows_exact)
-
-
 # -- symbolic perturbation ---------------------------------------------------
 #
 # Row i with rank rho(i) is displaced by (t_i, t_i^2, ..., t_i^C) on its C

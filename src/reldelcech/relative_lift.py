@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delaunay import Simplex, Triangulation, delaunay
+from .delaunay import Triangulation, delaunay
 from .filtered_complex import Cell, FilteredComplex, build
 from .geometry import InputError, Point, PointCloud, smallest_enclosing_ball
 
@@ -22,44 +22,32 @@ _FLOOR = 1.0
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
-    """The lifted point set Z and the bookkeeping back to (X1, X2).
+    """The lifted point set Z of the pair (X1, X2).
 
-    labels[i] is "plus" or "minus" by the sign of the added coordinate of
-    z[i]; back_map[i] is ("x1", j) or ("x2", j), the origin of z[i].
+    z[i] is x1[i] at height +s for i < len(x1), and x2[i - len(x1)] at
+    height -s otherwise.  So a simplex of del(Z) lies in the lifted del(X1)
+    iff its largest vertex is below len(x1).
     """
 
     x1: PointCloud
     x2: PointCloud
     s: float
     z: PointCloud
-    labels: tuple[str, ...]
-    back_map: tuple[tuple[str, int], ...]
-
-    def plus_count(self) -> int:
-        return len(self.x1)
 
 
-def max_filtration_value(cloud: PointCloud) -> float:
-    """Largest enclosing-ball radius over the simplices of del(cloud)."""
-    if len(cloud) == 0:
-        return 0.0
-    if len(cloud) == 1:
-        return 0.0
-    tri = delaunay(cloud)
-    best = 0.0
-    for top in tri.top_simplices:
-        r = smallest_enclosing_ball([cloud[v] for v in top.vertices]).radius
-        if r > best:
-            best = r
-    return best
-
-
-def choose_s(x1: PointCloud, x2: PointCloud, factor: float = DEFAULT_FACTOR) -> float:
-    """Lift height: factor times the larger of the two clouds' maximal
-    filtration values, with a unit floor when both vanish."""
+def choose_s(tri1: Triangulation | None, tri2: Triangulation | None, factor: float = DEFAULT_FACTOR) -> float:
+    """Lift height: factor times the largest enclosing-ball radius over the
+    top simplices of del(X1) and del(X2) (None for an empty cloud), with a
+    unit floor when that radius vanishes."""
     if factor <= 1:
         raise InputError("s factor must exceed 1")
-    peak = max(max_filtration_value(x1), max_filtration_value(x2))
+    peak = 0.0
+    for tri in (tri1, tri2):
+        if tri is not None:
+            for top in tri.top_simplices:
+                r = smallest_enclosing_ball([tri.cloud[v] for v in top.vertices]).radius
+                if r > peak:
+                    peak = r
     return factor * (peak if peak > 0 else _FLOOR)
 
 
@@ -71,29 +59,12 @@ def lift(x1: PointCloud, x2: PointCloud, s: float) -> LiftedConfiguration:
         raise InputError("x1 and x2 must share a dimension")
     d = x1.dimension if len(x1) else x2.dimension
     zpts = [Point(p.coords + (s,)) for p in x1] + [Point(p.coords + (-s,)) for p in x2]
-    labels = ("plus",) * len(x1) + ("minus",) * len(x2)
-    back = tuple(("x1", i) for i in range(len(x1))) + tuple(("x2", i) for i in range(len(x2)))
-    z = PointCloud(zpts, dimension=d + 1)
-    return LiftedConfiguration(x1, x2, float(s), z, labels, back)
+    return LiftedConfiguration(x1, x2, float(s), PointCloud(zpts, dimension=d + 1))
 
 
 def _projected_meb(cfg: LiftedConfiguration, verts: tuple[int, ...]) -> float:
     pts = {cfg.z[v].coords[:-1] for v in verts}
     return smallest_enclosing_ball(sorted(pts)).radius
-
-
-def _monotone_values(cells: dict[Simplex, tuple[float, bool]]) -> dict[Simplex, tuple[float, bool]]:
-    """Push face values up to cofaces (fixes sub-ulp float noise only)."""
-    out: dict[Simplex, tuple[float, bool]] = {}
-    for s in sorted(cells, key=lambda s: (s.dim, s.vertices)):
-        value, sub = cells[s]
-        if not sub:
-            for f in s.boundary():
-                fv = out[f][0]
-                if fv > value:
-                    value = fv
-        out[s] = (value, sub)
-    return out
 
 
 @dataclass
@@ -111,34 +82,42 @@ def build_pipeline(
     factor: float = DEFAULT_FACTOR,
     s: float | None = None,
 ) -> Pipeline:
-    """Lift, triangulate and filter; `s` overrides choose_s (testing hook)."""
+    """Lift, triangulate and filter; `s` overrides choose_s (testing hook).
+
+    Each cloud is triangulated at most once: del(X1) chooses s and checks
+    that its lifted copy is the subcomplex, del(X2) only chooses s.  Raises
+    AssertionError when del(Z) lacks a lifted del(X1) simplex.
+    """
     if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
         raise InputError("ambient dimension must be at most 3")
     if len(x1) + len(x2) == 0:
         raise InputError("x1 and x2 are both empty")
+    tri1 = delaunay(x1) if len(x1) else None
     if s is None:
-        s = choose_s(x1, x2, factor)
+        s = choose_s(tri1, delaunay(x2) if len(x2) else None, factor)
     cfg = lift(x1, x2, s)
     tri = delaunay(cfg.z)
-    cells: dict[Simplex, tuple[float, bool]] = {}
+    n1 = len(x1)
+    values: dict[tuple[int, ...], float] = {}
+    cells = []
+    # tri.simplices() yields faces before cofaces, so every face value is
+    # known when its coface is filtered.
     for simp in tri.simplices():
-        sub = all(cfg.labels[v] == "plus" for v in simp.vertices)
-        value = 0.0 if sub else _projected_meb(cfg, simp.vertices)
-        cells[simp] = (value, sub)
-    if len(x1) > 1:
-        # The lifted copy of del(x1) is expected to already be present as the
-        # all-plus part; add anything missing rather than assume it.
-        tri1 = delaunay(x1)
+        vs = simp.vertices
+        sub = vs[-1] < n1
+        value = 0.0
+        if not sub:
+            value = _projected_meb(cfg, vs)
+            if len(vs) > 1:
+                # Same geometry as the faces, but guard against sub-ulp float noise.
+                value = max(value, max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
+        values[vs] = value
+        cells.append(Cell(simp, value, sub))
+    if tri1 is not None:
         for simp in tri1.simplices():
-            if simp not in cells:
-                cells[simp] = (0.0, True)
-    elif len(x1) == 1 and Simplex((0,)) not in cells:
-        cells[Simplex((0,))] = (0.0, True)
-    cells = _monotone_values(cells)
-    fc = build(
-        [Cell(s_, v, sub) for s_, (v, sub) in cells.items()],
-        vertex_count=len(cfg.z),
-    )
+            if simp.vertices not in values:
+                raise AssertionError(f"lifted del(X1) simplex {simp.vertices} missing from del(Z)")
+    fc = build(cells, vertex_count=len(cfg.z))
     return Pipeline(cfg, tri, fc)
 
 
@@ -157,8 +136,10 @@ class EmbeddingReport:
 
     Failures usually mean a degenerate configuration whose symbolic tie
     breaks differ between the ambient and lifted triangulations (or a lift
-    height below the supported range when bypassing choose_s); callers
-    should treat them as a diagnostic, not silently proceed.
+    height below the supported range when bypassing choose_s).  The report
+    is a diagnostic, not on the run path, until ROADMAP item 2: it fails on
+    some degenerate grids whose barcode is still right, so making it fatal
+    would turn correct runs into failures.
     """
 
     x1_embedded: bool
@@ -194,23 +175,18 @@ def verify_embedding(cfg: LiftedConfiguration, tri: Triangulation) -> EmbeddingR
     """Certify that both clouds' Delaunay complexes embed into del(Z) and
     that the all-plus part of del(Z) is exactly the lifted del(X1)."""
     n1 = len(cfg.x1)
-    present: set[tuple[int, ...]] = set()
-    for simp in tri.simplices():
-        present.add(simp.vertices)
+    present = {simp.vertices for simp in tri.simplices()}
 
     def lifted_simplices(cloud: PointCloud, offset: int) -> set[tuple[int, ...]]:
         if len(cloud) == 0:
             return set()
-        if len(cloud) == 1:
-            return {(offset,)}
-        t = delaunay(cloud)
-        return {tuple(v + offset for v in s.vertices) for s in t.simplices()}
+        return {tuple(v + offset for v in s.vertices) for s in delaunay(cloud).simplices()}
 
     j1 = lifted_simplices(cfg.x1, 0)
     j2 = lifted_simplices(cfg.x2, n1)
     missing_x1 = sorted(j1 - present)
     missing_x2 = sorted(j2 - present)
-    all_plus = {vs for vs in present if all(cfg.labels[v] == "plus" for v in vs)}
+    all_plus = {vs for vs in present if vs[-1] < n1}
     plus_mismatch = sorted(all_plus.symmetric_difference(j1))
     return EmbeddingReport(
         x1_embedded=not missing_x1,

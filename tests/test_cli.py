@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import reldelcech
 from reldelcech.cli import main, read_points, read_subset, render_svg
 from reldelcech.filtered_complex import loads
 from reldelcech.geometry import InputError
@@ -198,6 +199,19 @@ class TestBench:
         second = capsys.readouterr().out
         assert first.splitlines()[1].split(",")[:4] == second.splitlines()[1].split(",")[:4]
 
+    def test_data_ignores_hull_seed(self, capsys, monkeypatch):
+        # RELDEL_SEED orders hull insertion only; the generated data is fixed.
+        argv = ["bench", "--sizes", "12,20,30", "--generator", "annulus"]
+        main(argv)
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("RELDEL_SEED", "777")
+        main(argv)
+        seeded = capsys.readouterr().out
+        # Columns after the fourth are wall times.
+        assert [r.split(",")[:4] for r in plain.splitlines()] == [
+            r.split(",")[:4] for r in seeded.splitlines()
+        ]
+
     def test_sphere_generator(self, capsys):
         rc = main(["bench", "--sizes", "10", "--dim", "3", "--generator", "sphere"])
         assert rc == 0
@@ -220,28 +234,28 @@ class TestRenderSvg:
         assert svg.startswith("<svg")
 
 
+def run_cli(*args):
+    """`python -m reldelcech.cli`, importing the package these tests import."""
+    src = os.path.dirname(os.path.dirname(reldelcech.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "reldelcech.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestConsoleEntry:
     def test_subprocess_compute(self, square):
-        proc = subprocess.run(
-            [sys.executable, "-m", "reldelcech.cli", "compute", str(square)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("compute", str(square))
         assert proc.returncode == 0
         json.loads(proc.stdout)
 
     def test_subprocess_input_error(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "reldelcech.cli", "compute", str(tmp_path / "nope.csv")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("compute", str(tmp_path / "nope.csv"))
         assert proc.returncode == 2
 
     def test_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "reldelcech.cli", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("frobnicate")
         assert proc.returncode == 2

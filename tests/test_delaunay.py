@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from reldelcech.delaunay import Simplex, delaunay, faces
+from reldelcech.delaunay import Simplex, delaunay
 from reldelcech.geometry import InputError, PointCloud
 
 
@@ -175,19 +175,19 @@ class TestRandomClouds:
 class TestFaces:
     def test_faces_of_triangle(self):
         t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1)]))
-        assert [s.vertices for s in faces(t, 1)] == [(0, 1), (0, 2), (1, 2)]
-        assert [s.vertices for s in faces(t, 0)] == [(0,), (1,), (2,)]
+        assert [s.vertices for s in t.faces(1)] == [(0, 1), (0, 2), (1, 2)]
+        assert [s.vertices for s in t.faces(0)] == [(0,), (1,), (2,)]
 
     def test_faces_square(self):
         t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1), (1, 1)]))
-        assert len(faces(t, 1)) == 5
+        assert len(t.faces(1)) == 5
 
     def test_out_of_range(self):
         t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1)]))
         with pytest.raises(InputError):
-            faces(t, 3)
+            t.faces(3)
         with pytest.raises(InputError):
-            faces(t, -1)
+            t.faces(-1)
 
     def test_downward_closure_unique(self):
         rng = np.random.default_rng(17)

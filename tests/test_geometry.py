@@ -7,6 +7,7 @@ import pytest
 
 from reldelcech.geometry import (
     DIM_CAP,
+    MEB_TOL,
     Ball,
     InputError,
     Point,
@@ -226,6 +227,17 @@ class TestSmallestEnclosingBall:
             rng.shuffle(pts)
             b2 = smallest_enclosing_ball(pts)
             assert b2.radius == b1.radius and b2.center.coords == b1.center.coords
+
+    def test_large_n_no_recursion_limit(self):
+        rng = random.Random(41)
+        pts = [(rng.random(), rng.random()) for _ in range(2000)]
+        b = smallest_enclosing_ball(pts)
+        tol = MEB_TOL * (1 + b.radius)
+        dists = [math.dist(b.center.coords, p) for p in pts]
+        assert all(d <= b.radius + tol for d in dists)
+        boundary = [p for p, d in zip(pts, dists) if d >= b.radius - tol]
+        assert 2 <= len(boundary) <= 3
+        assert smallest_enclosing_ball(boundary) == b
 
 
 class TestBall:

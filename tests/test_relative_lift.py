@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes
-from reldelcech.delaunay import Simplex, delaunay
+from reldelcech.delaunay import Triangulation, delaunay
 from reldelcech.geometry import InputError, PointCloud
 from reldelcech.persistence import barcode
 from reldelcech.relative_lift import (
@@ -23,31 +24,38 @@ def cloud(pts, d=None):
 EMPTY2 = PointCloud([], dimension=2)
 
 
+def tri(pts):
+    return delaunay(cloud(pts))
+
+
 class TestChooseS:
     def test_edge_dominates(self):
-        s = choose_s(cloud([(0.0, 0.0), (2.0, 0.0)]), cloud([(5.0, 0.0)]), factor=2)
+        s = choose_s(tri([(0.0, 0.0), (2.0, 0.0)]), tri([(5.0, 0.0)]), factor=2)
         assert s == 2.0
 
     def test_floor_for_singletons(self):
-        s = choose_s(cloud([(0.0, 0.0)]), cloud([(1.0, 0.0)]), factor=2)
+        s = choose_s(tri([(0.0, 0.0)]), tri([(1.0, 0.0)]), factor=2)
         assert s == 2.0
 
     def test_equilateral(self):
-        tri = cloud([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)])
-        s = choose_s(tri, EMPTY2, factor=2)
+        t = tri([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)])
+        s = choose_s(t, None, factor=2)
         assert abs(s - 2 / math.sqrt(3)) < 1e-12
 
     def test_factor_must_exceed_one(self):
         with pytest.raises(InputError):
-            choose_s(cloud([(0.0, 0.0)]), EMPTY2, factor=1.0)
+            choose_s(tri([(0.0, 0.0)]), None, factor=1.0)
 
 
 class TestLift:
     def test_basic(self):
-        cfg = lift(cloud([(0.0, 0.0)]), cloud([(3.0, 0.0)]), s=2.0)
+        x1, x2 = cloud([(0.0, 0.0)]), cloud([(3.0, 0.0)])
+        cfg = lift(x1, x2, s=2.0)
         assert [p.coords for p in cfg.z] == [(0.0, 0.0, 2.0), (3.0, 0.0, -2.0)]
-        assert cfg.labels == ("plus", "minus")
-        assert cfg.back_map == (("x1", 0), ("x2", 0))
+        # X1 comes first: z[i] is x1[i] for i < len(x1), else x2[i - len(x1)].
+        assert len(cfg.x1) == 1
+        assert cfg.z[0].coords[:-1] == x1[0].coords and cfg.z[0].coords[-1] > 0
+        assert cfg.z[1].coords[:-1] == x2[0].coords and cfg.z[1].coords[-1] < 0
 
     def test_shared_base_point_is_fine(self):
         cfg = lift(cloud([(1.0, 1.0)]), cloud([(1.0, 1.0)]), s=1.0)
@@ -55,7 +63,7 @@ class TestLift:
 
     def test_x2_empty(self):
         cfg = lift(cloud([(0.0, 1.0), (2.0, 0.0)]), EMPTY2, s=1.5)
-        assert all(lab == "plus" for lab in cfg.labels)
+        assert len(cfg.x1) == len(cfg.z)
         assert [p.coords[-1] for p in cfg.z] == [1.5, 1.5]
 
     def test_nonpositive_s_rejected(self):
@@ -126,6 +134,71 @@ class TestRelativeDelcech:
         fc = relative_delcech(cloud([(1.0, 1.0)]), cloud([(1.0, 1.0)]))
         by_simplex = {c.simplex.vertices: c for c in fc.cells}
         assert by_simplex[(0, 1)].value == 0.0
+
+
+X1_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.2, 0.8)]
+X2_AROUND = [(0.5, -0.7), (1.6, 0.9), (-0.6, 1.1), (0.6, 0.35)]
+
+
+def count_delaunay_calls(monkeypatch) -> list[int]:
+    """Dimension of the cloud of every delaunay call build_pipeline makes."""
+    calls = []
+    real = relative_lift.delaunay
+
+    def counting(c):
+        calls.append(c.dimension)
+        return real(c)
+
+    monkeypatch.setattr(relative_lift, "delaunay", counting)
+    return calls
+
+
+def drop_lifted_x1_edge(monkeypatch, n1: int, d: int):
+    """Make del(Z) lose one lifted del(X1) edge, with every top on it."""
+    real = relative_lift.delaunay
+
+    def broken(c):
+        t = real(c)
+        if c.dimension != d + 1:
+            return t
+        edge = next(e.vertices for e in t.faces(1) if e.vertices[-1] < n1)
+        tops = [top for top in t.top_simplices if not set(edge) <= set(top.vertices)]
+        return Triangulation(c, tops, t.top_dim, t._space)
+
+    monkeypatch.setattr(relative_lift, "delaunay", broken)
+
+
+class TestSharedTriangulations:
+    def test_three_calls_when_s_is_chosen(self, monkeypatch):
+        calls = count_delaunay_calls(monkeypatch)
+        build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
+        assert calls == [2, 2, 3]  # X1, X2, Z
+
+    def test_two_calls_with_s_override(self, monkeypatch):
+        calls = count_delaunay_calls(monkeypatch)
+        build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND), s=4.0)
+        assert calls == [2, 3]  # X1, Z
+
+    def test_empty_x1_is_not_triangulated(self, monkeypatch):
+        calls = count_delaunay_calls(monkeypatch)
+        build_pipeline(EMPTY2, cloud(X2_AROUND))
+        assert calls == [2, 3]  # X2, Z
+
+    def test_missing_x1_simplex_raises(self, monkeypatch):
+        drop_lifted_x1_edge(monkeypatch, n1=3, d=2)
+        with pytest.raises(AssertionError, match=r"lifted del\(X1\) simplex \(\d+, \d+\) missing"):
+            build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
+
+    def test_missing_x1_simplex_exits_1(self, monkeypatch, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in X1_TRIANGLE + X2_AROUND))
+        sub = tmp_path / "a.txt"
+        sub.write_text("0\n1\n2\n")
+        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
+        capsys.readouterr()
+        drop_lifted_x1_edge(monkeypatch, n1=3, d=2)
+        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 1
+        assert "AssertionError" in capsys.readouterr().err
 
 
 class TestSInvariance:
