@@ -17,7 +17,7 @@ import traceback
 import numpy as np
 
 from .cech_oracle import ORACLE_CAP, compare_barcodes, relative_cech
-from .filtered_complex import Cell, FilteredComplex, build, dumps
+from .filtered_complex import dumps
 from .geometry import InputError, PointCloud
 from .persistence import Barcode, barcode, boundary_matrix, reduce_matrix
 from .relative_lift import DEFAULT_FACTOR, build_pipeline
@@ -92,33 +92,16 @@ def split_pair(x: PointCloud, a_indices: set[int]) -> tuple[PointCloud, PointClo
     return x1, x2
 
 
-def _with_fault(fc: FilteredComplex) -> FilteredComplex:
-    """Test hook: bump one maximal cell's filtration value."""
-    cofaced = set()
-    for c in fc.cells:
-        for f in c.simplex.boundary():
-            cofaced.add(f)
-    cells = list(fc.cells)
-    for i, c in reversed(list(enumerate(cells))):
-        if not c.in_subcomplex and c.simplex not in cofaced:
-            cells[i] = Cell(c.simplex, c.value * 1.25 + 0.125, False)
-            break
-    return build(cells, vertex_count=fc.vertex_count)
-
-
 def pipeline_barcode(
     x: PointCloud,
     a_indices: set[int],
     factor: float = DEFAULT_FACTOR,
     max_dim: int | None = None,
-    inject_fault: bool = False,
 ) -> Barcode:
     x1, x2 = split_pair(x, a_indices)
     if max_dim is None:
         max_dim = x.dimension
     fc = build_pipeline(x1, x2, factor).complex
-    if inject_fault:
-        fc = _with_fault(fc)
     return barcode(fc, relative=True, max_dim=max_dim)
 
 
@@ -129,13 +112,12 @@ def check_pair(
     tol: float = 1e-9,
     max_dim: int | None = None,
     oracle_cap: int = ORACLE_CAP,
-    inject_fault: bool = False,
 ):
     """Pipeline vs oracle; returns (diff, pipeline barcode, oracle barcode)."""
     d = x.dimension
     if max_dim is None:
         max_dim = d
-    b1 = pipeline_barcode(x, a_indices, factor, max_dim, inject_fault)
+    b1 = pipeline_barcode(x, a_indices, factor, max_dim)
     oc = relative_cech(x, a_indices, max_simplex_dim=max_dim + 1, cap=oracle_cap)
     b2 = barcode(oc, relative=True, max_dim=max_dim)
     return compare_barcodes(b1, b2, tol), b1, b2
@@ -225,8 +207,6 @@ def cmd_compute(args) -> int:
     x1, x2 = split_pair(x, a)
     pipe = build_pipeline(x1, x2, args.s_factor)
     fc = pipe.complex
-    if args.inject_fault:
-        fc = _with_fault(fc)
     b = barcode(fc, relative=True, max_dim=max_dim)
     payload = json.dumps(b.to_json_dict(relative), indent=2)
     if args.out:
@@ -253,7 +233,6 @@ def cmd_check(args) -> int:
         tol=args.tol,
         max_dim=args.max_dim,
         oracle_cap=args.oracle_cap,
-        inject_fault=args.inject_fault,
     )
     if args.json:
         report = diff.to_dict()
@@ -268,8 +247,8 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     """CSV of complex sizes and timings over generated clouds.
 
-    The clouds and subsets are drawn from the fixed seed _GEN_SEED, so the
-    rows do not depend on RELDEL_SEED (which orders hull insertion only).
+    The clouds and subsets are drawn from the fixed seed _GEN_SEED, so
+    equal arguments give equal rows apart from the wall times.
     `wall_ms_delaunay` times all of build_pipeline.
     """
     sizes = []
@@ -322,7 +301,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--subset-indices", help="file of 0-based indices of the subset A")
         sp.add_argument("--s-factor", type=float, default=DEFAULT_FACTOR)
         sp.add_argument("--max-dim", type=int, default=None, help="default: ambient dimension")
-        sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     c = sub.add_parser("compute", help="barcode of the (relative) filtration")
     common(c)

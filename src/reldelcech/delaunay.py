@@ -5,8 +5,9 @@ the lifted set, computed by a randomized incremental algorithm with conflict
 lists, projects back to the Delaunay top simplices.  Predicate ties are
 broken by a symbolic moment-curve perturbation ordered by vertex index, so
 construction is deterministic and no zero signs escape.  Inputs whose affine
-hull is lower-dimensional are triangulated inside exact rational coordinates
-of that hull (with the induced metric), so flat configurations are fine.
+hull is lower-dimensional are triangulated inside exact coordinates of that
+hull (with the induced metric), so flat configurations are fine.  All exact
+arithmetic is on integers: every float coordinate is a dyadic rational.
 
 Vertical hull facets (whose supporting hyperplane contains the lift
 direction) are discarded by an exact, unperturbed test: they project to
@@ -16,19 +17,23 @@ degenerate simplices and are not Delaunay cells.
 from __future__ import annotations
 
 import itertools
-import math
-import os
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .geometry import DIM_CAP, InputError, PointCloud
-from .predicates import _FILTER_C, _det_float, det_sign_exact, filtered_det_sign, sos_sign
+from .predicates import (
+    _FILTER_C,
+    _det_float,
+    det_exact_int,
+    det_sign_exact,
+    exact_ints,
+    filtered_det_sign,
+    sos_sign,
+)
 
-_DEFAULT_SEED = 0x9E3779B9
-_SEED_ENV = "RELDEL_SEED"
+_HULL_SEED = 0x9E3779B9  # orders hull insertion; the output does not depend on it
 
 
 @dataclass(frozen=True, order=True)
@@ -73,25 +78,22 @@ class Simplex:
 # -- exact affine-hull coordinates --------------------------------------------
 
 
-def _exact_points(cloud: PointCloud) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(c) for c in p.coords) for p in cloud]
-
-
-def _affine_basis(pts: list[tuple[Fraction, ...]]):
+def _affine_basis(pts: list[tuple[int, ...]]):
     """Greedy exact rank detection: returns (rank, basis vectors, pivot cols).
 
-    Basis vectors are differences p_i - p_0, scanned in index order."""
+    Basis vectors are differences p_i - p_0, scanned in index order.  The
+    echelon step w <- e[c] w - w[c] e is a nonzero multiple of rational
+    elimination, so it finds the same pivots without leaving the integers."""
     m = len(pts[0])
-    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot col, reduced vector)
-    basis: list[list[Fraction]] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot col, reduced vector)
+    basis: list[list[int]] = []
     for i in range(1, len(pts)):
         v = [pts[i][c] - pts[0][c] for c in range(m)]
-        w = list(v)
+        w = v
         for col, e in echelon:
             if w[col] != 0:
-                f = w[col] / e[col]
-                for c in range(m):
-                    w[c] -= f * e[c]
+                f, g = e[col], w[col]
+                w = [f * a - g * b for a, b in zip(w, e)]
         pivot = next((c for c in range(m) if w[c] != 0), None)
         if pivot is not None:
             echelon.append((pivot, w))
@@ -100,22 +102,6 @@ def _affine_basis(pts: list[tuple[Fraction, ...]]):
                 break
     pivot_cols = [col for col, _ in echelon]
     return len(basis), basis, pivot_cols
-
-
-def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Exact solve of a small nonsingular square system."""
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for k in range(n):
-        p = next(i for i in range(k, n) if m[i][k] != 0)
-        m[k], m[p] = m[p], m[k]
-        inv = m[k][k]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k] / inv
-                for j in range(k, n + 1):
-                    m[i][j] -= f * m[k][j]
-    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 # -- lifted hull space ---------------------------------------------------------
@@ -335,47 +321,58 @@ class Triangulation:
         return 1 if o1 == s_inf else -1
 
 
-def _int_columns(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    """Scale every column by the lcm of its denominators (positive factors
-    preserve all determinant signs used here)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    scaled: list[list[int]] = [[0] * ncols for _ in rows]
-    for c in range(ncols):
-        mul = 1
-        for row in rows:
-            mul = math.lcm(mul, row[c].denominator)
-        for i, row in enumerate(rows):
-            scaled[i][c] = int(row[c] * mul)
-    return [tuple(r) for r in scaled]
-
-
 def _hull_space(cloud: PointCloud):
-    """Lifted coordinates of the cloud inside its exact affine hull."""
-    pts = _exact_points(cloud)
+    """Lifted coordinates of the cloud inside its exact affine hull.
+
+    Column c of the cloud is exactly ints / 2**shift[c] (`exact_ints`), so
+    all exact work is in integers.  A full-rank cloud keeps its coordinates
+    and lifts to the sum of squares over the common denominator 4**top.  A
+    flat one gets coordinates u in its affine basis by Cramer's rule,
+    scaled by |det A|, and the lift u^T G u of the induced metric.  The
+    integer rows are positive column multiples of the rational ones, which
+    changes no predicate sign; the float rows are the correctly rounded
+    quotients.
+    """
     m = cloud.dimension
+    n = len(cloud)
+    cols, shifts = zip(*(exact_ints(col) for col in cloud.array().T.tolist()))
+    pts = list(zip(*cols))
+    top = max(shifts)
+    # Weight of column c in a squared length over the denominator 4**top.
+    weights = [1 << 2 * (top - k) for k in shifts]
     rank, basis, pivot_cols = _affine_basis(pts)
-    n = len(pts)
     if rank == m:
-        coords = [pts[i] for i in range(n)]
-        lifts = [sum(c * c for c in pts[i]) for i in range(n)]
+        coords = pts
+        lifts = [sum(w * x * x for w, x in zip(weights, p)) for p in pts]
+        coord_dens = [1 << k for k in shifts]
+        lift_den = 1 << 2 * top
     else:
-        a = [[basis[j][c] for j in range(rank)] for c in pivot_cols]  # (r x r), column j = basis j
-        gram = [[sum(bi * bj for bi, bj in zip(basis[i], basis[j])) for j in range(rank)] for i in range(rank)]
+        # Row c of A u = p_i - p_0 (c a pivot column) carries the column's
+        # 2**shift[c] on both sides, so u is exact without rescaling.
+        a = [[basis[j][c] for j in range(rank)] for c in pivot_cols]  # column j = basis j
+        det_a = det_exact_int(a)
+        sign_a = 1 if det_a > 0 else -1
+        gram = [
+            [sum(w * x * y for w, x, y in zip(weights, basis[i], basis[j])) for j in range(rank)]
+            for i in range(rank)
+        ]
         coords = []
         lifts = []
-        for i in range(n):
-            rhs = [pts[i][c] - pts[0][c] for c in pivot_cols]
-            u = _solve_square(a, rhs) if rank else []
-            coords.append(tuple(u))
+        for p in pts:
+            rhs = [p[c] - pts[0][c] for c in pivot_cols]
+            u = tuple(
+                sign_a * det_exact_int([row[:j] + [b] + row[j + 1 :] for row, b in zip(a, rhs)])
+                for j in range(rank)
+            )
+            coords.append(u)
             lifts.append(sum(u[j] * gram[j][k] * u[k] for j in range(rank) for k in range(rank)))
+        coord_dens = [abs(det_a)] * rank
+        lift_den = det_a * det_a << 2 * top
     float_rows = np.array(
-        [[float(c) for c in coords[i]] + [float(lifts[i])] for i in range(n)], dtype=float
+        [[x / d for x, d in zip(c, coord_dens)] + [h / lift_den] for c, h in zip(coords, lifts)],
+        dtype=float,
     ).reshape(n, rank + 1)
-    int_rows = _int_columns(
-        [[Fraction(c) for c in coords[i]] + [Fraction(lifts[i]), Fraction(1)] for i in range(n)]
-    )
+    int_rows = [c + (h, 1) for c, h in zip(coords, lifts)]
     return rank, _HullSpace(float_rows, int_rows)
 
 
@@ -383,8 +380,7 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     """Delaunay triangulation of a point cloud (affine rank <= 5).
 
     Deterministic for a fixed input ordering.  The insertion order of the
-    incremental hull is drawn from a fixed seed; the RELDEL_SEED
-    environment variable overrides that seed and nothing else.  The output
+    incremental hull is drawn from the fixed seed `_HULL_SEED`; the output
     does not depend on it.
     """
     if len(cloud) == 0:
@@ -396,10 +392,9 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     if n == rank + 1:
         tops = [Simplex(range(n))]
         return Triangulation(cloud, tops, rank, space)
-    seed = int(os.environ.get(_SEED_ENV, _DEFAULT_SEED))
     order = list(range(n))
     tail = order[space.P + 1 :]
-    random.Random(seed).shuffle(tail)
+    random.Random(_HULL_SEED).shuffle(tail)
     order[space.P + 1 :] = tail
     hull = _Hull(space, order)
     tops = []

@@ -2,8 +2,8 @@
 enclosing balls and squared distances, dimension-generic up to DIM_CAP.
 
 Predicate signs are exact: a floating-point filter answers the easy cases
-and an arbitrary-precision rational fallback decides the rest, so zero
-really means degenerate.
+and an integer determinant of the power-of-two scaled coordinates decides
+the rest, so zero really means degenerate.
 """
 
 from __future__ import annotations
@@ -11,15 +11,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .predicates import det_sign_exact, filtered_det_sign
+from .predicates import det_sign_exact, exact_ints, filtered_det_sign
 
 DIM_CAP = 6
 
-# Scale-aware containment tolerance used by enclosing-ball post-checks.
+# Containment tolerance of enclosing balls, relative to the radius.
 MEB_TOL = 1e-9
 
 
@@ -119,9 +118,16 @@ class Ball:
 
     def contains(self, p, tol: float | None = None) -> bool:
         if tol is None:
-            tol = MEB_TOL * (1.0 + self.radius)
+            tol = MEB_TOL * self.radius
         d = math.dist(self.center.coords, _coords(p))
         return d <= self.radius + tol
+
+
+def _int_points(pts) -> list[list[int]]:
+    """The points scaled by one power of two to exact integers."""
+    flat, _ = exact_ints([x for p in pts for x in p])
+    m = len(pts[0])
+    return [flat[i : i + m] for i in range(0, len(flat), m)]
 
 
 def squared_distance(a, b) -> float:
@@ -147,11 +153,8 @@ def orientation(simplex_points) -> int:
     s = filtered_det_sign(rows_f)
     if s is not None:
         return s
-    rows_e = [
-        [Fraction(pts[i][c]) - Fraction(pts[0][c]) for c in range(m)]
-        for i in range(1, m + 1)
-    ]
-    return det_sign_exact(rows_e)
+    ints = _int_points(pts)
+    return det_sign_exact([[x - y for x, y in zip(p, ints[0])] for p in ints[1:]])
 
 
 def in_sphere(simplex_points, query) -> int:
@@ -176,9 +179,10 @@ def in_sphere(simplex_points, query) -> int:
         rows_f.append(d + [sum(x * x for x in d)])
     s = filtered_det_sign(rows_f)
     if s is None:
+        *ints, iq = _int_points(pts + [q])
         rows_e = []
-        for p in pts:
-            d = [Fraction(p[c]) - Fraction(q[c]) for c in range(m)]
+        for p in ints:
+            d = [x - y for x, y in zip(p, iq)]
             rows_e.append(d + [sum(x * x for x in d)])
         s = det_sign_exact(rows_e)
     return s * orient * (1 if m % 2 == 0 else -1)
@@ -249,7 +253,7 @@ def _welzl(pts: list[tuple[float, ...]], start: int, support: list[tuple[float, 
     sup = support
     for i in range(len(pts) - 1, start - 1, -1):
         p = pts[i]
-        if center is None or not math.dist(center, p) <= r + MEB_TOL * (1.0 + r):
+        if center is None or not math.dist(center, p) <= r + MEB_TOL * r:
             center, r, sup = _welzl(pts, i + 1, support + [p], dim)
     return center, r, sup
 

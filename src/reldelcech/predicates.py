@@ -1,16 +1,18 @@
 """Exact sign evaluation of small determinants.
 
-Three layers, from fast to slow:
+Every sign is decided over Python integers; inputs are floats, which are
+dyadic rationals, so `exact_ints` makes them integers by a power-of-two
+shift.  From fast to slow:
 
 1. a static floating-point filter (`filtered_det_sign`) that certifies the
    sign of a determinant whenever its magnitude safely exceeds a rounding
    error bound,
-2. exact rational evaluation (`det_sign_exact`) over ``fractions.Fraction``
+2. the exact integer determinant (`det_exact_int`, fraction-free Bareiss)
    for the cases the filter cannot decide,
 3. a symbolic perturbation (`sos_sign`) that resolves exact zeros by moving
-   every perturbable row onto a moment curve with a per-row infinitesimal,
-   ordered by a caller-supplied rank.  The returned sign is the sign of the
-   first nonzero coefficient of the perturbed determinant, enumerated by
+   every row onto a moment curve with a per-row infinitesimal, ordered by a
+   caller-supplied rank.  The returned sign is the sign of the first
+   nonzero coefficient of the perturbed determinant, enumerated by
    increasing infinitesimal degree, and is never zero.
 
 All matrices here are small (n <= 8): rows are Euclidean coordinates, an
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 _EPS = float(math.ulp(1.0))  # 2^-52
 
@@ -58,47 +59,23 @@ def det_exact_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_exact(rows) -> Fraction:
-    """Exact determinant of a square matrix of Fractions/ints (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if all(isinstance(x, int) for row in rows for x in row):
-        return Fraction(det_exact_int(rows))
-    a = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
 def det_sign_exact(rows) -> int:
-    if isinstance(rows[0][0], int) and all(
-        isinstance(x, int) for row in rows for x in row
-    ):
-        d = det_exact_int(rows)
-    else:
-        d = det_exact(rows)
-    return (d > 0) - (d < 0)
-
-
-def _sign_int(rows) -> int:
+    """Exact sign of the determinant of a square integer matrix."""
     d = det_exact_int(rows)
     return (d > 0) - (d < 0)
+
+
+def exact_ints(values) -> tuple[list[int], int]:
+    """Integers n_i and one shift k >= 0 with values[i] == n_i / 2**k exactly.
+
+    Every float is a dyadic rational, so a common power-of-two shift turns
+    a list of floats into integers without rounding; k is the least such
+    shift.  Scaling a matrix column by 2**k leaves every determinant sign
+    unchanged, so exact signs never need a rational type.
+    """
+    ratios = [float(x).as_integer_ratio() for x in values]
+    k = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    return [num << (k - den.bit_length() + 1) for num, den in ratios], k
 
 
 def _det_float(rows) -> float:
@@ -123,18 +100,15 @@ def _det_float(rows) -> float:
     return det
 
 
-def filtered_det_sign(rows, scale: float | None = None) -> int | None:
-    """Sign of det(rows) if certifiable in double precision, else None.
-
-    `scale` may pass a precomputed bound on |entries| (>= 1)."""
+def filtered_det_sign(rows) -> int | None:
+    """Sign of det(rows) if certifiable in double precision, else None."""
     n = len(rows)
-    if scale is None:
-        scale = 1.0
-        for row in rows:
-            for x in row:
-                ax = abs(float(x))
-                if ax > scale:
-                    scale = ax
+    scale = 1.0
+    for row in rows:
+        for x in row:
+            ax = abs(float(x))
+            if ax > scale:
+                scale = ax
     d = _det_float(rows)
     if abs(d) > _FILTER_C[n] * scale**n:
         return 1 if d > 0 else -1
@@ -153,20 +127,19 @@ def filtered_det_sign(rows, scale: float | None = None) -> int | None:
 _ORDER_CACHE: dict = {}
 
 
-def _assignment_order(n_pert: int, ncoords: int, rank_positions: tuple[int, ...]):
-    """Partial injections (perturbable-row slot -> coordinate column), sorted
-    by increasing perturbation degree.  Cached: degree order depends only on
-    the relative order of the ranks, passed as 0-based positions."""
-    key = (n_pert, ncoords, rank_positions)
+def _assignment_order(n_rows: int, ncoords: int, rank_positions: tuple[int, ...]):
+    """Partial injections (row -> coordinate column), sorted by increasing
+    perturbation degree.  Cached: degree order depends only on the relative
+    order of the ranks, passed as 0-based positions."""
+    key = (n_rows, ncoords, rank_positions)
     got = _ORDER_CACHE.get(key)
     if got is not None:
         return got
     base = ncoords + 2
     weights = [base**p for p in rank_positions]
     out = []
-    slots = range(n_pert)
-    for r in range(1, min(n_pert, ncoords) + 1):
-        for rows in itertools.combinations(slots, r):
+    for r in range(1, min(n_rows, ncoords) + 1):
+        for rows in itertools.combinations(range(n_rows), r):
             for cols in itertools.permutations(range(ncoords), r):
                 deg = sum((c + 1) * weights[i] for i, c in zip(rows, cols))
                 out.append((deg, tuple(zip(rows, cols))))
@@ -179,40 +152,35 @@ def _assignment_order(n_pert: int, ncoords: int, rank_positions: tuple[int, ...]
 def sos_sign(rows_exact, ranks) -> int:
     """Sign of the symbolically perturbed determinant; never 0.
 
-    `rows_exact`: square matrix (Fractions/ints), homogeneous column last.
-    `ranks[i]`: perturbation rank of row i, or None for rows that must not
-    be perturbed (e.g. directions at infinity).  Ranks must be distinct.
+    `rows_exact`: square integer matrix, homogeneous column last.
+    `ranks[i]`: perturbation rank of row i; ranks must be distinct.
     """
-    all_int = all(isinstance(x, int) for row in rows_exact for x in row)
-    sign = _sign_int if all_int else det_sign_exact
-    s = sign(rows_exact)
+    s = det_sign_exact(rows_exact)
     if s != 0:
         return s
     n = len(rows_exact)
     ncoords = n - 1
-    pert = [i for i, r in enumerate(ranks) if r is not None]
-    pert_ranks = [ranks[i] for i in pert]
-    order = {r: p for p, r in enumerate(sorted(pert_ranks))}
-    positions = tuple(order[r] for r in pert_ranks)
+    order = {r: p for p, r in enumerate(sorted(ranks))}
+    positions = tuple(order[r] for r in ranks)
     # When every row is a point (homogeneous entry 1) and some coordinate
     # column is constant, assignments not covering that column keep the
     # column-vs-homogeneous dependency and have provably zero coefficients.
     forced: set[int] = set()
     homog = rows_exact[0][ncoords]
-    if len(pert) == n and all(row[ncoords] == homog for row in rows_exact[1:]):
+    if all(row[ncoords] == homog for row in rows_exact[1:]):
         for c in range(ncoords):
             first = rows_exact[0][c]
             if all(row[c] == first for row in rows_exact[1:]):
                 forced.add(c)
-    for assignment in _assignment_order(len(pert), ncoords, positions):
+    for assignment in _assignment_order(n, ncoords, positions):
         if forced and not forced <= {col for _, col in assignment}:
             continue
         m = [list(row) for row in rows_exact]
-        for slot, col in assignment:
+        for row, col in assignment:
             unit = [0] * n
             unit[col] = 1
-            m[pert[slot]] = unit
-        s = sign(m)
+            m[row] = unit
+        s = det_sign_exact(m)
         if s != 0:
             return s
     raise AssertionError("perturbation failed to resolve a zero determinant")

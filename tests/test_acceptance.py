@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _faults import inject_fault
 from _oracles import betti_at, brute_meb_radius, minor_expansion_det
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.cli import check_pair, generate_cloud, main, split_pair
@@ -39,7 +40,7 @@ def _random_pair(rng, d, n_lo=2, n_hi=12, subset="uniform"):
     return x, a
 
 
-def test_criterion_1_oracle_equivalence(tmp_path):
+def test_criterion_1_oracle_equivalence(tmp_path, monkeypatch):
     """Relative Delaunay-Cech barcodes equal brute-force relative Cech
     barcodes on 300 random instances, endpoint tolerance 1e-9."""
     t0 = time.time()
@@ -61,7 +62,8 @@ def test_criterion_1_oracle_equivalence(tmp_path):
     sub.write_text("0\n3\n4\n")
     assert main(["check", str(pts), "--subset-indices", str(sub)]) == 0
     assert main(["check", str(pts)]) == 0
-    assert main(["check", str(pts), "--subset-indices", str(sub), "--inject-fault"]) == 3
+    inject_fault(monkeypatch)
+    assert main(["check", str(pts), "--subset-indices", str(sub)]) == 3
     print(f"\nACCEPTANCE 1 pipeline-vs-oracle equivalence: PASS "
           f"({count} instances, {time.time() - t0:.1f}s)")
 

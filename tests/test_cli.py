@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import reldelcech
+from _faults import inject_fault
 from reldelcech.cli import main, read_points, read_subset, render_svg
 from reldelcech.filtered_complex import loads
 from reldelcech.geometry import InputError
@@ -150,10 +152,9 @@ class TestCheck:
         assert main(["check", str(square)]) == 0
         capsys.readouterr()
 
-    def test_injected_fault_exit_3(self, square, subset0, capsys):
-        rc = main(
-            ["check", str(square), "--subset-indices", str(subset0), "--inject-fault"]
-        )
+    def test_injected_fault_exit_3(self, square, subset0, capsys, monkeypatch):
+        inject_fault(monkeypatch)
+        rc = main(["check", str(square), "--subset-indices", str(subset0)])
         assert rc == 3
         assert "differ" in capsys.readouterr().out
 
@@ -192,7 +193,7 @@ class TestBench:
         assert row.split(",")[2] == "1"  # one cell
 
     def test_reproducible_with_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("RELDEL_SEED", "777")
+        monkeypatch.setattr(importlib.import_module("reldelcech.delaunay"), "_HULL_SEED", 777)
         main(["bench", "--sizes", "15", "--generator", "annulus"])
         first = capsys.readouterr().out
         main(["bench", "--sizes", "15", "--generator", "annulus"])
@@ -200,11 +201,11 @@ class TestBench:
         assert first.splitlines()[1].split(",")[:4] == second.splitlines()[1].split(",")[:4]
 
     def test_data_ignores_hull_seed(self, capsys, monkeypatch):
-        # RELDEL_SEED orders hull insertion only; the generated data is fixed.
+        # The hull seed orders hull insertion only; the generated data is fixed.
         argv = ["bench", "--sizes", "12,20,30", "--generator", "annulus"]
         main(argv)
         plain = capsys.readouterr().out
-        monkeypatch.setenv("RELDEL_SEED", "777")
+        monkeypatch.setattr(importlib.import_module("reldelcech.delaunay"), "_HULL_SEED", 777)
         main(argv)
         seeded = capsys.readouterr().out
         # Columns after the fourth are wall times.

@@ -1,6 +1,7 @@
+import importlib
 import itertools
 import math
-import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,21 +154,14 @@ class TestRandomClouds:
             f = len(t.simplices_by_dim[2])
             assert v - e + f == 1
 
-    def test_determinism_and_seed_independence(self):
+    def test_determinism_and_seed_independence(self, monkeypatch):
         rng = np.random.default_rng(13)
         cloud = random_cloud(rng, 30, 2)
         t1 = delaunay(cloud)
         t2 = delaunay(cloud)
         assert t1.top_simplices == t2.top_simplices
-        old = os.environ.get("RELDEL_SEED")
-        try:
-            os.environ["RELDEL_SEED"] = "12345"
-            t3 = delaunay(cloud)
-        finally:
-            if old is None:
-                os.environ.pop("RELDEL_SEED", None)
-            else:
-                os.environ["RELDEL_SEED"] = old
+        monkeypatch.setattr(importlib.import_module("reldelcech.delaunay"), "_HULL_SEED", 12345)
+        t3 = delaunay(cloud)
         # insertion order changes, the triangulation must not
         assert t3.top_simplices == t1.top_simplices
 
@@ -201,3 +195,94 @@ class TestFaces:
         for s in all_set:
             for f in s.boundary():
                 assert f in all_set
+
+
+# -- exact integer coordinates of the lifted hull ----------------------------
+
+
+def rational_hull_rows(pts):
+    """Reference lifted rows over Fractions: the cloud's coordinates and
+    |x|^2 if it is full-rank, else coordinates in the affine basis of
+    greedily chosen differences p_i - p_0 (solved on the pivot columns) and
+    the squared length of the induced metric; homogeneous 1 last."""
+    q = [[Fraction(x) for x in p] for p in pts]
+    m = len(q[0])
+    basis, echelon = [], []
+    for p in q[1:]:
+        v = [a - b for a, b in zip(p, q[0])]
+        w = list(v)
+        for col, e in echelon:
+            f = w[col] / e[col]
+            w = [a - f * b for a, b in zip(w, e)]
+        pivot = next((c for c in range(m) if w[c]), None)
+        if pivot is not None:
+            echelon.append((pivot, w))
+            basis.append(v)
+    r = len(basis)
+    if r == m:
+        return [p + [sum(x * x for x in p), Fraction(1)] for p in q]
+    cols = [col for col, _ in echelon]
+    rows = []
+    for p in q:
+        # Gauss-Jordan on the r x r system sum_j u_j basis[j][c] = p[c] - p0[c].
+        aug = [[basis[j][c] for j in range(r)] + [p[c] - q[0][c]] for c in cols]
+        for k in range(r):
+            piv = next(i for i in range(k, r) if aug[i][k])
+            aug[k], aug[piv] = aug[piv], aug[k]
+            aug[k] = [x / aug[k][k] for x in aug[k]]
+            for i in range(r):
+                if i != k:
+                    aug[i] = [a - aug[i][k] * b for a, b in zip(aug[i], aug[k])]
+        u = [aug[j][r] for j in range(r)]
+        y = [sum(u[j] * basis[j][c] for j in range(r)) for c in range(m)]
+        rows.append(u + [sum(x * x for x in y), Fraction(1)])
+    return rows
+
+
+def hull_test_clouds():
+    rng = np.random.default_rng(71)
+    out = []
+    for m in (1, 2, 3):  # full-rank, random scales
+        for e in (-140, -20, 0, 30, 60):
+            out.append((rng.random((9, m)) * 2.0**e).tolist())
+    out.append([[float(i), float(j)] for i in range(4) for j in range(3)])  # integer grid
+    out.append([[float(i), float(j), float(k)] for i in range(3) for j in range(2) for k in range(2)])
+    for e in (-60, 0, 40):  # collinear in R^2 and R^3, coplanar in R^3
+        s = 2.0**e
+        base, d1, d2 = rng.random(3) * s, rng.integers(-3, 4, 3) * s / 8, rng.integers(-3, 4, 3) * s / 8
+        t = rng.permutation(np.arange(-5, 6))[:7]
+        out.append([(base[:2] + k * d1[:2]).tolist() for k in t])
+        out.append([(base + k * d1).tolist() for k in t])
+        ab = [(a, b) for a in range(-2, 3) for b in range(-2, 3)][:9]
+        out.append([(base + a * d1 + b * d2).tolist() for a, b in ab])
+    # mixed magnitudes: 1e-120 and 1e60 columns, and both within one column
+    out.append(np.column_stack([rng.random(8) * 1e-120, rng.random(8) * 1e60]).tolist())
+    out.append([[1e-120 * i + 1e60 * j] for i, j in itertools.product(range(1, 4), range(3))])
+    out.append([[1e-120 * i, 1e60 * i] for i in range(1, 6)])  # collinear
+    return [list({tuple(p): None for p in c}) for c in out]
+
+
+class TestHullSpace:
+    @pytest.mark.parametrize("pts", hull_test_clouds())
+    def test_rows_match_rational_reference(self, pts):
+        ref = rational_hull_rows(pts)
+        rank, space = importlib.import_module("reldelcech.delaunay")._hull_space(PointCloud(pts))
+        assert rank == len(ref[0]) - 2
+        # Float rows: the correctly rounded rationals, bit for bit.
+        want = np.array([[float(x) for x in row[:-1]] for row in ref])
+        assert space.float_rows.tobytes() == want.tobytes()
+        # Integer rows: each column a positive multiple of the reference.
+        for c in range(rank + 2):
+            col = [row[c] for row in ref]
+            got = [row[c] for row in space.int_rows]
+            nonzero = [i for i, x in enumerate(col) if x]
+            assert all(got[i] == 0 for i, x in enumerate(col) if not x)
+            if nonzero:
+                lam = Fraction(got[nonzero[0]]) / col[nonzero[0]]
+                assert lam > 0
+                assert all(got[i] == lam * col[i] for i in nonzero)
+
+    def test_clouds_cover_every_rank(self):
+        ranks = {len(rational_hull_rows(pts)[0]) - 2 for pts in hull_test_clouds()}
+        dims = {len(pts[0]) - (len(rational_hull_rows(pts)[0]) - 2) for pts in hull_test_clouds()}
+        assert ranks == {1, 2, 3} and dims == {0, 1, 2}

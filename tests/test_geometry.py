@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from _oracles import minor_expansion_det
 from reldelcech.geometry import (
     DIM_CAP,
     MEB_TOL,
@@ -228,6 +230,16 @@ class TestSmallestEnclosingBall:
             b2 = smallest_enclosing_ball(pts)
             assert b2.radius == b1.radius and b2.center.coords == b1.center.coords
 
+    def test_scale_equivariance(self):
+        assert math.isclose(smallest_enclosing_ball([(0.0, 0.0), (1e-10, 0.0)]).radius, 5e-11)
+        rng = random.Random(43)
+        for _ in range(50):
+            pts = [(rng.random(), rng.random()) for _ in range(6)]
+            r = smallest_enclosing_ball(pts).radius
+            for c in (1e-12, 1e6):
+                got = smallest_enclosing_ball([(c * x, c * y) for x, y in pts]).radius
+                assert math.isclose(got, c * r, rel_tol=1e-9)
+
     def test_large_n_no_recursion_limit(self):
         rng = random.Random(41)
         pts = [(rng.random(), rng.random()) for _ in range(2000)]
@@ -249,14 +261,14 @@ class TestBall:
         b = Ball(Point((0.0, 0.0)), 1.0)
         assert b.contains((1.0, 0.0))
         assert not b.contains((1.1, 0.0))
+        # The tolerance is relative to the radius, not absolute.
+        tiny = Ball(Point((0.0, 0.0)), 1e-10)
+        assert tiny.contains((1e-10, 0.0))
+        assert not tiny.contains((2e-10, 0.0))
 
 
 class TestExactness:
     def test_integer_coordinate_predicates_vs_rational_oracle(self):
-        from fractions import Fraction
-
-        from reldelcech.predicates import det_sign_exact
-
         rng = random.Random(41)
         agree = 0
         for _ in range(2000):
@@ -278,7 +290,57 @@ class TestExactness:
                 [Fraction(x) - Fraction(y) for x, y in zip(p, pts[0])]
                 for p in pts[1:]
             ]
-            expected = det_sign_exact(rows)
-            assert orientation(pts) == expected
+            d = minor_expansion_det(rows)
+            assert orientation(pts) == (d > 0) - (d < 0)
             agree += 1
         assert agree == 2000
+
+    def test_predicates_across_exponents_vs_rational_oracle(self):
+        # Small integers scaled by 2^e for e in -140..60, one exponent per
+        # case or one per coordinate, plus ulp-nudged near-collinear points:
+        # many exact ties, so the integer path decides most cases.
+        def homog_sign(rows):
+            d = minor_expansion_det([[Fraction(x) for x in r] + [1] for r in rows])
+            return (d > 0) - (d < 0)
+
+        def oracle_orientation(pts):
+            s = homog_sign(pts)
+            return -s if (len(pts) - 1) % 2 else s
+
+        def oracle_in_sphere(pts, q):
+            m = len(q)
+            s = homog_sign([list(p) + [sum(Fraction(x) ** 2 for x in p)] for p in pts + [q]])
+            return s * oracle_orientation(pts) * (1 if m % 2 == 0 else -1)
+
+        rng = random.Random(43)
+        zeros = 0
+        for case in range(3000):
+            m = rng.randint(1, 3)
+            e = rng.randint(-140, 60)
+            mode = case % 3
+            if mode == 0:
+                pts = [tuple(math.ldexp(rng.randint(-4, 4), e) for _ in range(m)) for _ in range(m + 2)]
+            elif mode == 1:
+                exps = [rng.randint(-140, 60) for _ in range(m)]
+                pts = [
+                    tuple(math.ldexp(rng.randint(-4, 4), x) for x in exps) for _ in range(m + 2)
+                ]
+            else:
+                a, b = (tuple(math.ldexp(rng.uniform(-1, 1), e) for _ in range(m)) for _ in range(2))
+                lam = rng.random()
+                mix = tuple(
+                    math.nextafter(lam * x + (1 - lam) * y, rng.choice((-math.inf, math.inf)))
+                    for x, y in zip(a, b)
+                )
+                pts = [a, b, mix] + [
+                    tuple(math.ldexp(rng.uniform(-1, 1), e) for _ in range(m)) for _ in range(m)
+                ]
+            simplex, q = pts[: m + 1], pts[m + 1]
+            want = oracle_orientation(simplex)
+            assert orientation(simplex) == want, simplex
+            zeros += want == 0
+            if want != 0:
+                want = oracle_in_sphere(simplex, q)
+                assert in_sphere(simplex, q) == want, (simplex, q)
+                zeros += want == 0
+        assert zeros > 200  # the sample really has exact ties

@@ -3,42 +3,23 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import minor_expansion_det
 from reldelcech.predicates import (
-    det_exact,
     det_exact_int,
     det_sign_exact,
+    exact_ints,
     filtered_det_sign,
     sos_sign,
 )
 
 
-def minor_expansion_det(rows):
-    """Independent exact determinant: first-row expansion with column-set
-    memoization (no elimination)."""
-    n = len(rows)
-    memo = {}
-
-    def go(i, cols):
-        if i == n:
-            return Fraction(1)
-        key = (i, cols)
-        if key in memo:
-            return memo[key]
-        total = Fraction(0)
-        sign = 1
-        for c in sorted(cols):
-            x = rows[i][c]
-            if x:
-                total += sign * Fraction(x) * go(i + 1, cols - {c})
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return go(0, frozenset(range(n)))
+def exact_sign(rows) -> int:
+    d = minor_expansion_det(rows)
+    return (d > 0) - (d < 0)
 
 
 def rand_matrix(rng, n, scale=4):
-    return [[Fraction(rng.randint(-scale, scale)) for _ in range(n)] for _ in range(n)]
+    return [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(n)]
 
 
 def test_det_exact_matches_minor_expansion():
@@ -46,7 +27,7 @@ def test_det_exact_matches_minor_expansion():
     for _ in range(200):
         n = rng.randint(1, 6)
         m = rand_matrix(rng, n)
-        assert det_exact(m) == minor_expansion_det(m)
+        assert det_exact_int(m) == minor_expansion_det(m)
 
 
 def test_det_exact_int_matches_fraction_path():
@@ -73,8 +54,7 @@ def test_filtered_sign_never_contradicts_exact():
         checked += 1
         if s is not None:
             certain += 1
-            exact = det_sign_exact([[Fraction(x) for x in row] for row in m])
-            assert s == exact
+            assert s == exact_sign(m)
     assert certain > checked // 2  # the filter must actually decide things
 
 
@@ -87,17 +67,16 @@ def numeric_perturbed_sign(rows, ranks, eps_pow):
     n = len(rows)
     ncoords = n - 1
     base = ncoords + 2
-    order = {r: p for p, r in enumerate(sorted(r for r in ranks if r is not None))}
+    order = {r: p for p, r in enumerate(sorted(ranks))}
     eps = Fraction(1, 2**eps_pow)
     pert = []
     for i, row in enumerate(rows):
         row = [Fraction(x) for x in row]
-        if ranks[i] is not None:
-            t = eps ** (base ** order[ranks[i]])
-            for c in range(ncoords):
-                row[c] += t ** (c + 1)
+        t = eps ** (base ** order[ranks[i]])
+        for c in range(ncoords):
+            row[c] += t ** (c + 1)
         pert.append(row)
-    return det_sign_exact(pert)
+    return exact_sign(pert)
 
 
 def homog(pts):
@@ -133,15 +112,14 @@ def test_sos_random_degenerate_against_substitution():
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randint(3, 4)
-        # random integer points forced into an affine degeneracy
+        # random integer points forced into an affine degeneracy: the last
+        # point is the lam-weighted mean, all coordinates scaled by sum(lam)
+        # to stay integer (a positive column scale keeps every SoS sign)
         pts = [[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n - 1)]
         lam = [rng.randint(0, 2) for _ in range(n - 1)]
         tot = sum(lam) or 1
-        dep = [
-            sum(lam[k] * pts[k][c] for k in range(n - 1)) / Fraction(tot)
-            for c in range(n - 1)
-        ]
-        rows = homog(pts + [dep])
+        dep = [sum(lam[k] * pts[k][c] for k in range(n - 1)) for c in range(n - 1)]
+        rows = homog([[tot * x for x in p] for p in pts] + [dep])
         ranks = list(range(n))
         rng.shuffle(ranks)
         got = sos_sign(rows, ranks)
@@ -175,14 +153,6 @@ def test_sos_agrees_with_exact_when_nondegenerate():
             assert sos_sign(rows, list(range(n))) == exact
 
 
-def test_sos_unperturbed_direction_row():
-    # vertical wall: two points sharing the x coordinate plus a downward
-    # direction row must still resolve (covered by point perturbations)
-    rows = [[1, 5, 1], [1, 7, 1], [0, -1, 0]]
-    s = sos_sign(rows, [0, 1, None])
-    assert s in (-1, 1)
-
-
 def test_filter_zero_matrix():
     assert filtered_det_sign([[0.0, 0.0], [0.0, 0.0]]) is None
     assert det_sign_exact([[0, 0], [0, 0]]) == 0
@@ -193,3 +163,17 @@ def test_identity_dets(n):
     eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert det_exact_int(eye) == 1
     assert filtered_det_sign([[float(x) for x in row] for row in eye]) == 1
+
+
+def test_exact_ints_are_exact():
+    rng = random.Random(5)
+    for _ in range(500):
+        xs = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 1000) for _ in range(rng.randint(1, 6))]
+        xs.append(rng.choice([0.0, -0.0, 5e-324, 1.0, -3.0]))
+        ints, k = exact_ints(xs)
+        assert k >= 0
+        assert all(Fraction(n, 2**k) == Fraction(x) for n, x in zip(ints, xs))
+        # least shift: one less would leave a fraction
+        assert k == 0 or any(n % 2 for n in ints)
+    assert exact_ints([]) == ([], 0)
+    assert exact_ints([0.5, 3.0, -0.25]) == ([2, 12, -1], 2)

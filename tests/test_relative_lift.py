@@ -316,3 +316,25 @@ class TestPipelineBarcodes:
             )
             x2 = PointCloud(np.unique(rng.random((n2, d)), axis=0).tolist())
             relative_delcech(x1, x2)  # build() validates every invariant
+
+
+class TestScaleEquivariance:
+    """Scaling the cloud by c scales every bar by c: no absolute tolerance
+    may hide small features or merge close points."""
+
+    @staticmethod
+    def _barcode(x, a):
+        x1, x2 = cli.split_pair(PointCloud(x.tolist()), a)
+        return barcode(build_pipeline(x1, x2).complex, relative=True, max_dim=2)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6])
+    def test_scaled_barcode(self, c):
+        x = np.random.default_rng(1).random((9, 2))
+        a = {0, 3, 4}
+        base = self._barcode(x, a)
+        scaled = self._barcode(x * c, a)
+        assert [len(base.bars(k)) for k in base.dims()] == [6, 5, 0]
+        for k in base.dims():
+            assert len(scaled.bars(k)) == len(base.bars(k)), (k, scaled, base)
+            for got, want in zip(scaled.bars(k), base.bars(k)):
+                assert all(math.isclose(g, c * w, rel_tol=1e-9) for g, w in zip(got, want))
