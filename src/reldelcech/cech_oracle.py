@@ -49,7 +49,7 @@ def relative_cech(
                 # Same geometry, but guard against sub-ulp float noise.
                 r = max(r, max(values[f][0] for f in simp.boundary()))
             values[simp] = (r, False)
-    return build([Cell(s, v, sub) for s, (v, sub) in values.items()], vertex_count=n)
+    return build([Cell(s, v, sub) for s, (v, sub) in values.items()])
 
 
 # -- barcode comparison ----------------------------------------------------------

@@ -20,7 +20,7 @@ from .cech_oracle import ORACLE_CAP, compare_barcodes, relative_cech
 from .filtered_complex import dumps
 from .geometry import InputError, PointCloud
 from .persistence import Barcode, barcode, boundary_matrix, reduce_matrix
-from .relative_lift import DEFAULT_FACTOR, build_pipeline
+from .relative_lift import build_pipeline
 
 _GEN_SEED = 20240801
 
@@ -92,32 +92,17 @@ def split_pair(x: PointCloud, a_indices: set[int]) -> tuple[PointCloud, PointClo
     return x1, x2
 
 
-def pipeline_barcode(
-    x: PointCloud,
-    a_indices: set[int],
-    factor: float = DEFAULT_FACTOR,
-    max_dim: int | None = None,
-) -> Barcode:
-    x1, x2 = split_pair(x, a_indices)
-    if max_dim is None:
-        max_dim = x.dimension
-    fc = build_pipeline(x1, x2, factor).complex
-    return barcode(fc, relative=True, max_dim=max_dim)
-
-
 def check_pair(
     x: PointCloud,
     a_indices: set[int],
-    factor: float = DEFAULT_FACTOR,
     tol: float = 1e-9,
     max_dim: int | None = None,
     oracle_cap: int = ORACLE_CAP,
 ):
     """Pipeline vs oracle; returns (diff, pipeline barcode, oracle barcode)."""
-    d = x.dimension
     if max_dim is None:
-        max_dim = d
-    b1 = pipeline_barcode(x, a_indices, factor, max_dim)
+        max_dim = x.dimension
+    b1 = barcode(build_pipeline(*split_pair(x, a_indices)).complex, relative=True, max_dim=max_dim)
     oc = relative_cech(x, a_indices, max_simplex_dim=max_dim + 1, cap=oracle_cap)
     b2 = barcode(oc, relative=True, max_dim=max_dim)
     return compare_barcodes(b1, b2, tol), b1, b2
@@ -205,8 +190,7 @@ def cmd_compute(args) -> int:
     relative = args.subset_indices is not None
     max_dim = args.max_dim if args.max_dim is not None else x.dimension
     x1, x2 = split_pair(x, a)
-    pipe = build_pipeline(x1, x2, args.s_factor)
-    fc = pipe.complex
+    fc = build_pipeline(x1, x2).complex
     b = barcode(fc, relative=True, max_dim=max_dim)
     payload = json.dumps(b.to_json_dict(relative), indent=2)
     if args.out:
@@ -226,14 +210,7 @@ def cmd_compute(args) -> int:
 def cmd_check(args) -> int:
     x = read_points(args.points)
     a = read_subset(args.subset_indices, len(x)) if args.subset_indices else set()
-    diff, b1, b2 = check_pair(
-        x,
-        a,
-        factor=args.s_factor,
-        tol=args.tol,
-        max_dim=args.max_dim,
-        oracle_cap=args.oracle_cap,
-    )
+    diff, b1, b2 = check_pair(x, a, tol=args.tol, max_dim=args.max_dim, oracle_cap=args.oracle_cap)
     if args.json:
         report = diff.to_dict()
         report["pipeline"] = b1.to_json_dict(True)
@@ -249,14 +226,16 @@ def cmd_bench(args) -> int:
 
     The clouds and subsets are drawn from the fixed seed _GEN_SEED, so
     equal arguments give equal rows apart from the wall times.
-    `wall_ms_delaunay` times all of build_pipeline.
+    `wall_ms_pipeline` times build_pipeline (lift, both triangulations
+    and every enclosing ball), `wall_ms_reduction` the boundary matrix and
+    its reduction.
     """
     sizes = []
     for chunk in args.sizes:
         sizes.extend(int(s) for s in chunk.split(",") if s)
     if not sizes:
         raise InputError("no sizes given")
-    rows = ["n_total,d,cells_total,cells_subcomplex,wall_ms_delaunay,wall_ms_reduction"]
+    rows = ["n_total,d,cells_total,cells_subcomplex,wall_ms_pipeline,wall_ms_reduction"]
     ns, cs = [], []
     for n in sizes:
         rng = np.random.default_rng(_GEN_SEED)
@@ -299,7 +278,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("points", help="CSV file, one point per line")
         sp.add_argument("--subset-indices", help="file of 0-based indices of the subset A")
-        sp.add_argument("--s-factor", type=float, default=DEFAULT_FACTOR)
         sp.add_argument("--max-dim", type=int, default=None, help="default: ambient dimension")
 
     c = sub.add_parser("compute", help="barcode of the (relative) filtration")

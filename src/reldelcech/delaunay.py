@@ -17,6 +17,7 @@ degenerate simplices and are not Delaunay cells.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -171,6 +172,7 @@ class _HullSpace:
             cof.append(-d if (p - 1 + c) % 2 else d)
         scale = max(1.0, max(abs(x) for row in block for x in row))
         filt = _FILTER_C[p]
+        inf = math.inf
         edge_to_homog = -1 if p % 2 else 1
         out = []
         for pid in cand_ids:
@@ -184,7 +186,11 @@ class _HullSpace:
                     m = dc
                 elif -dc > m:
                     m = -dc
-            if abs(val) > filt * m**p:
+            try:
+                bound = filt * m**p
+            except OverflowError:  # no float bound: the exact path decides
+                bound = inf
+            if bound < abs(val) < inf:
                 s = edge_to_homog * (1 if val > 0 else -1)
             else:
                 s = self.orient(verts + (pid,))

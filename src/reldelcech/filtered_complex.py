@@ -22,7 +22,7 @@ class Cell(NamedTuple):
 
 
 class FilteredComplex:
-    def __init__(self, cells, vertex_count: int | None = None):
+    def __init__(self, cells):
         norm: list[Cell] = []
         for c in cells:
             s, v, sub = c
@@ -34,11 +34,6 @@ class FilteredComplex:
             if c.simplex in index:
                 raise InputError(f"duplicate cell {c.simplex.vertices}")
             index[c.simplex] = i
-        max_vertex = max((c.simplex.vertices[-1] for c in norm), default=-1)
-        if vertex_count is None:
-            vertex_count = max_vertex + 1
-        elif max_vertex >= vertex_count:
-            raise InputError(f"vertex {max_vertex} out of range 0..{vertex_count - 1}")
         for c in norm:
             if math.isnan(c.value) or c.value < 0:
                 raise InputError(f"negative or NaN filtration value on {c.simplex.vertices}")
@@ -59,7 +54,7 @@ class FilteredComplex:
                         f"subcomplex not closed: face {f.vertices} of {c.simplex.vertices}"
                     )
         self.cells: tuple[Cell, ...] = tuple(norm)
-        self.vertex_count = vertex_count
+        self.vertex_count = max((c.simplex.vertices[-1] for c in norm), default=-1) + 1
 
     def __len__(self):
         return len(self.cells)
@@ -91,9 +86,9 @@ class FilteredComplex:
         return chi
 
 
-def build(cells, vertex_count: int | None = None) -> FilteredComplex:
+def build(cells) -> FilteredComplex:
     """Validate and build; raises InputError on any invariant violation."""
-    return FilteredComplex(cells, vertex_count)
+    return FilteredComplex(cells)
 
 
 def dumps(c: FilteredComplex) -> str:

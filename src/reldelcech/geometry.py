@@ -116,11 +116,8 @@ class Ball:
         if self.radius < 0:
             raise InputError("negative radius")
 
-    def contains(self, p, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = MEB_TOL * self.radius
-        d = math.dist(self.center.coords, _coords(p))
-        return d <= self.radius + tol
+    def contains(self, p) -> bool:
+        return math.dist(self.center.coords, _coords(p)) <= self.radius + MEB_TOL * self.radius
 
 
 def _int_points(pts) -> list[list[int]]:

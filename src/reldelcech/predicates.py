@@ -110,7 +110,12 @@ def filtered_det_sign(rows) -> int | None:
             if ax > scale:
                 scale = ax
     d = _det_float(rows)
-    if abs(d) > _FILTER_C[n] * scale**n:
+    try:
+        bound = _FILTER_C[n] * scale**n
+    except OverflowError:  # no float bound: the exact path decides
+        return None
+    # An infinite d overflowed on the way and certifies nothing.
+    if bound < abs(d) < math.inf:
         return 1 if d > 0 else -1
     return None
 

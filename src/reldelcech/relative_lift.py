@@ -6,6 +6,11 @@ height +s form the subcomplex, and every other cell is filtered by the
 smallest enclosing ball of its projected (height-dropped) vertices.  The
 resulting filtered complex has size linear in the Delaunay triangulation of
 the lifted set instead of exponential in |X|.
+
+The complex does not depend on s > 0, so s is no parameter: `choose_s`
+derives it from the bounding box of the input (see there why any s gives
+the same triangulation).  Filtration values depend only on the projected
+vertices.
 """
 
 from __future__ import annotations
@@ -15,9 +20,6 @@ from dataclasses import dataclass
 from .delaunay import Triangulation, delaunay
 from .filtered_complex import Cell, FilteredComplex, build
 from .geometry import InputError, Point, PointCloud, smallest_enclosing_ball
-
-DEFAULT_FACTOR = 2.0
-_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -35,20 +37,28 @@ class LiftedConfiguration:
     z: PointCloud
 
 
-def choose_s(tri1: Triangulation | None, tri2: Triangulation | None, factor: float = DEFAULT_FACTOR) -> float:
-    """Lift height: factor times the largest enclosing-ball radius over the
-    top simplices of del(X1) and del(X2) (None for an empty cloud), with a
-    unit floor when that radius vanishes."""
-    if factor <= 1:
-        raise InputError("s factor must exceed 1")
-    peak = 0.0
-    for tri in (tri1, tri2):
-        if tri is not None:
-            for top in tri.top_simplices:
-                r = smallest_enclosing_ball([tri.cloud[v] for v in top.vertices]).radius
-                if r > peak:
-                    peak = r
-    return factor * (peak if peak > 0 else _FLOOR)
+def choose_s(x1: PointCloud, x2: PointCloud) -> float:
+    """Lift height: the largest coordinate extent of X1 union X2 (max over
+    axes of max - min), or 1.0 when all points coincide.
+
+    Any s > 0 gives the same del(Z).  For a full-rank Z the lifted point
+    (x, +-s) has paraboloid lift |x|^2 + s^2, so changing s scales the
+    height column by a positive factor and translates the lift column by a
+    constant; in `delaunay._hull_space`'s integer rows the lift column for
+    s' is 4**(top' - top) * lift(s) plus a constant.  Positive column
+    scaling and adding a multiple of the homogeneous column keep the sign
+    of every orientation determinant, of the vertical test, and of every
+    unit-row coefficient of `sos_sign` (its `forced` rule sees the same
+    constant columns), and the float filter only certifies true signs.  A
+    flat Z (flat X with both slabs non-empty) is triangulated in affine
+    basis coordinates, whose lift changes by an affine function of those
+    coordinates, which unit rows can see; tests check that case.  s is
+    kept on the data's scale so that the float filter certifies as often
+    as on unit-scale data.
+    """
+    columns = zip(*(p.coords for p in x1), *(p.coords for p in x2))
+    extent = max((max(c) - min(c) for c in columns), default=0.0)
+    return extent if extent > 0 else 1.0
 
 
 def lift(x1: PointCloud, x2: PointCloud, s: float) -> LiftedConfiguration:
@@ -76,26 +86,19 @@ class Pipeline:
     complex: FilteredComplex
 
 
-def build_pipeline(
-    x1: PointCloud,
-    x2: PointCloud,
-    factor: float = DEFAULT_FACTOR,
-    s: float | None = None,
-) -> Pipeline:
-    """Lift, triangulate and filter; `s` overrides choose_s (testing hook).
+def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
+    """Lift, triangulate and filter.
 
-    Each cloud is triangulated at most once: del(X1) chooses s and checks
-    that its lifted copy is the subcomplex, del(X2) only chooses s.  Raises
-    AssertionError when del(Z) lacks a lifted del(X1) simplex.
+    del(X1) is triangulated once, to check that its lifted copy is the
+    subcomplex; X2 only through del(Z).  Raises AssertionError when del(Z)
+    lacks a lifted del(X1) simplex.
     """
     if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
         raise InputError("ambient dimension must be at most 3")
     if len(x1) + len(x2) == 0:
         raise InputError("x1 and x2 are both empty")
     tri1 = delaunay(x1) if len(x1) else None
-    if s is None:
-        s = choose_s(tri1, delaunay(x2) if len(x2) else None, factor)
-    cfg = lift(x1, x2, s)
+    cfg = lift(x1, x2, choose_s(x1, x2))
     tri = delaunay(cfg.z)
     n1 = len(x1)
     values: dict[tuple[int, ...], float] = {}
@@ -117,14 +120,13 @@ def build_pipeline(
         for simp in tri1.simplices():
             if simp.vertices not in values:
                 raise AssertionError(f"lifted del(X1) simplex {simp.vertices} missing from del(Z)")
-    fc = build(cells, vertex_count=len(cfg.z))
-    return Pipeline(cfg, tri, fc)
+    return Pipeline(cfg, tri, build(cells))
 
 
-def relative_delcech(x1: PointCloud, x2: PointCloud, factor: float = DEFAULT_FACTOR) -> FilteredComplex:
+def relative_delcech(x1: PointCloud, x2: PointCloud) -> FilteredComplex:
     """The filtered complex whose relative persistence (quotient by the
     marked subcomplex) is the relative persistent homology of the pair."""
-    return build_pipeline(x1, x2, factor).complex
+    return build_pipeline(x1, x2).complex
 
 
 # -- embedding certification ----------------------------------------------------
@@ -135,8 +137,7 @@ class EmbeddingReport:
     """Outcome of the three structural checks on a lifted triangulation.
 
     Failures usually mean a degenerate configuration whose symbolic tie
-    breaks differ between the ambient and lifted triangulations (or a lift
-    height below the supported range when bypassing choose_s).  The report
+    breaks differ between the ambient and lifted triangulations.  The report
     is a diagnostic, not on the run path, until ROADMAP item 2: it fails on
     some degenerate grids whose barcode is still right, so making it fatal
     would turn correct runs into failures.
@@ -167,7 +168,7 @@ class EmbeddingReport:
             if items:
                 lines.append(f"  {name}: {items}")
         if not self.ok:
-            lines.append("  diagnostic: lift height too small or degenerate configuration")
+            lines.append("  diagnostic: degenerate configuration")
         return "\n".join(lines)
 
 

@@ -17,7 +17,7 @@ def bump_maximal_cell(fc: FilteredComplex) -> FilteredComplex:
         if not c.in_subcomplex and c.simplex not in cofaced:
             cells[i] = Cell(c.simplex, c.value * 1.25 + 0.125, False)
             break
-    return build(cells, vertex_count=fc.vertex_count)
+    return build(cells)
 
 
 def inject_fault(monkeypatch):

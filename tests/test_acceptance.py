@@ -16,9 +16,11 @@ import pytest
 
 from _faults import inject_fault
 from _oracles import betti_at, brute_meb_radius, minor_expansion_det
+from reldelcech import relative_lift
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.cli import check_pair, generate_cloud, main, split_pair
 from reldelcech.delaunay import delaunay
+from reldelcech.filtered_complex import dumps
 from reldelcech.geometry import PointCloud, in_sphere, orientation, smallest_enclosing_ball
 from reldelcech.persistence import barcode
 from reldelcech.relative_lift import build_pipeline, verify_embedding
@@ -68,17 +70,22 @@ def test_criterion_1_oracle_equivalence(tmp_path, monkeypatch):
           f"({count} instances, {time.time() - t0:.1f}s)")
 
 
-def test_criterion_2_s_invariance():
-    """Barcodes for s-factor 2 and 4 are bit-identical on 50 instances."""
+def test_criterion_2_s_invariance(monkeypatch):
+    """Lift heights s, 2s and 4s give bit-identical complexes and barcodes
+    on 50 instances."""
     t0 = time.time()
     rng = np.random.default_rng(0xC2)
+    real = relative_lift.choose_s
     for trial in range(50):
         d = [1, 2, 3][trial % 3]
         x, a = _random_pair(rng, d, n_hi=10)
         x1, x2 = split_pair(x, a)
-        b2 = barcode(build_pipeline(x1, x2, factor=2).complex, relative=True, max_dim=d)
-        b4 = barcode(build_pipeline(x1, x2, factor=4).complex, relative=True, max_dim=d)
-        assert b2 == b4, f"trial {trial}: factor 2 vs 4 differ"
+        outputs = []
+        for c in (1, 2, 4):
+            monkeypatch.setattr(relative_lift, "choose_s", lambda y1, y2, c=c: c * real(y1, y2))
+            fc = build_pipeline(x1, x2).complex
+            outputs.append((dumps(fc), barcode(fc, relative=True, max_dim=d)))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0], f"trial {trial}: s, 2s, 4s differ"
     print(f"\nACCEPTANCE 2 s-invariance: PASS (50 instances, {time.time() - t0:.1f}s)")
 
 

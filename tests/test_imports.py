@@ -1,6 +1,7 @@
 """Source-tree rules that no behavioural test would notice breaking."""
 
 import ast
+import importlib
 import pathlib
 
 import reldelcech
@@ -25,3 +26,28 @@ def test_one_exact_number_type():
     assert len(sources) >= 9
     offenders = [p.name for p in sources if "fractions" in imported_modules(p)]
     assert offenders == []
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """(module, global name) of every entry of the benchmark tracer's TARGETS."""
+    spans = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(), filename=str(spans))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+
+
+def test_traced_names_are_module_globals():
+    # The benchmark's --trace 1 replaces these module globals; renaming or
+    # deleting one would silently drop its layer from the trace.
+    names = traced_names()
+    assert len(names) >= 10
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not module.startswith("reldelcech.") or name not in vars(importlib.import_module(module))
+    ]
+    assert missing == []

@@ -6,6 +6,7 @@ import pytest
 from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes
 from reldelcech.delaunay import Triangulation, delaunay
+from reldelcech.filtered_complex import dumps
 from reldelcech.geometry import InputError, PointCloud
 from reldelcech.persistence import barcode
 from reldelcech.relative_lift import (
@@ -24,27 +25,32 @@ def cloud(pts, d=None):
 EMPTY2 = PointCloud([], dimension=2)
 
 
-def tri(pts):
-    return delaunay(cloud(pts))
-
-
 class TestChooseS:
-    def test_edge_dominates(self):
-        s = choose_s(tri([(0.0, 0.0), (2.0, 0.0)]), tri([(5.0, 0.0)]), factor=2)
-        assert s == 2.0
+    def test_largest_axis_extent(self):
+        assert choose_s(cloud([(0.0, 0.0), (2.0, 0.0)]), cloud([(5.0, -1.0)])) == 5.0
+        assert choose_s(cloud([(0.0, 0.0)]), cloud([(1.0, 3.0)])) == 3.0
+        assert choose_s(cloud([(0.0, 1.0), (0.5, 4.0)]), EMPTY2) == 3.0
+        assert choose_s(EMPTY2, cloud([(-2.0, 1.0), (0.5, 1.5)])) == 2.5
+        assert choose_s(PointCloud([(0.25,)]), PointCloud([(-1.0,), (0.5,)])) == 1.5
 
     def test_floor_for_singletons(self):
-        s = choose_s(tri([(0.0, 0.0)]), tri([(1.0, 0.0)]), factor=2)
-        assert s == 2.0
+        assert choose_s(cloud([(1.0, 1.0)]), EMPTY2) == 1.0
+        assert choose_s(EMPTY2, cloud([(-3.0, 7.0)])) == 1.0
+        # coincident points of the two clouds have no extent either
+        assert choose_s(cloud([(1.0, 1.0)]), cloud([(1.0, 1.0)])) == 1.0
 
     def test_equilateral(self):
-        t = tri([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)])
-        s = choose_s(t, None, factor=2)
-        assert abs(s - 2 / math.sqrt(3)) < 1e-12
+        t = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
+        assert choose_s(cloud(t), EMPTY2) == 1.0
+        assert choose_s(cloud(t[:1]), cloud(t[1:])) == 1.0
 
-    def test_factor_must_exceed_one(self):
-        with pytest.raises(InputError):
-            choose_s(tri([(0.0, 0.0)]), None, factor=1.0)
+    def test_scales_with_the_cloud(self):
+        rng = np.random.default_rng(31)
+        x1, x2 = rng.random((4, 3)), rng.random((6, 3)) - 0.5
+        base = choose_s(PointCloud(x1.tolist()), PointCloud(x2.tolist()))
+        for c in (1e-12, 0.75, 3.0, 1e40):
+            s = choose_s(PointCloud((c * x1).tolist()), PointCloud((c * x2).tolist()))
+            assert math.isclose(s, c * base, rel_tol=1e-15)
 
 
 class TestLift:
@@ -169,20 +175,15 @@ def drop_lifted_x1_edge(monkeypatch, n1: int, d: int):
 
 
 class TestSharedTriangulations:
-    def test_three_calls_when_s_is_chosen(self, monkeypatch):
+    def test_two_calls_x1_and_z(self, monkeypatch):
         calls = count_delaunay_calls(monkeypatch)
         build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
-        assert calls == [2, 2, 3]  # X1, X2, Z
-
-    def test_two_calls_with_s_override(self, monkeypatch):
-        calls = count_delaunay_calls(monkeypatch)
-        build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND), s=4.0)
         assert calls == [2, 3]  # X1, Z
 
     def test_empty_x1_is_not_triangulated(self, monkeypatch):
         calls = count_delaunay_calls(monkeypatch)
         build_pipeline(EMPTY2, cloud(X2_AROUND))
-        assert calls == [2, 3]  # X2, Z
+        assert calls == [3]  # Z
 
     def test_missing_x1_simplex_raises(self, monkeypatch):
         drop_lifted_x1_edge(monkeypatch, n1=3, d=2)
@@ -201,17 +202,57 @@ class TestSharedTriangulations:
         assert "AssertionError" in capsys.readouterr().err
 
 
+def s_invariance_clouds():
+    """Named clouds in general and in degenerate position: integer grids,
+    collinear and coplanar sets (a flat Z once both slabs are non-empty)
+    and an exactly cocircular ring."""
+    rng = np.random.default_rng(51)
+    out = [(f"random d={d}", rng.random((7, d)).tolist()) for d in (1, 2, 3)]
+    out.append(("grid 3x4", [[float(i), float(j)] for i in range(3) for j in range(4)]))
+    out.append(("grid 2x2x3", [[float(i), float(j), float(k)] for i in range(2) for j in range(2) for k in range(3)]))
+    out.append(("collinear 2d", [[t, 2.0 * t + 1.0] for t in (0.0, 0.5, 1.25, 2.0, 3.0, 3.5)]))
+    out.append(("collinear 3d", [[t, -t, 0.5 * t] for t in (0.0, 1.0, 1.5, 2.5, 4.0)]))
+    uv = rng.random((7, 2))
+    out.append(("coplanar", [[u, v, u + 2.0 * v] for u, v in uv.tolist()]))
+    out.append(("coplanar grid", [[float(i), float(j), 0.0] for i in range(3) for j in range(3)]))
+    ring = [(5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)]
+    ring += [(a * x, b * y) for x, y in ((3.0, 4.0), (4.0, 3.0)) for a in (-1, 1) for b in (-1, 1)]
+    out.append(("ring", ring))
+    return out
+
+
+def complex_or_failure(x1, x2) -> str:
+    """The dumped complex, or the failed del(X1) check (a known degenerate
+    defect, which must not depend on s either)."""
+    try:
+        return dumps(build_pipeline(x1, x2).complex)
+    except AssertionError as e:
+        return repr(e)
+
+
 class TestSInvariance:
-    def test_factor_2_vs_4_bit_identical(self):
-        rng = np.random.default_rng(51)
-        for trial in range(12):
-            d = [1, 2, 3][trial % 3]
-            n1, n2 = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-            x1 = PointCloud(np.unique(rng.random((n1, d)), axis=0).tolist())
-            x2 = PointCloud(np.unique(rng.random((n2, d)), axis=0).tolist())
-            b2 = barcode(build_pipeline(x1, x2, factor=2).complex, relative=True, max_dim=d)
-            b4 = barcode(build_pipeline(x1, x2, factor=4).complex, relative=True, max_dim=d)
-            assert b2 == b4
+    def test_scaled_s_gives_identical_complex(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        real = relative_lift.choose_s
+        clouds = s_invariance_clouds()
+        built = 0
+        for name, pts in clouds:
+            x = PointCloud(pts)
+            n = len(x)
+            for a in ({i for i in range(n) if rng.random() < 0.5}, set(), set(range(n))):
+                x1, x2 = cli.split_pair(x, a)
+                base = complex_or_failure(x1, x2)
+                built += not base.startswith("AssertionError")
+                for c in (1e-3, 0.75, 1e3):
+                    monkeypatch.setattr(relative_lift, "choose_s", lambda y1, y2, c=c: c * real(y1, y2))
+                    assert complex_or_failure(x1, x2) == base, (name, sorted(a), c)
+                monkeypatch.setattr(relative_lift, "choose_s", real)
+        # Today only the cocircular ring with A = X fails the del(X1) check.
+        assert built >= 3 * len(clouds) - 1
+        # build_pipeline lifts to the height choose_s returns.
+        x1, x2 = cloud(X1_TRIANGLE), cloud(X2_AROUND)
+        monkeypatch.setattr(relative_lift, "choose_s", lambda y1, y2: 1e3 * real(y1, y2))
+        assert build_pipeline(x1, x2).cfg.s == 1e3 * real(x1, x2)
 
     def test_vertex_order_invariance_of_barcode(self):
         rng = np.random.default_rng(53)
@@ -264,21 +305,6 @@ class TestVerifyEmbedding:
         text = rep.text()
         assert "FAIL" in text and "(0, 1)" in text
 
-    def test_tiny_s_hook_searches_for_failure(self):
-        # bypassing choose_s with a very small lift height may break the
-        # embedding checks; either outcome must be reported, never raised
-        rng = np.random.default_rng(59)
-        saw_failure = False
-        for _ in range(20):
-            x1 = PointCloud(np.unique(rng.random((4, 2)), axis=0).tolist())
-            x2 = PointCloud(np.unique(rng.random((4, 2)), axis=0).tolist())
-            pipe = build_pipeline(x1, x2, s=1e-4)
-            rep = verify_embedding(pipe.cfg, pipe.triangulation)
-            if not rep.ok:
-                saw_failure = True
-        # the report machinery ran on all instances; record what it saw
-        assert isinstance(saw_failure, bool)
-
     def test_degenerate_shared_square_is_flagged_or_consistent(self):
         # fully shared cocircular squares make the lifted tie-breaks differ
         # from the ambient ones; verify_embedding must flag rather than crash
@@ -327,7 +353,7 @@ class TestScaleEquivariance:
         x1, x2 = cli.split_pair(PointCloud(x.tolist()), a)
         return barcode(build_pipeline(x1, x2).complex, relative=True, max_dim=2)
 
-    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6])
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e40])
     def test_scaled_barcode(self, c):
         x = np.random.default_rng(1).random((9, 2))
         a = {0, 3, 4}
