@@ -114,7 +114,10 @@ class _HullSpace:
     Points live in R^P with the lift value as last coordinate.  Float rows
     feed the static filter; exact integer rows (each column scaled by a
     positive constant, which preserves all predicate signs) decide the rest,
-    with symbolic perturbation ranked by vertex index as tie-breaker.
+    with symbolic perturbation ranked by vertex index as tie-breaker.  Each
+    test runs one float filter at most, and `sos_sign` when it fails:
+    `orient` and `infdown_sign` filter their own determinant, `visibility`
+    filters through the facet's cofactors.
     """
 
     def __init__(self, float_rows: np.ndarray, int_rows: list[tuple[int, ...]]):
@@ -122,26 +125,16 @@ class _HullSpace:
         self.frows: list[tuple[float, ...]] = [tuple(r) for r in float_rows.tolist()]
         self.P = float_rows.shape[1]
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
-        self._orient_cache: dict[tuple[int, ...], int] = {}
 
     def orient(self, ids: tuple[int, ...]) -> int:
         """Perturbed orientation sign of P+1 lifted points; never 0."""
-        cached = self._orient_cache.get(ids)
-        if cached is not None:
-            return cached
         p = self.P
         r0 = self.frows[ids[0]]
-        edge = [
-            [a - b for a, b in zip(self.frows[i], r0)]
-            for i in ids[1:]
-        ]
+        edge = [[a - b for a, b in zip(self.frows[i], r0)] for i in ids[1:]]
         s = filtered_det_sign(edge)
         if s is not None:
-            s = -s if p % 2 else s
-        else:
-            s = sos_sign([self.int_rows[i] for i in ids], list(ids))
-        self._orient_cache[ids] = s
-        return s
+            return -s if p % 2 else s
+        return sos_sign([self.int_rows[i] for i in ids], list(ids))
 
     def infdown_sign(self, verts: tuple[int, ...]) -> int:
         """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical."""
@@ -161,6 +154,7 @@ class _HullSpace:
             return []
         p = self.P
         frows = self.frows
+        facet_rows = [self.int_rows[v] for v in verts]
         v0 = frows[verts[0]]
         block = [[frows[i][c] - v0[c] for c in range(p)] for i in verts[1:]]
         # Cofactors of the query row: det(edge matrix with query last) is
@@ -193,7 +187,7 @@ class _HullSpace:
             if bound < abs(val) < inf:
                 s = edge_to_homog * (1 if val > 0 else -1)
             else:
-                s = self.orient(verts + (pid,))
+                s = sos_sign(facet_rows + [self.int_rows[pid]], list(verts) + [pid])
             if s == -inside_sign:
                 out.append(pid)
         return out
@@ -337,7 +331,8 @@ def _hull_space(cloud: PointCloud):
     scaled by |det A|, and the lift u^T G u of the induced metric.  The
     integer rows are positive column multiples of the rational ones, which
     changes no predicate sign; the float rows are the correctly rounded
-    quotients.
+    quotients.  Raises InputError when a lifted coordinate (a squared
+    length) does not fit in a float.
     """
     m = cloud.dimension
     n = len(cloud)
@@ -374,10 +369,13 @@ def _hull_space(cloud: PointCloud):
             lifts.append(sum(u[j] * gram[j][k] * u[k] for j in range(rank) for k in range(rank)))
         coord_dens = [abs(det_a)] * rank
         lift_den = det_a * det_a << 2 * top
-    float_rows = np.array(
-        [[x / d for x, d in zip(c, coord_dens)] + [h / lift_den] for c, h in zip(coords, lifts)],
-        dtype=float,
-    ).reshape(n, rank + 1)
+    try:
+        float_rows = np.array(
+            [[x / d for x, d in zip(c, coord_dens)] + [h / lift_den] for c, h in zip(coords, lifts)],
+            dtype=float,
+        ).reshape(n, rank + 1)
+    except OverflowError:
+        raise InputError("squared coordinates exceed the float range (1.8e308)") from None
     int_rows = [c + (h, 1) for c, h in zip(coords, lifts)]
     return rank, _HullSpace(float_rows, int_rows)
 

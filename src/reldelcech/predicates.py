@@ -7,13 +7,18 @@ shift.  From fast to slow:
 1. a static floating-point filter (`filtered_det_sign`) that certifies the
    sign of a determinant whenever its magnitude safely exceeds a rounding
    error bound,
-2. the exact integer determinant (`det_exact_int`, fraction-free Bareiss)
-   for the cases the filter cannot decide,
+2. the exact integer determinant (`det_exact_int`, fraction-free Bareiss),
 3. a symbolic perturbation (`sos_sign`) that resolves exact zeros by moving
    every row onto a moment curve with a per-row infinitesimal, ordered by a
    caller-supplied rank.  The returned sign is the sign of the first
    nonzero coefficient of the perturbed determinant, enumerated by
    increasing infinitesimal degree, and is never zero.
+
+A caller whose filter fails calls `sos_sign`, which runs 2 first unless
+the determinant is zero by structure: when the rows share their
+homogeneous entry and a coordinate column is constant (a same-slab tie of
+the lifted hull: its height column), that column is a multiple of the
+homogeneous one, and only coefficients whose unit rows cover it count.
 
 All matrices here are small (n <= 8): rows are Euclidean coordinates, an
 optional lift coordinate and a homogeneous 0/1 entry.
@@ -122,36 +127,30 @@ def filtered_det_sign(rows) -> int | None:
 
 # -- symbolic perturbation ---------------------------------------------------
 #
-# Row i with rank rho(i) is displaced by (t_i, t_i^2, ..., t_i^C) on its C
-# coordinate columns, t_i = eps^(B^rho(i)) with B = C + 2.  Every monomial in
-# the expanded determinant then has a distinct eps-degree, so the perturbed
-# sign is the sign of the first nonzero coefficient in degree order.  Each
-# coefficient is the determinant of the base matrix with the assigned rows
-# replaced by coordinate unit rows.
+# Row i, whose rank is the rho(i)-th smallest (from 0), is displaced by
+# (t_i, t_i^2, ..., t_i^C) on its C coordinate columns, t_i = eps^(B^rho(i))
+# with B = C + 2.  Every monomial in the expanded determinant then has a
+# distinct eps-degree, so the perturbed sign is the sign of the first
+# nonzero coefficient in degree order.  Each coefficient is the determinant
+# of the base matrix with the assigned rows replaced by coordinate unit rows.
+#
+# A partial injection (row i -> column c_i) has degree sum (c_i + 1) *
+# B^rho(i).  Write it as one digit per row, c_i + 1 for an assigned row and
+# 0 otherwise: every digit is at most C < B, so the degree is the base-B
+# numeral of those digits with the highest-ranked row most significant.
+# Increasing degree is therefore the lexicographic order of the digit
+# vectors over the rows sorted by decreasing rank, which is the order
+# `itertools.product` walks.
 
-_ORDER_CACHE: dict = {}
 
-
-def _assignment_order(n_rows: int, ncoords: int, rank_positions: tuple[int, ...]):
-    """Partial injections (row -> coordinate column), sorted by increasing
-    perturbation degree.  Cached: degree order depends only on the relative
-    order of the ranks, passed as 0-based positions."""
-    key = (n_rows, ncoords, rank_positions)
-    got = _ORDER_CACHE.get(key)
-    if got is not None:
-        return got
-    base = ncoords + 2
-    weights = [base**p for p in rank_positions]
-    out = []
-    for r in range(1, min(n_rows, ncoords) + 1):
-        for rows in itertools.combinations(range(n_rows), r):
-            for cols in itertools.permutations(range(ncoords), r):
-                deg = sum((c + 1) * weights[i] for i, c in zip(rows, cols))
-                out.append((deg, tuple(zip(rows, cols))))
-    out.sort(key=lambda item: item[0])
-    order = tuple(a for _, a in out)
-    _ORDER_CACHE[key] = order
-    return order
+def _injections(ranks, ncoords: int):
+    """Partial injections row -> coordinate column, as (row, column) pairs,
+    by increasing perturbation degree."""
+    rows = sorted(range(len(ranks)), key=lambda i: ranks[i], reverse=True)
+    for digits in itertools.product(range(ncoords + 1), repeat=len(rows)):
+        used = [d for d in digits if d]
+        if used and len(set(used)) == len(used):
+            yield [(row, d - 1) for row, d in zip(rows, digits) if d]
 
 
 def sos_sign(rows_exact, ranks) -> int:
@@ -160,31 +159,23 @@ def sos_sign(rows_exact, ranks) -> int:
     `rows_exact`: square integer matrix, homogeneous column last.
     `ranks[i]`: perturbation rank of row i; ranks must be distinct.
     """
-    s = det_sign_exact(rows_exact)
-    if s != 0:
-        return s
     n = len(rows_exact)
     ncoords = n - 1
-    order = {r: p for p, r in enumerate(sorted(ranks))}
-    positions = tuple(order[r] for r in ranks)
-    # When every row is a point (homogeneous entry 1) and some coordinate
-    # column is constant, assignments not covering that column keep the
-    # column-vs-homogeneous dependency and have provably zero coefficients.
+    # Constant columns: a structural zero (module docstring).
     forced: set[int] = set()
-    homog = rows_exact[0][ncoords]
-    if all(row[ncoords] == homog for row in rows_exact[1:]):
-        for c in range(ncoords):
-            first = rows_exact[0][c]
-            if all(row[c] == first for row in rows_exact[1:]):
-                forced.add(c)
-    for assignment in _assignment_order(n, ncoords, positions):
+    first = rows_exact[0]
+    if all(row[ncoords] == first[ncoords] for row in rows_exact[1:]):
+        forced = {c for c in range(ncoords) if all(row[c] == first[c] for row in rows_exact[1:])}
+    if not forced:
+        s = det_sign_exact(rows_exact)
+        if s != 0:
+            return s
+    for assignment in _injections(ranks, ncoords):
         if forced and not forced <= {col for _, col in assignment}:
             continue
-        m = [list(row) for row in rows_exact]
+        m = list(rows_exact)
         for row, col in assignment:
-            unit = [0] * n
-            unit[col] = 1
-            m[row] = unit
+            m[row] = [int(c == col) for c in range(n)]
         s = det_sign_exact(m)
         if s != 0:
             return s

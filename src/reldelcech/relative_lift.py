@@ -79,7 +79,11 @@ def _projected_meb(cfg: LiftedConfiguration, verts: tuple[int, ...]) -> float:
 
 @dataclass
 class Pipeline:
-    """All intermediate artifacts of one relative Delaunay-Cech run."""
+    """All intermediate artifacts of one relative Delaunay-Cech run.
+
+    `triangulation` is del(Z); with X2 empty it is del(X1), whose vertex
+    indices are Z's.
+    """
 
     cfg: LiftedConfiguration
     triangulation: Triangulation
@@ -90,8 +94,10 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     """Lift, triangulate and filter.
 
     del(X1) is triangulated once, to check that its lifted copy is the
-    subcomplex; X2 only through del(Z).  Raises AssertionError when del(Z)
-    lacks a lifted del(X1) simplex.
+    subcomplex; X2 only through del(Z).  With X2 empty, Z is X1 at height
+    +s with the same vertex indices, so del(X1) serves as del(Z); a second
+    triangulation of the flat Z could break cospherical ties differently.
+    Raises AssertionError when del(Z) lacks a lifted del(X1) simplex.
     """
     if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
         raise InputError("ambient dimension must be at most 3")
@@ -99,7 +105,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
         raise InputError("x1 and x2 are both empty")
     tri1 = delaunay(x1) if len(x1) else None
     cfg = lift(x1, x2, choose_s(x1, x2))
-    tri = delaunay(cfg.z)
+    tri = delaunay(cfg.z) if len(x2) else tri1
     n1 = len(x1)
     values: dict[tuple[int, ...], float] = {}
     cells = []

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written against different formulations than
 the library code paths it validates: subset enumeration instead of Welzl,
-minor expansion instead of Bareiss, bitset Gaussian elimination instead of
-column reduction.
+minor expansion instead of Bareiss, a degree-sorted table instead of a
+numeral walk, bitset Gaussian elimination instead of column reduction.
 """
 
 from __future__ import annotations
@@ -37,6 +37,24 @@ def minor_expansion_det(rows) -> Fraction:
         return total
 
     return go(0, frozenset(range(n)))
+
+
+def sos_assignment_order(ranks, ncoords: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every partial injection row -> coordinate column, as (row, column)
+    pairs, sorted by its perturbation degree sum (c + 1) * B^position(row),
+    B = ncoords + 2, position = the row's place among the sorted ranks."""
+    n_rows = len(ranks)
+    position = {r: p for p, r in enumerate(sorted(ranks))}
+    weights = [(ncoords + 2) ** position[r] for r in ranks]
+    out = []
+    for k in range(1, min(n_rows, ncoords) + 1):
+        for rows in itertools.combinations(range(n_rows), k):
+            for cols in itertools.permutations(range(ncoords), k):
+                degree = sum((c + 1) * weights[i] for i, c in zip(rows, cols))
+                out.append((degree, tuple(zip(rows, cols))))
+    degrees = [d for d, _ in out]
+    assert len(set(degrees)) == len(degrees)
+    return [a for _, a in sorted(out)]
 
 
 def _solve_gauss(a, b):

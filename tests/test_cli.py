@@ -135,6 +135,17 @@ class TestCompute:
         assert main(["compute", str(f)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("s", [1e154, 1e160, 1e200])
+    def test_squares_beyond_float_range_exit_2(self, s, tmp_path, capsys):
+        # Finite input whose paraboloid lift |x|^2 overflows a float.
+        f = tmp_path / "huge.csv"
+        pts = [(0.0, 0.0), (s, 0.0), (0.0, s), (s, 1.3 * s), (0.4 * s, 0.5 * s)]
+        f.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts))
+        a = tmp_path / "a.txt"
+        a.write_text("0\n4\n")
+        assert main(["compute", str(f), "--subset-indices", str(a)]) == 2
+        assert "exceed the float range" in capsys.readouterr().err
+
     def test_s_factor_rejected(self, square, subset0, capsys):
         # The lift height is derived from the input; there is no knob for it.
         for command in ("compute", "check"):

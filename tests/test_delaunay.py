@@ -8,6 +8,7 @@ import pytest
 
 from reldelcech.delaunay import Simplex, delaunay
 from reldelcech.geometry import InputError, PointCloud
+from reldelcech.relative_lift import lift
 
 
 def random_cloud(rng, n, d, low=0.0, high=1.0):
@@ -281,6 +282,28 @@ class TestHullSpace:
                 lam = Fraction(got[nonzero[0]]) / col[nonzero[0]]
                 assert lam > 0
                 assert all(got[i] == lam * col[i] for i in nonzero)
+
+    def test_one_float_filter_per_test(self, monkeypatch):
+        # Facet orientations (_add_facet) and vertical tests (infdown_sign)
+        # each run filtered_det_sign once; visibility filters inline and
+        # goes to sos_sign directly, never through a second filter.
+        mod = importlib.import_module("reldelcech.delaunay")
+        counts = {"filter": 0, "facet": 0, "vertical": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(mod, "filtered_det_sign", counting("filter", mod.filtered_det_sign))
+        monkeypatch.setattr(mod._Hull, "_add_facet", counting("facet", mod._Hull._add_facet))
+        monkeypatch.setattr(mod._HullSpace, "infdown_sign", counting("vertical", mod._HullSpace.infdown_sign))
+        x = np.random.default_rng(72).random((40, 2)).tolist()
+        delaunay(lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z)
+        assert counts["facet"] > 0 and counts["vertical"] > 0
+        assert counts["filter"] == counts["facet"] + counts["vertical"]
 
     def test_clouds_cover_every_rank(self):
         ranks = {len(rational_hull_rows(pts)[0]) - 2 for pts in hull_test_clouds()}

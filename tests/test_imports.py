@@ -4,7 +4,10 @@ import ast
 import importlib
 import pathlib
 
+import numpy as np
+
 import reldelcech
+from reldelcech import cli
 
 PACKAGE = pathlib.Path(reldelcech.__file__).parent
 
@@ -51,3 +54,25 @@ def test_traced_names_are_module_globals():
         if not module.startswith("reldelcech.") or name not in vars(importlib.import_module(module))
     ]
     assert missing == []
+
+
+def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
+    # A traced name that is still a module global but no longer called
+    # would silently read 0 in its layer of the trace.
+    called = set()
+    for module, name in traced_names():
+        mod = importlib.import_module(module)
+
+        def counting(*args, _key=f"{module}.{name}", _fn=getattr(mod, name), **kwargs):
+            called.add(_key)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
+    rng = np.random.default_rng(74)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in rng.random((40, 2)).tolist()))
+    sub = tmp_path / "a.txt"
+    sub.write_text("".join(f"{i}\n" for i in sorted(rng.choice(40, size=10, replace=False).tolist())))
+    assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
+    capsys.readouterr()
+    assert sorted({f"{m}.{n}" for m, n in traced_names()} - called) == []

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import minor_expansion_det
+from _oracles import minor_expansion_det, sos_assignment_order
 from reldelcech.predicates import (
+    _injections,
     det_exact_int,
     det_sign_exact,
     exact_ints,
@@ -97,6 +99,11 @@ def test_sos_matches_numeric_substitution_on_degenerate_cases():
         ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], [0, 1, 2, 3]),
         ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], [3, 2, 1, 0]),
         ([(2, 1, 3), (2, 1, 3), (0, 1, 0), (4, 4, 4)], [1, 0, 3, 2]),
+        # lifted same-slab tuples (x, h, |x|^2 + h^2): constant height column
+        ([(0, 1, 1), (1, 1, 2), (3, 1, 10)], [0, 1, 2]),
+        ([(0, -2, 4), (2, -2, 8), (-1, -2, 5)], [2, 0, 1]),
+        ([(0, 0, 2, 4), (1, 0, 2, 5), (0, 1, 2, 5), (1, 1, 2, 6)], [3, 1, 0, 2]),
+        ([(0, 0, -1, 1), (2, 0, -1, 5), (0, 1, -1, 2), (1, 3, -1, 11)], [0, 2, 3, 1]),
     ]
     for pts, ranks in cases:
         rows = homog(pts)
@@ -106,6 +113,19 @@ def test_sos_matches_numeric_substitution_on_degenerate_cases():
         s64 = numeric_perturbed_sign(rows, ranks, 64)
         s96 = numeric_perturbed_sign(rows, ranks, 96)
         assert s64 == s96 == got, (pts, ranks, got, s64, s96)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_injections_follow_degree_order(n):
+    # Every rank order for n <= 5, 100 of the 720 for n = 6; ranks are
+    # sparse like the vertex indices the hull passes.
+    perms = list(itertools.permutations(range(n)))
+    if n == 6:
+        perms = random.Random(8).sample(perms, 100)
+    for perm in perms:
+        ranks = [3 * r * r + 7 for r in perm]
+        got = [tuple(sorted(a)) for a in _injections(ranks, n - 1)]
+        assert got == sos_assignment_order(ranks, n - 1), ranks
 
 
 def test_sos_random_degenerate_against_substitution():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -144,6 +145,9 @@ class TestRelativeDelcech:
 
 X1_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.2, 0.8)]
 X2_AROUND = [(0.5, -0.7), (1.6, 0.9), (-0.6, 1.1), (0.6, 0.35)]
+# The 12 integer points on the circle of radius 5: exactly cocircular.
+RING = [(5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)]
+RING += [(a * x, b * y) for x, y in ((3.0, 4.0), (4.0, 3.0)) for a in (-1, 1) for b in (-1, 1)]
 
 
 def count_delaunay_calls(monkeypatch) -> list[int]:
@@ -185,6 +189,24 @@ class TestSharedTriangulations:
         build_pipeline(EMPTY2, cloud(X2_AROUND))
         assert calls == [3]  # Z
 
+    def test_empty_x2_triangulates_x1_once(self, monkeypatch):
+        # Z is X1 at height +s, so del(X1) is del(Z).
+        calls = count_delaunay_calls(monkeypatch)
+        pipe = build_pipeline(cloud(X2_AROUND), EMPTY2)
+        assert calls == [2]  # X1
+        assert all(c.in_subcomplex for c in pipe.complex.cells)
+
+    def test_cocircular_ring_with_a_all_exits_0(self, tmp_path, capsys):
+        # A second triangulation of the flat Z broke the ring's cocircular
+        # ties unlike del(X1) and failed the del(X1) check.
+        pts = tmp_path / "ring.csv"
+        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in RING))
+        sub = tmp_path / "a.txt"
+        sub.write_text("".join(f"{i}\n" for i in range(len(RING))))
+        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [d["bars"] for d in out["dims"]] == [[], [], []]
+
     def test_missing_x1_simplex_raises(self, monkeypatch):
         drop_lifted_x1_edge(monkeypatch, n1=3, d=2)
         with pytest.raises(AssertionError, match=r"lifted del\(X1\) simplex \(\d+, \d+\) missing"):
@@ -215,15 +237,13 @@ def s_invariance_clouds():
     uv = rng.random((7, 2))
     out.append(("coplanar", [[u, v, u + 2.0 * v] for u, v in uv.tolist()]))
     out.append(("coplanar grid", [[float(i), float(j), 0.0] for i in range(3) for j in range(3)]))
-    ring = [(5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)]
-    ring += [(a * x, b * y) for x, y in ((3.0, 4.0), (4.0, 3.0)) for a in (-1, 1) for b in (-1, 1)]
-    out.append(("ring", ring))
+    out.append(("ring", RING))
     return out
 
 
 def complex_or_failure(x1, x2) -> str:
-    """The dumped complex, or the failed del(X1) check (a known degenerate
-    defect, which must not depend on s either)."""
+    """The dumped complex, or the failed del(X1) check, which must not
+    depend on s either."""
     try:
         return dumps(build_pipeline(x1, x2).complex)
     except AssertionError as e:
@@ -247,8 +267,7 @@ class TestSInvariance:
                     monkeypatch.setattr(relative_lift, "choose_s", lambda y1, y2, c=c: c * real(y1, y2))
                     assert complex_or_failure(x1, x2) == base, (name, sorted(a), c)
                 monkeypatch.setattr(relative_lift, "choose_s", real)
-        # Today only the cocircular ring with A = X fails the del(X1) check.
-        assert built >= 3 * len(clouds) - 1
+        assert built == 3 * len(clouds)
         # build_pipeline lifts to the height choose_s returns.
         x1, x2 = cloud(X1_TRIANGLE), cloud(X2_AROUND)
         monkeypatch.setattr(relative_lift, "choose_s", lambda y1, y2: 1e3 * real(y1, y2))
