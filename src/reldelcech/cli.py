@@ -208,6 +208,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise InputError(f"--tol must be finite and >= 0, got {args.tol}")
     x = read_points(args.points)
     a = read_subset(args.subset_indices, len(x)) if args.subset_indices else set()
     diff, b1, b2 = check_pair(x, a, tol=args.tol, max_dim=args.max_dim, oracle_cap=args.oracle_cap)
@@ -230,6 +232,8 @@ def cmd_bench(args) -> int:
     and every enclosing ball), `wall_ms_reduction` the boundary matrix and
     its reduction.
     """
+    if not 0 <= args.subset_fraction <= 1:
+        raise InputError(f"--subset-fraction must be in [0, 1], got {args.subset_fraction}")
     sizes = []
     for chunk in args.sizes:
         sizes.extend(int(s) for s in chunk.split(",") if s)

@@ -17,17 +17,14 @@ degenerate simplices and are not Delaunay cells.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
-    _FILTER_C,
-    _det_float,
+    certified_sign,
     det_exact_int,
+    det_float,
     det_sign_exact,
     exact_ints,
     filtered_det_sign,
@@ -61,13 +58,6 @@ class Simplex:
             return []
         vs = self.vertices
         return sorted(Simplex(vs[:i] + vs[i + 1 :]) for i in range(len(vs)))
-
-    def faces(self) -> list["Simplex"]:
-        """All nonempty faces including the simplex itself."""
-        out = []
-        for k in range(1, len(self.vertices) + 1):
-            out.extend(Simplex(c) for c in itertools.combinations(self.vertices, k))
-        return out
 
     def __iter__(self):
         return iter(self.vertices)
@@ -114,32 +104,25 @@ class _HullSpace:
     Points live in R^P with the lift value as last coordinate.  Float rows
     feed the static filter; exact integer rows (each column scaled by a
     positive constant, which preserves all predicate signs) decide the rest,
-    with symbolic perturbation ranked by vertex index as tie-breaker.  Each
-    test runs one float filter at most, and `sos_sign` when it fails:
-    `orient` and `infdown_sign` filter their own determinant, `visibility`
-    filters through the facet's cofactors.
+    with symbolic perturbation ranked by vertex index as tie-breaker.
+
+    Every orientation of a facet against a point goes through `sides`: the
+    facet's float cofactors are computed once, each query's determinant is
+    their dot product with the query's edge row, `certified_sign` certifies
+    it or `sos_sign` decides.  So each test runs one float filter at most.
+    The vertical test `infdown_sign` is the other predicate; it filters its
+    own determinant and decides the rest exactly, unperturbed.
     """
 
-    def __init__(self, float_rows: np.ndarray, int_rows: list[tuple[int, ...]]):
-        self.float_rows = float_rows
-        self.frows: list[tuple[float, ...]] = [tuple(r) for r in float_rows.tolist()]
-        self.P = float_rows.shape[1]
+    def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]]):
+        self.frows = frows
+        self.P = len(frows[0])
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
-
-    def orient(self, ids: tuple[int, ...]) -> int:
-        """Perturbed orientation sign of P+1 lifted points; never 0."""
-        p = self.P
-        r0 = self.frows[ids[0]]
-        edge = [[a - b for a, b in zip(self.frows[i], r0)] for i in ids[1:]]
-        s = filtered_det_sign(edge)
-        if s is not None:
-            return -s if p % 2 else s
-        return sos_sign([self.int_rows[i] for i in ids], list(ids))
 
     def infdown_sign(self, verts: tuple[int, ...]) -> int:
         """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical."""
         p = self.P
-        rows_f = [list(self.float_rows[v]) + [1.0] for v in verts]
+        rows_f = [list(self.frows[v]) + [1.0] for v in verts]
         rows_f.append([0.0] * (p - 1) + [-1.0, 0.0])
         s = filtered_det_sign(rows_f)
         if s is not None:
@@ -148,48 +131,39 @@ class _HullSpace:
         rows_e.append([0] * (p - 1) + [-1, 0])
         return det_sign_exact(rows_e)
 
-    def visibility(self, verts: tuple[int, ...], inside_sign: int, cand_ids) -> list[int]:
-        """Subset of cand_ids strictly beyond the facet's hyperplane."""
-        if not cand_ids:
-            return []
+    def sides(self, verts: tuple[int, ...], queries) -> list[int]:
+        """Perturbed orientation sign of (verts..., q) for each query q,
+        P vertices and the query in homogeneous rows; never 0."""
         p = self.P
         frows = self.frows
-        facet_rows = [self.int_rows[v] for v in verts]
         v0 = frows[verts[0]]
-        block = [[frows[i][c] - v0[c] for c in range(p)] for i in verts[1:]]
+        block = [[a - b for a, b in zip(frows[i], v0)] for i in verts[1:]]
         # Cofactors of the query row: det(edge matrix with query last) is
-        # their dot product with (x - v0).
+        # their dot product with (q - v0).
         cof = []
         for c in range(p):
-            minor = [row[:c] + row[c + 1 :] for row in block]
-            d = _det_float(minor)
+            d = det_float([row[:c] + row[c + 1 :] for row in block])
             cof.append(-d if (p - 1 + c) % 2 else d)
-        scale = max(1.0, max(abs(x) for row in block for x in row))
-        filt = _FILTER_C[p]
-        inf = math.inf
+        block_scale = max([1.0] + [abs(x) for row in block for x in row])
         edge_to_homog = -1 if p % 2 else 1
+        facet_rows = [self.int_rows[v] for v in verts]
         out = []
-        for pid in cand_ids:
-            row = frows[pid]
+        for q in queries:
+            row = frows[q]
             val = 0.0
-            m = scale
+            scale = block_scale
             for c in range(p):
                 dc = row[c] - v0[c]
                 val += dc * cof[c]
-                if dc > m:
-                    m = dc
-                elif -dc > m:
-                    m = -dc
-            try:
-                bound = filt * m**p
-            except OverflowError:  # no float bound: the exact path decides
-                bound = inf
-            if bound < abs(val) < inf:
-                s = edge_to_homog * (1 if val > 0 else -1)
+                if dc > scale:
+                    scale = dc
+                elif -dc > scale:
+                    scale = -dc
+            s = certified_sign(val, p, scale)
+            if s is None:
+                out.append(sos_sign(facet_rows + [self.int_rows[q]], list(verts) + [q]))
             else:
-                s = sos_sign(facet_rows + [self.int_rows[pid]], list(verts) + [pid])
-            if s == -inside_sign:
-                out.append(pid)
+                out.append(edge_to_homog * s)
         return out
 
 
@@ -197,7 +171,7 @@ class _HullSpace:
 class _Facet:
     verts: tuple[int, ...]
     inside_sign: int
-    conflicts: set[int] = field(default_factory=set)
+    conflicts: set[int]
 
 
 class _Hull:
@@ -211,15 +185,19 @@ class _Hull:
         self._point_conflicts: dict[int, set[int]] = {}
         self._build(order)
 
-    def _add_facet(self, verts: tuple[int, ...], witness: int) -> int:
-        inside = self.space.orient(verts + (witness,))
+    def _add_facet(self, verts: tuple[int, ...], witness: int, cand_ids: list[int]):
+        """New facet; a vertex `witness` off it fixes the inside, and its
+        conflicts are the `cand_ids` strictly beyond its hyperplane."""
+        inside, *signs = self.space.sides(verts, [witness, *cand_ids])
+        conflicts = {pid for pid, s in zip(cand_ids, signs) if s == -inside}
         fid = self._next_id
         self._next_id += 1
-        self.facets[fid] = _Facet(verts, inside)
+        self.facets[fid] = _Facet(verts, inside, conflicts)
+        for pid in conflicts:
+            self._point_conflicts[pid].add(fid)
         for i in range(len(verts)):
             ridge = verts[:i] + verts[i + 1 :]
             self.ridge_map.setdefault(ridge, set()).add(fid)
-        return fid
 
     def _remove_facet(self, fid: int):
         f = self.facets.pop(fid)
@@ -235,23 +213,14 @@ class _Hull:
                 s.discard(fid)
         return f
 
-    def _set_conflicts(self, fid: int, cand_ids: list[int]):
-        f = self.facets[fid]
-        vis = self.space.visibility(f.verts, f.inside_sign, cand_ids)
-        f.conflicts.update(vis)
-        for pid in vis:
-            self._point_conflicts[pid].add(fid)
-
     def _build(self, order: list[int]):
         p = self.space.P
         init, rest = order[: p + 1], order[p + 1 :]
-        for k, witness in enumerate(init):
-            verts = tuple(sorted(init[:k] + init[k + 1 :]))
-            self._add_facet(verts, witness)
         for pid in rest:
             self._point_conflicts[pid] = set()
-        for fid in list(self.facets):
-            self._set_conflicts(fid, rest)
+        for k, witness in enumerate(init):
+            verts = tuple(sorted(init[:k] + init[k + 1 :]))
+            self._add_facet(verts, witness, rest)
         for q in rest:
             vis = self._point_conflicts.pop(q)
             if not vis:
@@ -271,9 +240,8 @@ class _Hull:
                 fhid = self.facets[fhid_id]
                 witness = next(v for v in fvis.verts if v not in ridge)
                 new_verts = tuple(sorted(ridge + (q,)))
-                fid = self._add_facet(new_verts, witness)
                 cands = (fvis.conflicts | fhid.conflicts) - {q}
-                self._set_conflicts(fid, sorted(cands))
+                self._add_facet(new_verts, witness, sorted(cands))
         for ridge, owners in self.ridge_map.items():
             if len(owners) != 2:
                 raise AssertionError(f"open ridge {ridge} on finished hull")
@@ -308,17 +276,16 @@ class Triangulation:
             raise InputError(f"dimension {dim} out of range 0..{self.top_dim}")
         return list(self.simplices_by_dim[dim])
 
-    def insphere_sign(self, top: Simplex, query: int) -> int:
-        """Perturbed in-circumsphere sign of a cloud vertex against a top
+    def insphere_sign(self, top: Simplex, queries) -> list[int]:
+        """Perturbed in-circumsphere sign of each query vertex against a top
         simplex: +1 strictly inside under the symbolic perturbation, else -1.
         """
-        if query in top.vertices:
+        if any(q in top.vertices for q in queries):
             raise InputError("query vertex belongs to the simplex")
         s_inf = self._space.infdown_sign(top.vertices)
         if s_inf == 0:
             raise InputError("vertical simplex has no oriented circumsphere")
-        o1 = self._space.orient(top.vertices + (query,))
-        return 1 if o1 == s_inf else -1
+        return [1 if o == s_inf else -1 for o in self._space.sides(top.vertices, queries)]
 
 
 def _hull_space(cloud: PointCloud):
@@ -335,7 +302,6 @@ def _hull_space(cloud: PointCloud):
     length) does not fit in a float.
     """
     m = cloud.dimension
-    n = len(cloud)
     cols, shifts = zip(*(exact_ints(col) for col in cloud.array().T.tolist()))
     pts = list(zip(*cols))
     top = max(shifts)
@@ -370,14 +336,14 @@ def _hull_space(cloud: PointCloud):
         coord_dens = [abs(det_a)] * rank
         lift_den = det_a * det_a << 2 * top
     try:
-        float_rows = np.array(
-            [[x / d for x, d in zip(c, coord_dens)] + [h / lift_den] for c, h in zip(coords, lifts)],
-            dtype=float,
-        ).reshape(n, rank + 1)
+        frows = [
+            tuple(x / d for x, d in zip(c, coord_dens)) + (h / lift_den,)
+            for c, h in zip(coords, lifts)
+        ]
     except OverflowError:
         raise InputError("squared coordinates exceed the float range (1.8e308)") from None
     int_rows = [c + (h, 1) for c, h in zip(coords, lifts)]
-    return rank, _HullSpace(float_rows, int_rows)
+    return rank, _HullSpace(frows, int_rows)
 
 
 def delaunay(cloud: PointCloud) -> Triangulation:

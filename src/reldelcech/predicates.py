@@ -4,9 +4,11 @@ Every sign is decided over Python integers; inputs are floats, which are
 dyadic rationals, so `exact_ints` makes them integers by a power-of-two
 shift.  From fast to slow:
 
-1. a static floating-point filter (`filtered_det_sign`) that certifies the
-   sign of a determinant whenever its magnitude safely exceeds a rounding
-   error bound,
+1. a static floating-point filter that certifies the sign of a float
+   determinant whenever its magnitude safely exceeds a rounding error
+   bound.  `certified_sign` is the one rule; `filtered_det_sign` applies
+   it to `det_float`, and callers with their own float evaluation (a dot
+   product with cofactors) apply it directly,
 2. the exact integer determinant (`det_exact_int`, fraction-free Bareiss),
 3. a symbolic perturbation (`sos_sign`) that resolves exact zeros by moving
    every row onto a moment curve with a per-row infinitesimal, ordered by a
@@ -83,7 +85,7 @@ def exact_ints(values) -> tuple[list[int], int]:
     return [num << (k - den.bit_length() + 1) for num, den in ratios], k
 
 
-def _det_float(rows) -> float:
+def det_float(rows) -> float:
     """Plain Gaussian elimination with partial pivoting, floats."""
     n = len(rows)
     a = [list(map(float, row)) for row in rows]
@@ -105,24 +107,29 @@ def _det_float(rows) -> float:
     return det
 
 
+def certified_sign(value: float, n: int, scale: float) -> int | None:
+    """Sign of `value`, a float evaluation of an n x n determinant whose
+    entries are at most `scale` >= 1 in magnitude, if it exceeds the
+    rounding error bound; else None."""
+    try:
+        bound = _FILTER_C[n] * scale**n
+    except OverflowError:  # no float bound: the exact path decides
+        return None
+    # An infinite value overflowed on the way and certifies nothing.
+    if bound < abs(value) < math.inf:
+        return 1 if value > 0 else -1
+    return None
+
+
 def filtered_det_sign(rows) -> int | None:
     """Sign of det(rows) if certifiable in double precision, else None."""
-    n = len(rows)
     scale = 1.0
     for row in rows:
         for x in row:
             ax = abs(float(x))
             if ax > scale:
                 scale = ax
-    d = _det_float(rows)
-    try:
-        bound = _FILTER_C[n] * scale**n
-    except OverflowError:  # no float bound: the exact path decides
-        return None
-    # An infinite d overflowed on the way and certifies nothing.
-    if bound < abs(d) < math.inf:
-        return 1 if d > 0 else -1
-    return None
+    return certified_sign(det_float(rows), len(rows), scale)
 
 
 # -- symbolic perturbation ---------------------------------------------------

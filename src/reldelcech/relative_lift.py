@@ -73,8 +73,7 @@ def lift(x1: PointCloud, x2: PointCloud, s: float) -> LiftedConfiguration:
 
 
 def _projected_meb(cfg: LiftedConfiguration, verts: tuple[int, ...]) -> float:
-    pts = {cfg.z[v].coords[:-1] for v in verts}
-    return smallest_enclosing_ball(sorted(pts)).radius
+    return smallest_enclosing_ball([cfg.z[v].coords[:-1] for v in verts]).radius
 
 
 @dataclass
@@ -144,9 +143,9 @@ class EmbeddingReport:
 
     Failures usually mean a degenerate configuration whose symbolic tie
     breaks differ between the ambient and lifted triangulations.  The report
-    is a diagnostic, not on the run path, until ROADMAP item 2: it fails on
-    some degenerate grids whose barcode is still right, so making it fatal
-    would turn correct runs into failures.
+    is a diagnostic off the run path until ROADMAP item 4's certificate
+    replaces it: it fails on some degenerate grids whose barcode is still
+    right, so making it fatal would turn correct runs into failures.
     """
 
     x1_embedded: bool

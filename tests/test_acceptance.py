@@ -197,10 +197,10 @@ def test_criterion_5_delaunay_empty_circumsphere():
         cloud = PointCloud(pts.tolist())
         t = delaunay(cloud)
         for top in t.top_simplices:
-            members = set(top.vertices)
-            for q in range(len(cloud)):
-                if q not in members:
-                    assert t.insphere_sign(top, q) <= 0
+            queries = [q for q in range(len(cloud)) if q not in top.vertices]
+            signs = t.insphere_sign(top, queries)
+            assert len(signs) == len(queries)
+            assert all(s <= 0 for s in signs)
     print(f"\nACCEPTANCE 5 delaunay empty circumsphere: PASS (200 clouds, {time.time() - t0:.1f}s)")
 
 

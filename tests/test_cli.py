@@ -176,6 +176,11 @@ class TestCheck:
         assert report["matched"] is True
         assert report["pipeline"]["field"] == "GF(2)"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_exit_2(self, tol, square, capsys):
+        assert main(["check", str(square), "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_cap_exceeded_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         f = tmp_path / "big.csv"
@@ -224,6 +229,11 @@ class TestBench:
         assert [r.split(",")[:4] for r in plain.splitlines()] == [
             r.split(",")[:4] for r in seeded.splitlines()
         ]
+
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.5", "nan"])
+    def test_bad_subset_fraction_exit_2(self, fraction, capsys):
+        assert main(["bench", "--sizes", "10", "--subset-fraction", fraction]) == 2
+        assert "--subset-fraction" in capsys.readouterr().err
 
     def test_sphere_generator(self, capsys):
         rc = main(["bench", "--sizes", "10", "--dim", "3", "--generator", "sphere"])

@@ -8,6 +8,7 @@ import pytest
 
 from reldelcech.delaunay import Simplex, delaunay
 from reldelcech.geometry import InputError, PointCloud
+from reldelcech.predicates import sos_sign
 from reldelcech.relative_lift import lift
 
 
@@ -29,7 +30,6 @@ class TestSimplex:
         s = Simplex((0, 2, 5))
         assert [f.vertices for f in s.boundary()] == [(0, 2), (0, 5), (2, 5)]
         assert s.dim == 2
-        assert len(s.faces()) == 7
         assert Simplex((3,)).boundary() == []
 
 
@@ -105,10 +105,11 @@ class TestDegenerate:
 def _assert_empty_circumspheres(t):
     n = len(t.cloud)
     for top in t.top_simplices:
-        for q in range(n):
-            if q in top.vertices:
-                continue
-            assert t.insphere_sign(top, q) <= 0, (top.vertices, q)
+        queries = [q for q in range(n) if q not in top.vertices]
+        signs = t.insphere_sign(top, queries)
+        assert len(signs) == len(queries)
+        for q, s in zip(queries, signs):
+            assert s <= 0, (top.vertices, q)
 
 
 class TestRandomClouds:
@@ -263,6 +264,19 @@ def hull_test_clouds():
     return [list({tuple(p): None for p in c}) for c in out]
 
 
+_SIDES_RNG = np.random.default_rng(73)
+# Clouds for `sides`: random full-rank ones, integer grids (exact
+# cospherical ties) and mixed magnitudes, by column and by point.
+SIDES_CLOUDS = {
+    "uniform2d": _SIDES_RNG.random((15, 2)).tolist(),
+    "uniform3d": _SIDES_RNG.random((15, 3)).tolist(),
+    "grid2d": [[float(i), float(j)] for i in range(4) for j in range(4)],
+    "grid3d": [[float(i), float(j), float(k)] for i in range(3) for j in range(3) for k in range(2)],
+    "mixed_columns": np.column_stack([_SIDES_RNG.random(15) * 1e-120, _SIDES_RNG.random(15) * 1e60]).tolist(),
+    "mixed_points": (_SIDES_RNG.random((15, 2)) * _SIDES_RNG.choice([1e-120, 1e60], (15, 1))).tolist(),
+}
+
+
 class TestHullSpace:
     @pytest.mark.parametrize("pts", hull_test_clouds())
     def test_rows_match_rational_reference(self, pts):
@@ -270,8 +284,8 @@ class TestHullSpace:
         rank, space = importlib.import_module("reldelcech.delaunay")._hull_space(PointCloud(pts))
         assert rank == len(ref[0]) - 2
         # Float rows: the correctly rounded rationals, bit for bit.
-        want = np.array([[float(x) for x in row[:-1]] for row in ref])
-        assert space.float_rows.tobytes() == want.tobytes()
+        want = [tuple(float(x).hex() for x in row[:-1]) for row in ref]
+        assert [tuple(x.hex() for x in row) for row in space.frows] == want
         # Integer rows: each column a positive multiple of the reference.
         for c in range(rank + 2):
             col = [row[c] for row in ref]
@@ -284,11 +298,12 @@ class TestHullSpace:
                 assert all(got[i] == lam * col[i] for i in nonzero)
 
     def test_one_float_filter_per_test(self, monkeypatch):
-        # Facet orientations (_add_facet) and vertical tests (infdown_sign)
-        # each run filtered_det_sign once; visibility filters inline and
-        # goes to sos_sign directly, never through a second filter.
+        # Each new facet gets its witness sign and its conflicts from one
+        # `sides` call, which filters through the facet's cofactors and goes
+        # to sos_sign directly; only the vertical tests (infdown_sign) run
+        # filtered_det_sign, once each.
         mod = importlib.import_module("reldelcech.delaunay")
-        counts = {"filter": 0, "facet": 0, "vertical": 0}
+        counts = {"filter": 0, "facet": 0, "vertical": 0, "sides": 0}
 
         def counting(key, fn):
             def wrapped(*args):
@@ -300,10 +315,46 @@ class TestHullSpace:
         monkeypatch.setattr(mod, "filtered_det_sign", counting("filter", mod.filtered_det_sign))
         monkeypatch.setattr(mod._Hull, "_add_facet", counting("facet", mod._Hull._add_facet))
         monkeypatch.setattr(mod._HullSpace, "infdown_sign", counting("vertical", mod._HullSpace.infdown_sign))
+        monkeypatch.setattr(mod._HullSpace, "sides", counting("sides", mod._HullSpace.sides))
         x = np.random.default_rng(72).random((40, 2)).tolist()
         delaunay(lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z)
         assert counts["facet"] > 0 and counts["vertical"] > 0
-        assert counts["filter"] == counts["facet"] + counts["vertical"]
+        assert counts["sides"] == counts["facet"]
+        assert counts["filter"] == counts["vertical"]
+
+    @pytest.mark.parametrize("name", sorted(SIDES_CLOUDS))
+    def test_sides_match_sos_sign(self, name, monkeypatch):
+        # Each sign of `sides` is the homogeneous sos_sign of the integer
+        # rows: whether the cofactor filter certified it or not.  Tuples
+        # within one slab have a constant height column, so their queries
+        # in that slab are exact ties that the filter must leave alone.
+        mod = importlib.import_module("reldelcech.delaunay")
+        pts = SIDES_CLOUDS[name]
+        n1 = len(pts) // 3
+        z = lift(PointCloud(pts[:n1]), PointCloud(pts[n1:]), 1.0).z
+        decided, total = [], 0
+        monkeypatch.setattr(mod, "sos_sign", lambda rows, ranks: decided.append(1) or sos_sign(rows, ranks))
+        for cloud in (PointCloud(pts), z):
+            rank, space = mod._hull_space(cloud)
+            p = space.P
+            assert rank == cloud.dimension and p == rank + 1
+            rng = np.random.default_rng(75)
+            tuples = [tuple(sorted(rng.choice(len(cloud), p, replace=False).tolist())) for _ in range(25)]
+            if cloud is z:
+                for slab in (range(n1), range(n1, len(pts))):
+                    tuples += [tuple(sorted(rng.choice(slab, p, replace=False).tolist())) for _ in range(10)]
+            for verts in tuples:
+                queries = [q for q in range(len(cloud)) if q not in verts]
+                rows = [space.int_rows[v] for v in verts]
+                want = [sos_sign(rows + [space.int_rows[q]], list(verts) + [q]) for q in queries]
+                assert space.sides(verts, queries) == want, (verts, queries)
+                total += len(queries)
+        # Ties reached sos_sign, and the filter certified signs too, except
+        # with 1e60 coordinates, whose lifts put the float error bound
+        # beyond the float range.
+        assert len(decided) > 0
+        if not name.startswith("mixed"):
+            assert len(decided) < total
 
     def test_clouds_cover_every_rank(self):
         ranks = {len(rational_hull_rows(pts)[0]) - 2 for pts in hull_test_clouds()}
