@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
     certified_sign,
+    column_power,
     det_exact_int,
     det_float,
     det_sign_exact,
@@ -107,9 +108,25 @@ class _HullSpace:
     with symbolic perturbation ranked by vertex index as tie-breaker.
 
     Every orientation of a facet against a point goes through `sides`: the
-    facet's float cofactors are computed once, each query's determinant is
-    their dot product with the query's edge row, `certified_sign` certifies
-    it or `sos_sign` decides.  So each test runs one float filter at most.
+    facet's float cofactors are computed once (`_Orientation`), each
+    query's determinant is their dot product with the query's edge row,
+    `certified_sign` certifies it or `sos_sign` decides.  So each test runs
+    one float filter at most.
+
+    Same-slab ties: when the facet's integer rows have exactly one constant
+    coordinate column h (a facet inside one slab of a lifted pair: its
+    height) and the query shares that value, the determinant is 0 by
+    structure, and SoS replaces the lowest-ranked row, the smallest vertex,
+    by e_h (`predicates`).  The sign is then a P x P minor without column h.
+    Write orient(...) for the homogeneous determinant of P points with
+    column h dropped; `sides` filters it with an `_Orientation` of verts[1:]:
+      - q > verts[0]: (-1)^h orient(verts[1:], q), one dot product each;
+      - q < verts[0]: (-1)^(P+h) orient(verts), one value per facet, which
+        the cyclic shift of verts[0] to the end makes
+        (-1)^(P+h) (-1)^(P-1) orient(verts[1:], verts[0]).
+    A zero minor (cospherical slab points) or an uncertified one goes to
+    `sos_sign`, so every sign is `sos_sign`'s.
+
     The vertical test `infdown_sign` is the other predicate; it filters its
     own determinant and decides the rest exactly, unperturbed.
     """
@@ -134,37 +151,73 @@ class _HullSpace:
     def sides(self, verts: tuple[int, ...], queries) -> list[int]:
         """Perturbed orientation sign of (verts..., q) for each query q,
         P vertices and the query in homogeneous rows; never 0."""
-        p = self.P
         frows = self.frows
-        v0 = frows[verts[0]]
-        block = [[a - b for a, b in zip(frows[i], v0)] for i in verts[1:]]
-        # Cofactors of the query row: det(edge matrix with query last) is
-        # their dot product with (q - v0).
-        cof = []
-        for c in range(p):
-            d = det_float([row[:c] + row[c + 1 :] for row in block])
-            cof.append(-d if (p - 1 + c) % 2 else d)
-        block_scale = max([1.0] + [abs(x) for row in block for x in row])
-        edge_to_homog = -1 if p % 2 else 1
-        facet_rows = [self.int_rows[v] for v in verts]
+        facet = [self.int_rows[v] for v in verts]
+        h = _tie_column(facet, self.P)
+        full = tie = None
         out = []
         for q in queries:
-            row = frows[q]
-            val = 0.0
-            scale = block_scale
-            for c in range(p):
-                dc = row[c] - v0[c]
-                val += dc * cof[c]
-                if dc > scale:
-                    scale = dc
-                elif -dc > scale:
-                    scale = -dc
-            s = certified_sign(val, p, scale)
-            if s is None:
-                out.append(sos_sign(facet_rows + [self.int_rows[q]], list(verts) + [q]))
+            row = self.int_rows[q]
+            if h is None or row[h] != facet[0][h]:
+                if full is None:
+                    full = _Orientation([frows[v] for v in verts])
+                s = full.sign(frows[q])
             else:
-                out.append(edge_to_homog * s)
+                # A same-slab tie (class docstring); `flip` is (-1)^h.
+                if tie is None:
+                    tie = _Orientation([frows[v][:h] + frows[v][h + 1 :] for v in verts[1:]])
+                    flip = -1 if h % 2 else 1
+                    v0 = frows[verts[0]]
+                    below = -flip * tie.sign(v0[:h] + v0[h + 1 :])
+                if q > verts[0]:
+                    s = flip * tie.sign(frows[q][:h] + frows[q][h + 1 :])
+                else:
+                    s = below
+            out.append(s or sos_sign(facet + [row], list(verts) + [q]))
         return out
+
+
+def _tie_column(facet, p: int) -> int | None:
+    """The coordinate column that is constant over the facet's integer
+    rows, when there is exactly one; else None."""
+    first = facet[0]
+    const = [c for c in range(p) if all(row[c] == first[c] for row in facet)]
+    return const[0] if len(const) == 1 else None
+
+
+class _Orientation:
+    """Float filter for the homogeneous orientation of k points u_0..u_{k-1}
+    of R^k and a query x: det[[u_0, 1], ..., [u_{k-1}, 1], [x, 1]] is
+    (-1)^k det(u_1 - u_0, ..., u_{k-1} - u_0, x - u_0), and that edge
+    determinant is the dot product of x - u_0 with the cofactors of its
+    last row, computed once."""
+
+    def __init__(self, pts):
+        base = pts[0]
+        k = len(base)
+        block = [[a - b for a, b in zip(u, base)] for u in pts[1:]]
+        cof = []
+        for c in range(k):
+            d = det_float([row[:c] + row[c + 1 :] for row in block])
+            cof.append(-d if (k - 1 + c) % 2 else d)
+        self.k = k
+        self.base = base
+        self.cof = cof
+        self.powers = [column_power(max((abs(row[c]) for row in block), default=0.0), k) for c in range(k)]
+        self.homog = -1 if k % 2 else 1
+
+    def sign(self, x) -> int:
+        """Certified orientation sign of (u_0, ..., u_{k-1}, x); 0 when the
+        filter cannot certify it."""
+        val = 0.0
+        scale = 1.0
+        for a, b, cf, m in zip(x, self.base, self.cof, self.powers):
+            dc = a - b
+            val += dc * cf
+            if dc > m or -dc > m:
+                m = column_power(abs(dc), self.k)
+            scale *= m
+        return self.homog * (certified_sign(val, self.k, scale) or 0)
 
 
 @dataclass

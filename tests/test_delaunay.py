@@ -276,6 +276,22 @@ SIDES_CLOUDS = {
     "mixed_points": (_SIDES_RNG.random((15, 2)) * _SIDES_RNG.choice([1e-120, 1e60], (15, 1))).tolist(),
 }
 
+_RING = [(5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)]
+_RING += [(a * x, b * y) for x, y in ((3.0, 4.0), (4.0, 3.0)) for a in (-1, 1) for b in (-1, 1)]
+_SLAB_RNG = np.random.default_rng(76)
+_T = _SLAB_RNG.random(11)
+# Pairs (X1, X2) for the same-slab ties of `sides`: general position; X1
+# cospherical, where the tie minor is 0 (and the centred ring, whose lift
+# column is constant too); and a collinear X, whose Z is flat.
+SLAB_PAIRS = {
+    "uniform2d": (_SLAB_RNG.random((9, 2)).tolist(), _SLAB_RNG.random((7, 2)).tolist()),
+    "uniform3d": (_SLAB_RNG.random((9, 3)).tolist(), _SLAB_RNG.random((7, 3)).tolist()),
+    "ring": (_RING, (_SLAB_RNG.random((6, 2)) * 12 - 6).tolist()),
+    "ring_shifted": ([(x + 2.0, y + 1.0) for x, y in _RING], (_SLAB_RNG.random((6, 2)) * 12 - 6).tolist()),
+    "grid4x4": ([[float(i), float(j)] for i in range(4) for j in range(4)], (_SLAB_RNG.random((6, 2)) * 3).tolist()),
+    "collinear": ([(t, 2 * t) for t in _T[:6]], [(t, 2 * t) for t in _T[6:]]),
+}
+
 
 class TestHullSpace:
     @pytest.mark.parametrize("pts", hull_test_clouds())
@@ -299,8 +315,9 @@ class TestHullSpace:
 
     def test_one_float_filter_per_test(self, monkeypatch):
         # Each new facet gets its witness sign and its conflicts from one
-        # `sides` call, which filters through the facet's cofactors and goes
-        # to sos_sign directly; only the vertical tests (infdown_sign) run
+        # `sides` call, which filters each test once (through the facet's
+        # cofactors, or a same-slab tie's minor) and goes to sos_sign
+        # directly; only the vertical tests (infdown_sign) run
         # filtered_det_sign, once each.
         mod = importlib.import_module("reldelcech.delaunay")
         counts = {"filter": 0, "facet": 0, "vertical": 0, "sides": 0}
@@ -325,15 +342,20 @@ class TestHullSpace:
     @pytest.mark.parametrize("name", sorted(SIDES_CLOUDS))
     def test_sides_match_sos_sign(self, name, monkeypatch):
         # Each sign of `sides` is the homogeneous sos_sign of the integer
-        # rows: whether the cofactor filter certified it or not.  Tuples
-        # within one slab have a constant height column, so their queries
-        # in that slab are exact ties that the filter must leave alone.
+        # rows: whether a float filter certified it or not.  Tuples within
+        # one slab have a constant height column, so their queries in that
+        # slab are exact ties: the tie path's minor or sos_sign decides.
         mod = importlib.import_module("reldelcech.delaunay")
         pts = SIDES_CLOUDS[name]
         n1 = len(pts) // 3
         z = lift(PointCloud(pts[:n1]), PointCloud(pts[n1:]), 1.0).z
-        decided, total = [], 0
-        monkeypatch.setattr(mod, "sos_sign", lambda rows, ranks: decided.append(1) or sos_sign(rows, ranks))
+        decided, ties, total = set(), set(), 0
+
+        def recording(rows, ranks):
+            decided.add(tuple(ranks))
+            return sos_sign(rows, ranks)
+
+        monkeypatch.setattr(mod, "sos_sign", recording)
         for cloud in (PointCloud(pts), z):
             rank, space = mod._hull_space(cloud)
             p = space.P
@@ -349,12 +371,73 @@ class TestHullSpace:
                 want = [sos_sign(rows + [space.int_rows[q]], list(verts) + [q]) for q in queries]
                 assert space.sides(verts, queries) == want, (verts, queries)
                 total += len(queries)
-        # Ties reached sos_sign, and the filter certified signs too, except
-        # with 1e60 coordinates, whose lifts put the float error bound
-        # beyond the float range.
-        assert len(decided) > 0
+                if cloud is z and len({v < n1 for v in verts}) == 1:
+                    ties.update(verts + (q,) for q in queries if (q < n1) == (verts[0] < n1))
+        assert ties
+        if name.startswith("uniform"):
+            # The tie path decided every tie; they used to reach sos_sign.
+            assert ties.isdisjoint(decided)
+        else:
+            # Cospherical grid ties (zero minors) and the 1e60 clouds, whose
+            # lifts put the float error bound beyond the float range, reach
+            # sos_sign.
+            assert decided
+        # The filters certified signs too, except with 1e60 coordinates.
         if not name.startswith("mixed"):
             assert len(decided) < total
+
+    @pytest.mark.parametrize("name", sorted(SLAB_PAIRS))
+    def test_slab_ties_match_sos_sign(self, name, monkeypatch):
+        # A facet inside one slab against a query of that slab: SoS replaces
+        # the lowest-ranked row by the unit row of the height column, so the
+        # sign is a lower-dimensional minor, with one parity when the facet
+        # holds that row and another when the query does.  Where the minor
+        # is 0 (cospherical X1), sos_sign decides.
+        mod = importlib.import_module("reldelcech.delaunay")
+        x1, x2 = SLAB_PAIRS[name]
+        z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
+        rank, space = mod._hull_space(z)
+        assert rank == (2 if name == "collinear" else z.dimension)
+        calls = []
+        monkeypatch.setattr(mod, "sos_sign", lambda rows, ranks: calls.append(1) or sos_sign(rows, ranks))
+        rng = np.random.default_rng(77)
+        below = above = 0
+        for slab in (range(len(x1)), range(len(x1), len(z))):
+            for _ in range(12):
+                verts = tuple(sorted(rng.choice(slab, space.P, replace=False).tolist()))
+                queries = [q for q in slab if q not in verts]
+                rows = [space.int_rows[v] for v in verts]
+                want = [sos_sign(rows + [space.int_rows[q]], list(verts) + [q]) for q in queries]
+                assert space.sides(verts, queries) == want, (verts, queries)
+                below += sum(q < verts[0] for q in queries)
+                above += sum(q > verts[0] for q in queries)
+        assert below > 0 and above > 0
+        if name.startswith(("ring", "grid")):
+            assert calls
+        else:
+            assert calls == []
+
+    def test_filters_follow_power_of_two_scales(self, monkeypatch):
+        # Scaling X and s by 2^k scales each float column of the lifted
+        # rows by a power of two, exactly, and each column's error bound
+        # with it: the same tests are certified at every scale.  The random
+        # pair needs no sos_sign at all, ties included.
+        mod = importlib.import_module("reldelcech.delaunay")
+        calls = []
+        monkeypatch.setattr(mod, "sos_sign", lambda rows, ranks: calls.append(tuple(ranks)) or sos_sign(rows, ranks))
+        x = np.random.default_rng(72).random((40, 2)).tolist()
+        grid = [[float(i), float(j)] for i in range(5) for j in range(5)]
+        at_unit_scale = {}
+        for name, pts, n1 in (("random", x, 10), ("grid", grid, 9)):
+            seen = []
+            for scale in (2.0**-20, 1.0, 2.0**20):
+                calls.clear()
+                scaled = [[scale * c for c in p] for p in pts]
+                delaunay(lift(PointCloud(scaled[:n1]), PointCloud(scaled[n1:]), scale).z)
+                seen.append(list(calls))
+            assert seen[0] == seen[1] == seen[2]
+            at_unit_scale[name] = seen[1]
+        assert at_unit_scale["random"] == [] and at_unit_scale["grid"]
 
     def test_clouds_cover_every_rank(self):
         ranks = {len(rational_hull_rows(pts)[0]) - 2 for pts in hull_test_clouds()}

@@ -68,11 +68,16 @@ def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, counting)
+    # A random pair, and an integer grid pair whose cocircular ties only
+    # sos_sign decides.
     rng = np.random.default_rng(74)
-    pts = tmp_path / "pts.csv"
-    pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in rng.random((40, 2)).tolist()))
-    sub = tmp_path / "a.txt"
-    sub.write_text("".join(f"{i}\n" for i in sorted(rng.choice(40, size=10, replace=False).tolist())))
-    assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
-    capsys.readouterr()
+    grid = [(float(i), float(j)) for i in range(4) for j in range(4)]
+    for name, xy in (("random", rng.random((40, 2)).tolist()), ("grid", grid)):
+        pts = tmp_path / f"{name}.csv"
+        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in xy))
+        sub = tmp_path / f"{name}-a.txt"
+        a = sorted(rng.choice(len(xy), size=len(xy) // 4, replace=False).tolist())
+        sub.write_text("".join(f"{i}\n" for i in a))
+        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
+        capsys.readouterr()
     assert sorted({f"{m}.{n}" for m, n in traced_names()} - called) == []
