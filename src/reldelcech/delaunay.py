@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
     certified_sign,
-    column_power,
     det_exact_int,
     det_float,
     det_sign_exact,
@@ -133,6 +132,7 @@ class _HullSpace:
 
     def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]]):
         self.frows = frows
+        self.fsize = [max(map(abs, row)) for row in frows]  # for `_Orientation`
         self.P = len(frows[0])
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
 
@@ -150,9 +150,12 @@ class _HullSpace:
 
     def sides(self, verts: tuple[int, ...], queries) -> list[int]:
         """Perturbed orientation sign of (verts..., q) for each query q,
-        P vertices and the query in homogeneous rows; never 0."""
-        frows = self.frows
+        P vertices and the query in homogeneous rows; never 0.  `verts`
+        must be sorted ascending: the tie path takes verts[0] as the
+        lowest-ranked row."""
+        frows, fsize = self.frows, self.fsize
         facet = [self.int_rows[v] for v in verts]
+        size = max(fsize[v] for v in verts)
         h = _tie_column(facet, self.P)
         full = tie = None
         out = []
@@ -160,17 +163,17 @@ class _HullSpace:
             row = self.int_rows[q]
             if h is None or row[h] != facet[0][h]:
                 if full is None:
-                    full = _Orientation([frows[v] for v in verts])
-                s = full.sign(frows[q])
+                    full = _Orientation([frows[v] for v in verts], size)
+                s = full.sign(frows[q], fsize[q])
             else:
                 # A same-slab tie (class docstring); `flip` is (-1)^h.
                 if tie is None:
-                    tie = _Orientation([frows[v][:h] + frows[v][h + 1 :] for v in verts[1:]])
+                    tie = _Orientation([frows[v][:h] + frows[v][h + 1 :] for v in verts[1:]], size)
                     flip = -1 if h % 2 else 1
                     v0 = frows[verts[0]]
-                    below = -flip * tie.sign(v0[:h] + v0[h + 1 :])
+                    below = -flip * tie.sign(v0[:h] + v0[h + 1 :], size)
                 if q > verts[0]:
-                    s = flip * tie.sign(frows[q][:h] + frows[q][h + 1 :])
+                    s = flip * tie.sign(frows[q][:h] + frows[q][h + 1 :], fsize[q])
                 else:
                     s = below
             out.append(s or sos_sign(facet + [row], list(verts) + [q]))
@@ -190,9 +193,15 @@ class _Orientation:
     of R^k and a query x: det[[u_0, 1], ..., [u_{k-1}, 1], [x, 1]] is
     (-1)^k det(u_1 - u_0, ..., u_{k-1} - u_0, x - u_0), and that edge
     determinant is the dot product of x - u_0 with the cofactors of its
-    last row, computed once."""
+    last row, computed once.
 
-    def __init__(self, pts):
+    The float rows are rounded to half an ulp of their own magnitude, and
+    an edge entry inherits the error of both of its rows: far from the
+    origin (a lift |x|^2 against edges of |x|), that is more than the
+    edges' own half ulps.  So the filter's scale is the largest magnitude
+    among the edges and the rows themselves; `size` bounds the rows'."""
+
+    def __init__(self, pts, size: float):
         base = pts[0]
         k = len(base)
         block = [[a - b for a, b in zip(u, base)] for u in pts[1:]]
@@ -203,20 +212,22 @@ class _Orientation:
         self.k = k
         self.base = base
         self.cof = cof
-        self.powers = [column_power(max((abs(row[c]) for row in block), default=0.0), k) for c in range(k)]
+        self.scale = max([1.0, size] + [abs(x) for row in block for x in row])
         self.homog = -1 if k % 2 else 1
 
-    def sign(self, x) -> int:
-        """Certified orientation sign of (u_0, ..., u_{k-1}, x); 0 when the
-        filter cannot certify it."""
+    def sign(self, x, size: float) -> int:
+        """Certified orientation sign of (u_0, ..., u_{k-1}, x), whose
+        entries are at most `size` in magnitude; 0 when the filter cannot
+        certify it."""
         val = 0.0
-        scale = 1.0
-        for a, b, cf, m in zip(x, self.base, self.cof, self.powers):
+        scale = size if size > self.scale else self.scale
+        for a, b, cf in zip(x, self.base, self.cof):
             dc = a - b
             val += dc * cf
-            if dc > m or -dc > m:
-                m = column_power(abs(dc), self.k)
-            scale *= m
+            if dc > scale:
+                scale = dc
+            elif -dc > scale:
+                scale = -dc
         return self.homog * (certified_sign(val, self.k, scale) or 0)
 
 

@@ -16,19 +16,6 @@ shift.  From fast to slow:
    nonzero coefficient of the perturbed determinant, enumerated by
    increasing infinitesimal degree, and is never zero.
 
-The filter's bound is _FILTER_C[n] for entries of magnitude <= 1, times
-one power of two per column: the column's largest magnitude rounded up
-(`column_power`).  Dividing column c by its power 2^e_c gives entries <= 1,
-and it commutes with the elimination: pivot choices compare entries of one
-column, and every float step on the matrix is the step on the divided one
-times a product of column powers, exactly, while that product stays in
-the normal range.  So the bound of the divided matrix, times the product
-of the powers, bounds the error.  Each power is kept within
-2^+-(_EXP_SPAN // n), so any product of them lies within 2^+-900: no step
-overflows, and an underflowing step errs by at most 2^-175 on the divided
-scale, far below _FILTER_C.  A larger column certifies nothing.  Scaling a
-column by a power of two therefore keeps every certificate.
-
 A caller whose filter fails calls `sos_sign`, which runs 2 first unless
 the determinant is zero by structure: when the rows share their
 homogeneous entry and a coordinate column is constant (a same-slab tie of
@@ -49,14 +36,10 @@ import math
 
 _EPS = float(math.ulp(1.0))  # 2^-52
 
-# Safety constants for the static filter, indexed by matrix size.  For
-# entries of magnitude <= 1 the bound n! * n^2 * 32 * u over-covers both the
-# arithmetic error of an LU-style evaluation and the half-ulp rounding of
-# the input entries.
+# Safety constants for the static filter, indexed by matrix size.  The bound
+# n! * n^2 * 32 * u * M^n over-covers both the arithmetic error of an
+# LU-style evaluation and the half-ulp rounding of the input entries.
 _FILTER_C = {n: 32.0 * math.factorial(n) * n * n * _EPS for n in range(1, 10)}
-# Column scales 2**e of an n-column matrix keep |e| <= _EXP_SPAN // n, so a
-# product of any of them stays within 2**+-900 (`column_power`).
-_EXP_SPAN = 900
 
 
 def det_exact_int(rows) -> int:
@@ -111,61 +94,45 @@ def det_float(rows) -> float:
     a = [list(map(float, row)) for row in rows]
     det = 1.0
     for k in range(n):
-        # The first row of largest magnitude in column k.
-        p = k
-        best = abs(a[k][k])
-        for i in range(k + 1, n):
-            v = abs(a[i][k])
-            if v > best:
-                p, best = i, v
-        if best == 0.0:
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0.0:
             return 0.0
         if p != k:
             a[k], a[p] = a[p], a[k]
             det = -det
-        ak = a[k]
-        det *= ak[k]
-        inv = 1.0 / ak[k]
+        det *= a[k][k]
+        inv = 1.0 / a[k][k]
         for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k] * inv
+            f = a[i][k] * inv
             if f != 0.0:
                 for j in range(k + 1, n):
-                    ai[j] -= f * ak[j]
+                    a[i][j] -= f * a[k][j]
     return det
 
 
-def column_power(m: float, n: int) -> float:
-    """Error-bound scale of a column whose largest magnitude is m in an
-    n-column matrix: the power of two 2**e with 2**(e-1) <= m < 2**e
-    (module docstring).  e is raised to -(_EXP_SPAN // n) if it is
-    smaller, and a larger e (or a non-finite m) gives inf, which certifies
-    nothing."""
-    cap = _EXP_SPAN // n
-    e = math.frexp(m)[1]
-    if e > cap or not m < math.inf:
-        return math.inf
-    return math.ldexp(1.0, max(e, -cap))
-
-
 def certified_sign(value: float, n: int, scale: float) -> int | None:
-    """Sign of `value`, a float evaluation of an n x n determinant, if it
-    exceeds the rounding error bound; else None.  `scale` is the product
-    of the matrix's `column_power`s."""
-    # An infinite value overflowed on the way and certifies nothing; an
-    # infinite scale makes the bound infinite.
-    if _FILTER_C[n] * scale < abs(value) < math.inf:
+    """Sign of `value`, a float evaluation of an n x n determinant whose
+    entries are at most `scale` >= 1 in magnitude, if it exceeds the
+    rounding error bound; else None."""
+    try:
+        bound = _FILTER_C[n] * scale**n
+    except OverflowError:  # no float bound: the exact path decides
+        return None
+    # An infinite value overflowed on the way and certifies nothing.
+    if bound < abs(value) < math.inf:
         return 1 if value > 0 else -1
     return None
 
 
 def filtered_det_sign(rows) -> int | None:
     """Sign of det(rows) if certifiable in double precision, else None."""
-    n = len(rows)
     scale = 1.0
-    for col in zip(*rows):
-        scale *= column_power(max(abs(float(x)) for x in col), n)
-    return certified_sign(det_float(rows), n, scale)
+    for row in rows:
+        for x in row:
+            ax = abs(float(x))
+            if ax > scale:
+                scale = ax
+    return certified_sign(det_float(rows), len(rows), scale)
 
 
 # -- symbolic perturbation ---------------------------------------------------

@@ -265,8 +265,13 @@ def hull_test_clouds():
 
 
 _SIDES_RNG = np.random.default_rng(73)
+# A 4x4 grid translated to 1e5 with spacing 2^-10: cocircular subsets, and
+# lifts (~2e10) that the float rows round.
+_FAR_GRID = [[1e5 + (i + 0.5) / 1024, 1e5 + (j + 0.25) / 1024] for i in range(4) for j in range(4)]
 # Clouds for `sides`: random full-rank ones, integer grids (exact
-# cospherical ties) and mixed magnitudes, by column and by point.
+# cospherical ties), mixed magnitudes, by column and by point, and clouds
+# far from the origin, whose float lifts round by more than their edges:
+# a full-precision ring of radius 2^30 about the origin and _FAR_GRID.
 SIDES_CLOUDS = {
     "uniform2d": _SIDES_RNG.random((15, 2)).tolist(),
     "uniform3d": _SIDES_RNG.random((15, 3)).tolist(),
@@ -274,6 +279,8 @@ SIDES_CLOUDS = {
     "grid3d": [[float(i), float(j), float(k)] for i in range(3) for j in range(3) for k in range(2)],
     "mixed_columns": np.column_stack([_SIDES_RNG.random(15) * 1e-120, _SIDES_RNG.random(15) * 1e60]).tolist(),
     "mixed_points": (_SIDES_RNG.random((15, 2)) * _SIDES_RNG.choice([1e-120, 1e60], (15, 1))).tolist(),
+    "far_ring": [[2.0**30 * math.cos(t), 2.0**30 * math.sin(t)] for t in _SIDES_RNG.random(15) * 2 * math.pi],
+    "far_grid": _FAR_GRID,
 }
 
 _RING = [(5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)]
@@ -282,13 +289,15 @@ _SLAB_RNG = np.random.default_rng(76)
 _T = _SLAB_RNG.random(11)
 # Pairs (X1, X2) for the same-slab ties of `sides`: general position; X1
 # cospherical, where the tie minor is 0 (and the centred ring, whose lift
-# column is constant too); and a collinear X, whose Z is flat.
+# column is constant too), also far from the origin; and a collinear X,
+# whose Z is flat.
 SLAB_PAIRS = {
     "uniform2d": (_SLAB_RNG.random((9, 2)).tolist(), _SLAB_RNG.random((7, 2)).tolist()),
     "uniform3d": (_SLAB_RNG.random((9, 3)).tolist(), _SLAB_RNG.random((7, 3)).tolist()),
     "ring": (_RING, (_SLAB_RNG.random((6, 2)) * 12 - 6).tolist()),
     "ring_shifted": ([(x + 2.0, y + 1.0) for x, y in _RING], (_SLAB_RNG.random((6, 2)) * 12 - 6).tolist()),
     "grid4x4": ([[float(i), float(j)] for i in range(4) for j in range(4)], (_SLAB_RNG.random((6, 2)) * 3).tolist()),
+    "grid_far": (_FAR_GRID, (1e5 + _SLAB_RNG.random((6, 2)) / 256).tolist()),
     "collinear": ([(t, 2 * t) for t in _T[:6]], [(t, 2 * t) for t in _T[6:]]),
 }
 
@@ -375,15 +384,16 @@ class TestHullSpace:
                     ties.update(verts + (q,) for q in queries if (q < n1) == (verts[0] < n1))
         assert ties
         if name.startswith("uniform"):
-            # The tie path decided every tie; they used to reach sos_sign.
+            # The tie path decided every tie.
             assert ties.isdisjoint(decided)
         else:
-            # Cospherical grid ties (zero minors) and the 1e60 clouds, whose
-            # lifts put the float error bound beyond the float range, reach
-            # sos_sign.
+            # Cospherical grid ties (zero minors) reach sos_sign, and so do
+            # the 1e60 clouds, whose lifts put the float error bound beyond
+            # the float range, and the far clouds, whose rows' own rounding
+            # is larger than their determinants.
             assert decided
-        # The filters certified signs too, except with 1e60 coordinates.
-        if not name.startswith("mixed"):
+        # The filters certified signs too, except for those clouds.
+        if not name.startswith(("mixed", "far")):
             assert len(decided) < total
 
     @pytest.mark.parametrize("name", sorted(SLAB_PAIRS))
@@ -417,27 +427,15 @@ class TestHullSpace:
         else:
             assert calls == []
 
-    def test_filters_follow_power_of_two_scales(self, monkeypatch):
-        # Scaling X and s by 2^k scales each float column of the lifted
-        # rows by a power of two, exactly, and each column's error bound
-        # with it: the same tests are certified at every scale.  The random
-        # pair needs no sos_sign at all, ties included.
+    def test_random_pair_needs_no_sos_sign(self, monkeypatch):
+        # The pair of `test_one_float_filter_per_test`: the filters decide
+        # every test, same-slab ties included.
         mod = importlib.import_module("reldelcech.delaunay")
         calls = []
-        monkeypatch.setattr(mod, "sos_sign", lambda rows, ranks: calls.append(tuple(ranks)) or sos_sign(rows, ranks))
+        monkeypatch.setattr(mod, "sos_sign", lambda rows, ranks: calls.append(1) or sos_sign(rows, ranks))
         x = np.random.default_rng(72).random((40, 2)).tolist()
-        grid = [[float(i), float(j)] for i in range(5) for j in range(5)]
-        at_unit_scale = {}
-        for name, pts, n1 in (("random", x, 10), ("grid", grid, 9)):
-            seen = []
-            for scale in (2.0**-20, 1.0, 2.0**20):
-                calls.clear()
-                scaled = [[scale * c for c in p] for p in pts]
-                delaunay(lift(PointCloud(scaled[:n1]), PointCloud(scaled[n1:]), scale).z)
-                seen.append(list(calls))
-            assert seen[0] == seen[1] == seen[2]
-            at_unit_scale[name] = seen[1]
-        assert at_unit_scale["random"] == [] and at_unit_scale["grid"]
+        delaunay(lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z)
+        assert calls == []
 
     def test_clouds_cover_every_rank(self):
         ranks = {len(rational_hull_rows(pts)[0]) - 2 for pts in hull_test_clouds()}
