@@ -161,6 +161,8 @@ def render_svg(b: Barcode) -> str:
 def generate_cloud(kind: str, n: int, d: int, rng: np.random.Generator) -> PointCloud:
     if n < 1:
         raise InputError("need at least one point")
+    if d < 1:
+        raise InputError(f"--dim must be at least 1, got {d}")
     if kind == "uniform-box":
         pts = rng.random((n, d))
     elif kind == "annulus":

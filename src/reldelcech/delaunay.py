@@ -126,8 +126,10 @@ class _HullSpace:
     A zero minor (cospherical slab points) or an uncertified one goes to
     `sos_sign`, so every sign is `sos_sign`'s.
 
-    The vertical test `infdown_sign` is the other predicate; it filters its
-    own determinant and decides the rest exactly, unperturbed.
+    The vertical test `infdown_sign` is the other predicate; it returns 0
+    for a facet with a constant coordinate column (a single-slab facet),
+    filters its own determinant otherwise and decides the rest exactly,
+    unperturbed.
     """
 
     def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]]):
@@ -137,14 +139,23 @@ class _HullSpace:
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
 
     def infdown_sign(self, verts: tuple[int, ...]) -> int:
-        """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical."""
+        """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical.
+
+        A coordinate column c < P - 1 that is constant over the facet's
+        integer rows (the height of a single-slab facet) is a multiple of
+        the homogeneous column on those rows, and both are 0 on the
+        direction row, so the determinant is 0 without evaluating it."""
         p = self.P
+        facet = [self.int_rows[v] for v in verts]
+        first = facet[0]
+        if any(all(row[c] == first[c] for row in facet) for c in range(p - 1)):
+            return 0
         rows_f = [list(self.frows[v]) + [1.0] for v in verts]
         rows_f.append([0.0] * (p - 1) + [-1.0, 0.0])
         s = filtered_det_sign(rows_f)
         if s is not None:
             return s
-        rows_e = [list(self.int_rows[v]) for v in verts]
+        rows_e = [list(row) for row in facet]
         rows_e.append([0] * (p - 1) + [-1, 0])
         return det_sign_exact(rows_e)
 

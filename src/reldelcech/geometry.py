@@ -214,7 +214,7 @@ def _solve_spd(g: list[list[float]], b: list[float]) -> list[float] | None:
     return x
 
 
-def _circumball(support: list[tuple[float, ...]]) -> tuple[tuple[float, ...], float]:
+def circumball(support: list[tuple[float, ...]]) -> tuple[tuple[float, ...], float]:
     """Center and radius of the smallest ball with all of `support` on its
     boundary (their circumball within the affine hull)."""
     q0 = support[0]
@@ -242,7 +242,7 @@ def _welzl(pts: list[tuple[float, ...]], start: int, support: list[tuple[float, 
     Recursion depth is therefore at most dim + 1.
     """
     if support:
-        center, r = _circumball(support)
+        center, r = circumball(support)
     else:
         center, r = None, -1.0
     if len(support) == dim + 1:
@@ -271,5 +271,5 @@ def smallest_enclosing_ball(points) -> Ball:
     _, _, support = _welzl(pts, 0, [], dim)
     # Recompute from the sorted support so that any point set sharing this
     # boundary set gets a bit-identical ball.
-    center, r = _circumball(sorted(support)) if support else ((0.0,) * dim, 0.0)
+    center, r = circumball(sorted(support)) if support else ((0.0,) * dim, 0.0)
     return Ball(Point(center), float(r))

@@ -7,6 +7,12 @@ smallest enclosing ball of its projected (height-dropped) vertices.  The
 resulting filtered complex has size linear in the Delaunay triangulation of
 the lifted set instead of exponential in |X|.
 
+Each ball is taken from the cell's faces where it can be (Bauer &
+Edelsbrunner, "The Morse theory of Cech and Delaunay complexes"): a
+vertex's radius is 0, an edge's ball is the circumball of its pair, and a
+larger cell's is the largest ball among its non-subcomplex facets when that
+ball holds the opposite vertex; only otherwise does Welzl's algorithm run.
+
 The complex does not depend on s > 0, so s is no parameter: `choose_s`
 derives it from the bounding box of the input (see there why any s gives
 the same triangulation).  Filtration values depend only on the projected
@@ -15,11 +21,12 @@ vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .delaunay import Triangulation, delaunay
 from .filtered_complex import Cell, FilteredComplex, build
-from .geometry import InputError, Point, PointCloud, smallest_enclosing_ball
+from .geometry import MEB_TOL, InputError, Point, PointCloud, circumball, smallest_enclosing_ball
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,23 @@ def lift(x1: PointCloud, x2: PointCloud, s: float) -> LiftedConfiguration:
     return LiftedConfiguration(x1, x2, float(s), PointCloud(zpts, dimension=d + 1))
 
 
-def _projected_meb(cfg: LiftedConfiguration, verts: tuple[int, ...]) -> float:
-    return smallest_enclosing_ball([cfg.z[v].coords[:-1] for v in verts]).radius
+def _face_ball(proj, vs: tuple[int, ...], balls) -> tuple[tuple[float, ...], float]:
+    """(center, radius) of the MEB of the projected vertices vs (two or
+    more), from the balls of its facets when one holds the cell
+    (`build_pipeline`)."""
+    if len(vs) == 2:
+        return circumball(sorted([proj[vs[0]], proj[vs[1]]]))
+    best = None
+    for i, v in enumerate(vs):
+        ball = balls.get(vs[:i] + vs[i + 1 :])
+        if ball is not None and (best is None or ball[1] > best[1]):
+            best, opposite = ball, proj[v]
+    if best is not None:
+        center, r = best
+        if math.dist(center, opposite) <= r + MEB_TOL * r:
+            return best
+    ball = smallest_enclosing_ball([proj[v] for v in vs])
+    return ball.center.coords, ball.radius
 
 
 @dataclass
@@ -97,6 +119,19 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     +s with the same vertex indices, so del(X1) serves as del(Z); a second
     triangulation of the flat Z could break cospherical ties differently.
     Raises AssertionError when del(Z) lacks a lifted del(X1) simplex.
+
+    A cell outside the subcomplex is filtered by the smallest enclosing
+    ball (MEB) of its projected vertices, taken from its faces where it can
+    be.  A vertex's radius is 0 and an edge's MEB is the circumball of its
+    sorted pair, the ball Welzl would return.  A larger cell sigma
+    takes the largest ball among its facets outside the subcomplex when
+    that ball contains the vertex of sigma opposite the facet (Welzl's
+    containment test); otherwise Welzl runs on sigma.  This is exact: the
+    MEB is unique, so a facet's MEB that contains sigma is sigma's MEB and
+    has the largest radius of the facets' MEBs; and a facet that shares
+    sigma's support gets a bit-identical ball, since
+    `smallest_enclosing_ball` recomputes it from the sorted support.  Each
+    value is then raised to its faces' values (the monotone guard).
     """
     if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
         raise InputError("ambient dimension must be at most 3")
@@ -106,19 +141,20 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     cfg = lift(x1, x2, choose_s(x1, x2))
     tri = delaunay(cfg.z) if len(x2) else tri1
     n1 = len(x1)
+    proj = [p.coords[:-1] for p in cfg.z]
     values: dict[tuple[int, ...], float] = {}
+    balls: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
     cells = []
-    # tri.simplices() yields faces before cofaces, so every face value is
-    # known when its coface is filtered.
+    # tri.simplices() yields faces before cofaces, so every face value and
+    # ball is known when its coface is filtered.
     for simp in tri.simplices():
         vs = simp.vertices
         sub = vs[-1] < n1
         value = 0.0
-        if not sub:
-            value = _projected_meb(cfg, vs)
-            if len(vs) > 1:
-                # Same geometry as the faces, but guard against sub-ulp float noise.
-                value = max(value, max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
+        if not sub and len(vs) > 1:
+            ball = balls[vs] = _face_ball(proj, vs, balls)
+            # Same geometry as the faces, but guard against sub-ulp float noise.
+            value = max(ball[1], max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
         values[vs] = value
         cells.append(Cell(simp, value, sub))
     if tri1 is not None:

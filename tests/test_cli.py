@@ -244,6 +244,14 @@ class TestBench:
         assert main(["bench", "--sizes", "10", "--dim", "3", "--generator", "annulus"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_bad_dim_exit_2(self, dim):
+        # In a subprocess with a timeout: a generator that never fills an
+        # (n, 0) array must fail the test, not hang the suite.
+        proc = run_cli("bench", "--sizes", "5", "--dim", dim, timeout=60)
+        assert proc.returncode == 2
+        assert "--dim" in proc.stderr
+
 
 class TestRenderSvg:
     def test_contains_markers_and_rail(self):
@@ -257,8 +265,9 @@ class TestRenderSvg:
         assert svg.startswith("<svg")
 
 
-def run_cli(*args):
-    """`python -m reldelcech.cli`, importing the package these tests import."""
+def run_cli(*args, timeout=None):
+    """`python -m reldelcech.cli`, importing the package these tests import;
+    raises subprocess.TimeoutExpired after `timeout` seconds."""
     src = os.path.dirname(os.path.dirname(reldelcech.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -266,6 +275,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 

@@ -327,9 +327,11 @@ class TestHullSpace:
         # `sides` call, which filters each test once (through the facet's
         # cofactors, or a same-slab tie's minor) and goes to sos_sign
         # directly; only the vertical tests (infdown_sign) run
-        # filtered_det_sign, once each.
+        # filtered_det_sign, once each, except the structural zeros: a
+        # facet with a constant coordinate column below the lift column
+        # is vertical without a determinant.
         mod = importlib.import_module("reldelcech.delaunay")
-        counts = {"filter": 0, "facet": 0, "vertical": 0, "sides": 0}
+        counts = {"filter": 0, "facet": 0, "vertical": 0, "sides": 0, "zeros": 0}
 
         def counting(key, fn):
             def wrapped(*args):
@@ -338,15 +340,25 @@ class TestHullSpace:
 
             return wrapped
 
+        real_vertical = mod._HullSpace.infdown_sign
+
+        def vertical(space, verts):
+            facet = [space.int_rows[v] for v in verts]
+            s = real_vertical(space, verts)
+            if any(len({row[c] for row in facet}) == 1 for c in range(space.P - 1)):
+                counts["zeros"] += 1
+                assert s == 0
+            return s
+
         monkeypatch.setattr(mod, "filtered_det_sign", counting("filter", mod.filtered_det_sign))
         monkeypatch.setattr(mod._Hull, "_add_facet", counting("facet", mod._Hull._add_facet))
-        monkeypatch.setattr(mod._HullSpace, "infdown_sign", counting("vertical", mod._HullSpace.infdown_sign))
+        monkeypatch.setattr(mod._HullSpace, "infdown_sign", counting("vertical", vertical))
         monkeypatch.setattr(mod._HullSpace, "sides", counting("sides", mod._HullSpace.sides))
         x = np.random.default_rng(72).random((40, 2)).tolist()
         delaunay(lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z)
-        assert counts["facet"] > 0 and counts["vertical"] > 0
+        assert counts["facet"] > 0 and counts["vertical"] > counts["zeros"] > 0
         assert counts["sides"] == counts["facet"]
-        assert counts["filter"] == counts["vertical"]
+        assert counts["filter"] == counts["vertical"] - counts["zeros"]
 
     @pytest.mark.parametrize("name", sorted(SIDES_CLOUDS))
     def test_sides_match_sos_sign(self, name, monkeypatch):

@@ -126,9 +126,9 @@ class TestInSphere:
             pts = [tuple(rng.uniform(-1, 1) for _ in range(m)) for _ in range(m + 1)]
             if orientation(pts) == 0:
                 continue
-            from reldelcech.geometry import _circumball
+            from reldelcech.geometry import circumball
 
-            center, r = _circumball(sorted(pts))
+            center, r = circumball(sorted(pts))
             q = tuple(rng.uniform(-1.5, 1.5) for _ in range(m))
             d = math.dist(center, q)
             if abs(d - r) < 1e-9:

@@ -68,15 +68,19 @@ def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, counting)
-    # A random pair, and an integer grid pair whose cocircular ties only
-    # sos_sign decides.
+    # A random pair, an integer grid pair whose cocircular ties only
+    # sos_sign decides, and the 3x4 grid with A = {0, 4, 5, 6}, whose flat
+    # mixed-slab facets need exact vertical tests.
     rng = np.random.default_rng(74)
     grid = [(float(i), float(j)) for i in range(4) for j in range(4)]
-    for name, xy in (("random", rng.random((40, 2)).tolist()), ("grid", grid)):
+    pairs = [("random", rng.random((40, 2)).tolist(), None), ("grid", grid, None)]
+    pairs.append(("repro", [(float(i), float(j)) for i in range(3) for j in range(4)], [0, 4, 5, 6]))
+    for name, xy, a in pairs:
         pts = tmp_path / f"{name}.csv"
         pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in xy))
         sub = tmp_path / f"{name}-a.txt"
-        a = sorted(rng.choice(len(xy), size=len(xy) // 4, replace=False).tolist())
+        if a is None:
+            a = sorted(rng.choice(len(xy), size=len(xy) // 4, replace=False).tolist())
         sub.write_text("".join(f"{i}\n" for i in a))
         assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
         capsys.readouterr()

@@ -8,7 +8,7 @@ from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes
 from reldelcech.delaunay import Triangulation, delaunay
 from reldelcech.filtered_complex import dumps
-from reldelcech.geometry import InputError, PointCloud
+from reldelcech.geometry import InputError, PointCloud, smallest_enclosing_ball
 from reldelcech.persistence import barcode
 from reldelcech.relative_lift import (
     build_pipeline,
@@ -288,6 +288,60 @@ class TestSInvariance:
             y2 = PointCloud(pts2[perm2].tolist())
             alt = barcode(build_pipeline(y1, y2).complex, relative=True, max_dim=d)
             assert compare_barcodes(base, alt, tol=1e-9).matched
+
+
+def filtration_clouds():
+    """Named clouds for the face rule of the filtration: general position
+    in d = 1..3, integer grids (cospherical supports), an exactly
+    cocircular ring, a collinear set, and clouds far from unit scale."""
+    rng = np.random.default_rng(81)
+    out = [(f"random d={d}", rng.random((n, d)).tolist()) for d, n in ((1, 9), (2, 14), (3, 12))]
+    for shape in ((4, 4), (6, 5), (3, 3, 2), (4, 4, 4)):
+        out.append((f"grid {shape}", [[float(c) for c in p] for p in np.ndindex(*shape)]))
+    out.append(("ring", RING))
+    out.append(("collinear", [[t, 0.5 * t - 1.0] for t in rng.random(8).tolist()]))
+    out.append(("scaled 1e-8", (1e-8 * rng.random((12, 2))).tolist()))
+    out.append(("translated 1e5", (1e5 + rng.random((12, 2))).tolist()))
+    out.append(("far grid", [[1e5 + i * 2.0**-10, 1e5 + j * 2.0**-10] for i in range(4) for j in range(4)]))
+    return out
+
+
+class TestFiltration:
+    def test_values_match_welzl_per_cell(self):
+        # Every non-subcomplex cell's value is Welzl's radius of its
+        # projected vertices, raised to its faces' values: the face rule
+        # changes how the ball is found, never the value.
+        rng = np.random.default_rng(82)
+        checked = 0
+        for name, pts in filtration_clouds():
+            x = PointCloud(pts)
+            for _ in range(6):
+                a = set(rng.choice(len(x), size=int(rng.integers(1, len(x))), replace=False).tolist())
+                x1, x2 = cli.split_pair(x, a)
+                pipe = build_pipeline(x1, x2)
+                values = {c.simplex.vertices: c.value for c in pipe.complex.cells}
+                for c in pipe.complex.cells:
+                    if c.in_subcomplex:
+                        continue
+                    vs = c.simplex.vertices
+                    want = smallest_enclosing_ball([pipe.cfg.z[v].coords[:-1] for v in vs]).radius
+                    if len(vs) > 1:
+                        want = max(want, max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
+                    assert c.value == want, (name, sorted(a), vs)
+                    checked += 1
+        assert checked > 10000
+
+    @pytest.mark.parametrize("d, n", [(2, 60), (3, 30)])
+    def test_face_balls_replace_most_welzl_calls(self, d, n, monkeypatch):
+        # At most cells a facet's ball holds the opposite vertex, so Welzl
+        # runs for fewer than half of the cells it filters.
+        calls = []
+        real = relative_lift.smallest_enclosing_ball
+        monkeypatch.setattr(relative_lift, "smallest_enclosing_ball", lambda pts: calls.append(1) or real(pts))
+        x = PointCloud(np.random.default_rng(83).random((n, d)).tolist())
+        pipe = build_pipeline(*cli.split_pair(x, set(range(0, n, 4))))
+        cells = sum(not c.in_subcomplex for c in pipe.complex.cells)
+        assert 0 < len(calls) < cells / 2
 
 
 class TestVerifyEmbedding:
