@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
     certified_sign,
+    cofactors,
     det_exact_int,
-    det_float,
     det_sign_exact,
     exact_ints,
     filtered_det_sign,
@@ -48,16 +48,24 @@ class Simplex:
             raise InputError(f"simplex vertices must be strictly increasing: {vs}")
         object.__setattr__(self, "vertices", vs)
 
+    @classmethod
+    def _of(cls, vs: tuple[int, ...]) -> "Simplex":
+        """Wrap a tuple already known to be a valid simplex, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "vertices", vs)
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
 
     def boundary(self) -> list["Simplex"]:
-        """Codimension-1 faces, in lexicographic order."""
-        if self.dim == 0:
-            return []
+        """Codimension-1 faces, in lexicographic order: dropping a later
+        vertex leaves a smaller tuple."""
         vs = self.vertices
-        return sorted(Simplex(vs[:i] + vs[i + 1 :]) for i in range(len(vs)))
+        if len(vs) == 1:
+            return []
+        return [Simplex._of(vs[:i] + vs[i + 1 :]) for i in range(len(vs) - 1, -1, -1)]
 
     def __iter__(self):
         return iter(self.vertices)
@@ -204,7 +212,7 @@ class _Orientation:
     of R^k and a query x: det[[u_0, 1], ..., [u_{k-1}, 1], [x, 1]] is
     (-1)^k det(u_1 - u_0, ..., u_{k-1} - u_0, x - u_0), and that edge
     determinant is the dot product of x - u_0 with the cofactors of its
-    last row, computed once.
+    last row, computed once by `predicates.cofactors`.
 
     The float rows are rounded to half an ulp of their own magnitude, and
     an edge entry inherits the error of both of its rows: far from the
@@ -216,13 +224,9 @@ class _Orientation:
         base = pts[0]
         k = len(base)
         block = [[a - b for a, b in zip(u, base)] for u in pts[1:]]
-        cof = []
-        for c in range(k):
-            d = det_float([row[:c] + row[c + 1 :] for row in block])
-            cof.append(-d if (k - 1 + c) % 2 else d)
         self.k = k
         self.base = base
-        self.cof = cof
+        self.cof = cofactors(block)
         self.scale = max([1.0, size] + [abs(x) for row in block for x in row])
         self.homog = -1 if k % 2 else 1
 
@@ -333,13 +337,12 @@ class Triangulation:
         self.top_simplices: tuple[Simplex, ...] = tuple(sorted(tops))
         self.top_dim = top_dim
         self._space = space
-        by_dim: dict[int, set[Simplex]] = {d: set() for d in range(top_dim + 1)}
+        by_dim: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(top_dim + 1)}
         for top in self.top_simplices:
             for k in range(1, len(top.vertices) + 1):
-                for comb in itertools.combinations(top.vertices, k):
-                    by_dim[k - 1].add(Simplex(comb))
+                by_dim[k - 1].update(itertools.combinations(top.vertices, k))
         self.simplices_by_dim: dict[int, tuple[Simplex, ...]] = {
-            d: tuple(sorted(s)) for d, s in by_dim.items()
+            d: tuple(map(Simplex._of, sorted(s))) for d, s in by_dim.items()
         }
 
     def simplices(self):

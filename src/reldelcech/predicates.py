@@ -6,9 +6,11 @@ shift.  From fast to slow:
 
 1. a static floating-point filter that certifies the sign of a float
    determinant whenever its magnitude safely exceeds a rounding error
-   bound.  `certified_sign` is the one rule; `filtered_det_sign` applies
-   it to `det_float`, and callers with their own float evaluation (a dot
-   product with cofactors) apply it directly,
+   bound.  `certified_sign` is the one rule.  Every float determinant is
+   a dot product of its last row with the cofactors of the others
+   (`cofactors`, a Laplace expansion that shares minors):
+   `filtered_det_sign` evaluates one, and the lifted hull reuses one
+   facet's cofactors for many last rows,
 2. the exact integer determinant (`det_exact_int`, fraction-free Bareiss),
 3. a symbolic perturbation (`sos_sign`) that resolves exact zeros by moving
    every row onto a moment curve with a per-row infinitesimal, ordered by a
@@ -32,13 +34,22 @@ optional lift coordinate and a homogeneous 0/1 entry.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 _EPS = float(math.ulp(1.0))  # 2^-52
 
 # Safety constants for the static filter, indexed by matrix size.  The bound
-# n! * n^2 * 32 * u * M^n over-covers both the arithmetic error of an
-# LU-style evaluation and the half-ulp rounding of the input entries.
+# n! * n^2 * 32 * eps * M^n over-covers both the arithmetic error of the
+# Laplace expansion (`cofactors`) and the half-ulp rounding of the input
+# entries.  The expansion sums n! terms, each a product of n entries of
+# magnitude at most M.  A term meets one rounded product per level and, in
+# a sum of r minors, at most r - 1 rounded additions, so at most
+# 2 + 3 + ... + n = n(n+1)/2 - 1 roundings in all.  The arithmetic error is
+# then at most gamma_(n(n+1)/2) * n! * M^n < n(n+1)/4 * eps * n! * M^n
+# (gamma_m = m u / (1 - m u), u = eps/2), more than 64 times below the
+# bound; the rest covers the rounding of the entries themselves.
 _FILTER_C = {n: 32.0 * math.factorial(n) * n * n * _EPS for n in range(1, 10)}
 
 
@@ -88,26 +99,58 @@ def exact_ints(values) -> tuple[list[int], int]:
     return [num << (k - den.bit_length() + 1) for num, den in ratios], k
 
 
-def det_float(rows) -> float:
-    """Plain Gaussian elimination with partial pivoting, floats."""
-    n = len(rows)
-    a = [list(map(float, row)) for row in rows]
-    det = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if a[p][k] == 0.0:
-            return 0.0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1.0 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f != 0.0:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+@functools.cache
+def _expansion_plan(k: int):
+    """Index plan of `cofactors` for a (k-1) x k block.
+
+    Level r holds the minors of the block's last r rows, one for every
+    r-subset of columns in `itertools.combinations` order; level 1 is the
+    last row itself.  Each level is (row, terms): a minor of level r
+    expands along that row, the first of its rows, into (column, index of
+    the level r-1 minor without that column) pairs of alternating sign,
+    kept apart as (positive, negative).  `top[j]` is the index of the
+    minor without column j on the last level."""
+    index = {(c,): c for c in range(k)}
+    levels = []
+    for r in range(2, k):
+        nxt = {}
+        terms = []
+        for cols in itertools.combinations(range(k), r):
+            nxt[cols] = len(terms)
+            pairs = [(c, index[cols[:t] + cols[t + 1 :]]) for t, c in enumerate(cols)]
+            terms.append((tuple(pairs[0::2]), tuple(pairs[1::2])))
+        levels.append((k - 1 - r, tuple(terms)))
+        index = nxt
+    top = tuple(index[tuple(c for c in range(k) if c != j)] for j in range(k))
+    return tuple(levels), top
+
+
+def cofactors(block) -> list[float]:
+    """Cofactors of a last row under a (k-1) x k float block: c_j is
+    (-1)^(k-1+j) det(block without column j), so the determinant of the
+    block with a row x appended is sum(x_j c_j).
+
+    One Laplace expansion computes all k: the minors of the last rows are
+    shared between the cofactors (`_expansion_plan`), the sum over
+    r = 2..k-1 of C(k, r) r multiply-adds for all of them (70 for k = 5).
+    The error bound is `_FILTER_C`'s."""
+    if not block:
+        return [1.0]
+    k = len(block[0])
+    levels, top = _expansion_plan(k)
+    minors = block[-1]
+    for r, terms in levels:
+        row = block[r]
+        level = []
+        for pos, neg in terms:
+            v = 0.0
+            for c, i in pos:
+                v += row[c] * minors[i]
+            for c, i in neg:
+                v -= row[c] * minors[i]
+            level.append(v)
+        minors = level
+    return [-minors[i] if (k - 1 + j) % 2 else minors[i] for j, i in enumerate(top)]
 
 
 def certified_sign(value: float, n: int, scale: float) -> int | None:
@@ -126,13 +169,10 @@ def certified_sign(value: float, n: int, scale: float) -> int | None:
 
 def filtered_det_sign(rows) -> int | None:
     """Sign of det(rows) if certifiable in double precision, else None."""
-    scale = 1.0
-    for row in rows:
-        for x in row:
-            ax = abs(float(x))
-            if ax > scale:
-                scale = ax
-    return certified_sign(det_float(rows), len(rows), scale)
+    rows = [[float(x) for x in row] for row in rows]
+    scale = max([1.0] + [abs(x) for row in rows for x in row])
+    value = sum(x * c for x, c in zip(rows[-1], cofactors(rows[:-1])))
+    return certified_sign(value, len(rows), scale)
 
 
 # -- symbolic perturbation ---------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from reldelcech.delaunay import Simplex, delaunay
 from reldelcech.geometry import InputError, PointCloud
 from reldelcech.predicates import sos_sign
-from reldelcech.relative_lift import lift
+from reldelcech.relative_lift import build_pipeline, lift
 
 
 def random_cloud(rng, n, d, low=0.0, high=1.0):
@@ -31,6 +31,19 @@ class TestSimplex:
         assert [f.vertices for f in s.boundary()] == [(0, 2), (0, 5), (2, 5)]
         assert s.dim == 2
         assert Simplex((3,)).boundary() == []
+
+    def test_boundary_equals_validated_faces(self):
+        # boundary() wraps its faces unchecked; they must be the simplices
+        # that validation builds, in lexicographic order.
+        rng = np.random.default_rng(75)
+        for _ in range(300):
+            k = int(rng.integers(1, 8))
+            s = Simplex(sorted(rng.choice(40, size=k, replace=False).tolist()))
+            got = s.boundary()
+            vs = s.vertices
+            want = sorted(Simplex(vs[:i] + vs[i + 1 :]) for i in range(k)) if k > 1 else []
+            assert got == want
+            assert [hash(f) for f in got] == [hash(f) for f in want]
 
 
 class TestSmallClouds:
@@ -359,6 +372,30 @@ class TestHullSpace:
         assert counts["facet"] > 0 and counts["vertical"] > counts["zeros"] > 0
         assert counts["sides"] == counts["facet"]
         assert counts["filter"] == counts["vertical"] - counts["zeros"]
+
+    def test_one_expansion_per_orientation(self, monkeypatch):
+        # Each facet orientation gets all of its cofactors from one
+        # `cofactors` call, not one evaluation per column.
+        mod = importlib.import_module("reldelcech.delaunay")
+        counts = {"cofactors": 0, "orientation": 0}
+        real_cofactors, real_init = mod.cofactors, mod._Orientation.__init__
+
+        def cofactors(block):
+            counts["cofactors"] += 1
+            return real_cofactors(block)
+
+        def init(self, *args):
+            counts["orientation"] += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(mod, "cofactors", cofactors)
+        monkeypatch.setattr(mod._Orientation, "__init__", init)
+        rng = np.random.default_rng(76)
+        for n, d in [(40, 2), (24, 3)]:
+            x = rng.random((n, d)).tolist()
+            build_pipeline(PointCloud(x[: n // 4]), PointCloud(x[n // 4 :]))
+        assert counts["orientation"] > 0
+        assert counts["cofactors"] == counts["orientation"]
 
     @pytest.mark.parametrize("name", sorted(SIDES_CLOUDS))
     def test_sides_match_sos_sign(self, name, monkeypatch):

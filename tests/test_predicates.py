@@ -7,6 +7,7 @@ import pytest
 from _oracles import minor_expansion_det, sos_assignment_order
 from reldelcech.predicates import (
     _injections,
+    cofactors,
     det_exact_int,
     det_sign_exact,
     exact_ints,
@@ -58,6 +59,53 @@ def test_filtered_sign_never_contradicts_exact():
             certain += 1
             assert s == exact_sign(m)
     assert certain > checked // 2  # the filter must actually decide things
+
+
+def test_cofactors_exact_on_small_integers():
+    # Products and sums of small integers are exact in floats, so the
+    # expansion must give the exact minors and determinant.
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = [[float(x) for x in row] for row in rand_matrix(rng, n, scale=3)]
+        cof = cofactors(m[:-1])
+        assert len(cof) == n
+        for j, c in enumerate(cof):
+            minor = [row[:j] + row[j + 1 :] for row in m[:-1]]
+            assert c == (-1) ** (n - 1 + j) * minor_expansion_det(minor)
+        det = minor_expansion_det(m)
+        assert sum(x * c for x, c in zip(m[-1], cof)) == det
+        assert filtered_det_sign(m) == (exact_sign(m) or None)
+
+
+def lifted_rows(rng, n, shift):
+    """n homogeneous rows (x, |x|^2, 1) with x in R^(n-2) near `shift`."""
+    rows = []
+    for _ in range(n):
+        x = [shift + rng.uniform(-1, 1) for _ in range(n - 2)]
+        rows.append(x + [sum(v * v for v in x), 1.0])
+    return rows
+
+
+def test_filtered_sign_sound_on_lifted_rows():
+    # Rows shaped like the lifted hull's: coordinates ~x, lifts ~|x|^2,
+    # translated up to 1e5, and near-singular copies with 1e-12 noise.
+    rng = random.Random(10)
+    checked = certain = 0
+    for _ in range(3000):
+        n = rng.randint(2, 7)
+        shift = rng.choice([0.0, 0.0, 1.0, 1e3, 1e5]) * rng.choice([-1, 1])
+        m = lifted_rows(rng, n, shift) if n > 2 else [[rng.uniform(-1, 1), 1.0] for _ in range(2)]
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            m[i] = [x + rng.uniform(-1e-12, 1e-12) * max(1.0, abs(x)) for x in m[j][:-1]] + [1.0]
+        s = filtered_det_sign(m)
+        checked += 1
+        if s is not None:
+            certain += 1
+            cols = [exact_ints(col)[0] for col in zip(*m)]
+            assert s == det_sign_exact([list(row) for row in zip(*cols)])
+    assert certain > checked // 4
 
 
 # -- symbolic perturbation -----------------------------------------------------
