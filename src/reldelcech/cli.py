@@ -159,27 +159,39 @@ def render_svg(b: Barcode) -> str:
 
 
 def generate_cloud(kind: str, n: int, d: int, rng: np.random.Generator) -> PointCloud:
+    """n distinct points drawn from the generator `kind`; a draw that
+    repeats a point is topped up from the same generator."""
     if n < 1:
         raise InputError("need at least one point")
     if d < 1:
         raise InputError(f"--dim must be at least 1, got {d}")
     if kind == "uniform-box":
-        pts = rng.random((n, d))
+
+        def draw(m):
+            return rng.random((m, d))
+
     elif kind == "annulus":
         if d != 2:
             raise InputError("annulus generator requires d=2")
-        r = np.sqrt(rng.uniform(1.0, 1.5**2, n))
-        theta = rng.uniform(0.0, 2 * math.pi, n)
-        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+        def draw(m):
+            r = np.sqrt(rng.uniform(1.0, 1.5**2, m))
+            theta = rng.uniform(0.0, 2 * math.pi, m)
+            return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
     elif kind == "sphere":
-        g = rng.normal(size=(n, d))
-        pts = g / np.linalg.norm(g, axis=1, keepdims=True)
+        if d == 1 and n > 2:
+            raise InputError(f"the sphere generator in d=1 has only 2 points, asked for {n}")
+
+        def draw(m):
+            g = rng.normal(size=(m, d))
+            return g / np.linalg.norm(g, axis=1, keepdims=True)
+
     else:
         raise InputError(f"unknown generator '{kind}'")
-    pts = np.unique(pts, axis=0)
-    while len(pts) < n:  # duplicate collision is ~impossible with float64
-        extra = rng.random((n - len(pts), d))
-        pts = np.unique(np.vstack([pts, extra]), axis=0)
+    pts = np.unique(draw(n), axis=0)
+    while len(pts) < n:  # a repeat is ~impossible with float64, except on the 0-sphere
+        pts = np.unique(np.vstack([pts, draw(n - len(pts))]), axis=0)
     return PointCloud(pts[:n].tolist())
 
 

@@ -60,18 +60,22 @@ class Simplex:
         return len(self.vertices) - 1
 
     def boundary(self) -> list["Simplex"]:
-        """Codimension-1 faces, in lexicographic order: dropping a later
-        vertex leaves a smaller tuple."""
-        vs = self.vertices
-        if len(vs) == 1:
-            return []
-        return [Simplex._of(vs[:i] + vs[i + 1 :]) for i in range(len(vs) - 1, -1, -1)]
+        """Codimension-1 faces, in lexicographic order (`face_tuples`)."""
+        return [Simplex._of(f) for f in face_tuples(self.vertices)]
 
     def __iter__(self):
         return iter(self.vertices)
 
     def __len__(self):
         return len(self.vertices)
+
+
+def face_tuples(vs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Vertex tuples of the codimension-1 faces of the simplex vs, in
+    lexicographic order: dropping a later vertex leaves a smaller tuple."""
+    if len(vs) == 1:
+        return []
+    return [vs[:i] + vs[i + 1 :] for i in range(len(vs) - 1, -1, -1)]
 
 
 # -- exact affine-hull coordinates --------------------------------------------
@@ -155,8 +159,7 @@ class _HullSpace:
         direction row, so the determinant is 0 without evaluating it."""
         p = self.P
         facet = [self.int_rows[v] for v in verts]
-        first = facet[0]
-        if any(all(row[c] == first[c] for row in facet) for c in range(p - 1)):
+        if _constant_columns(facet, p - 1):
             return 0
         rows_f = [list(self.frows[v]) + [1.0] for v in verts]
         rows_f.append([0.0] * (p - 1) + [-1.0, 0.0])
@@ -199,11 +202,15 @@ class _HullSpace:
         return out
 
 
+def _constant_columns(facet, limit: int) -> list[int]:
+    """The columns c < limit that are constant over the facet's rows."""
+    return [c for c, col in zip(range(limit), zip(*facet)) if col.count(col[0]) == len(col)]
+
+
 def _tie_column(facet, p: int) -> int | None:
     """The coordinate column that is constant over the facet's integer
     rows, when there is exactly one; else None."""
-    first = facet[0]
-    const = [c for c in range(p) if all(row[c] == first[c] for row in facet)]
+    const = _constant_columns(facet, p)
     return const[0] if len(const) == 1 else None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .delaunay import Simplex
+from .delaunay import Simplex, face_tuples
 from .geometry import InputError
 
 
@@ -29,30 +29,30 @@ class FilteredComplex:
             if not isinstance(s, Simplex):
                 s = Simplex(s)
             norm.append(Cell(s, float(v), bool(sub)))
-        index = {}
-        for i, c in enumerate(norm):
-            if c.simplex in index:
-                raise InputError(f"duplicate cell {c.simplex.vertices}")
-            index[c.simplex] = i
+        # Cells are indexed by their vertex tuples, faces by `face_tuples`.
+        index: dict[tuple[int, ...], Cell] = {}
         for c in norm:
+            vs = c.simplex.vertices
+            if vs in index:
+                raise InputError(f"duplicate cell {vs}")
+            index[vs] = c
+        for c in norm:
+            vs = c.simplex.vertices
             if math.isnan(c.value) or c.value < 0:
-                raise InputError(f"negative or NaN filtration value on {c.simplex.vertices}")
+                raise InputError(f"negative or NaN filtration value on {vs}")
             if c.in_subcomplex and c.value != 0:
-                raise InputError(f"subcomplex cell {c.simplex.vertices} must have value 0")
-            for f in c.simplex.boundary():
-                j = index.get(f)
-                if j is None:
-                    raise InputError(f"missing face {f.vertices} of {c.simplex.vertices}")
-                face = norm[j]
+                raise InputError(f"subcomplex cell {vs} must have value 0")
+            for f in face_tuples(vs):
+                face = index.get(f)
+                if face is None:
+                    raise InputError(f"missing face {f} of {vs}")
                 if face.value > c.value:
                     raise InputError(
-                        f"non-monotone filtration: face {f.vertices}@{face.value} "
-                        f"above coface {c.simplex.vertices}@{c.value}"
+                        f"non-monotone filtration: face {f}@{face.value} "
+                        f"above coface {vs}@{c.value}"
                     )
                 if c.in_subcomplex and not face.in_subcomplex:
-                    raise InputError(
-                        f"subcomplex not closed: face {f.vertices} of {c.simplex.vertices}"
-                    )
+                    raise InputError(f"subcomplex not closed: face {f} of {vs}")
         self.cells: tuple[Cell, ...] = tuple(norm)
         self.vertex_count = max((c.simplex.vertices[-1] for c in norm), default=-1) + 1
 
@@ -68,15 +68,8 @@ class FilteredComplex:
         This is a linear extension of the face partial order, as required by
         the boundary-matrix reduction.
         """
-        return sorted(
-            range(len(self.cells)),
-            key=lambda i: (
-                not self.cells[i].in_subcomplex,
-                self.cells[i].value,
-                self.cells[i].simplex.dim,
-                self.cells[i].simplex.vertices,
-            ),
-        )
+        keys = [(not c.in_subcomplex, c.value, len(c.simplex.vertices), c.simplex.vertices) for c in self.cells]
+        return sorted(range(len(keys)), key=keys.__getitem__)
 
     def euler_characteristic(self, t: float) -> int:
         chi = 0

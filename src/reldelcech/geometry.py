@@ -117,7 +117,12 @@ class Ball:
             raise InputError("negative radius")
 
     def contains(self, p) -> bool:
-        return math.dist(self.center.coords, _coords(p)) <= self.radius + MEB_TOL * self.radius
+        return in_ball(self.center.coords, self.radius, _coords(p))
+
+
+def in_ball(center: tuple[float, ...], r: float, p: tuple[float, ...]) -> bool:
+    """Whether p lies in the ball (center, r), up to MEB_TOL relative to r."""
+    return math.dist(center, p) <= r + MEB_TOL * r
 
 
 def _int_points(pts) -> list[list[int]]:
@@ -217,20 +222,32 @@ def _solve_spd(g: list[list[float]], b: list[float]) -> list[float] | None:
 def circumball(support: list[tuple[float, ...]]) -> tuple[tuple[float, ...], float]:
     """Center and radius of the smallest ball with all of `support` on its
     boundary (their circumball within the affine hull)."""
+    center, r, _ = circumball_weights(support)
+    return center, r
+
+
+def circumball_weights(support: list[tuple[float, ...]]):
+    """`circumball` and the barycentric weights of its center with respect
+    to `support`, one per point (the center is their weighted sum; they sum
+    to 1).  The weights are None when the support is affinely dependent,
+    where the center comes from a least-squares solve instead."""
     q0 = support[0]
     if len(support) == 1:
-        return q0, 0.0
+        return q0, 0.0, [1.0]
     dim = len(q0)
     u = [[s[c] - q0[c] for c in range(dim)] for s in support[1:]]
     k = len(u)
     g = [[sum(u[i][c] * u[j][c] for c in range(dim)) for j in range(k)] for i in range(k)]
     b = [0.5 * g[i][i] for i in range(k)]
     alpha = _solve_spd([row[:] for row in g], b)
+    weights = None
     if alpha is None:  # affinely dependent support
         alpha = np.linalg.lstsq(np.array(g), np.array(b), rcond=None)[0].tolist()
+    else:
+        weights = [1.0 - sum(alpha)] + alpha
     center = tuple(q0[c] + sum(alpha[i] * u[i][c] for i in range(k)) for c in range(dim))
     r = max(math.dist(center, s) for s in support)
-    return center, r
+    return center, r, weights
 
 
 def _welzl(pts: list[tuple[float, ...]], start: int, support: list[tuple[float, ...]], dim: int):
@@ -250,7 +267,7 @@ def _welzl(pts: list[tuple[float, ...]], start: int, support: list[tuple[float, 
     sup = support
     for i in range(len(pts) - 1, start - 1, -1):
         p = pts[i]
-        if center is None or not math.dist(center, p) <= r + MEB_TOL * r:
+        if center is None or not in_ball(center, r, p):
             center, r, sup = _welzl(pts, i + 1, support + [p], dim)
     return center, r, sup
 

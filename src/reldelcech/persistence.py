@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .delaunay import face_tuples
 from .filtered_complex import Cell, FilteredComplex
 from .geometry import InputError
 
@@ -45,11 +46,11 @@ def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None 
         order = c.canonical_order()
     selected = [i for i in order if not (relative and c.cells[i].in_subcomplex)]
     cells = [c.cells[i] for i in selected]
-    pos = {cell.simplex: j for j, cell in enumerate(cells)}
+    pos = {cell.simplex.vertices: j for j, cell in enumerate(cells)}
     columns = []
     for j, cell in enumerate(cells):
         col = []
-        for f in cell.simplex.boundary():
+        for f in face_tuples(cell.simplex.vertices):
             row = pos.get(f)
             if row is not None:
                 if row >= j:

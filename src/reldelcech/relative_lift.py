@@ -7,11 +7,17 @@ smallest enclosing ball of its projected (height-dropped) vertices.  The
 resulting filtered complex has size linear in the Delaunay triangulation of
 the lifted set instead of exponential in |X|.
 
-Each ball is taken from the cell's faces where it can be (Bauer &
+Each ball is taken from the cell's faces or from the cell itself (Bauer &
 Edelsbrunner, "The Morse theory of Cech and Delaunay complexes"): a
 vertex's radius is 0, an edge's ball is the circumball of its pair, and a
-larger cell's is the largest ball among its non-subcomplex facets when that
-ball holds the opposite vertex; only otherwise does Welzl's algorithm run.
+larger cell's is the largest ball among its facets when that ball holds
+the opposite vertex, else the cell's own circumball when its center lies
+inside the cell.  This is exact: the MEB is the circumball of a support
+S of the cell whose center lies in conv(S).  If S is a proper subset, a
+facet containing S has the MEB as its own, and that is the largest facet
+ball; if S is the whole cell, the circumcenter is interior.  Welzl's
+algorithm runs only for a cell whose vertices are affinely dependent or
+whose circumcenter is too close to its boundary to tell (`_INTERIOR`).
 
 The complex does not depend on s > 0, so s is no parameter: `choose_s`
 derives it from the bounding box of the input (see there why any s gives
@@ -21,12 +27,19 @@ vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .delaunay import Triangulation, delaunay
+from .delaunay import Triangulation, delaunay, face_tuples
 from .filtered_complex import Cell, FilteredComplex, build
-from .geometry import MEB_TOL, InputError, Point, PointCloud, circumball, smallest_enclosing_ball
+from .geometry import (
+    InputError,
+    Point,
+    PointCloud,
+    circumball,
+    circumball_weights,
+    in_ball,
+    smallest_enclosing_ball,
+)
 
 
 @dataclass(frozen=True)
@@ -79,22 +92,35 @@ def lift(x1: PointCloud, x2: PointCloud, s: float) -> LiftedConfiguration:
     return LiftedConfiguration(x1, x2, float(s), PointCloud(zpts, dimension=d + 1))
 
 
+# Least barycentric weight of a cell's circumcenter for its circumball to be
+# taken as its MEB.  The weights of a cell that is not nearly flat carry a
+# rounding error many orders of magnitude below 1e-6, so a larger weight is
+# positive in fact.  A center closer than that to a face is left to Welzl:
+# there a support vertex is nearly redundant, and Welzl's tolerant
+# containment test (`geometry.MEB_TOL`) may settle on a smaller support,
+# whose ball is the value the filtration must carry.
+_INTERIOR = 1e-6
+
+
 def _face_ball(proj, vs: tuple[int, ...], balls) -> tuple[tuple[float, ...], float]:
     """(center, radius) of the MEB of the projected vertices vs (two or
-    more), from the balls of its facets when one holds the cell
-    (`build_pipeline`)."""
+    more), from the balls of its facets or its own circumball
+    (`build_pipeline`); `balls` holds every facet's."""
     if len(vs) == 2:
         return circumball(sorted([proj[vs[0]], proj[vs[1]]]))
     best = None
     for i, v in enumerate(vs):
-        ball = balls.get(vs[:i] + vs[i + 1 :])
-        if ball is not None and (best is None or ball[1] > best[1]):
+        ball = balls[vs[:i] + vs[i + 1 :]]
+        if best is None or ball[1] > best[1]:
             best, opposite = ball, proj[v]
-    if best is not None:
-        center, r = best
-        if math.dist(center, opposite) <= r + MEB_TOL * r:
-            return best
-    ball = smallest_enclosing_ball([proj[v] for v in vs])
+    if in_ball(best[0], best[1], opposite):
+        return best
+    pts = [proj[v] for v in vs]
+    if len(vs) <= len(opposite) + 1:  # else the vertices are affinely dependent
+        center, r, weights = circumball_weights(sorted(pts))
+        if weights is not None and min(weights) > _INTERIOR:
+            return center, r
+    ball = smallest_enclosing_ball(pts)
     return ball.center.coords, ball.radius
 
 
@@ -121,17 +147,24 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     Raises AssertionError when del(Z) lacks a lifted del(X1) simplex.
 
     A cell outside the subcomplex is filtered by the smallest enclosing
-    ball (MEB) of its projected vertices, taken from its faces where it can
-    be.  A vertex's radius is 0 and an edge's MEB is the circumball of its
-    sorted pair, the ball Welzl would return.  A larger cell sigma
-    takes the largest ball among its facets outside the subcomplex when
-    that ball contains the vertex of sigma opposite the facet (Welzl's
-    containment test); otherwise Welzl runs on sigma.  This is exact: the
-    MEB is unique, so a facet's MEB that contains sigma is sigma's MEB and
-    has the largest radius of the facets' MEBs; and a facet that shares
-    sigma's support gets a bit-identical ball, since
-    `smallest_enclosing_ball` recomputes it from the sorted support.  Each
-    value is then raised to its faces' values (the monotone guard).
+    ball (MEB) of its projected vertices, taken from its faces or from its
+    own circumball.  A vertex's radius is 0 and an edge's MEB is the
+    circumball of its sorted pair, the ball Welzl would return.  A larger
+    cell sigma takes the largest ball among its facets when that ball
+    contains the vertex of sigma opposite the facet (Welzl's containment
+    test); otherwise sigma's own circumball, `circumball` of its sorted
+    vertices, when every barycentric weight of its center exceeds
+    `_INTERIOR`; only otherwise does Welzl run on sigma.  This is exact.
+    The MEB is unique and is the circumball of a support S of sigma whose
+    center lies in conv(S).  If S is a proper subset, a facet F containing
+    S has MEB(F) = MEB(sigma), which contains sigma and is the largest of
+    the facets' MEBs, since MEB(sigma) encloses every facet.  Otherwise S
+    is sigma and the center lies inside sigma.  In both cases the ball is
+    bit-identical to Welzl's, which `smallest_enclosing_ball` recomputes as
+    `circumball` of the sorted support.  Subcomplex cells get balls too, so
+    that the rule sees every facet, but keep the value 0; with X2 empty
+    every cell is a subcomplex cell and no ball is computed.  Each value is
+    then raised to its faces' values (the monotone guard).
     """
     if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
         raise InputError("ambient dimension must be at most 3")
@@ -151,10 +184,11 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
         vs = simp.vertices
         sub = vs[-1] < n1
         value = 0.0
-        if not sub and len(vs) > 1:
+        if len(x2) and len(vs) > 1:
             ball = balls[vs] = _face_ball(proj, vs, balls)
-            # Same geometry as the faces, but guard against sub-ulp float noise.
-            value = max(ball[1], max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
+            if not sub:
+                # Same geometry as the faces, but guard against sub-ulp float noise.
+                value = max(ball[1], max(values[f] for f in face_tuples(vs)))
         values[vs] = value
         cells.append(Cell(simp, value, sub))
     if tri1 is not None:

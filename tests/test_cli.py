@@ -10,7 +10,7 @@ import pytest
 
 import reldelcech
 from _faults import inject_fault
-from reldelcech.cli import main, read_points, read_subset, render_svg
+from reldelcech.cli import generate_cloud, main, read_points, read_subset, render_svg
 from reldelcech.filtered_complex import loads
 from reldelcech.geometry import InputError
 from reldelcech.persistence import Barcode
@@ -239,6 +239,19 @@ class TestBench:
         rc = main(["bench", "--sizes", "10", "--dim", "3", "--generator", "sphere"])
         assert rc == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (7, 2), (10, 3)])
+    def test_sphere_points_have_unit_norm(self, n, d):
+        # On the 0-sphere most draws repeat a point, so the cloud is topped
+        # up; the extra points must come from the sphere as well.
+        for seed in range(8):
+            x = generate_cloud("sphere", n, d, np.random.default_rng(seed))
+            assert len(x) == n
+            assert all(math.isclose(math.hypot(*p.coords), 1.0, rel_tol=1e-12) for p in x)
+
+    def test_zero_sphere_with_more_than_two_points_exit_2(self, capsys):
+        assert main(["bench", "--generator", "sphere", "--dim", "1", "--sizes", "5"]) == 2
+        assert "sphere" in capsys.readouterr().err
 
     def test_annulus_requires_d2(self, capsys):
         assert main(["bench", "--sizes", "10", "--dim", "3", "--generator", "annulus"]) == 2

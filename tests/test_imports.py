@@ -69,12 +69,15 @@ def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
 
         monkeypatch.setattr(mod, name, counting)
     # A random pair, an integer grid pair whose cocircular ties only
-    # sos_sign decides, and the 3x4 grid with A = {0, 4, 5, 6}, whose flat
-    # mixed-slab facets need exact vertical tests.
+    # sos_sign decides, the 3x4 grid with A = {0, 4, 5, 6}, whose flat
+    # mixed-slab facets need exact vertical tests, and a nearly right
+    # triangle whose circumcenter is too close to an edge for the face
+    # rule, so that smallest_enclosing_ball runs.
     rng = np.random.default_rng(74)
     grid = [(float(i), float(j)) for i in range(4) for j in range(4)]
     pairs = [("random", rng.random((40, 2)).tolist(), None), ("grid", grid, None)]
     pairs.append(("repro", [(float(i), float(j)) for i in range(3) for j in range(4)], [0, 4, 5, 6]))
+    pairs.append(("near-right", [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0 + 1e-7)], [0]))
     for name, xy, a in pairs:
         pts = tmp_path / f"{name}.csv"
         pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in xy))

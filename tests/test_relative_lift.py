@@ -333,15 +333,45 @@ class TestFiltration:
 
     @pytest.mark.parametrize("d, n", [(2, 60), (3, 30)])
     def test_face_balls_replace_most_welzl_calls(self, d, n, monkeypatch):
-        # At most cells a facet's ball holds the opposite vertex, so Welzl
-        # runs for fewer than half of the cells it filters.
+        # In general position every ball comes from a facet or from the
+        # cell's own circumball, which some cells need: Welzl never runs.
+        calls, own = [], []
+        real = relative_lift.smallest_enclosing_ball
+        monkeypatch.setattr(relative_lift, "smallest_enclosing_ball", lambda pts: calls.append(1) or real(pts))
+        real_weights = relative_lift.circumball_weights
+
+        def counting_weights(pts):
+            out = real_weights(pts)
+            if out[2] is not None and min(out[2]) > relative_lift._INTERIOR:
+                own.append(1)
+            return out
+
+        monkeypatch.setattr(relative_lift, "circumball_weights", counting_weights)
+        x = PointCloud(np.random.default_rng(83).random((n, d)).tolist())
+        build_pipeline(*cli.split_pair(x, set(range(0, n, 4))))
+        assert len(calls) == 0
+        assert len(own) > 0
+
+    def test_center_near_a_face_falls_back_to_welzl(self, monkeypatch):
+        # An acute triangle that is nearly right-angled at its top vertex:
+        # no edge ball holds the opposite vertex, and the circumcenter's
+        # weight on the top vertex (about 1e-7) is below the interior
+        # margin, so Welzl decides, and every value is Welzl's.
         calls = []
         real = relative_lift.smallest_enclosing_ball
         monkeypatch.setattr(relative_lift, "smallest_enclosing_ball", lambda pts: calls.append(1) or real(pts))
-        x = PointCloud(np.random.default_rng(83).random((n, d)).tolist())
-        pipe = build_pipeline(*cli.split_pair(x, set(range(0, n, 4))))
-        cells = sum(not c.in_subcomplex for c in pipe.complex.cells)
-        assert 0 < len(calls) < cells / 2
+        pipe = build_pipeline(cloud([(-1.0, 0.0)]), cloud([(1.0, 0.0), (0.0, 1.0 + 1e-7)]))
+        assert len(calls) == 1
+        values = {c.simplex.vertices: c.value for c in pipe.complex.cells}
+        assert len(values) == 7
+        for c in pipe.complex.cells:
+            if c.in_subcomplex:
+                continue
+            vs = c.simplex.vertices
+            want = real([pipe.cfg.z[v].coords[:-1] for v in vs]).radius
+            if len(vs) > 1:
+                want = max(want, max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
+            assert c.value == want, vs
 
 
 class TestVerifyEmbedding:
