@@ -3,11 +3,12 @@
 Points of R^m are lifted to (x, |x|^2) in R^(m+1); the lower convex hull of
 the lifted set, computed by a randomized incremental algorithm with conflict
 lists, projects back to the Delaunay top simplices.  Predicate ties are
-broken by a symbolic moment-curve perturbation ordered by vertex index, so
-construction is deterministic and no zero signs escape.  Inputs whose affine
-hull is lower-dimensional are triangulated inside exact coordinates of that
-hull (with the induced metric), so flat configurations are fine.  All exact
-arithmetic is on integers: every float coordinate is a dyadic rational.
+broken by a symbolic perturbation ordered by vertex index, lift heights
+first (`predicates`), so construction is deterministic and no zero signs
+escape.  Every cloud is triangulated in its pivot columns (`_hull_space`),
+onto which its affine hull projects one to one, so flat configurations are
+fine.  All exact arithmetic is on integers: every float coordinate is a
+dyadic rational.
 
 Vertical hull facets (whose supporting hyperplane contains the lift
 direction) are discarded by an exact, unperturbed test: they project to
@@ -24,7 +25,6 @@ from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
     certified_sign,
     cofactors,
-    det_exact_int,
     det_sign_exact,
     exact_ints,
     filtered_det_sign,
@@ -81,18 +81,16 @@ def face_tuples(vs: tuple[int, ...]) -> list[tuple[int, ...]]:
 # -- exact affine-hull coordinates --------------------------------------------
 
 
-def _affine_basis(pts: list[tuple[int, ...]]):
-    """Greedy exact rank detection: returns (rank, basis vectors, pivot cols).
-
-    Basis vectors are differences p_i - p_0, scanned in index order.  The
-    echelon step w <- e[c] w - w[c] e is a nonzero multiple of rational
-    elimination, so it finds the same pivots without leaving the integers."""
+def _pivot_columns(pts: list[tuple[int, ...]]) -> list[int]:
+    """Sorted pivot columns of the exact echelon of the differences
+    p_i - p_0: the columns where some direction of the affine hull has its
+    first nonzero entry, one per dimension.  The echelon step
+    w <- e[c] w - w[c] e is a nonzero multiple of rational elimination, so
+    it finds the same pivots without leaving the integers."""
     m = len(pts[0])
     echelon: list[tuple[int, list[int]]] = []  # (pivot col, reduced vector)
-    basis: list[list[int]] = []
     for i in range(1, len(pts)):
-        v = [pts[i][c] - pts[0][c] for c in range(m)]
-        w = v
+        w = [pts[i][c] - pts[0][c] for c in range(m)]
         for col, e in echelon:
             if w[col] != 0:
                 f, g = e[col], w[col]
@@ -100,11 +98,9 @@ def _affine_basis(pts: list[tuple[int, ...]]):
         pivot = next((c for c in range(m) if w[c] != 0), None)
         if pivot is not None:
             echelon.append((pivot, w))
-            basis.append(v)
-            if len(basis) == m:
+            if len(echelon) == m:
                 break
-    pivot_cols = [col for col, _ in echelon]
-    return len(basis), basis, pivot_cols
+    return sorted(col for col, _ in echelon)
 
 
 # -- lifted hull space ---------------------------------------------------------
@@ -374,52 +370,29 @@ class Triangulation:
 
 
 def _hull_space(cloud: PointCloud):
-    """Lifted coordinates of the cloud inside its exact affine hull.
+    """Lifted coordinates of the cloud: its pivot columns and |x|^2.
 
     Column c of the cloud is exactly ints / 2**shift[c] (`exact_ints`), so
-    all exact work is in integers.  A full-rank cloud keeps its coordinates
-    and lifts to the sum of squares over the common denominator 4**top.  A
-    flat one gets coordinates u in its affine basis by Cramer's rule,
-    scaled by |det A|, and the lift u^T G u of the induced metric.  The
+    all exact work is in integers; the lift is the sum of squares over the
+    common denominator 4**top.  The pivot columns (`_pivot_columns`) are
+    all columns of a full-rank cloud; a flat one's affine hull projects
+    onto them one to one, and on it |x|^2 differs from the induced squared
+    length by an affine function, so the lower facets are the same.  The
     integer rows are positive column multiples of the rational ones, which
     changes no predicate sign; the float rows are the correctly rounded
     quotients.  Raises InputError when a lifted coordinate (a squared
     length) does not fit in a float.
     """
-    m = cloud.dimension
     cols, shifts = zip(*(exact_ints(col) for col in cloud.array().T.tolist()))
     pts = list(zip(*cols))
     top = max(shifts)
     # Weight of column c in a squared length over the denominator 4**top.
     weights = [1 << 2 * (top - k) for k in shifts]
-    rank, basis, pivot_cols = _affine_basis(pts)
-    if rank == m:
-        coords = pts
-        lifts = [sum(w * x * x for w, x in zip(weights, p)) for p in pts]
-        coord_dens = [1 << k for k in shifts]
-        lift_den = 1 << 2 * top
-    else:
-        # Row c of A u = p_i - p_0 (c a pivot column) carries the column's
-        # 2**shift[c] on both sides, so u is exact without rescaling.
-        a = [[basis[j][c] for j in range(rank)] for c in pivot_cols]  # column j = basis j
-        det_a = det_exact_int(a)
-        sign_a = 1 if det_a > 0 else -1
-        gram = [
-            [sum(w * x * y for w, x, y in zip(weights, basis[i], basis[j])) for j in range(rank)]
-            for i in range(rank)
-        ]
-        coords = []
-        lifts = []
-        for p in pts:
-            rhs = [p[c] - pts[0][c] for c in pivot_cols]
-            u = tuple(
-                sign_a * det_exact_int([row[:j] + [b] + row[j + 1 :] for row, b in zip(a, rhs)])
-                for j in range(rank)
-            )
-            coords.append(u)
-            lifts.append(sum(u[j] * gram[j][k] * u[k] for j in range(rank) for k in range(rank)))
-        coord_dens = [abs(det_a)] * rank
-        lift_den = det_a * det_a << 2 * top
+    pivots = _pivot_columns(pts)
+    coords = [tuple(p[c] for c in pivots) for p in pts]
+    lifts = [sum(w * x * x for w, x in zip(weights, p)) for p in pts]
+    coord_dens = [1 << shifts[c] for c in pivots]
+    lift_den = 1 << 2 * top
     try:
         frows = [
             tuple(x / d for x, d in zip(c, coord_dens)) + (h / lift_den,)
@@ -428,7 +401,7 @@ def _hull_space(cloud: PointCloud):
     except OverflowError:
         raise InputError("squared coordinates exceed the float range (1.8e308)") from None
     int_rows = [c + (h, 1) for c, h in zip(coords, lifts)]
-    return rank, _HullSpace(frows, int_rows)
+    return len(pivots), _HullSpace(frows, int_rows)
 
 
 def delaunay(cloud: PointCloud) -> Triangulation:

@@ -12,24 +12,36 @@ shift.  From fast to slow:
    `filtered_det_sign` evaluates one, and the lifted hull reuses one
    facet's cofactors for many last rows,
 2. the exact integer determinant (`det_exact_int`, fraction-free Bareiss),
-3. a symbolic perturbation (`sos_sign`) that resolves exact zeros by moving
-   every row onto a moment curve with a per-row infinitesimal, ordered by a
-   caller-supplied rank.  The returned sign is the sign of the first
-   nonzero coefficient of the perturbed determinant, enumerated by
-   increasing infinitesimal degree, and is never zero.
+3. a symbolic perturbation (`sos_sign`) that resolves exact zeros.  The
+   sign is that of the first nonzero coefficient of the perturbed
+   determinant by increasing infinitesimal degree, and is never zero.
+
+Lift heights first.  All matrices here are small (n <= 8) lifted hull
+rows: coordinates, the lift in column n - 2, a homogeneous 0/1 entry last.
+Each coefficient is the determinant with some rows replaced by unit rows:
+a monomial m of the moment-curve perturbation (`_injections`' order, the
+empty one first), followed by its lift terms, which replace one more row i
+by e_lift, rows by increasing rank.  That is the perturbation that also
+moves row i's lift by eps^x_i, 0 < x_i < 1 increasing in rank: a term's
+degree is D(m) + x_i, D(m) the integer degree of m, and two lift unit rows
+are equal rows, so all degrees differ and come in that order.  For a lower
+facet whose projection is not flat, a lift term of the empty monomial is
++-1 times the projected orientation, not 0: the heights alone decide it,
+whatever the hull's coordinates.  By the Cayley trick (Huber, Rambau &
+Santos, JEMS 2000) the result restricts on each slab of a lifted pair to
+that slab's own triangulation; Devillers & Teillaud (CGTA 2011) perturb
+weights only.
 
 A caller whose filter fails calls `sos_sign`, which runs 2 first unless
 the determinant is zero by structure: when the rows share their
 homogeneous entry and a coordinate column is constant (a same-slab tie of
 the lifted hull: its height column), that column is a multiple of the
-homogeneous one, and only coefficients whose unit rows cover it count.
-With exactly one such column h, the first of them replaces the row of
-lowest rank, row r, by e_h: the perturbed sign is (-1)^(r+h) times the
-minor without row r and column h, unless that minor is 0.  The lifted hull
-filters that minor itself (`delaunay._HullSpace.sides`).
-
-All matrices here are small (n <= 8): rows are Euclidean coordinates, an
-optional lift coordinate and a homogeneous 0/1 entry.
+homogeneous one, and only coefficients whose unit rows (lift rows
+included) cover it count.  With exactly one such column h, the first of
+them replaces the row of lowest rank, row r, by e_h (a lift term when h is
+the lift column): the perturbed sign is (-1)^(r+h) times the minor without
+row r and column h, unless that minor is 0.  The lifted hull filters that
+minor itself (`delaunay._HullSpace.sides`).
 """
 
 from __future__ import annotations
@@ -222,27 +234,39 @@ def _injections(ranks, ncoords: int):
 def sos_sign(rows_exact, ranks) -> int:
     """Sign of the symbolically perturbed determinant; never 0.
 
-    `rows_exact`: square integer matrix, homogeneous column last.
-    `ranks[i]`: perturbation rank of row i; ranks must be distinct.
+    `rows_exact`: square integer matrix, lift column n - 2, homogeneous
+    column last.  `ranks[i]`: perturbation rank of row i; ranks must be
+    distinct.  Lift terms follow each monomial (module docstring).
     """
     n = len(rows_exact)
     ncoords = n - 1
+    lift = n - 2
+    by_rank = sorted(range(n), key=ranks.__getitem__)
     # Constant columns: a structural zero (module docstring).
     forced: set[int] = set()
     first = rows_exact[0]
     if all(row[ncoords] == first[ncoords] for row in rows_exact[1:]):
         forced = {c for c in range(ncoords) if all(row[c] == first[c] for row in rows_exact[1:])}
-    if not forced:
-        s = det_sign_exact(rows_exact)
-        if s != 0:
-            return s
-    for assignment in _injections(ranks, ncoords):
-        if forced and not forced <= {col for _, col in assignment}:
+    for assignment in itertools.chain([[]], _injections(ranks, ncoords)):
+        cols = {col for _, col in assignment}
+        if not forced <= cols | {lift}:
             continue
         m = list(rows_exact)
         for row, col in assignment:
             m[row] = [int(c == col) for c in range(n)]
-        s = det_sign_exact(m)
-        if s != 0:
-            return s
+        if forced <= cols:
+            s = det_sign_exact(m)
+            if s != 0:
+                return s
+        # A lift term is (-1)^(i+lift) times the minor without row i and
+        # the lift column; with e_lift already in m it has two equal rows.
+        if lift in cols:
+            continue
+        used = {row for row, _ in assignment}
+        no_lift = [row[:lift] + row[lift + 1 :] for row in m]
+        for i in by_rank:
+            if i not in used:
+                s = det_sign_exact(no_lift[:i] + no_lift[i + 1 :])
+                if s != 0:
+                    return -s if (i + lift) % 2 else s
     raise AssertionError("perturbation failed to resolve a zero determinant")

@@ -61,20 +61,16 @@ def choose_s(x1: PointCloud, x2: PointCloud) -> float:
     """Lift height: the largest coordinate extent of X1 union X2 (max over
     axes of max - min), or 1.0 when all points coincide.
 
-    Any s > 0 gives the same del(Z).  For a full-rank Z the lifted point
-    (x, +-s) has paraboloid lift |x|^2 + s^2, so changing s scales the
-    height column by a positive factor and translates the lift column by a
-    constant; in `delaunay._hull_space`'s integer rows the lift column for
-    s' is 4**(top' - top) * lift(s) plus a constant.  Positive column
-    scaling and adding a multiple of the homogeneous column keep the sign
-    of every orientation determinant, of the vertical test, and of every
-    unit-row coefficient of `sos_sign` (its `forced` rule sees the same
-    constant columns), and the float filter only certifies true signs.  A
-    flat Z (flat X with both slabs non-empty) is triangulated in affine
-    basis coordinates, whose lift changes by an affine function of those
-    coordinates, which unit rows can see; tests check that case.  s is
-    kept on the data's scale so that the float filter certifies as often
-    as on unit-scale data.
+    Any s > 0 gives the same del(Z).  The lifted point (x, +-s) has
+    paraboloid lift |x|^2 + s^2, so changing s scales the height column by
+    a positive factor, which keeps Z's pivot columns, and translates the
+    lift column by a constant: in `delaunay._hull_space`'s integer rows the
+    lift column for s' is 4**(top' - top) * lift(s) plus a constant.  That
+    keeps the sign of every orientation determinant, of the vertical test
+    and of every unit-row coefficient of `sos_sign` (its `forced` rule sees
+    the same constant columns), and the float filter only certifies true
+    signs.  s stays on the data's scale so that the filter certifies as
+    often as on unit-scale data.
     """
     columns = zip(*(p.coords for p in x1), *(p.coords for p in x2))
     extent = max((max(c) - min(c) for c in columns), default=0.0)
@@ -124,6 +120,13 @@ def _face_ball(proj, vs: tuple[int, ...], balls) -> tuple[tuple[float, ...], flo
     return ball.center.coords, ball.radius
 
 
+def _plus_mismatch(cells, lifted_x1: set[tuple[int, ...]], n1: int) -> list[tuple[int, ...]]:
+    """The simplices, lowest dimension first, in exactly one of the lifted
+    del(X1) and the all-plus `cells` of del(Z) (all vertices below n1)."""
+    all_plus = {vs for vs in cells if vs[-1] < n1}
+    return sorted(all_plus.symmetric_difference(lifted_x1), key=lambda vs: (len(vs), vs))
+
+
 @dataclass
 class Pipeline:
     """All intermediate artifacts of one relative Delaunay-Cech run.
@@ -141,10 +144,11 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     """Lift, triangulate and filter.
 
     del(X1) is triangulated once, to check that its lifted copy is the
-    subcomplex; X2 only through del(Z).  With X2 empty, Z is X1 at height
-    +s with the same vertex indices, so del(X1) serves as del(Z); a second
-    triangulation of the flat Z could break cospherical ties differently.
-    Raises AssertionError when del(Z) lacks a lifted del(X1) simplex.
+    subcomplex: the all-plus cells of del(Z) must be exactly the lifted
+    del(X1) (`_plus_mismatch`), else AssertionError.  X2 is triangulated
+    only through del(Z).  With X2 empty, Z is X1 at height +s with the same
+    vertex indices and the same hull coordinates, so del(Z) is del(X1); the
+    special case only saves a triangulation.
 
     A cell outside the subcomplex is filtered by the smallest enclosing
     ball (MEB) of its projected vertices, taken from its faces or from its
@@ -192,9 +196,12 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
         values[vs] = value
         cells.append(Cell(simp, value, sub))
     if tri1 is not None:
-        for simp in tri1.simplices():
-            if simp.vertices not in values:
-                raise AssertionError(f"lifted del(X1) simplex {simp.vertices} missing from del(Z)")
+        mismatch = _plus_mismatch(values, {simp.vertices for simp in tri1.simplices()}, n1)
+        missing = [vs for vs in mismatch if vs not in values]
+        if missing:
+            raise AssertionError(f"lifted del(X1) simplex {missing[0]} missing from del(Z)")
+        if mismatch:
+            raise AssertionError(f"all-plus simplex {mismatch[0]} of del(Z) is not in del(X1)")
     return Pipeline(cfg, tri, build(cells))
 
 
@@ -211,11 +218,9 @@ def relative_delcech(x1: PointCloud, x2: PointCloud) -> FilteredComplex:
 class EmbeddingReport:
     """Outcome of the three structural checks on a lifted triangulation.
 
-    Failures usually mean a degenerate configuration whose symbolic tie
-    breaks differ between the ambient and lifted triangulations.  The report
-    is a diagnostic off the run path until ROADMAP item 4's certificate
-    replaces it: it fails on some degenerate grids whose barcode is still
-    right, so making it fatal would turn correct runs into failures.
+    `build_pipeline` enforces the third, which implies the first.  With
+    `sos_sign`'s heights-first rule all three hold on degenerate grids too
+    (Cayley trick), so a failure means a broken del(Z).
     """
 
     x1_embedded: bool
@@ -242,8 +247,6 @@ class EmbeddingReport:
         ):
             if items:
                 lines.append(f"  {name}: {items}")
-        if not self.ok:
-            lines.append("  diagnostic: degenerate configuration")
         return "\n".join(lines)
 
 
@@ -262,13 +265,12 @@ def verify_embedding(cfg: LiftedConfiguration, tri: Triangulation) -> EmbeddingR
     j2 = lifted_simplices(cfg.x2, n1)
     missing_x1 = sorted(j1 - present)
     missing_x2 = sorted(j2 - present)
-    all_plus = {vs for vs in present if vs[-1] < n1}
-    plus_mismatch = sorted(all_plus.symmetric_difference(j1))
+    mismatch = _plus_mismatch(present, j1, n1)
     return EmbeddingReport(
         x1_embedded=not missing_x1,
         x2_embedded=not missing_x2,
-        plus_matches=not plus_mismatch,
+        plus_matches=not mismatch,
         missing_x1=missing_x1,
         missing_x2=missing_x2,
-        plus_mismatch=plus_mismatch,
+        plus_mismatch=mismatch,
     )

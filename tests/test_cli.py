@@ -146,6 +146,17 @@ class TestCompute:
         assert main(["compute", str(f), "--subset-indices", str(a)]) == 2
         assert "exceed the float range" in capsys.readouterr().err
 
+    def test_flat_squares_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # A flat cloud is triangulated in its pivot columns with the ambient
+        # lift |x|^2, so it has the full-rank range: here the differences
+        # are small but |x|^2 ~ 5e320 overflows.
+        f = tmp_path / "far-line.csv"
+        f.write_text("".join(f"{1e160 + k * 1e146!r},{2e160 + 2 * k * 1e146!r}\n" for k in range(6)))
+        a = tmp_path / "a.txt"
+        a.write_text("0\n3\n")
+        assert main(["compute", str(f), "--subset-indices", str(a)]) == 2
+        assert "exceed the float range" in capsys.readouterr().err
+
     def test_s_factor_rejected(self, square, subset0, capsys):
         # The lift height is derived from the input; there is no knob for it.
         for command in ("compute", "check"):

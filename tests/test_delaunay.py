@@ -114,6 +114,26 @@ class TestDegenerate:
         assert len(t.top_simplices) == 18  # 9 unit squares, 2 triangles each
         _assert_empty_circumspheres(t)
 
+    @pytest.mark.parametrize("name", ["grid3x4", "ring"])
+    def test_ties_do_not_depend_on_coordinates(self, name):
+        # Ties are broken by the lift heights first, so a cocircular cloud
+        # has the same tops when translated, or copied into a coordinate
+        # plane of R^3 (pivot columns of a flat cloud), either way round.
+        pts = _RING if name == "ring" else [(float(i), float(j)) for i in range(3) for j in range(4)]
+        want = delaunay(PointCloud(pts)).top_simplices
+        copies = [[(x + dx, y + dy) for x, y in pts] for dx, dy in ((3.0, -7.5), (-1.25, 2.0))]
+        for axes in ((0, 1), (0, 2), (1, 2), (2, 0)):
+            for shift in ((0.0, 0.0, 0.0), (0.5, -2.25, 3.0)):
+                copy = []
+                for p in pts:
+                    q = list(shift)
+                    q[axes[0]] += p[0]
+                    q[axes[1]] += p[1]
+                    copy.append(tuple(q))
+                copies.append(copy)
+        for copy in copies:
+            assert delaunay(PointCloud(copy)).top_simplices == want, copy[:2]
+
 
 def _assert_empty_circumspheres(t):
     n = len(t.cloud)
@@ -216,42 +236,23 @@ class TestFaces:
 
 
 def rational_hull_rows(pts):
-    """Reference lifted rows over Fractions: the cloud's coordinates and
-    |x|^2 if it is full-rank, else coordinates in the affine basis of
-    greedily chosen differences p_i - p_0 (solved on the pivot columns) and
-    the squared length of the induced metric; homogeneous 1 last."""
+    """Reference lifted rows over Fractions: the cloud's pivot columns (of
+    a row echelon form of the differences p_i - p_0), in column order, and
+    |x|^2; homogeneous 1 last.  All columns are pivots of a full-rank
+    cloud."""
     q = [[Fraction(x) for x in p] for p in pts]
     m = len(q[0])
-    basis, echelon = [], []
+    echelon = []
     for p in q[1:]:
-        v = [a - b for a, b in zip(p, q[0])]
-        w = list(v)
+        w = [a - b for a, b in zip(p, q[0])]
         for col, e in echelon:
             f = w[col] / e[col]
             w = [a - f * b for a, b in zip(w, e)]
         pivot = next((c for c in range(m) if w[c]), None)
         if pivot is not None:
             echelon.append((pivot, w))
-            basis.append(v)
-    r = len(basis)
-    if r == m:
-        return [p + [sum(x * x for x in p), Fraction(1)] for p in q]
-    cols = [col for col, _ in echelon]
-    rows = []
-    for p in q:
-        # Gauss-Jordan on the r x r system sum_j u_j basis[j][c] = p[c] - p0[c].
-        aug = [[basis[j][c] for j in range(r)] + [p[c] - q[0][c]] for c in cols]
-        for k in range(r):
-            piv = next(i for i in range(k, r) if aug[i][k])
-            aug[k], aug[piv] = aug[piv], aug[k]
-            aug[k] = [x / aug[k][k] for x in aug[k]]
-            for i in range(r):
-                if i != k:
-                    aug[i] = [a - aug[i][k] * b for a, b in zip(aug[i], aug[k])]
-        u = [aug[j][r] for j in range(r)]
-        y = [sum(u[j] * basis[j][c] for j in range(r)) for c in range(m)]
-        rows.append(u + [sum(x * x for x in y), Fraction(1)])
-    return rows
+    cols = sorted(col for col, _ in echelon)
+    return [[p[c] for c in cols] + [sum(x * x for x in p), Fraction(1)] for p in q]
 
 
 def hull_test_clouds():

@@ -69,10 +69,11 @@ def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
 
         monkeypatch.setattr(mod, name, counting)
     # A random pair, an integer grid pair whose cocircular ties only
-    # sos_sign decides, the 3x4 grid with A = {0, 4, 5, 6}, whose flat
-    # mixed-slab facets need exact vertical tests, and a nearly right
-    # triangle whose circumcenter is too close to an edge for the face
-    # rule, so that smallest_enclosing_ball runs.
+    # sos_sign decides, the 3x4 grid with A = {0, 4, 5, 6}, whose lifted
+    # hull has flat mixed-slab facets that only an exact vertical test
+    # finds vertical, and a nearly right triangle whose circumcenter is
+    # too close to an edge for the face rule, so that
+    # smallest_enclosing_ball runs.
     rng = np.random.default_rng(74)
     grid = [(float(i), float(j)) for i in range(4) for j in range(4)]
     pairs = [("random", rng.random((40, 2)).tolist(), None), ("grid", grid, None)]

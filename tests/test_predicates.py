@@ -112,8 +112,12 @@ def test_filtered_sign_sound_on_lifted_rows():
 
 
 def numeric_perturbed_sign(rows, ranks, eps_pow):
-    """Evaluate the moment-curve perturbation at an explicit tiny rational
-    epsilon = 2**-eps_pow and take the exact sign."""
+    """Evaluate the perturbation at an explicit tiny rational epsilon =
+    2**-eps_pow and take the exact sign.  The row at rank position j moves
+    by eps**(j + 1) in the lift column n - 2 and along the moment curve
+    t, t^2, ... with t = eps**(K * B**j), K = n + 1: a lift term adds at
+    most n < K to its monomial's degree, so it comes after that monomial
+    and before the next."""
     n = len(rows)
     ncoords = n - 1
     base = ncoords + 2
@@ -122,9 +126,11 @@ def numeric_perturbed_sign(rows, ranks, eps_pow):
     pert = []
     for i, row in enumerate(rows):
         row = [Fraction(x) for x in row]
-        t = eps ** (base ** order[ranks[i]])
+        j = order[ranks[i]]
+        t = eps ** ((n + 1) * base**j)
         for c in range(ncoords):
             row[c] += t ** (c + 1)
+        row[n - 2] += eps ** (j + 1)
         pert.append(row)
     return exact_sign(pert)
 
@@ -192,10 +198,10 @@ def test_sos_random_degenerate_against_substitution():
         rng.shuffle(ranks)
         got = sos_sign(rows, ranks)
         assert got != 0
-        s = numeric_perturbed_sign(rows, ranks, 80)
-        s2 = numeric_perturbed_sign(rows, ranks, 120)
-        if s == s2:  # epsilon small enough to trust the substitution
-            assert got == s
+        # Two powers agree: epsilon is small enough to trust the substitution.
+        s = numeric_perturbed_sign(rows, ranks, 20)
+        s2 = numeric_perturbed_sign(rows, ranks, 30)
+        assert got == s == s2, (rows, ranks)
 
 
 def test_sos_row_swap_antisymmetry():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reldelcech import cli, relative_lift
-from reldelcech.cech_oracle import compare_barcodes
+from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.delaunay import Triangulation, delaunay
 from reldelcech.filtered_complex import dumps
 from reldelcech.geometry import InputError, PointCloud, smallest_enclosing_ball
@@ -178,6 +178,19 @@ def drop_lifted_x1_edge(monkeypatch, n1: int, d: int):
     monkeypatch.setattr(relative_lift, "delaunay", broken)
 
 
+def drop_x1_top(monkeypatch, d: int):
+    """Make del(X1) lose one top; its lifted copy stays inside del(Z)."""
+    real = relative_lift.delaunay
+
+    def broken(c):
+        t = real(c)
+        if c.dimension != d:
+            return t
+        return Triangulation(c, list(t.top_simplices[1:]), t.top_dim, t._space)
+
+    monkeypatch.setattr(relative_lift, "delaunay", broken)
+
+
 class TestSharedTriangulations:
     def test_two_calls_x1_and_z(self, monkeypatch):
         calls = count_delaunay_calls(monkeypatch)
@@ -222,6 +235,19 @@ class TestSharedTriangulations:
         drop_lifted_x1_edge(monkeypatch, n1=3, d=2)
         assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 1
         assert "AssertionError" in capsys.readouterr().err
+
+    def test_extra_all_plus_simplex_raises_and_exits_1(self, monkeypatch, tmp_path, capsys):
+        # The all-plus cells of del(Z) must equal the lifted del(X1), not
+        # only contain it: a del(X1) that lost a top is caught too.
+        drop_x1_top(monkeypatch, d=2)
+        with pytest.raises(AssertionError, match=r"all-plus simplex \(\d+(, \d+)+\) of del\(Z\) is not in del\(X1\)"):
+            build_pipeline(cloud(X2_AROUND), cloud(X1_TRIANGLE))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in X2_AROUND + X1_TRIANGLE))
+        sub = tmp_path / "a.txt"
+        sub.write_text("0\n1\n2\n3\n")
+        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 1
+        assert "all-plus simplex" in capsys.readouterr().err
 
 
 def s_invariance_clouds():
@@ -409,13 +435,92 @@ class TestVerifyEmbedding:
         assert "FAIL" in text and "(0, 1)" in text
 
     def test_degenerate_shared_square_is_flagged_or_consistent(self):
-        # fully shared cocircular squares make the lifted tie-breaks differ
-        # from the ambient ones; verify_embedding must flag rather than crash
+        # Fully shared cocircular squares: the heights-first tie breaks of
+        # del(Z) restrict to those of del(X1) and del(X2).
         sq = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         pipe = build_pipeline(cloud(sq), cloud(sq))
         rep = verify_embedding(pipe.cfg, pipe.triangulation)
-        assert isinstance(rep.ok, bool)
-        assert rep.x1_embedded or rep.missing_x1
+        assert rep.ok, rep.text()
+
+
+OCTAHEDRON = [tuple(float(s * (i == c)) for i in range(3)) for c in range(3) for s in (1, -1)]
+# Isometries (up to a scale of 3 and 7) of R^2 onto tilted planes of R^3,
+# with integer images, so that cospherical subsets stay exactly so.
+PLANES = {
+    "xy": ((1, 0, 0), (0, 1, 0)),
+    "xz": ((1, 0, 0), (0, 0, 1)),
+    "tilt3": ((1, 2, 2), (2, 1, -2)),
+    "tilt7": ((2, 3, 6), (3, -6, 2)),
+}
+
+
+def grid(*shape):
+    return [tuple(float(c) for c in p) for p in np.ndindex(*shape)]
+
+
+def random_subsets(n: int, k: int, seed: int) -> list[set[int]]:
+    rng = np.random.default_rng(seed)
+    return [set(np.flatnonzero(rng.random(n) < 0.5).tolist()) for _ in range(k)]
+
+
+def assert_pair_matches_oracle(x: PointCloud, a: set[int]):
+    """build_pipeline runs (its subcomplex check included), del(Z) has
+    Euler characteristic 1 (it triangulates a convex polytope), all three
+    embedding checks pass, and the barcode is the brute-force oracle's."""
+    pipe = build_pipeline(*cli.split_pair(x, a))
+    tri = pipe.triangulation
+    assert sum((-1) ** s.dim for s in tri.simplices()) == 1, sorted(a)
+    rep = verify_embedding(pipe.cfg, tri)
+    assert rep.ok, (sorted(a), rep.text())
+    d = x.dimension
+    got = barcode(pipe.complex, relative=True, max_dim=d)
+    want = barcode(relative_cech(x, a, max_simplex_dim=d + 1), relative=True, max_dim=d)
+    diff = compare_barcodes(got, want, tol=1e-9)
+    assert diff.matched, (sorted(a), diff.text())
+
+
+# Small degenerate clouds: integer grids, and the radius-5 integer ring and
+# the octahedron with their centres; (cloud, random subsets A, seed).
+DEGENERATE = {
+    **{f"grid{'x'.join(map(str, s))}": (grid(*s), 15, 100 + i)
+       for i, s in enumerate([(3, 4), (2, 6), (3, 3), (4, 3), (2, 2, 2), (2, 2, 3)])},
+    "ring+centre": (RING + [(0.0, 0.0)], 8, 213),
+    "octahedron+centre": (OCTAHEDRON + [(0.0, 0.0, 0.0)], 8, 207),
+}
+FLAT = {"grid3x3": grid(3, 3), "grid3x4": grid(3, 4), "grid2x6": grid(2, 6), "ring": RING, "ring+centre": RING + [(0.0, 0.0)]}
+
+
+class TestDegenerateCorpus:
+    """Exact ties beyond general position.  Breaking them by the moment
+    curve alone needed flat mixed-slab cells in del(Z), which the vertical
+    test drops: a crack (a spurious infinite bar) or a missing del(X1)
+    simplex.  Breaking them by the lift heights first makes del(Z) restrict
+    to del(X1) and del(X2) (Cayley trick)."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_matches_oracle(self, name):
+        pts, k, seed = DEGENERATE[name]
+        for a in random_subsets(len(pts), k, seed):
+            assert_pair_matches_oracle(PointCloud(pts), a)
+
+    @pytest.mark.parametrize("name", sorted(FLAT))
+    def test_flat_embeddings_match_oracle(self, name):
+        # The cloud in four planes of R^3: Z is flat, its coordinates are
+        # pivot columns, and the tilted planes have no axis-parallel ones.
+        pts = FLAT[name]
+        for k, (u, v) in enumerate(PLANES.values()):
+            x = PointCloud([tuple(p * a + q * b for a, b in zip(u, v)) for p, q in pts])
+            for a in random_subsets(len(pts), 3, 300 + 4 * sorted(FLAT).index(name) + k):
+                assert_pair_matches_oracle(x, a)
+
+    def test_ring_over_unit_square(self):
+        # Once exited 1 with "lifted del(X1) simplex (4, 6) missing".  16
+        # points: beyond the oracle's cap, so the structural checks only.
+        sq = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        pipe = build_pipeline(cloud(RING), cloud(sq))
+        assert sum((-1) ** s.dim for s in pipe.triangulation.simplices()) == 1
+        rep = verify_embedding(pipe.cfg, pipe.triangulation)
+        assert rep.ok, rep.text()
 
 
 class TestPipelineBarcodes:
