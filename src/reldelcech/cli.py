@@ -280,7 +280,7 @@ def cmd_bench(args) -> int:
             fh.write(csv)
     else:
         sys.stdout.write(csv)
-    if len(ns) >= 2:
+    if len(set(ns)) >= 2:  # a line through one size is undetermined
         slope = float(np.polyfit(np.log(ns), np.log(cs), 1)[0])
         print(f"# fitted growth exponent of cells_total vs n: {slope:.3f}")
     return 0

@@ -134,10 +134,10 @@ class _HullSpace:
     A zero minor (cospherical slab points) or an uncertified one goes to
     `sos_sign`, so every sign is `sos_sign`'s.
 
-    The vertical test `infdown_sign` is the other predicate; it returns 0
-    for a facet with a constant coordinate column (a single-slab facet),
-    filters its own determinant otherwise and decides the rest exactly,
-    unperturbed.
+    The vertical test `infdown_sign`, the orientation of the projected
+    facet, is the other predicate; it returns 0 for a facet with a constant
+    coordinate column (a single-slab facet), filters the orientation
+    otherwise and decides the rest exactly, unperturbed.
     """
 
     def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]]):
@@ -149,22 +149,18 @@ class _HullSpace:
     def infdown_sign(self, verts: tuple[int, ...]) -> int:
         """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical.
 
-        A coordinate column c < P - 1 that is constant over the facet's
-        integer rows (the height of a single-slab facet) is a multiple of
-        the homogeneous column on those rows, and both are 0 on the
-        direction row, so the determinant is 0 without evaluating it."""
+        Expanding along the direction row, -1 in lift column P - 1, leaves
+        +1 times the orientation of the projected facet (rows without the
+        lift).  A column c < P - 1 constant over the facet (a single-slab
+        facet's height) is a multiple of the homogeneous column: it is 0."""
         p = self.P
         facet = [self.int_rows[v] for v in verts]
         if _constant_columns(facet, p - 1):
             return 0
-        rows_f = [list(self.frows[v]) + [1.0] for v in verts]
-        rows_f.append([0.0] * (p - 1) + [-1.0, 0.0])
-        s = filtered_det_sign(rows_f)
+        s = filtered_det_sign([self.frows[v][:-1] + (1.0,) for v in verts])
         if s is not None:
             return s
-        rows_e = [list(row) for row in facet]
-        rows_e.append([0] * (p - 1) + [-1, 0])
-        return det_sign_exact(rows_e)
+        return det_sign_exact([row[: p - 1] + row[p:] for row in facet])
 
     def sides(self, verts: tuple[int, ...], queries) -> list[int]:
         """Perturbed orientation sign of (verts..., q) for each query q,
@@ -257,7 +253,15 @@ class _Facet:
 
 
 class _Hull:
-    """Incremental convex hull in R^P with conflict lists."""
+    """Incremental convex hull in R^P with conflict lists.
+
+    A facet's `inside_sign`, sign(verts..., w) for a hull vertex w off it,
+    comes from the facet it replaces: each sign of `sides` is a perturbed
+    determinant (Simulation of Simplicity, Edelsbrunner & Mucke 1990), so
+    an odd row permutation flips it exactly.  If q sees fvis = ridge + w, w
+    its i-th vertex, sign(fvis..., q) = -inside(fvis), and (new..., w) for
+    new = ridge + q, q its j-th vertex, has those rows in an order of
+    parity i + j + 1: inside(new) = (-1)^(i+j) inside(fvis)."""
 
     def __init__(self, space: _HullSpace, order: list[int]):
         self.space = space
@@ -267,24 +271,22 @@ class _Hull:
         self._point_conflicts: dict[int, set[int]] = {}
         self._build(order)
 
-    def _add_facet(self, verts: tuple[int, ...], witness: int, cand_ids: list[int]):
-        """New facet; a vertex `witness` off it fixes the inside, and its
+    def _add_facet(self, verts: tuple[int, ...], inside: int, cand_ids: list[int]):
+        """New facet whose inside has sign `inside` (class docstring); its
         conflicts are the `cand_ids` strictly beyond its hyperplane."""
-        inside, *signs = self.space.sides(verts, [witness, *cand_ids])
+        signs = self.space.sides(verts, cand_ids)
         conflicts = {pid for pid, s in zip(cand_ids, signs) if s == -inside}
         fid = self._next_id
         self._next_id += 1
         self.facets[fid] = _Facet(verts, inside, conflicts)
         for pid in conflicts:
             self._point_conflicts[pid].add(fid)
-        for i in range(len(verts)):
-            ridge = verts[:i] + verts[i + 1 :]
+        for ridge in face_tuples(verts):
             self.ridge_map.setdefault(ridge, set()).add(fid)
 
     def _remove_facet(self, fid: int):
         f = self.facets.pop(fid)
-        for i in range(len(f.verts)):
-            ridge = f.verts[:i] + f.verts[i + 1 :]
+        for ridge in face_tuples(f.verts):
             owners = self.ridge_map[ridge]
             owners.discard(fid)
             if not owners:
@@ -297,33 +299,31 @@ class _Hull:
 
     def _build(self, order: list[int]):
         p = self.space.P
-        init, rest = order[: p + 1], order[p + 1 :]
+        init, rest = tuple(sorted(order[: p + 1])), order[p + 1 :]
         for pid in rest:
             self._point_conflicts[pid] = set()
-        for k, witness in enumerate(init):
-            verts = tuple(sorted(init[:k] + init[k + 1 :]))
-            self._add_facet(verts, witness, rest)
+        # Facet e lacks init[p - e]; moving it after the others takes e swaps.
+        (d,) = self.space.sides(init[:-1], init[-1:])
+        for e, verts in enumerate(face_tuples(init)):
+            self._add_facet(verts, d * (-1) ** e, rest)
         for q in rest:
             vis = self._point_conflicts.pop(q)
             if not vis:
                 raise AssertionError("lifted point inside hull: duplicate input?")
             horizon = []
             for fid in vis:
-                f = self.facets[fid]
-                for i in range(len(f.verts)):
-                    ridge = f.verts[:i] + f.verts[i + 1 :]
+                for i, ridge in enumerate(reversed(face_tuples(self.facets[fid].verts))):
                     others = self.ridge_map[ridge] - vis
                     if others:
                         (other,) = others
-                        horizon.append((ridge, fid, other))
+                        horizon.append((ridge, i, fid, other))
             removed = {fid: self._remove_facet(fid) for fid in vis}
-            for ridge, fvis_id, fhid_id in horizon:
+            for ridge, i, fvis_id, fhid_id in horizon:
                 fvis = removed[fvis_id]
-                fhid = self.facets[fhid_id]
-                witness = next(v for v in fvis.verts if v not in ridge)
                 new_verts = tuple(sorted(ridge + (q,)))
-                cands = (fvis.conflicts | fhid.conflicts) - {q}
-                self._add_facet(new_verts, witness, sorted(cands))
+                inside = fvis.inside_sign * (-1) ** (i + new_verts.index(q))
+                cands = (fvis.conflicts | self.facets[fhid_id].conflicts) - {q}
+                self._add_facet(new_verts, inside, sorted(cands))
         for ridge, owners in self.ridge_map.items():
             if len(owners) != 2:
                 raise AssertionError(f"open ridge {ridge} on finished hull")

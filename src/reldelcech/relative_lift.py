@@ -129,11 +129,8 @@ def _plus_mismatch(cells, lifted_x1: set[tuple[int, ...]], n1: int) -> list[tupl
 
 @dataclass
 class Pipeline:
-    """All intermediate artifacts of one relative Delaunay-Cech run.
-
-    `triangulation` is del(Z); with X2 empty it is del(X1), whose vertex
-    indices are Z's.
-    """
+    """All intermediate artifacts of one relative Delaunay-Cech run;
+    `triangulation` is del(Z)."""
 
     cfg: LiftedConfiguration
     triangulation: Triangulation
@@ -146,9 +143,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     del(X1) is triangulated once, to check that its lifted copy is the
     subcomplex: the all-plus cells of del(Z) must be exactly the lifted
     del(X1) (`_plus_mismatch`), else AssertionError.  X2 is triangulated
-    only through del(Z).  With X2 empty, Z is X1 at height +s with the same
-    vertex indices and the same hull coordinates, so del(Z) is del(X1); the
-    special case only saves a triangulation.
+    only through del(Z).
 
     A cell outside the subcomplex is filtered by the smallest enclosing
     ball (MEB) of its projected vertices, taken from its faces or from its
@@ -166,8 +161,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     is sigma and the center lies inside sigma.  In both cases the ball is
     bit-identical to Welzl's, which `smallest_enclosing_ball` recomputes as
     `circumball` of the sorted support.  Subcomplex cells get balls too, so
-    that the rule sees every facet, but keep the value 0; with X2 empty
-    every cell is a subcomplex cell and no ball is computed.  Each value is
+    that the rule sees every facet, but keep the value 0.  Each value is
     then raised to its faces' values (the monotone guard).
     """
     if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
@@ -176,7 +170,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
         raise InputError("x1 and x2 are both empty")
     tri1 = delaunay(x1) if len(x1) else None
     cfg = lift(x1, x2, choose_s(x1, x2))
-    tri = delaunay(cfg.z) if len(x2) else tri1
+    tri = delaunay(cfg.z)
     n1 = len(x1)
     proj = [p.coords[:-1] for p in cfg.z]
     values: dict[tuple[int, ...], float] = {}
@@ -188,7 +182,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
         vs = simp.vertices
         sub = vs[-1] < n1
         value = 0.0
-        if len(x2) and len(vs) > 1:
+        if len(vs) > 1:
             ball = balls[vs] = _face_ball(proj, vs, balls)
             if not sub:
                 # Same geometry as the faces, but guard against sub-ulp float noise.

@@ -214,6 +214,15 @@ class TestBench:
         assert n1[0] == 12 and n2[0] == 20
         assert n2[2] >= n1[2]  # monotone cell counts
 
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_size_fits_no_exponent(self, capsys):
+        # Two rows of one size determine no growth line: no fit, no warning.
+        assert main(["bench", "--sizes", "30,30", "--dim", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3  # header + 2 rows
+        assert lines[1].split(",")[:4] == lines[2].split(",")[:4]
+        assert not any(line.startswith("#") for line in lines)
+
     def test_single_point(self, capsys):
         rc = main(["bench", "--sizes", "1", "--dim", "2", "--subset-fraction", "0"])
         assert rc == 0

@@ -8,7 +8,7 @@ import pytest
 
 from reldelcech.delaunay import Simplex, delaunay
 from reldelcech.geometry import InputError, PointCloud
-from reldelcech.predicates import sos_sign
+from reldelcech.predicates import det_sign_exact, sos_sign
 from reldelcech.relative_lift import build_pipeline, lift
 
 
@@ -337,11 +337,12 @@ class TestHullSpace:
                 assert all(got[i] == lam * col[i] for i in nonzero)
 
     def test_one_float_filter_per_test(self, monkeypatch):
-        # Each new facet gets its witness sign and its conflicts from one
-        # `sides` call, which filters each test once (through the facet's
-        # cofactors, or a same-slab tie's minor) and goes to sos_sign
-        # directly; only the vertical tests (infdown_sign) run
-        # filtered_det_sign, once each, except the structural zeros: a
+        # Each new facet gets its conflicts from one `sides` call, and the
+        # first simplex its orientation from one more; every other inside
+        # sign follows by parity (`_Hull`).  `sides` filters each test once
+        # (through the facet's cofactors, or a same-slab tie's minor) and
+        # goes to sos_sign directly; only the vertical tests (infdown_sign)
+        # run filtered_det_sign, once each, except the structural zeros: a
         # facet with a constant coordinate column below the lift column
         # is vertical without a determinant.
         mod = importlib.import_module("reldelcech.delaunay")
@@ -371,7 +372,7 @@ class TestHullSpace:
         x = np.random.default_rng(72).random((40, 2)).tolist()
         delaunay(lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z)
         assert counts["facet"] > 0 and counts["vertical"] > counts["zeros"] > 0
-        assert counts["sides"] == counts["facet"]
+        assert counts["sides"] == counts["facet"] + 1
         assert counts["filter"] == counts["vertical"] - counts["zeros"]
 
     def test_one_expansion_per_orientation(self, monkeypatch):
@@ -491,3 +492,73 @@ class TestHullSpace:
         ranks = {len(rational_hull_rows(pts)[0]) - 2 for pts in hull_test_clouds()}
         dims = {len(pts[0]) - (len(rational_hull_rows(pts)[0]) - 2) for pts in hull_test_clouds()}
         assert ranks == {1, 2, 3} and dims == {0, 1, 2}
+
+
+def _grid(*shape):
+    return [[float(c) for c in p] for p in itertools.product(*(range(k) for k in shape))]
+
+
+def _hull_clouds():
+    """Clouds for the lifted hull's inside signs: random full-rank ones,
+    lifted random pairs, and lifted grid pairs (cospherical ties): the 3x4
+    repro with A = {0, 4, 5, 6}, and 12x12 and 4x4x4 grids with half of
+    the points in A."""
+    rng = np.random.default_rng(78)
+    u2, u3 = rng.random((30, 2)).tolist(), rng.random((20, 3)).tolist()
+    clouds = {"uniform2d": PointCloud(u2), "uniform3d": PointCloud(u3)}
+    clouds["pair2d"] = lift(PointCloud(u2[:8]), PointCloud(u2[8:]), 1.0).z
+    clouds["pair3d"] = lift(PointCloud(u3[:5]), PointCloud(u3[5:]), 1.0).z
+    for name, pts, a in [
+        ("repro", _grid(3, 4), {0, 4, 5, 6}),
+        ("grid12x12", _grid(12, 12), set(rng.choice(144, 72, replace=False).tolist())),
+        ("grid4x4x4", _grid(4, 4, 4), set(rng.choice(64, 32, replace=False).tolist())),
+    ]:
+        x1 = PointCloud([p for i, p in enumerate(pts) if i in a])
+        x2 = PointCloud([p for i, p in enumerate(pts) if i not in a])
+        clouds[name] = lift(x1, x2, 1.0).z
+    return clouds
+
+
+HULL_CLOUDS = _hull_clouds()
+
+
+class TestHullOrientation:
+    @pytest.mark.parametrize("name", sorted(HULL_CLOUDS))
+    def test_inside_signs_match_sides(self, name, monkeypatch):
+        # Only the first simplex's orientation is tested; every other
+        # inside sign follows by row parity (`_Hull`).  Each final facet
+        # must still have every hull vertex off it on its inside.
+        mod = importlib.import_module("reldelcech.delaunay")
+        hulls = []
+        real = mod._Hull
+        monkeypatch.setattr(mod, "_Hull", lambda space, order: hulls.append(real(space, order)) or hulls[-1])
+        delaunay(HULL_CLOUDS[name])
+        (hull,) = hulls
+        on_hull = sorted({v for f in hull.facets.values() for v in f.verts})
+        for f in hull.facets.values():
+            off = [v for v in on_hull if v not in f.verts]
+            assert hull.space.sides(f.verts, off) == [f.inside_sign] * len(off), f.verts
+
+    def test_vertical_sign_matches_direction_row_determinant(self, monkeypatch):
+        # infdown_sign is the projected facet's orientation: the exact sign
+        # of the facet's rows with the direction row (-e_lift, 0) appended,
+        # on random facets, flat single-slab facets (0) and facets far
+        # from the origin, whether the filter or the exact path decides.
+        mod = importlib.import_module("reldelcech.delaunay")
+        exact = []
+        monkeypatch.setattr(mod, "det_sign_exact", lambda rows: exact.append(1) or det_sign_exact(rows))
+        rng = np.random.default_rng(80)
+        signs = set()
+        for x1, x2 in SLAB_PAIRS.values():
+            z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
+            _, space = mod._hull_space(z)
+            p = space.P
+            direction = [0] * (p - 1) + [-1, 0]
+            slabs = (range(len(z)), range(len(x1)), range(len(x1), len(z)))
+            for slab in slabs:
+                for _ in range(15):
+                    verts = tuple(sorted(rng.choice(slab, p, replace=False).tolist()))
+                    want = det_sign_exact([space.int_rows[v] for v in verts] + [direction])
+                    assert space.infdown_sign(verts) == want, verts
+                    signs.add(want)
+        assert signs == {-1, 0, 1} and exact

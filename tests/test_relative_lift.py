@@ -202,11 +202,12 @@ class TestSharedTriangulations:
         build_pipeline(EMPTY2, cloud(X2_AROUND))
         assert calls == [3]  # Z
 
-    def test_empty_x2_triangulates_x1_once(self, monkeypatch):
-        # Z is X1 at height +s, so del(X1) is del(Z).
+    def test_empty_x2_triangulates_x1_and_z(self, monkeypatch):
+        # Z is X1 at height +s, so del(Z) is the lifted del(X1): the check
+        # passes and every cell is in the subcomplex.
         calls = count_delaunay_calls(monkeypatch)
         pipe = build_pipeline(cloud(X2_AROUND), EMPTY2)
-        assert calls == [2]  # X1
+        assert calls == [2, 3]  # X1, Z
         assert all(c.in_subcomplex for c in pipe.complex.cells)
 
     def test_cocircular_ring_with_a_all_exits_0(self, tmp_path, capsys):
