@@ -242,9 +242,9 @@ def cmd_bench(args) -> int:
 
     The clouds and subsets are drawn from the fixed seed _GEN_SEED, so
     equal arguments give equal rows apart from the wall times.
-    `wall_ms_pipeline` times build_pipeline (lift, both triangulations
-    and every enclosing ball), `wall_ms_reduction` the boundary matrix and
-    its reduction.
+    `wall_ms_pipeline` times build_pipeline (del(X1) and del(X2), the
+    lift, del(Z) wrapped from them, and every enclosing ball),
+    `wall_ms_reduction` the boundary matrix and its reduction.
     """
     if not 0 <= args.subset_fraction <= 1:
         raise InputError(f"--subset-fraction must be in [0, 1], got {args.subset_fraction}")

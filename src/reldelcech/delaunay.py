@@ -13,13 +13,27 @@ dyadic rational.
 Vertical hull facets (whose supporting hyperplane contains the lift
 direction) are discarded by an exact, unperturbed test: they project to
 degenerate simplices and are not Delaunay cells.
+
+The lifted set Z of a pair of clouds (X1 at height +s, X2 at -s) gets no
+hull of its own: `pair_delaunay` gift-wraps del(Z) from del(X1) and
+del(X2).  Under the heights-first tie rule every top of del(Z) joins a
+face of del(X1) and a face of del(X2) (Cayley trick), so the top across a
+ridge with vertices in both clouds has its new vertex in the link of the
+ridge's X1 part in del(X1) or of its X2 part in del(X2).  An unperturbed
+far-side test in projection and a wrap with the hull's own perturbed
+`sides` pick it, so the tops are the lifted hull's.  The wrap starts from
+a top of a cloud that spans a slab of Z; where neither cloud does
+(non-parallel flat clouds), `delaunay(z)` triangulates Z.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
@@ -27,6 +41,7 @@ from .predicates import (
     cofactors,
     det_sign_exact,
     exact_ints,
+    filter_bound,
     filtered_det_sign,
     sos_sign,
 )
@@ -167,6 +182,8 @@ class _HullSpace:
         P vertices and the query in homogeneous rows; never 0.  `verts`
         must be sorted ascending: the tie path takes verts[0] as the
         lowest-ranked row."""
+        if not queries:
+            return []
         frows, fsize = self.frows, self.fsize
         facet = [self.int_rows[v] for v in verts]
         size = max(fsize[v] for v in verts)
@@ -433,3 +450,211 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     if not tops:
         raise AssertionError("hull produced no lower facets")
     return Triangulation(cloud, tops, rank, space)
+
+
+# -- del(Z) of a lifted pair ---------------------------------------------------
+
+
+class _Wrap:
+    """Breadth-first gift-wrap of del(Z) across its mixed ridges
+    (`pair_delaunay`), over `space`, Z's lifted coordinates.
+
+    `tops` are those of del(X1) and del(X2) in Z's indices: a vertex below
+    n1 is in X1.  orient(ridge, q) is the unperturbed orientation of a
+    ridge and a query in projection (rows without the lift), filtered by
+    one `_Orientation` per ridge and exact where the filter cannot certify,
+    as in `infdown_sign`.  For verts = sorted(ridge + (q,)), q at position
+    j, infdown_sign(verts) = (-1)^(P-1-j) orient(ridge, q), so every top's
+    vertical sign follows from the ridge it was wrapped across."""
+
+    def __init__(self, space: _HullSpace, n1: int, tops: list[tuple[int, ...]]):
+        p = space.P
+        self.space = space
+        self.n1 = n1
+        self.prows = [row[:-1] for row in space.frows]
+        self.psize = [max(map(abs, row)) for row in self.prows]
+        self.pints = [row[: p - 1] + row[p:] for row in space.int_rows]
+        self.star: list[list[tuple[int, ...]]] = [[] for _ in space.frows]
+        for top in tops:
+            for v in top:
+                self.star[v].append(top)
+        self.links: dict[tuple[int, ...], set[int]] = {}
+        self.parr = np.array(self.prows)  # for `check_boundary`
+        self.pmax = float(np.abs(self.parr).max())
+
+    def link(self, face: tuple[int, ...]) -> set[int]:
+        """Vertices v outside the face with face + v in del(X1) or
+        del(X2), the face lying in one cloud."""
+        got = self.links.get(face)
+        if got is None:
+            rest = face[1:]
+            got = {v for t in self.star[face[0]] if all(u in t for u in rest) for v in t}
+            got = self.links[face] = got.difference(face)
+        return got
+
+    def orientation(self, ridge: tuple[int, ...]) -> _Orientation:
+        return _Orientation([self.prows[v] for v in ridge], max(self.psize[v] for v in ridge))
+
+    def orient(self, ridge: tuple[int, ...], o: _Orientation, queries) -> list[int]:
+        """orient(ridge, q) for each query q, `o` the ridge's
+        `orientation`; 0 when q lies on the ridge's hyperplane."""
+        prows, psize, pints = self.prows, self.psize, self.pints
+        out = []
+        for q in queries:
+            s = o.sign(prows[q], psize[q])
+            out.append(s or det_sign_exact([pints[v] for v in ridge] + [pints[q]]))
+        return out
+
+    def exact_orient(self, ridge: tuple[int, ...], queries) -> list[int]:
+        """Exact orient(ridge, q) for each query q: the dot product of
+        q - ridge[0] with the ridge's integer cofactors, with the sign of
+        `_Orientation`'s homogeneous form.  For many queries on the
+        ridge's hyperplane, where `orient` would take one exact
+        determinant each."""
+        pints = self.pints
+        base = pints[ridge[0]][:-1]
+        cof = cofactors([[a - b for a, b in zip(pints[v], base)] for v in ridge[1:]], 0)
+        homog = -1 if len(base) % 2 else 1
+        out = []
+        for q in queries:
+            d = sum((a - b) * c for a, b, c in zip(pints[q], base, cof))
+            out.append(homog * ((d > 0) - (d < 0)))
+        return out
+
+    def check_boundary(self, ridge: tuple[int, ...], o: _Orientation, far: int):
+        """AssertionError unless no vertex q of Z has orient(ridge, q) =
+        far: a mixed ridge without a far candidate must lie on the
+        boundary of conv(Z), or a broken del(X1) or del(X2) left a hole.
+        One vectorized pass of `o`'s float filter, with the bound of
+        `certified_sign`; `exact_orient` decides the rest."""
+        sign = o.homog * far
+        # (q - base) . cof in the orientation's sign; |q - base| <= 2 pmax.
+        # A value that overflows is not finite, and the exact path decides.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = (self.parr - np.array(o.base)) @ np.array([sign * c for c in o.cof])
+        bound = filter_bound(o.k, max(o.scale, 2 * self.pmax))
+        sure = np.isfinite(vals) & (np.abs(vals) > bound)
+        beyond = np.flatnonzero(sure & (vals > 0)).tolist()
+        doubt = [q for q in np.flatnonzero(~sure).tolist() if q not in ridge]
+        if doubt and not beyond:
+            beyond = [q for q, s in zip(doubt, self.exact_orient(ridge, doubt)) if s == far]
+        if beyond:
+            raise AssertionError(f"vertex {beyond[0]} of Z lies beyond the boundary ridge {ridge} of del(Z)")
+
+    def wrap(self, ridge: tuple[int, ...], far: list[int], o: int) -> int:
+        """The vertex b of `far` for which no other lies below the lifted
+        hyperplane of ridge + b.  Every vertex of `far` has orient(ridge, q)
+        = o, so they turn around the ridge in one half-space, and a vertex
+        that is not below the hyperplane of ridge + c is not below that of
+        any c' below it either."""
+        p = self.space.P
+        best, rest = far[0], far[1:]
+        while rest:
+            verts = tuple(sorted(ridge + (best,)))
+            below = o if (p - 1 - verts.index(best)) % 2 == 0 else -o  # infdown_sign(verts)
+            rest = [q for q, s in zip(rest, self.space.sides(verts, rest)) if s == below]
+            if rest:
+                best, rest = rest[0], rest[1:]
+        return best
+
+    def run(self, start: tuple[int, ...], other: list[int]) -> list[tuple[int, ...]]:
+        """Tops of del(Z), from `start`, a top of the cloud that spans one
+        slab of Z, and `other`, the vertices of the other cloud."""
+        p, n1 = self.space.P, self.n1
+        owners: dict[tuple[int, ...], int] = {}
+        tops: list[tuple[tuple[int, ...], int]] = []  # (top, its infdown_sign)
+
+        def add(ridge, b, o):
+            top = tuple(sorted(ridge + (b,)))
+            for face in face_tuples(top):
+                k = owners.get(face, 0)
+                if k == 2:
+                    raise AssertionError(f"ridge {face} of del(Z) would get a third top {top}")
+                owners[face] = k + 1
+            tops.append((top, o if (p - 1 - top.index(b)) % 2 == 0 else -o))
+
+        # Every vertex of the other cloud lies strictly on one side of the
+        # slab that `start` spans.
+        (o,) = self.orient(start, self.orientation(start), other[:1])
+        add(start, self.wrap(start, other, o), o)
+        for top, down in tops:  # breadth first: `add` appends to `tops`
+            for i in range(p):
+                ridge = top[:i] + top[i + 1 :]
+                if ridge[-1] < n1 or ridge[0] >= n1 or owners[ridge] == 2:
+                    continue  # a slab ridge lies on the boundary of conv(Z)
+                far_o = -down if (p - 1 - i) % 2 == 0 else down  # -orient(ridge, a)
+                k = bisect_left(ridge, n1)
+                cands = sorted((self.link(ridge[:k]) | self.link(ridge[k:])).difference(top))
+                o = self.orientation(ridge)
+                far = [q for q, s in zip(cands, self.orient(ridge, o, cands)) if s == far_o]
+                if far:
+                    add(ridge, self.wrap(ridge, far, far_o), far_o)
+                else:
+                    self.check_boundary(ridge, o, far_o)
+        return [top for top, _ in tops]
+
+
+def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation | None) -> Triangulation:
+    """del(Z) of a lifted pair, from tri1 = del(X1) and tri2 = del(X2)
+    (None for an empty cloud): z[i] is X1's i-th point at height +s for
+    i < n1 = |X1|, X2's (i - n1)-th at height -s otherwise
+    (`relative_lift.lift`).  The tops equal `delaunay(z)`'s.
+
+    With one cloud empty, Z is the other at one height, and del(Z) has
+    its tops.  Otherwise `sos_sign`'s heights-first rule makes del(Z)
+    restrict to del(X1) and del(X2) (Cayley trick, Huber, Rambau & Santos,
+    JEMS 2000): every top of del(Z) is a join t1 * t2 of a face t1 of
+    del(X1) and a face t2 of del(X2).  So the top across a mixed ridge R
+    (vertices in both clouds) of a top T = R + a is R + b, b in the link
+    of R & X1 in del(X1) or of R & X2 in del(X2): the candidates.  A slab
+    ridge, in one cloud, lies on the boundary of conv(Z) and has no other
+    top.
+
+    Far side.  The top across R lies in projection (Z's coordinates
+    without the lift) on the other side of R's hyperplane than a, and is
+    not vertical, so b lies strictly there.  A candidate on R's
+    hyperplane would make a vertical facet, which `delaunay` drops; so
+    the filter is unperturbed (`_Wrap.orient`), and R lies on the
+    boundary of conv(Z) when no candidate is strictly beyond it.  That is
+    checked against every vertex of Z (`_Wrap.check_boundary`): a broken
+    del(X1) or del(X2) leaves a hole there.
+
+    Wrap.  Among the far candidates, b is the one whose lifted hyperplane
+    with R has no other candidate below it (`_Wrap.wrap`), by `sides`,
+    the perturbed orientation the lifted hull decides with: that is the
+    lower hull facet across R, as each of those candidates would be
+    below it.  Each mixed ridge is wrapped once, from the first of its
+    tops to be found.  A ridge that would get a third top, a vertex beyond
+    a boundary ridge and a vertex of Z in no top raise AssertionError: a
+    broken del(X1) or del(X2) causes them.
+
+    Start.  Write rho = rank(Z).  When a cloud has rank rho - 1, its
+    tops span a slab of Z, and each lies in exactly one top of del(Z),
+    joined to the vertex of the other cloud nearest its circumcenter:
+    the one wrap over that cloud finds it.  Otherwise neither cloud's
+    affine hull is parallel to the other's (two crossing lines in R^2,
+    skew lines or two planes in R^3), and `delaunay(z)` triangulates Z.
+    """
+    if z.dimension + 1 > DIM_CAP:
+        raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")
+    rank, space = _hull_space(z)
+    if tri1 is None or tri2 is None:
+        tops = [t.vertices for t in (tri1 or tri2).top_simplices]
+    else:
+        n1 = len(tri1.cloud)
+        tops1 = [t.vertices for t in tri1.top_simplices]
+        tops2 = [tuple(v + n1 for v in t.vertices) for t in tri2.top_simplices]
+        if not tops1 or not tops2:
+            raise AssertionError(f"del(X{1 if not tops1 else 2}) has no top")
+        if tri1.top_dim == rank - 1:
+            start, other = tops1[0], list(range(n1, len(z)))
+        elif tri2.top_dim == rank - 1:
+            start, other = tops2[0], list(range(n1))
+        else:
+            return delaunay(z)
+        tops = _Wrap(space, n1, tops1 + tops2).run(start, other)
+    covered = {v for top in tops for v in top}
+    if len(covered) < len(z):
+        missing = min(set(range(len(z))) - covered)
+        raise AssertionError(f"vertex {missing} of Z is in no top of del(Z)")
+    return Triangulation(z, [Simplex._of(t) for t in tops], rank, space)

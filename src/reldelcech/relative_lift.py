@@ -1,11 +1,22 @@
 """Relative Delaunay-Cech complex of a pair (X1 union X2, X1).
 
 The two clouds are embedded in one dimension higher at heights +s and -s,
-the lifted set is Delaunay-triangulated, cells whose vertices all sit at
+the lifted set Z is Delaunay-triangulated, cells whose vertices all sit at
 height +s form the subcomplex, and every other cell is filtered by the
 smallest enclosing ball of its projected (height-dropped) vertices.  The
 resulting filtered complex has size linear in the Delaunay triangulation of
 the lifted set instead of exponential in |X|.
+
+del(Z) is built from del(X1) and del(X2), each cloud triangulated once
+(`delaunay.pair_delaunay`).  With ties broken by the lift heights first,
+every top of del(Z) is the join of a face of del(X1) and a face of del(X2)
+(Cayley trick, Huber, Rambau & Santos): so the top across a ridge with
+vertices at both heights takes its new vertex from the links of the
+ridge's two parts in del(X1) and del(X2).  Of those candidates, the ones
+strictly beyond the ridge in projection are wrapped with the lifted hull's
+perturbed orientation test, which gives the lifted hull's tops; the wrap
+starts from a top of a cloud that spans its slab of Z, joined to the
+other cloud's vertex nearest its circumcenter.
 
 Each ball is taken from the cell's faces or from the cell itself (Bauer &
 Edelsbrunner, "The Morse theory of Cech and Delaunay complexes"): a
@@ -29,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delaunay import Triangulation, delaunay, face_tuples
+from .delaunay import Triangulation, delaunay, face_tuples, pair_delaunay
 from .filtered_complex import Cell, FilteredComplex, build
 from .geometry import (
     InputError,
@@ -120,11 +131,32 @@ def _face_ball(proj, vs: tuple[int, ...], balls) -> tuple[tuple[float, ...], flo
     return ball.center.coords, ball.radius
 
 
-def _plus_mismatch(cells, lifted_x1: set[tuple[int, ...]], n1: int) -> list[tuple[int, ...]]:
-    """The simplices, lowest dimension first, in exactly one of the lifted
-    del(X1) and the all-plus `cells` of del(Z) (all vertices below n1)."""
-    all_plus = {vs for vs in cells if vs[-1] < n1}
-    return sorted(all_plus.symmetric_difference(lifted_x1), key=lambda vs: (len(vs), vs))
+def _slab_mismatch(cells, lifted: set[tuple[int, ...]], lo: int, hi: int) -> list[tuple[int, ...]]:
+    """The simplices, lowest dimension first, in exactly one of `lifted`
+    and the `cells` of del(Z) with all vertices in range(lo, hi): with
+    (0, n1) the all-plus cells against the lifted del(X1), with (n1, n)
+    the all-minus ones against the lifted del(X2)."""
+    in_slab = {vs for vs in cells if lo <= vs[0] and vs[-1] < hi}
+    return sorted(in_slab.symmetric_difference(lifted), key=lambda vs: (len(vs), vs))
+
+
+def _lifted(tri: Triangulation, offset: int) -> set[tuple[int, ...]]:
+    """The simplices of a cloud's triangulation in Z's vertex indices."""
+    return {tuple(v + offset for v in simp.vertices) for simp in tri.simplices()}
+
+
+def _check_slabs(cells, tri1: Triangulation | None, tri2: Triangulation | None, n1: int, n: int):
+    """AssertionError unless the all-plus cells of del(Z) are exactly the
+    lifted del(X1) and the all-minus cells the lifted del(X2)."""
+    for tri, lo, hi, name, sign in ((tri1, 0, n1, "X1", "plus"), (tri2, n1, n, "X2", "minus")):
+        if tri is None:
+            continue
+        mismatch = _slab_mismatch(cells, _lifted(tri, lo), lo, hi)
+        missing = [vs for vs in mismatch if vs not in cells]
+        if missing:
+            raise AssertionError(f"lifted del({name}) simplex {missing[0]} missing from del(Z)")
+        if mismatch:
+            raise AssertionError(f"all-{sign} simplex {mismatch[0]} of del(Z) is not in del({name})")
 
 
 @dataclass
@@ -140,10 +172,20 @@ class Pipeline:
 def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     """Lift, triangulate and filter.
 
-    del(X1) is triangulated once, to check that its lifted copy is the
-    subcomplex: the all-plus cells of del(Z) must be exactly the lifted
-    del(X1) (`_plus_mismatch`), else AssertionError.  X2 is triangulated
-    only through del(Z).
+    del(X1) and del(X2) are triangulated once each, and del(Z) is wrapped
+    from them (`delaunay.pair_delaunay`): a candidate for the top across a
+    ridge with vertices in both clouds is a vertex of the link of the
+    ridge's X1 part in del(X1) or of its X2 part in del(X2).  Only the
+    candidates strictly beyond the ridge in projection can make a top that
+    is not vertical, and among them the wrap keeps the one whose lifted
+    hyperplane with the ridge has no other candidate below it, by the
+    lifted hull's perturbed test; the start is a top of a cloud that spans
+    its slab of Z and the other cloud's vertex nearest its circumcenter.
+    A broken del(X1) or del(X2) raises AssertionError there (a third top on
+    a ridge, a vertex beyond a boundary ridge, or a vertex in no top).
+    Then the all-plus cells of del(Z) must be exactly the lifted del(X1)
+    and the all-minus cells the lifted del(X2) (`_check_slabs`), else
+    AssertionError.
 
     A cell outside the subcomplex is filtered by the smallest enclosing
     ball (MEB) of its projected vertices, taken from its faces or from its
@@ -169,8 +211,9 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     if len(x1) + len(x2) == 0:
         raise InputError("x1 and x2 are both empty")
     tri1 = delaunay(x1) if len(x1) else None
+    tri2 = delaunay(x2) if len(x2) else None
     cfg = lift(x1, x2, choose_s(x1, x2))
-    tri = delaunay(cfg.z)
+    tri = pair_delaunay(cfg.z, tri1, tri2)
     n1 = len(x1)
     proj = [p.coords[:-1] for p in cfg.z]
     values: dict[tuple[int, ...], float] = {}
@@ -189,13 +232,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
                 value = max(ball[1], max(values[f] for f in face_tuples(vs)))
         values[vs] = value
         cells.append(Cell(simp, value, sub))
-    if tri1 is not None:
-        mismatch = _plus_mismatch(values, {simp.vertices for simp in tri1.simplices()}, n1)
-        missing = [vs for vs in mismatch if vs not in values]
-        if missing:
-            raise AssertionError(f"lifted del(X1) simplex {missing[0]} missing from del(Z)")
-        if mismatch:
-            raise AssertionError(f"all-plus simplex {mismatch[0]} of del(Z) is not in del(X1)")
+    _check_slabs(values, tri1, tri2, n1, len(cfg.z))
     return Pipeline(cfg, tri, build(cells))
 
 
@@ -212,9 +249,10 @@ def relative_delcech(x1: PointCloud, x2: PointCloud) -> FilteredComplex:
 class EmbeddingReport:
     """Outcome of the three structural checks on a lifted triangulation.
 
-    `build_pipeline` enforces the third, which implies the first.  With
-    `sos_sign`'s heights-first rule all three hold on degenerate grids too
-    (Cayley trick), so a failure means a broken del(Z).
+    `build_pipeline` enforces all three against its own del(X1) and
+    del(X2) (`_check_slabs`); this report triangulates both clouds again.
+    With `sos_sign`'s heights-first rule all three hold on degenerate
+    grids too (Cayley trick), so a failure means a broken del(Z).
     """
 
     x1_embedded: bool
@@ -250,16 +288,11 @@ def verify_embedding(cfg: LiftedConfiguration, tri: Triangulation) -> EmbeddingR
     n1 = len(cfg.x1)
     present = {simp.vertices for simp in tri.simplices()}
 
-    def lifted_simplices(cloud: PointCloud, offset: int) -> set[tuple[int, ...]]:
-        if len(cloud) == 0:
-            return set()
-        return {tuple(v + offset for v in s.vertices) for s in delaunay(cloud).simplices()}
-
-    j1 = lifted_simplices(cfg.x1, 0)
-    j2 = lifted_simplices(cfg.x2, n1)
+    j1 = _lifted(delaunay(cfg.x1), 0) if len(cfg.x1) else set()
+    j2 = _lifted(delaunay(cfg.x2), n1) if len(cfg.x2) else set()
     missing_x1 = sorted(j1 - present)
     missing_x2 = sorted(j2 - present)
-    mismatch = _plus_mismatch(present, j1, n1)
+    mismatch = _slab_mismatch(present, j1, 0, n1)
     return EmbeddingReport(
         x1_embedded=not missing_x1,
         x2_embedded=not missing_x2,

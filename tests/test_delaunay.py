@@ -562,3 +562,62 @@ class TestHullOrientation:
                     assert space.infdown_sign(verts) == want, verts
                     signs.add(want)
         assert signs == {-1, 0, 1} and exact
+
+
+def _line(direction, offset, ts):
+    return [tuple(o + t * d for o, d in zip(offset, direction)) for t in ts]
+
+
+# Pairs whose affine hulls are parallel to no common flat of the other's
+# dimension: neither cloud has rank rank(Z) - 1, so no top of either spans
+# a slab of Z.
+NONPARALLEL = {
+    "crossing lines": (_line((1, 0), (0, 0), (-2.0, -0.5, 1.0, 2.5)), _line((1, 2), (0.5, 0), (-1.0, 0.25, 1.5))),
+    "skew lines": (_line((1, 0, 0), (0, 0, 0), (-1.0, 0.5, 2.0)), _line((0, 1, 1), (0, 0, 1), (-1.5, 0.0, 0.75, 2.0))),
+    "octahedron planes": ([(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0)], [(0, 0, 1.0), (0, 0, -1.0), (0, 1.0, 0)]),
+    "grid planes": ([(float(i), float(j), 0.0) for i in range(3) for j in range(3)],
+                    [(float(i), 0.0, float(k)) for i in range(3) for k in range(1, 3)]),
+}
+# Pairs where one cloud's affine hull is parallel to a flat of the other.
+PARALLEL = {
+    "point and line": ([(0.5, 2.0)], _line((1, 0), (0, 0), (-1.0, 0.0, 2.0))),
+    "parallel lines": (_line((1, 1), (0, 0), (0.0, 1.0, 3.0)), _line((1, 1), (1, 0), (-1.0, 0.5, 2.0))),
+    "line in a plane": (_line((1, 1, 0), (0, 0, 0.5), (0.0, 1.0, 2.5)), [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 3.0, 0.0), (1.0, 1.0, 0.0)]),
+    "full rank": ([(0.1, 0.2), (0.9, 0.1), (0.4, 0.8)], [(0.5, -0.7), (1.6, 0.9), (-0.6, 1.1), (0.6, 0.35)]),
+}
+
+
+class TestPairDelaunay:
+    """`pair_delaunay` wraps del(Z) from del(X1) and del(X2) and keeps the
+    lifted hull of Z only for non-parallel flat clouds."""
+
+    @staticmethod
+    def _run(x1, x2, monkeypatch):
+        mod = importlib.import_module("reldelcech.delaunay")
+        hulls = []
+        monkeypatch.setattr(mod, "delaunay", lambda c: hulls.append(len(c)) or delaunay(c))
+        z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
+        tri = mod.pair_delaunay(z, delaunay(PointCloud(x1)), delaunay(PointCloud(x2)))
+        assert tri.top_simplices == delaunay(z).top_simplices
+        return hulls, len(z)
+
+    @pytest.mark.parametrize("name", sorted(NONPARALLEL))
+    def test_nonparallel_flat_clouds_take_the_lifted_hull(self, name, monkeypatch):
+        hulls, n = self._run(*NONPARALLEL[name], monkeypatch)
+        assert hulls == [n]
+
+    @pytest.mark.parametrize("name", sorted(PARALLEL))
+    def test_parallel_clouds_are_wrapped(self, name, monkeypatch):
+        for x1, x2 in (PARALLEL[name], PARALLEL[name][::-1]):
+            hulls, _ = self._run(x1, x2, monkeypatch)
+            assert hulls == []
+
+    def test_empty_side_takes_the_other_triangulation(self):
+        mod = importlib.import_module("reldelcech.delaunay")
+        x = PointCloud(np.random.default_rng(81).random((9, 2)).tolist())
+        empty = PointCloud([], dimension=2)
+        for x1, x2 in ((x, empty), (empty, x)):
+            z = lift(x1, x2, 1.0).z
+            tri = mod.pair_delaunay(z, delaunay(x1) if len(x1) else None, delaunay(x2) if len(x2) else None)
+            assert tri.top_simplices == delaunay(x).top_simplices == delaunay(z).top_simplices
+            assert tri.top_dim == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,51 +164,89 @@ def count_delaunay_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def drop_lifted_x1_edge(monkeypatch, n1: int, d: int):
-    """Make del(Z) lose one lifted del(X1) edge, with every top on it."""
-    real = relative_lift.delaunay
+def drop_lifted_edge(monkeypatch, lo: int, hi: int):
+    """Make del(Z) lose one edge with both vertices in range(lo, hi), a
+    lifted del(X1) or del(X2) edge, with every top on it."""
+    real = relative_lift.pair_delaunay
 
-    def broken(c):
-        t = real(c)
-        if c.dimension != d + 1:
-            return t
-        edge = next(e.vertices for e in t.faces(1) if e.vertices[-1] < n1)
+    def broken(z, tri1, tri2):
+        t = real(z, tri1, tri2)
+        edge = next(e.vertices for e in t.faces(1) if lo <= e.vertices[0] and e.vertices[-1] < hi)
         tops = [top for top in t.top_simplices if not set(edge) <= set(top.vertices)]
-        return Triangulation(c, tops, t.top_dim, t._space)
+        return Triangulation(z, tops, t.top_dim, t._space)
 
-    monkeypatch.setattr(relative_lift, "delaunay", broken)
+    monkeypatch.setattr(relative_lift, "pair_delaunay", broken)
 
 
-def drop_x1_top(monkeypatch, d: int):
-    """Make del(X1) lose one top; its lifted copy stays inside del(Z)."""
+def drop_top(monkeypatch, call: int, k: int = 0):
+    """Make every build_pipeline run on a pair of non-empty clouds, which
+    triangulates X1 and then X2, lose top k of the call-th triangulation
+    (0: del(X1), 1: del(X2))."""
     real = relative_lift.delaunay
+    calls = []
 
     def broken(c):
         t = real(c)
-        if c.dimension != d:
+        calls.append(c)
+        if (len(calls) - 1) % 2 != call:
             return t
-        return Triangulation(c, list(t.top_simplices[1:]), t.top_dim, t._space)
+        return Triangulation(c, [s for j, s in enumerate(t.top_simplices) if j != k], t.top_dim, t._space)
 
     monkeypatch.setattr(relative_lift, "delaunay", broken)
+
+
+def drop_x1_top(monkeypatch, k: int = 0):
+    drop_top(monkeypatch, 0, k)
+
+
+def drop_x2_top(monkeypatch, k: int = 0):
+    drop_top(monkeypatch, 1, k)
+
+
+def check_with_true_triangulations(monkeypatch):
+    """Build del(Z) from unbroken del(X1) and del(X2), so that only the
+    subcomplex checks see a stub's triangulations."""
+    real = relative_lift.pair_delaunay
+
+    def rebuilt(z, tri1, tri2):
+        return real(z, *(t and delaunay(t.cloud) for t in (tri1, tri2)))
+
+    monkeypatch.setattr(relative_lift, "pair_delaunay", rebuilt)
+
+
+def write_pair(tmp_path, x1, x2) -> list[str]:
+    """`compute` arguments for the pair (x1 + x2, indices of x1)."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in list(x1) + list(x2)))
+    sub = tmp_path / "a.txt"
+    sub.write_text("".join(f"{i}\n" for i in range(len(x1))))
+    return ["compute", str(pts), "--subset-indices", str(sub)]
+
+
+# A pair whose dropped tops break the wrap in each of its ways: a third top
+# on a ridge, or a hole whose boundary ridge has vertices beyond it.
+_RNG = np.random.default_rng(71)
+X1_EIGHT, X2_EIGHT = _RNG.random((8, 2)).tolist(), _RNG.random((8, 2)).tolist()
+BROKEN_WRAP = r"would get a third top|lies beyond the boundary ridge|has no top"
 
 
 class TestSharedTriangulations:
-    def test_two_calls_x1_and_z(self, monkeypatch):
+    def test_two_calls_x1_and_x2(self, monkeypatch):
         calls = count_delaunay_calls(monkeypatch)
         build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
-        assert calls == [2, 3]  # X1, Z
+        assert calls == [2, 2]  # X1, X2; del(Z) is wrapped from them
 
     def test_empty_x1_is_not_triangulated(self, monkeypatch):
         calls = count_delaunay_calls(monkeypatch)
         build_pipeline(EMPTY2, cloud(X2_AROUND))
-        assert calls == [3]  # Z
+        assert calls == [2]  # X2
 
-    def test_empty_x2_triangulates_x1_and_z(self, monkeypatch):
+    def test_empty_x2_triangulates_x1_once(self, monkeypatch):
         # Z is X1 at height +s, so del(Z) is the lifted del(X1): the check
         # passes and every cell is in the subcomplex.
         calls = count_delaunay_calls(monkeypatch)
         pipe = build_pipeline(cloud(X2_AROUND), EMPTY2)
-        assert calls == [2, 3]  # X1, Z
+        assert calls == [2]  # X1
         assert all(c.in_subcomplex for c in pipe.complex.cells)
 
     def test_cocircular_ring_with_a_all_exits_0(self, tmp_path, capsys):
@@ -222,33 +261,56 @@ class TestSharedTriangulations:
         assert [d["bars"] for d in out["dims"]] == [[], [], []]
 
     def test_missing_x1_simplex_raises(self, monkeypatch):
-        drop_lifted_x1_edge(monkeypatch, n1=3, d=2)
+        drop_lifted_edge(monkeypatch, 0, 3)
         with pytest.raises(AssertionError, match=r"lifted del\(X1\) simplex \(\d+, \d+\) missing"):
             build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
 
+    def test_missing_x2_simplex_raises(self, monkeypatch):
+        drop_lifted_edge(monkeypatch, 3, 7)
+        with pytest.raises(AssertionError, match=r"lifted del\(X2\) simplex \(\d+, \d+\) missing"):
+            build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
+
     def test_missing_x1_simplex_exits_1(self, monkeypatch, tmp_path, capsys):
-        pts = tmp_path / "pts.csv"
-        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in X1_TRIANGLE + X2_AROUND))
-        sub = tmp_path / "a.txt"
-        sub.write_text("0\n1\n2\n")
-        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
+        args = write_pair(tmp_path, X1_TRIANGLE, X2_AROUND)
+        assert cli.main(args) == 0
         capsys.readouterr()
-        drop_lifted_x1_edge(monkeypatch, n1=3, d=2)
-        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 1
+        drop_lifted_edge(monkeypatch, 0, 3)
+        assert cli.main(args) == 1
         assert "AssertionError" in capsys.readouterr().err
 
     def test_extra_all_plus_simplex_raises_and_exits_1(self, monkeypatch, tmp_path, capsys):
         # The all-plus cells of del(Z) must equal the lifted del(X1), not
         # only contain it: a del(X1) that lost a top is caught too.
-        drop_x1_top(monkeypatch, d=2)
+        drop_x1_top(monkeypatch)
+        check_with_true_triangulations(monkeypatch)
         with pytest.raises(AssertionError, match=r"all-plus simplex \(\d+(, \d+)+\) of del\(Z\) is not in del\(X1\)"):
             build_pipeline(cloud(X2_AROUND), cloud(X1_TRIANGLE))
-        pts = tmp_path / "pts.csv"
-        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in X2_AROUND + X1_TRIANGLE))
-        sub = tmp_path / "a.txt"
-        sub.write_text("0\n1\n2\n3\n")
-        assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 1
+        assert cli.main(write_pair(tmp_path, X2_AROUND, X1_TRIANGLE)) == 1
         assert "all-plus simplex" in capsys.readouterr().err
+
+    def test_extra_all_minus_simplex_raises(self, monkeypatch):
+        drop_x2_top(monkeypatch)
+        check_with_true_triangulations(monkeypatch)
+        with pytest.raises(AssertionError, match=r"all-minus simplex \(\d+(, \d+)+\) of del\(Z\) is not in del\(X2\)"):
+            build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
+
+    @pytest.mark.parametrize("drop", [drop_x1_top, drop_x2_top])
+    def test_wrap_from_a_broken_triangulation_raises_and_exits_1(self, drop, monkeypatch, tmp_path, capsys):
+        # del(Z) is wrapped from the broken triangulation itself: without
+        # its checks, a lost top left a hole or overlapping tops, silently.
+        x1, x2 = cloud(X1_EIGHT), cloud(X2_EIGHT)
+        tops = len(delaunay(x1 if drop is drop_x1_top else x2).top_simplices)
+        seen = set()
+        for k in range(tops):
+            with monkeypatch.context() as m:
+                drop(m, k)
+                with pytest.raises(AssertionError, match=BROKEN_WRAP) as err:
+                    build_pipeline(x1, x2)
+            seen.add("third" if "third" in str(err.value) else "beyond")
+        assert seen == {"third", "beyond"}
+        drop(monkeypatch)
+        assert cli.main(write_pair(tmp_path, X1_EIGHT, X2_EIGHT)) == 1
+        assert "AssertionError" in capsys.readouterr().err
 
 
 def s_invariance_clouds():
@@ -522,6 +584,74 @@ class TestDegenerateCorpus:
         assert sum((-1) ** s.dim for s in pipe.triangulation.simplices()) == 1
         rep = verify_embedding(pipe.cfg, pipe.triangulation)
         assert rep.ok, rep.text()
+
+
+def assert_wrap_matches_lifted_hull(x1: PointCloud, x2: PointCloud):
+    """del(Z) of build_pipeline, wrapped from del(X1) and del(X2), has the
+    tops of the lifted hull of Z."""
+    pipe = build_pipeline(x1, x2)
+    assert pipe.triangulation.top_simplices == delaunay(pipe.cfg.z).top_simplices
+
+
+def _small_side_pairs():
+    """Pairs where one cloud has 0 to 3 points, random or collinear."""
+    rng = np.random.default_rng(83)
+    out = []
+    for d in (2, 3):
+        big = rng.random((9, d)).tolist()
+        for small in [[], *(rng.random((k, d)).tolist() for k in (1, 2, 3))]:
+            out += [(small, big), (big, small)]
+        line = [[t * (c + 1) for c in range(d)] for t in (0.0, 0.5, 1.5)]
+        out += [(line, big), (big[:2], line)]
+    return out
+
+
+class TestWrapMatchesLiftedHull:
+    """The reference for `pair_delaunay`: the lifted hull of Z."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_corpus(self, name):
+        pts, k, seed = DEGENERATE[name]
+        for a in random_subsets(len(pts), k, seed):
+            assert_wrap_matches_lifted_hull(*cli.split_pair(PointCloud(pts), a))
+
+    @pytest.mark.parametrize("name", sorted(FLAT))
+    def test_flat_corpus(self, name):
+        pts = FLAT[name]
+        for k, (u, v) in enumerate(PLANES.values()):
+            x = PointCloud([tuple(p * a + q * b for a, b in zip(u, v)) for p, q in pts])
+            for a in random_subsets(len(pts), 3, 300 + 4 * sorted(FLAT).index(name) + k):
+                assert_wrap_matches_lifted_hull(*cli.split_pair(x, a))
+
+    def test_nonparallel_flat_clouds(self):
+        # Crossing lines in R^2, skew lines and two planes in R^3: no top of
+        # either cloud spans a slab of Z (`pair_delaunay`).
+        sq = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
+        for x1, x2 in [
+            ([(t, 0.0) for t in (-2.0, -0.5, 1.0, 2.5)], [(0.5 + t, 2 * t) for t in (-1.0, 0.25, 1.5)]),
+            ([(t, 0.0, 0.0) for t in (-1.0, 0.5, 2.0)], [(0.0, t, 1.0 + t) for t in (-1.5, 0.0, 2.0)]),
+            (sq, [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0)]),
+            (OCTAHEDRON[:4] + [(0.0, 0.0, 0.0)], OCTAHEDRON[2:]),
+        ]:
+            assert_wrap_matches_lifted_hull(cloud(x1), cloud(x2))
+
+    def test_small_and_empty_sides(self):
+        for x1, x2 in _small_side_pairs():
+            d = len((x1 or x2)[0])
+            assert_wrap_matches_lifted_hull(PointCloud(x1, dimension=d), PointCloud(x2, dimension=d))
+
+    @pytest.mark.parametrize("d, n", [(2, 40), (3, 24)])
+    def test_uniform_pairs(self, d, n):
+        x = np.random.default_rng(84 + d).random((n, d)).tolist()
+        assert_wrap_matches_lifted_hull(cloud(x[: n // 3]), cloud(x[n // 3 :]))
+
+    def test_huge_coordinates(self):
+        # The boundary check's float values overflow here: the exact path
+        # decides them, and numpy warns of nothing.
+        x = np.random.default_rng(1).random((9, 2)) * 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_wrap_matches_lifted_hull(cloud(x[:3].tolist()), cloud(x[3:].tolist()))
 
 
 class TestPipelineBarcodes:
