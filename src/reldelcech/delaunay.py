@@ -33,15 +33,12 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
     certified_sign,
     cofactors,
     det_sign_exact,
     exact_ints,
-    filter_bound,
     filtered_det_sign,
     sos_sign,
 )
@@ -261,6 +258,10 @@ class _Orientation:
                 scale = -dc
         return self.homog * (certified_sign(val, self.k, scale) or 0)
 
+    def value(self, x) -> float:
+        """The float orientation of (u_0, ..., u_{k-1}, x), uncertified."""
+        return self.homog * sum((a - b) * cf for a, b, cf in zip(x, self.base, self.cof))
+
 
 @dataclass
 class _Facet:
@@ -479,8 +480,6 @@ class _Wrap:
             for v in top:
                 self.star[v].append(top)
         self.links: dict[tuple[int, ...], set[int]] = {}
-        self.parr = np.array(self.prows)  # for `check_boundary`
-        self.pmax = float(np.abs(self.parr).max())
 
     def link(self, face: tuple[int, ...]) -> set[int]:
         """Vertices v outside the face with face + v in del(X1) or
@@ -505,41 +504,51 @@ class _Wrap:
             out.append(s or det_sign_exact([pints[v] for v in ridge] + [pints[q]]))
         return out
 
-    def exact_orient(self, ridge: tuple[int, ...], queries) -> list[int]:
-        """Exact orient(ridge, q) for each query q: the dot product of
-        q - ridge[0] with the ridge's integer cofactors, with the sign of
-        `_Orientation`'s homogeneous form.  For many queries on the
-        ridge's hyperplane, where `orient` would take one exact
-        determinant each."""
-        pints = self.pints
-        base = pints[ridge[0]][:-1]
-        cof = cofactors([[a - b for a, b in zip(pints[v], base)] for v in ridge[1:]], 0)
-        homog = -1 if len(base) % 2 else 1
-        out = []
-        for q in queries:
-            d = sum((a - b) * c for a, b, c in zip(pints[q], base, cof))
-            out.append(homog * ((d > 0) - (d < 0)))
-        return out
-
     def check_boundary(self, ridge: tuple[int, ...], o: _Orientation, far: int):
         """AssertionError unless no vertex q of Z has orient(ridge, q) =
-        far: a mixed ridge without a far candidate must lie on the
-        boundary of conv(Z), or a broken del(X1) or del(X2) left a hole.
-        One vectorized pass of `o`'s float filter, with the bound of
-        `certified_sign`; `exact_orient` decides the rest."""
-        sign = o.homog * far
-        # (q - base) . cof in the orientation's sign; |q - base| <= 2 pmax.
-        # A value that overflows is not finite, and the exact path decides.
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = (self.parr - np.array(o.base)) @ np.array([sign * c for c in o.cof])
-        bound = filter_bound(o.k, max(o.scale, 2 * self.pmax))
-        sure = np.isfinite(vals) & (np.abs(vals) > bound)
-        beyond = np.flatnonzero(sure & (vals > 0)).tolist()
-        doubt = [q for q in np.flatnonzero(~sure).tolist() if q not in ridge]
-        if doubt and not beyond:
-            beyond = [q for q, s in zip(doubt, self.exact_orient(ridge, doubt)) if s == far]
-        if beyond:
-            raise AssertionError(f"vertex {beyond[0]} of Z lies beyond the boundary ridge {ridge} of del(Z)")
+        far: a ridge without a far candidate must lie on the boundary of
+        conv(Z), or a broken del(X1) or del(X2) left a hole."""
+        queries = [q for q in range(len(self.prows)) if q not in ridge]
+        for q, s in zip(queries, self.orient(ridge, o, queries)):
+            if s == far:
+                raise AssertionError(f"vertex {q} of Z lies beyond the boundary ridge {ridge} of del(Z)")
+
+    def check_tops(self, tops: list[tuple[int, ...]]):
+        """The wrap's checks on `tops`, a whole triangulation of Z's
+        vertices: AssertionError if a ridge has more than two tops, if the
+        two tops of a ridge are flat or lie on one side of it, or if a
+        vertex of Z lies beyond a ridge of one top (`check_boundary`)."""
+        apexes: dict[tuple[int, ...], list[int]] = {}
+        for top in tops:
+            for ridge, a in zip(face_tuples(top), reversed(top)):
+                apexes.setdefault(ridge, []).append(a)
+        for ridge, ends in apexes.items():
+            if len(ends) > 2:
+                raise AssertionError(f"ridge {ridge} of del(Z) has {len(ends)} tops")
+            o = self.orientation(ridge)
+            signs = self.orient(ridge, o, ends)
+            if 0 in signs or len(ends) == 2 and signs[0] == signs[1]:
+                raise AssertionError(f"the tops of ridge {ridge} of del(Z) are flat or overlap")
+            if len(ends) == 1:
+                self.check_boundary(ridge, o, -signs[0])
+
+    def down(self, verts: tuple[int, ...], b: int, o: int) -> int:
+        """infdown_sign(verts) for verts = sorted(ridge + (b,)) and
+        o = orient(ridge, b) (class docstring)."""
+        return o if (self.space.P - 1 - verts.index(b)) % 2 == 0 else -o
+
+    def nearest(self, start: tuple[int, ...], other: list[int], o: int) -> int:
+        """The vertex of `other` nearest the circumcenter of `start` in
+        float, o = orient(start, q) for every q in `other`.  `start` spans
+        one slab of Z and `other` lies in the other, so the lifted
+        orientation of start + other[0] and q, times the `down` sign, is a
+        positive multiple of other[0]'s power distance from the
+        circumsphere of `start` minus q's: the largest is the nearest."""
+        frows = self.space.frows
+        verts = tuple(sorted(start + (other[0],)))
+        below = self.down(verts, other[0], o)
+        f = _Orientation([frows[v] for v in verts], 0.0)
+        return max(other, key=lambda q: below * f.value(frows[q]))
 
     def wrap(self, ridge: tuple[int, ...], far: list[int], o: int) -> int:
         """The vertex b of `far` for which no other lies below the lifted
@@ -547,11 +556,10 @@ class _Wrap:
         = o, so they turn around the ridge in one half-space, and a vertex
         that is not below the hyperplane of ridge + c is not below that of
         any c' below it either."""
-        p = self.space.P
         best, rest = far[0], far[1:]
         while rest:
             verts = tuple(sorted(ridge + (best,)))
-            below = o if (p - 1 - verts.index(best)) % 2 == 0 else -o  # infdown_sign(verts)
+            below = self.down(verts, best, o)
             rest = [q for q, s in zip(rest, self.space.sides(verts, rest)) if s == below]
             if rest:
                 best, rest = rest[0], rest[1:]
@@ -571,12 +579,14 @@ class _Wrap:
                 if k == 2:
                     raise AssertionError(f"ridge {face} of del(Z) would get a third top {top}")
                 owners[face] = k + 1
-            tops.append((top, o if (p - 1 - top.index(b)) % 2 == 0 else -o))
+            tops.append((top, self.down(top, b, o)))
 
         # Every vertex of the other cloud lies strictly on one side of the
-        # slab that `start` spans.
+        # slab that `start` spans.  The wrap from the nearest in float
+        # usually ends after one `sides` call, whatever the vertex order.
         (o,) = self.orient(start, self.orientation(start), other[:1])
-        add(start, self.wrap(start, other, o), o)
+        b = self.nearest(start, other, o)
+        add(start, self.wrap(start, [b] + [q for q in other if q != b], o), o)
         for top, down in tops:  # breadth first: `add` appends to `tops`
             for i in range(p):
                 ridge = top[:i] + top[i + 1 :]
@@ -601,7 +611,8 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     (`relative_lift.lift`).  The tops equal `delaunay(z)`'s.
 
     With one cloud empty, Z is the other at one height, and del(Z) has
-    its tops.  Otherwise `sos_sign`'s heights-first rule makes del(Z)
+    its tops; `_Wrap.check_tops` checks them as the wrap checks its own.
+    Otherwise `sos_sign`'s heights-first rule makes del(Z)
     restrict to del(X1) and del(X2) (Cayley trick, Huber, Rambau & Santos,
     JEMS 2000): every top of del(Z) is a join t1 * t2 of a face t1 of
     del(X1) and a face t2 of del(X2).  So the top across a mixed ridge R
@@ -631,7 +642,10 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     Start.  Write rho = rank(Z).  When a cloud has rank rho - 1, its
     tops span a slab of Z, and each lies in exactly one top of del(Z),
     joined to the vertex of the other cloud nearest its circumcenter:
-    the one wrap over that cloud finds it.  Otherwise neither cloud's
+    the one wrap over that cloud finds it.  The wrap starts from the
+    vertex nearest in float (`_Wrap.nearest`), so one `sides` call
+    usually confirms it, in whatever order the cloud is listed.
+    Otherwise neither cloud's
     affine hull is parallel to the other's (two crossing lines in R^2,
     skew lines or two planes in R^3), and `delaunay(z)` triangulates Z.
     """
@@ -640,6 +654,8 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     rank, space = _hull_space(z)
     if tri1 is None or tri2 is None:
         tops = [t.vertices for t in (tri1 or tri2).top_simplices]
+        if rank:  # a single vertex has no ridge
+            _Wrap(space, 0, tops).check_tops(tops)
     else:
         n1 = len(tri1.cloud)
         tops1 = [t.vertices for t in tri1.top_simplices]

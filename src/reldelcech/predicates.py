@@ -137,18 +137,17 @@ def _expansion_plan(k: int):
     return tuple(levels), top
 
 
-def cofactors(block, zero=0.0) -> list:
-    """Cofactors of a last row under a (k-1) x k block: c_j is
+def cofactors(block) -> list[float]:
+    """Cofactors of a last row under a (k-1) x k float block: c_j is
     (-1)^(k-1+j) det(block without column j), so the determinant of the
     block with a row x appended is sum(x_j c_j).
 
     One Laplace expansion computes all k: the minors of the last rows are
     shared between the cofactors (`_expansion_plan`), the sum over
     r = 2..k-1 of C(k, r) r multiply-adds for all of them (70 for k = 5).
-    On floats the error bound is `_FILTER_C`'s; an integer block with
-    `zero` = 0 gives the exact cofactors."""
+    The error bound is `_FILTER_C`'s."""
     if not block:
-        return [zero + 1]
+        return [1.0]
     k = len(block[0])
     levels, top = _expansion_plan(k)
     minors = block[-1]
@@ -156,7 +155,7 @@ def cofactors(block, zero=0.0) -> list:
         row = block[r]
         level = []
         for pos, neg in terms:
-            v = zero
+            v = 0.0
             for c, i in pos:
                 v += row[c] * minors[i]
             for c, i in neg:
@@ -166,22 +165,16 @@ def cofactors(block, zero=0.0) -> list:
     return [-minors[i] if (k - 1 + j) % 2 else minors[i] for j, i in enumerate(top)]
 
 
-def filter_bound(n: int, scale: float) -> float:
-    """Rounding error bound of a float evaluation of an n x n determinant
-    whose entries are at most `scale` >= 1 in magnitude; inf when the
-    bound exceeds the float range (the exact path decides)."""
-    try:
-        return _FILTER_C[n] * scale**n
-    except OverflowError:
-        return math.inf
-
-
 def certified_sign(value: float, n: int, scale: float) -> int | None:
     """Sign of `value`, a float evaluation of an n x n determinant whose
     entries are at most `scale` >= 1 in magnitude, if it exceeds the
-    rounding error bound (`filter_bound`); else None."""
+    rounding error bound; else None."""
+    try:
+        bound = _FILTER_C[n] * scale**n
+    except OverflowError:  # no float bound: the exact path decides
+        return None
     # An infinite value overflowed on the way and certifies nothing.
-    if filter_bound(n, scale) < abs(value) < math.inf:
+    if bound < abs(value) < math.inf:
         return 1 if value > 0 else -1
     return None
 

@@ -180,9 +180,11 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     is not vertical, and among them the wrap keeps the one whose lifted
     hyperplane with the ridge has no other candidate below it, by the
     lifted hull's perturbed test; the start is a top of a cloud that spans
-    its slab of Z and the other cloud's vertex nearest its circumcenter.
-    A broken del(X1) or del(X2) raises AssertionError there (a third top on
-    a ridge, a vertex beyond a boundary ridge, or a vertex in no top).
+    its slab of Z and the other cloud's vertex nearest its circumcenter,
+    guessed in float and confirmed by the wrap.  A broken del(X1) or
+    del(X2) raises AssertionError there (a third top on a ridge, a vertex
+    beyond a boundary ridge, or a vertex in no top).  With one cloud
+    empty, del(Z) is the other's triangulation, checked the same way.
     Then the all-plus cells of del(Z) must be exactly the lifted del(X1)
     and the all-minus cells the lifted del(X2) (`_check_slabs`), else
     AssertionError.

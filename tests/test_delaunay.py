@@ -621,3 +621,45 @@ class TestPairDelaunay:
             tri = mod.pair_delaunay(z, delaunay(x1) if len(x1) else None, delaunay(x2) if len(x2) else None)
             assert tri.top_simplices == delaunay(x).top_simplices == delaunay(z).top_simplices
             assert tri.top_dim == 2
+
+    @staticmethod
+    def _start_calls(x1, x2, monkeypatch) -> int:
+        """`sides` calls of the start's wrap: those whose facet holds the
+        first top of del(X1), which no mixed ridge's wrap holds."""
+        mod = importlib.import_module("reldelcech.delaunay")
+        tri1, tri2 = delaunay(x1), delaunay(x2)
+        start = set(tri1.top_simplices[0].vertices)
+        facets = []
+        real = mod._HullSpace.sides
+        monkeypatch.setattr(mod._HullSpace, "sides", lambda sp, verts, qs: facets.append(verts) or real(sp, verts, qs))
+        z = lift(x1, x2, 1.0).z
+        tops = mod.pair_delaunay(z, tri1, tri2).top_simplices
+        monkeypatch.setattr(mod._HullSpace, "sides", real)
+        assert tops == delaunay(z).top_simplices
+        return sum(start <= set(f) for f in facets)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_start_takes_one_sides_call_on_a_sorted_cloud(self, d, monkeypatch):
+        # X2 is listed from its far end towards X1: a wrap that began at
+        # the first listed vertex would drop about one vertex per call.
+        rng = np.random.default_rng(86 + d)
+        x1 = rng.random((6, d)) + np.eye(d)[0] * 10.0
+        x2 = rng.random((60, d)) * np.r_[10.0, np.ones(d - 1)]
+        x2 = x2[np.argsort(x2[:, 0])]
+        assert self._start_calls(PointCloud(x1.tolist()), PointCloud(x2.tolist()), monkeypatch) == 1
+
+    def test_empty_side_checks_the_other_triangulation(self):
+        mod = importlib.import_module("reldelcech.delaunay")
+        empty = PointCloud([], dimension=2)
+        for pts, tops, err in [
+            # Both diagonals of a quadrilateral: each edge's two tops overlap.
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.1, 1.2)], itertools.combinations(range(4), 3), "flat or overlap"),
+            ([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 3.0)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)], "3 tops"),
+        ]:
+            x = PointCloud(pts)
+            broken = mod.Triangulation(x, [Simplex(t) for t in tops], 2, delaunay(x)._space)
+            z = lift(x, empty, 1.0).z
+            with pytest.raises(AssertionError, match=err):
+                mod.pair_delaunay(z, broken, None)
+            with pytest.raises(AssertionError, match=err):
+                mod.pair_delaunay(lift(empty, x, 1.0).z, None, broken)

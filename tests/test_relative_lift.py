@@ -294,6 +294,18 @@ class TestSharedTriangulations:
         with pytest.raises(AssertionError, match=r"all-minus simplex \(\d+(, \d+)+\) of del\(Z\) is not in del\(X2\)"):
             build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
 
+    @pytest.mark.parametrize("empty_side", [0, 1])
+    def test_broken_triangulation_with_a_side_empty_raises(self, empty_side, monkeypatch):
+        # del(Z) is then the one triangulation itself, which nothing else
+        # cross-checks: a lost top leaves a hole or an uncovered vertex.
+        x = cloud(X1_EIGHT)
+        pair = (EMPTY2, x) if empty_side == 0 else (x, EMPTY2)
+        for k in range(len(delaunay(x).top_simplices)):
+            with monkeypatch.context() as m:
+                drop_top(m, 0, k)  # the only triangulation of the run
+                with pytest.raises(AssertionError, match=r"lies beyond the boundary ridge|is in no top"):
+                    build_pipeline(*pair)
+
     @pytest.mark.parametrize("drop", [drop_x1_top, drop_x2_top])
     def test_wrap_from_a_broken_triangulation_raises_and_exits_1(self, drop, monkeypatch, tmp_path, capsys):
         # del(Z) is wrapped from the broken triangulation itself: without
@@ -646,8 +658,8 @@ class TestWrapMatchesLiftedHull:
         assert_wrap_matches_lifted_hull(cloud(x[: n // 3]), cloud(x[n // 3 :]))
 
     def test_huge_coordinates(self):
-        # The boundary check's float values overflow here: the exact path
-        # decides them, and numpy warns of nothing.
+        # Float orientations overflow here, and the exact path decides
+        # them; the start's float circumcenter warns of nothing.
         x = np.random.default_rng(1).random((9, 2)) * 1e150
         with warnings.catch_warnings():
             warnings.simplefilter("error")
