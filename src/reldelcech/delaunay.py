@@ -612,9 +612,9 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
 
     With one cloud empty, Z is the other at one height, and del(Z) has
     its tops; `_Wrap.check_tops` checks them as the wrap checks its own.
-    Otherwise `sos_sign`'s heights-first rule makes del(Z)
-    restrict to del(X1) and del(X2) (Cayley trick, Huber, Rambau & Santos,
-    JEMS 2000): every top of del(Z) is a join t1 * t2 of a face t1 of
+    Otherwise `sos_sign`'s heights-first rule makes del(Z) restrict to
+    del(X1) and del(X2) (Cayley trick, Huber, Rambau & Santos, JEMS
+    2000): every top of del(Z) is a join t1 * t2 of a face t1 of
     del(X1) and a face t2 of del(X2).  So the top across a mixed ridge R
     (vertices in both clouds) of a top T = R + a is R + b, b in the link
     of R & X1 in del(X1) or of R & X2 in del(X2): the candidates.  A slab
@@ -645,9 +645,9 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     the one wrap over that cloud finds it.  The wrap starts from the
     vertex nearest in float (`_Wrap.nearest`), so one `sides` call
     usually confirms it, in whatever order the cloud is listed.
-    Otherwise neither cloud's
-    affine hull is parallel to the other's (two crossing lines in R^2,
-    skew lines or two planes in R^3), and `delaunay(z)` triangulates Z.
+    Otherwise neither cloud's affine hull is parallel to the other's (two
+    crossing lines in R^2, skew lines or two planes in R^3), and
+    `delaunay(z)` triangulates Z.
     """
     if z.dimension + 1 > DIM_CAP:
         raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")
