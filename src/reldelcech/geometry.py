@@ -196,13 +196,16 @@ _MEB_SEED = 0x5EB
 
 
 def _solve_spd(g: list[list[float]], b: list[float]) -> list[float] | None:
-    """Gaussian elimination with partial pivoting; None when near-singular."""
+    """Gaussian elimination with partial pivoting; None when near-singular,
+    a pivot at most 1e-14 of the largest entry of g.  The test is relative
+    to g's own scale, so scaling the points by a power of two scales the
+    solution exactly."""
     n = len(b)
     a = [g[i] + [b[i]] for i in range(n)]
     scale = max(max(abs(x) for x in row[:-1]) for row in a)
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[p][k]) <= 1e-14 * max(scale, 1.0):
+        if abs(a[p][k]) <= 1e-14 * scale:
             return None
         if p != k:
             a[k], a[p] = a[p], a[k]

@@ -10,7 +10,7 @@ from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.delaunay import Triangulation, delaunay
 from reldelcech.filtered_complex import dumps
 from reldelcech.geometry import InputError, PointCloud, smallest_enclosing_ball
-from reldelcech.persistence import barcode
+from reldelcech.persistence import Barcode, barcode
 from reldelcech.relative_lift import (
     build_pipeline,
     choose_s,
@@ -715,3 +715,19 @@ class TestScaleEquivariance:
             assert len(scaled.bars(k)) == len(base.bars(k)), (k, scaled, base)
             for got, want in zip(scaled.bars(k), base.bars(k)):
                 assert all(math.isclose(g, c * w, rel_tol=1e-9) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("d, n", [(2, 120), (3, 40)])
+    def test_power_of_two_scales_are_exact(self, d, n, monkeypatch):
+        # Scaling by a power of two is exact in floats, and the solve's
+        # singular test is relative to the Gram's own scale: every bar
+        # scales exactly, and no circumball falls back to least squares.
+        solves = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or real(*a, **k))
+        x = np.random.default_rng(84).random((n, d))
+        a = set(range(0, n, 4))
+        base = self._barcode(x, a)
+        for e in (-30, -20, 10):
+            scaled = self._barcode(x * 2.0**e, a)
+            assert repr(scaled) == repr(Barcode({k: [(2.0**e * b, 2.0**e * w) for b, w in base.bars(k)] for k in base.dims()}, 2)), e
+        assert solves == []
