@@ -268,7 +268,7 @@ def cmd_bench(args) -> int:
         reduce_matrix(m)
         t2 = time.perf_counter()
         total = len(pipe.complex)
-        sub = sum(1 for c in pipe.complex.cells if c.in_subcomplex)
+        sub = int(pipe.complex.sub.sum())
         rows.append(
             f"{n},{args.dim},{total},{sub},{(t1 - t0) * 1e3:.1f},{(t2 - t1) * 1e3:.1f}"
         )

@@ -28,10 +28,12 @@ a top of a cloud that spans a slab of Z; where neither cloud does
 
 from __future__ import annotations
 
-import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
@@ -88,6 +90,66 @@ def face_tuples(vs: tuple[int, ...]) -> list[tuple[int, ...]]:
     if len(vs) == 1:
         return []
     return [vs[:i] + vs[i + 1 :] for i in range(len(vs) - 1, -1, -1)]
+
+
+class FaceTable(NamedTuple):
+    """The k-simplices of a complex as arrays.  `simplices` is (n, k + 1):
+    one row of strictly increasing vertex indices per simplex, the rows
+    sorted lexicographically.  `facets` is (n, k + 1): its column i holds
+    the row, in the table of dimension k - 1, of the facet without vertex
+    i ((n, 0) for k = 0)."""
+
+    simplices: np.ndarray
+    facets: np.ndarray
+
+
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the int array a, sorted lexicographically, and
+    the row among them of each row of a.  `np.lexsort` orders the columns
+    one by one, so no key combines them and none can overflow."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], inverse
+
+
+def find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The row of each query in `table`, whose rows are distinct and
+    sorted lexicographically; -1 for a query not in it.  One `np.lexsort`
+    of both, table rows before equal queries: the last table row at or
+    before a query is the largest one not above it."""
+    nt = len(table)
+    both = np.concatenate([table, queries])
+    tag = np.arange(len(both)) >= nt
+    order = np.lexsort([tag, *both.T[::-1]])
+    is_query = order >= nt
+    last = np.maximum.accumulate(np.where(is_query, -1, order))
+    q, t = order[is_query] - nt, last[is_query]
+    hit = t >= 0
+    hit[hit] = np.all(table[t[hit]] == queries[q[hit]], axis=1)
+    out = np.full(len(queries), -1, dtype=np.int64)
+    out[q[hit]] = t[hit]
+    return out
+
+
+def face_tables(tops: np.ndarray) -> list[FaceTable]:
+    """The `FaceTable` of each dimension 0..k of the complex whose top
+    simplices are the rows of `tops`, an (n, k + 1) int array of strictly
+    increasing vertex rows.  Each dimension's table is the distinct rows
+    of the one above with one column deleted, so the complex must be pure."""
+    k = tops.shape[1] - 1
+    rows, _ = unique_rows(tops)
+    tables = []
+    for dim in range(k, 0, -1):
+        drops = np.concatenate([np.delete(rows, i, axis=1) for i in range(dim + 1)])
+        lower, inverse = unique_rows(drops)
+        tables.append(FaceTable(rows, inverse.reshape(dim + 1, len(rows)).T))
+        rows = lower
+    tables.append(FaceTable(rows, np.empty((len(rows), 0), dtype=np.int64)))
+    return tables[::-1]
 
 
 # -- exact affine-hull coordinates --------------------------------------------
@@ -351,29 +413,36 @@ class _Hull:
 
 
 class Triangulation:
-    """Delaunay triangulation: top simplices plus their downward closure."""
+    """Delaunay triangulation: top simplices plus their downward closure,
+    stored as one `FaceTable` per dimension (`tables`).  `simplices`,
+    `faces` and `simplices_by_dim` wrap the rows in `Simplex` objects only
+    when called."""
 
     def __init__(self, cloud: PointCloud, tops: list[Simplex], top_dim: int, space: _HullSpace):
         self.cloud = cloud
         self.top_simplices: tuple[Simplex, ...] = tuple(sorted(tops))
         self.top_dim = top_dim
         self._space = space
-        by_dim: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(top_dim + 1)}
-        for top in self.top_simplices:
-            for k in range(1, len(top.vertices) + 1):
-                by_dim[k - 1].update(itertools.combinations(top.vertices, k))
-        self.simplices_by_dim: dict[int, tuple[Simplex, ...]] = {
-            d: tuple(map(Simplex._of, sorted(s))) for d, s in by_dim.items()
-        }
+        rows = [t.vertices for t in self.top_simplices]
+        self.tables = face_tables(np.array(rows, dtype=np.int64).reshape(len(rows), top_dim + 1))
+
+    def _wrapped(self, dim: int) -> list[Simplex]:
+        return [Simplex._of(tuple(vs)) for vs in self.tables[dim].simplices.tolist()]
+
+    @property
+    def simplices_by_dim(self) -> dict[int, tuple[Simplex, ...]]:
+        return {d: tuple(self._wrapped(d)) for d in range(self.top_dim + 1)}
 
     def simplices(self):
+        """Every simplex, by dimension, each dimension in lexicographic
+        order: faces before cofaces."""
         for d in range(self.top_dim + 1):
-            yield from self.simplices_by_dim[d]
+            yield from self._wrapped(d)
 
     def faces(self, dim: int) -> list[Simplex]:
         if dim < 0 or dim > self.top_dim:
             raise InputError(f"dimension {dim} out of range 0..{self.top_dim}")
-        return list(self.simplices_by_dim[dim])
+        return self._wrapped(dim)
 
     def insphere_sign(self, top: Simplex, queries) -> list[int]:
         """Perturbed in-circumsphere sign of each query vertex against a top
@@ -647,7 +716,7 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     usually confirms it, in whatever order the cloud is listed.
     Otherwise neither cloud's affine hull is parallel to the other's (two
     crossing lines in R^2, skew lines or two planes in R^3), and
-    `delaunay(z)` triangulates Z.
+    `delaunay(z)` triangulates Z; `_Wrap.check_tops` checks its tops too.
     """
     if z.dimension + 1 > DIM_CAP:
         raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")
@@ -663,12 +732,12 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
         if not tops1 or not tops2:
             raise AssertionError(f"del(X{1 if not tops1 else 2}) has no top")
         if tri1.top_dim == rank - 1:
-            start, other = tops1[0], list(range(n1, len(z)))
+            tops = _Wrap(space, n1, tops1 + tops2).run(tops1[0], list(range(n1, len(z))))
         elif tri2.top_dim == rank - 1:
-            start, other = tops2[0], list(range(n1))
+            tops = _Wrap(space, n1, tops1 + tops2).run(tops2[0], list(range(n1)))
         else:
-            return delaunay(z)
-        tops = _Wrap(space, n1, tops1 + tops2).run(start, other)
+            tops = [t.vertices for t in delaunay(z).top_simplices]
+            _Wrap(space, n1, tops).check_tops(tops)
     covered = {v for top in tops for v in top}
     if len(covered) < len(z):
         missing = min(set(range(len(z))) - covered)

@@ -4,14 +4,23 @@ Cells carry a filtration value and a flag saying whether they belong to the
 distinguished subcomplex (subcomplex cells sit at value 0 and come first in
 the reduction order).  Validation raises instead of repairing: producers are
 expected to hand in downward-closed, monotone data.
+
+The cells of each dimension k are held as one `CellTable`: the vertex rows,
+sorted lexicographically, each row's facets as rows of dimension k - 1
+(`delaunay.FaceTable`), and their values and subcomplex flags.  Every check
+is an array operation over these tables.  The cells also keep the order
+they were given in, which `cells`, `dumps` and the indices of
+`canonical_order` refer to.
 """
 
 from __future__ import annotations
 
-import math
+from functools import cached_property
 from typing import NamedTuple
 
-from .delaunay import Simplex, face_tuples
+import numpy as np
+
+from .delaunay import Simplex, find_rows
 from .geometry import InputError
 
 
@@ -21,43 +30,136 @@ class Cell(NamedTuple):
     in_subcomplex: bool
 
 
+class CellTable(NamedTuple):
+    """The k-cells of a complex: a `delaunay.FaceTable` (`simplices`,
+    `facets`) with each row's filtration value and subcomplex flag."""
+
+    simplices: np.ndarray
+    facets: np.ndarray
+    values: np.ndarray
+    sub: np.ndarray
+
+
+def _tables_of(cells) -> tuple[list[CellTable], list[np.ndarray]]:
+    """One `CellTable` per dimension of the cells, given in any order, and
+    each table row's position in that order.  A facet that is not among
+    the cells gets row -1."""
+    by_dim: dict[int, tuple[list, list, list, list]] = {}
+    for pos, (s, v, sub) in enumerate(cells):
+        vs = s.vertices if isinstance(s, Simplex) else Simplex(s).vertices
+        for column, x in zip(by_dim.setdefault(len(vs) - 1, ([], [], [], [])), (pos, vs, float(v), bool(sub))):
+            column.append(x)
+    tables, index = [], []
+    for k in range(max(by_dim, default=-1) + 1):
+        pos, rows, values, sub = by_dim.get(k, ([], [], [], []))
+        try:
+            rows = np.array(rows, dtype=np.int64).reshape(len(pos), k + 1)
+        except OverflowError:
+            raise InputError(f"vertex index of a {k}-cell out of range") from None
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        if k == 0:
+            facets = np.empty((len(rows), 0), dtype=np.int64)
+        else:
+            drops = [np.delete(rows, i, axis=1) for i in range(k + 1)]
+            facets = np.stack([find_rows(tables[-1].simplices, d) for d in drops], axis=1)
+        values = np.array(values, dtype=float)[order]
+        tables.append(CellTable(rows, facets, values, np.array(sub, dtype=bool)[order]))
+        index.append(np.array(pos, dtype=np.int64)[order])
+    return tables, index
+
+
+def _named(t: CellTable, bad: np.ndarray) -> tuple:
+    """The vertex tuple of the first cell of `t` where `bad` (one flag per
+    cell), or, for one flag per facet, (that facet's tuple, the cell's)."""
+    if bad.ndim == 1:
+        return tuple(t.simplices[np.flatnonzero(bad)[0]].tolist())
+    r, i = np.argwhere(bad)[0]
+    vs = tuple(t.simplices[r].tolist())
+    return vs[:i] + vs[i + 1 :], vs
+
+
+def _check(tables: list[CellTable]):
+    """InputError unless the tables hold a filtered complex: in each
+    dimension distinct rows of increasing vertices in lexicographic order,
+    every facet row the cell without that vertex (key equality), every
+    value a number >= 0 and >= its facets' values, and the subcomplex
+    closed under faces and at value 0.  The first offending cell of the
+    lowest dimension is named."""
+    for t in tables:
+        rows = t.simplices
+        rising = np.all(rows[:, 1:] > rows[:, :-1], axis=1)
+        if not rising.all():
+            raise InputError(f"simplex vertices must be strictly increasing: {_named(t, ~rising)}")
+        differ = rows[1:] != rows[:-1]
+        col = differ.argmax(axis=1)[:, None]
+        if not np.take_along_axis(differ, col, 1).all():
+            raise InputError(f"duplicate cell {_named(t, ~differ.any(axis=1))}")
+        if np.any(np.take_along_axis(rows[1:], col, 1) < np.take_along_axis(rows[:-1], col, 1)):
+            raise AssertionError("cell table rows are not in lexicographic order")
+    for lower, t in zip(tables, tables[1:]):
+        drops = np.stack([np.delete(t.simplices, i, axis=1) for i in range(t.simplices.shape[1])], axis=1)
+        found = (t.facets >= 0) & (t.facets < len(lower.simplices))
+        found[found] = np.all(lower.simplices[t.facets[found]] == drops[found], axis=1)
+        if not found.all():
+            raise InputError("missing face {} of {}".format(*_named(t, ~found)))
+    for t in tables:
+        if not np.all(t.values >= 0):
+            raise InputError(f"negative or NaN filtration value on {_named(t, ~(t.values >= 0))}")
+        if np.any(t.sub & (t.values != 0)):
+            raise InputError(f"subcomplex cell {_named(t, t.sub & (t.values != 0))} must have value 0")
+    for lower, t in zip(tables, tables[1:]):
+        above = lower.values[t.facets] > t.values[:, None]
+        if above.any():
+            (f, vs), (r, i) = _named(t, above), np.argwhere(above)[0]
+            raise InputError(
+                f"non-monotone filtration: face {f}@{float(lower.values[t.facets[r, i]])} "
+                f"above coface {vs}@{float(t.values[r])}"
+            )
+        open_ = t.sub[:, None] & ~lower.sub[t.facets]
+        if open_.any():
+            raise InputError("subcomplex not closed: face {} of {}".format(*_named(t, open_)))
+
+
 class FilteredComplex:
-    def __init__(self, cells):
-        norm: list[Cell] = []
-        for c in cells:
-            s, v, sub = c
-            if not isinstance(s, Simplex):
-                s = Simplex(s)
-            norm.append(Cell(s, float(v), bool(sub)))
-        # Cells are indexed by their vertex tuples, faces by `face_tuples`.
-        index: dict[tuple[int, ...], Cell] = {}
-        for c in norm:
-            vs = c.simplex.vertices
-            if vs in index:
-                raise InputError(f"duplicate cell {vs}")
-            index[vs] = c
-        for c in norm:
-            vs = c.simplex.vertices
-            if math.isnan(c.value) or c.value < 0:
-                raise InputError(f"negative or NaN filtration value on {vs}")
-            if c.in_subcomplex and c.value != 0:
-                raise InputError(f"subcomplex cell {vs} must have value 0")
-            for f in face_tuples(vs):
-                face = index.get(f)
-                if face is None:
-                    raise InputError(f"missing face {f} of {vs}")
-                if face.value > c.value:
-                    raise InputError(
-                        f"non-monotone filtration: face {f}@{face.value} "
-                        f"above coface {vs}@{c.value}"
-                    )
-                if c.in_subcomplex and not face.in_subcomplex:
-                    raise InputError(f"subcomplex not closed: face {f} of {vs}")
-        self.cells: tuple[Cell, ...] = tuple(norm)
-        self.vertex_count = max((c.simplex.vertices[-1] for c in norm), default=-1) + 1
+    """Cells in dimension tables (`tables`, one `CellTable` per dimension
+    from 0), checked on construction.
+
+    `FilteredComplex(cells)` takes (simplex, value, in_subcomplex) triples
+    in any order; `FilteredComplex(tables=...)` takes the tables, the cells
+    then in dimension-major order.  Either way `index[k]` holds each row's
+    position in that order, and the flat arrays `value`, `dim`, `sub` and
+    `row` (a cell's row in its table) are indexed by it.
+    """
+
+    def __init__(self, cells=(), tables: list[CellTable] | None = None):
+        if tables is None:
+            tables, index = _tables_of(cells)
+        else:
+            sizes = [len(t.values) for t in tables]
+            index = [np.arange(a, a + n) for a, n in zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes)]
+        _check(tables)
+        self.tables, self.index = tables, index
+        n = sum(len(i) for i in index)
+        self.value = np.empty(n)
+        self.dim = np.empty(n, dtype=np.int64)
+        self.sub = np.empty(n, dtype=bool)
+        self.row = np.empty(n, dtype=np.int64)
+        for k, (t, i) in enumerate(zip(tables, index)):
+            self.value[i], self.dim[i], self.sub[i], self.row[i] = t.values, k, t.sub, np.arange(len(i))
+        self.vertex_count = int(tables[0].simplices[-1, 0]) + 1 if tables and len(tables[0].simplices) else 0
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        """The cells in their order, as `Cell` tuples (built on first use)."""
+        out: list = [None] * len(self)
+        for t, index in zip(self.tables, self.index):
+            for i, vs, v, sub in zip(index.tolist(), t.simplices.tolist(), t.values.tolist(), t.sub.tolist()):
+                out[i] = Cell(Simplex._of(tuple(vs)), v, sub)
+        return tuple(out)
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.value)
 
     def __iter__(self):
         return iter(self.cells)
@@ -65,31 +167,31 @@ class FilteredComplex:
     def canonical_order(self) -> list[int]:
         """Indices sorted by (subcomplex first, value, dimension, vertices).
 
-        This is a linear extension of the face partial order, as required by
-        the boundary-matrix reduction.
+        Within a dimension a cell's table row is the rank of its vertex
+        tuple, so this is one `np.lexsort`.  It is a linear extension of
+        the face partial order, as required by the boundary-matrix
+        reduction.
         """
-        keys = [(not c.in_subcomplex, c.value, len(c.simplex.vertices), c.simplex.vertices) for c in self.cells]
-        return sorted(range(len(keys)), key=keys.__getitem__)
+        return np.lexsort((self.row, self.dim, self.value, ~self.sub)).tolist()
 
     def euler_characteristic(self, t: float) -> int:
-        chi = 0
-        for c in self.cells:
-            if c.value <= t:
-                chi += -1 if c.simplex.dim % 2 else 1
-        return chi
+        alive = self.value <= t
+        return int(np.count_nonzero(alive & (self.dim % 2 == 0)) - np.count_nonzero(alive & (self.dim % 2 == 1)))
 
 
-def build(cells) -> FilteredComplex:
-    """Validate and build; raises InputError on any invariant violation."""
-    return FilteredComplex(cells)
+def build(cells=(), tables: list[CellTable] | None = None) -> FilteredComplex:
+    """Validate and build, from cells or from tables (`FilteredComplex`);
+    raises InputError on any invariant violation."""
+    return FilteredComplex(cells, tables)
 
 
 def dumps(c: FilteredComplex) -> str:
     """One cell per line: `v0 v1 ... vk <value> <0|1>`."""
-    lines = []
-    for cell in c.cells:
-        verts = " ".join(str(v) for v in cell.simplex.vertices)
-        lines.append(f"{verts} {cell.value!r} {1 if cell.in_subcomplex else 0}")
+    rows = [t.simplices.tolist() for t in c.tables]
+    lines = [
+        f"{' '.join(map(str, rows[k][r]))} {v!r} {int(sub)}"
+        for k, r, v, sub in zip(c.dim.tolist(), c.row.tolist(), c.value.tolist(), c.sub.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

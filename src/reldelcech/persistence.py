@@ -2,9 +2,12 @@
 
 Relative persistence quotients out the marked subcomplex: its cells
 contribute neither rows nor columns, which computes the homology of the
-factor chain complex directly.  Columns are sorted index lists; addition is
-symmetric difference; dimensions are processed in decreasing order so that
-columns of already-paired birth cells can be cleared without reduction.
+factor chain complex directly.  Columns are sorted index lists, read from
+the complex's facet tables (`filtered_complex.CellTable`) through one rank
+array; addition is symmetric difference; dimensions are processed in
+decreasing order so that columns of already-paired birth cells can be
+cleared without reduction.  Barcodes read the value and dimension arrays of
+the complex.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .delaunay import face_tuples
+import numpy as np
+
 from .filtered_complex import Cell, FilteredComplex
 from .geometry import InputError
 
@@ -21,44 +25,58 @@ from .geometry import InputError
 class BoundaryMatrix:
     """Quotient (or absolute) boundary operator in the reduction order.
 
-    `columns[j]` lists the row indices (sorted) of the codimension-1 faces of
-    cell j that survive the quotient; `cells[j]` is the cell itself.
+    Column j is the cell `selected[j]` of `complex`; `columns[j]` lists the
+    row indices (sorted) of its codimension-1 faces that survive the
+    quotient.
     """
 
-    cells: list[Cell]
+    complex: FilteredComplex
+    selected: np.ndarray
     columns: list[list[int]]
 
     @property
     def size(self) -> int:
-        return len(self.cells)
+        return len(self.columns)
+
+    @property
+    def cells(self) -> list[Cell]:
+        cells = self.complex.cells
+        return [cells[i] for i in self.selected.tolist()]
 
     def dims(self) -> list[int]:
-        return [c.simplex.dim for c in self.cells]
+        return self.complex.dim[self.selected].tolist()
+
+    def values(self) -> list[float]:
+        return self.complex.value[self.selected].tolist()
 
 
 def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None = None) -> BoundaryMatrix:
     """Boundary matrix over the canonical order (or an explicit valid order).
 
     relative=True drops subcomplex cells from rows and columns; with an empty
-    subcomplex both modes coincide.
+    subcomplex both modes coincide.  A cell's faces are its facet rows in
+    the complex's tables (`CellTable.facets`), mapped to columns by one
+    rank array; a face that comes no earlier in `order` raises.
     """
     if order is None:
         order = c.canonical_order()
-    selected = [i for i in order if not (relative and c.cells[i].in_subcomplex)]
-    cells = [c.cells[i] for i in selected]
-    pos = {cell.simplex.vertices: j for j, cell in enumerate(cells)}
-    columns = []
-    for j, cell in enumerate(cells):
-        col = []
-        for f in face_tuples(cell.simplex.vertices):
-            row = pos.get(f)
-            if row is not None:
-                if row >= j:
-                    raise AssertionError("order is not a linear extension of the face order")
-                col.append(row)
-        col.sort()
-        columns.append(col)
-    return BoundaryMatrix(cells, columns)
+    selected = np.asarray(order, dtype=np.int64)
+    if relative:
+        selected = selected[~c.sub[selected]]
+    rank = np.full(len(c), -1, dtype=np.int64)
+    rank[selected] = np.arange(len(selected))
+    columns: list[list[int]] = [[] for _ in range(len(selected))]
+    for lower, index, t in zip(c.index, c.index[1:], c.tables[1:]):
+        own = rank[index]
+        faces = rank[lower[t.facets]][own >= 0]
+        own = own[own >= 0]
+        if np.any(faces >= own[:, None]):
+            raise AssertionError("order is not a linear extension of the face order")
+        faces.sort(axis=1)
+        dropped = np.count_nonzero(faces < 0, axis=1)  # quotiented faces sort first
+        for j, col, skip in zip(own.tolist(), faces.tolist(), dropped.tolist()):
+            columns[j] = col[skip:]
+    return BoundaryMatrix(c, selected, columns)
 
 
 def _xor_merge(a: list[int], b: list[int]) -> list[int]:
@@ -197,17 +215,18 @@ def barcode(c: FilteredComplex, relative: bool, max_dim: int, order: list[int] |
         raise InputError("max_dim must be >= 0")
     m = boundary_matrix(c, relative, order=order)
     red = reduce_matrix(m)
+    values, dims = m.values(), m.dims()
     intervals: dict[int, list[tuple[float, float]]] = {}
     for i, j in red.pairs:
-        birth = m.cells[i].value
-        death = m.cells[j].value
+        birth = values[i]
+        death = values[j]
         if birth == death:
             continue
-        k = m.cells[i].simplex.dim
+        k = dims[i]
         if k <= max_dim:
             intervals.setdefault(k, []).append((birth, death))
     for i in red.unpaired:
-        k = m.cells[i].simplex.dim
+        k = dims[i]
         if k <= max_dim:
-            intervals.setdefault(k, []).append((m.cells[i].value, math.inf))
+            intervals.setdefault(k, []).append((values[i], math.inf))
     return Barcode(intervals, max_dim)

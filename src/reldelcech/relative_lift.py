@@ -30,6 +30,13 @@ ball; if S is the whole cell, the circumcenter is interior.  Welzl's
 algorithm runs only for a cell whose vertices are affinely dependent or
 whose circumcenter is too close to its boundary to tell (`_INTERIOR`).
 
+The rule runs one dimension at a time over del(Z)'s face tables
+(`delaunay.FaceTable`).  The circumballs of edges, and of the cells that
+need their own, are solved in batches in the operations of
+`geometry.circumball_weights`; the largest facet ball is a gather and a
+first-max `argmax`; every distance is `math.dist`.  So each ball is
+bit-identical to the one Welzl's algorithm returns.
+
 The complex does not depend on s > 0, so s is no parameter: `choose_s`
 derives it from the bounding box of the input (see there why any s gives
 the same triangulation).  Filtration values depend only on the projected
@@ -38,17 +45,18 @@ vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .delaunay import Triangulation, delaunay, face_tuples, pair_delaunay
-from .filtered_complex import Cell, FilteredComplex, build
+import numpy as np
+
+from .delaunay import Triangulation, delaunay, find_rows, pair_delaunay
+from .filtered_complex import CellTable, FilteredComplex, build
 from .geometry import (
+    MEB_TOL,
     InputError,
     Point,
     PointCloud,
-    circumball,
-    circumball_weights,
-    in_ball,
     smallest_enclosing_ball,
 )
 
@@ -109,54 +117,121 @@ def lift(x1: PointCloud, x2: PointCloud, s: float) -> LiftedConfiguration:
 _INTERIOR = 1e-6
 
 
-def _face_ball(proj, vs: tuple[int, ...], balls) -> tuple[tuple[float, ...], float]:
-    """(center, radius) of the MEB of the projected vertices vs (two or
-    more), from the balls of its facets or its own circumball
-    (`build_pipeline`); `balls` holds every facet's."""
-    if len(vs) == 2:
-        return circumball(sorted([proj[vs[0]], proj[vs[1]]]))
-    best = None
-    for i, v in enumerate(vs):
-        ball = balls[vs[:i] + vs[i + 1 :]]
-        if best is None or ball[1] > best[1]:
-            best, opposite = ball, proj[v]
-    if in_ball(best[0], best[1], opposite):
-        return best
-    pts = [proj[v] for v in vs]
-    if len(vs) <= len(opposite) + 1:  # else the vertices are affinely dependent
-        center, r, weights = circumball_weights(sorted(pts))
-        if weights is not None and min(weights) > _INTERIOR:
-            return center, r
-    ball = smallest_enclosing_ball(pts)
-    return ball.center.coords, ball.radius
+def _distances(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """`math.dist` of each center row and point row, Welzl's distance."""
+    return np.fromiter(map(math.dist, centers.tolist(), points.tolist()), float, len(centers))
 
 
-def _slab_mismatch(cells, lifted: set[tuple[int, ...]], lo: int, hi: int) -> list[tuple[int, ...]]:
-    """The simplices, lowest dimension first, in exactly one of `lifted`
-    and the `cells` of del(Z) with all vertices in range(lo, hi): with
-    (0, n1) the all-plus cells against the lifted del(X1), with (n1, n)
-    the all-minus ones against the lifted del(X2)."""
-    in_slab = {vs for vs in cells if lo <= vs[0] and vs[-1] < hi}
-    return sorted(in_slab.symmetric_difference(lifted), key=lambda vs: (len(vs), vs))
+def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`geometry._solve_spd` on each (k, k + 1) block [g | b] of a, in its
+    operations, so bit-identical: (x, singular).  a is overwritten, and x
+    is 0 where the solve is singular."""
+    n, k = a.shape[:2]
+    rows = np.arange(n)
+    scale = np.abs(a[:, :, :k]).max(axis=(1, 2))
+    singular = np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in singular blocks only
+        for j in range(k):
+            p = j + np.abs(a[:, j:, j]).argmax(axis=1)  # the first largest pivot
+            singular |= np.abs(a[rows, p, j]) <= 1e-14 * scale
+            pivot, a[rows, p] = a[rows, p], a[:, j].copy()
+            a[:, j] = pivot
+            inv = 1.0 / a[:, j, j]
+            for i in range(j + 1, k):
+                f = (a[:, i, j] * inv)[:, None]
+                a[:, i, j + 1 :] = np.where(f != 0.0, a[:, i, j + 1 :] - f * a[:, j, j + 1 :], a[:, i, j + 1 :])
+        x = np.zeros((n, k))
+        for i in range(k - 1, -1, -1):
+            dot = np.zeros(n)
+            for j in range(i + 1, k):
+                dot = dot + a[:, i, j] * x[:, j]
+            x[:, i] = (a[:, i, k] - dot) / a[:, i, i]
+    x[singular] = 0.0
+    return x, singular
 
 
-def _lifted(tri: Triangulation, offset: int) -> set[tuple[int, ...]]:
-    """The simplices of a cloud's triangulation in Z's vertex indices."""
-    return {tuple(v + offset for v in simp.vertices) for simp in tri.simplices()}
+def _circumballs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`geometry.circumball_weights` of the sorted points of each block
+    pts[i], m <= d + 1 points of R^d, in its operations, so bit-identical:
+    (centers, radii, interior).  `interior` is where the solve is regular
+    and every barycentric weight of the center exceeds `_INTERIOR`.  A
+    singular solve takes alpha = 0, which is the least-squares answer for
+    coinciding points (X1 and X2 may share one)."""
+    n, m, d = pts.shape
+    order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)  # tuple order
+    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    q0 = pts[:, 0]
+    u = pts[:, 1:] - q0[:, None]
+    g = np.zeros((n, m - 1, m - 1))
+    for c in range(d):
+        g = g + u[:, :, None, c] * u[:, None, :, c]
+    alpha, singular = _solve(np.concatenate([g, 0.5 * np.diagonal(g, axis1=1, axis2=2)[:, :, None]], axis=2))
+    shift, total = np.zeros((n, d)), np.zeros(n)
+    for i in range(m - 1):
+        shift = shift + alpha[:, i, None] * u[:, i]
+        total = total + alpha[:, i]
+    centers = q0 + shift
+    radii = _distances(centers, q0)
+    for j in range(1, m):
+        radii = np.maximum(radii, _distances(centers, pts[:, j]))
+    weight = np.minimum(1.0 - total, alpha.min(axis=1))
+    return centers, radii, ~singular & (weight > _INTERIOR)
 
 
-def _check_slabs(cells, tri1: Triangulation | None, tri2: Triangulation | None, n1: int, n: int):
+def _cell_balls(proj, table, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the MEBs of the projected cells of one
+    dimension k >= 2, from `centers` and `radii`, their facets' balls.  A
+    cell takes its largest facet ball, the first largest in the order of
+    the dropped vertex, when that ball holds the dropped vertex
+    (`geometry.in_ball`); else its own circumball when its center is
+    interior (`_circumballs`); else Welzl's ball."""
+    simplices, facets = table
+    rows = np.arange(len(simplices))
+    drop = radii[facets].argmax(axis=1)
+    best = facets[rows, drop]
+    out_c, out_r = centers[best], radii[best]
+    dist = _distances(out_c, proj[simplices[rows, drop]])
+    out = np.flatnonzero(~(dist <= out_r + MEB_TOL * out_r))
+    if simplices.shape[1] <= proj.shape[1] + 1:  # else the vertices are affinely dependent
+        own_c, own_r, interior = _circumballs(proj[simplices[out]])
+        out_c[out[interior]], out_r[out[interior]] = own_c[interior], own_r[interior]
+        out = out[~interior]
+    for i in out.tolist():
+        ball = smallest_enclosing_ball(proj[simplices[i]].tolist())
+        out_c[i], out_r[i] = ball.center.coords, ball.radius
+    return out_c, out_r
+
+
+def _slab_diff(tri: Triangulation, lifted: Triangulation, lo: int, hi: int):
+    """(missing, extra): the simplices of `lifted`, shifted by lo, that are
+    not cells of `tri` with all vertices in range(lo, hi), and those cells
+    that are not in it; each by dimension, then lexicographic.  With (0, n1)
+    these compare the all-plus cells of del(Z) with the lifted del(X1),
+    with (n1, n) the all-minus ones with the lifted del(X2)."""
+    missing, extra = [], []
+    for k in range(max(len(tri.tables), len(lifted.tables))):
+        z = tri.tables[k].simplices if k < len(tri.tables) else np.empty((0, k + 1), np.int64)
+        z = z[(lo <= z[:, 0]) & (z[:, -1] < hi)]
+        want = lifted.tables[k].simplices + lo if k < len(lifted.tables) else z[:0]
+        if z.shape == want.shape and np.array_equal(z, want):
+            continue
+        missing += map(tuple, want[find_rows(z, want) < 0].tolist())
+        extra += map(tuple, z[find_rows(want, z) < 0].tolist())
+    return missing, extra
+
+
+def _check_slabs(tri: Triangulation, tri1: Triangulation | None, tri2: Triangulation | None, n1: int):
     """AssertionError unless the all-plus cells of del(Z) are exactly the
     lifted del(X1) and the all-minus cells the lifted del(X2)."""
-    for tri, lo, hi, name, sign in ((tri1, 0, n1, "X1", "plus"), (tri2, n1, n, "X2", "minus")):
-        if tri is None:
+    n = len(tri.cloud)
+    for lifted, lo, hi, name, sign in ((tri1, 0, n1, "X1", "plus"), (tri2, n1, n, "X2", "minus")):
+        if lifted is None:
             continue
-        mismatch = _slab_mismatch(cells, _lifted(tri, lo), lo, hi)
-        missing = [vs for vs in mismatch if vs not in cells]
+        missing, extra = _slab_diff(tri, lifted, lo, hi)
         if missing:
             raise AssertionError(f"lifted del({name}) simplex {missing[0]} missing from del(Z)")
-        if mismatch:
-            raise AssertionError(f"all-{sign} simplex {mismatch[0]} of del(Z) is not in del({name})")
+        if extra:
+            raise AssertionError(f"all-{sign} simplex {extra[0]} of del(Z) is not in del({name})")
 
 
 @dataclass
@@ -195,9 +270,9 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     circumball of its sorted pair, the ball Welzl would return.  A larger
     cell sigma takes the largest ball among its facets when that ball
     contains the vertex of sigma opposite the facet (Welzl's containment
-    test); otherwise sigma's own circumball, `circumball` of its sorted
-    vertices, when every barycentric weight of its center exceeds
-    `_INTERIOR`; only otherwise does Welzl run on sigma.  This is exact.
+    test); otherwise sigma's own circumball, that of its sorted vertices,
+    when every barycentric weight of its center exceeds `_INTERIOR`; only
+    otherwise does Welzl run on sigma.  This is exact.
     The MEB is unique and is the circumball of a support S of sigma whose
     center lies in conv(S).  If S is a proper subset, a facet F containing
     S has MEB(F) = MEB(sigma), which contains sigma and is the largest of
@@ -206,7 +281,9 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     bit-identical to Welzl's, which `smallest_enclosing_ball` recomputes as
     `circumball` of the sorted support.  Subcomplex cells get balls too, so
     that the rule sees every facet, but keep the value 0.  Each value is
-    then raised to its faces' values (the monotone guard).
+    then raised to its faces' values (the monotone guard).  The values and
+    subcomplex flags go to `build` as one `CellTable` per dimension, rows
+    as in del(Z)'s face tables.
     """
     if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
         raise InputError("ambient dimension must be at most 3")
@@ -217,25 +294,23 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     cfg = lift(x1, x2, choose_s(x1, x2))
     tri = pair_delaunay(cfg.z, tri1, tri2)
     n1 = len(x1)
-    proj = [p.coords[:-1] for p in cfg.z]
-    values: dict[tuple[int, ...], float] = {}
-    balls: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
-    cells = []
-    # tri.simplices() yields faces before cofaces, so every face value and
-    # ball is known when its coface is filtered.
-    for simp in tri.simplices():
-        vs = simp.vertices
-        sub = vs[-1] < n1
-        value = 0.0
-        if len(vs) > 1:
-            ball = balls[vs] = _face_ball(proj, vs, balls)
-            if not sub:
-                # Same geometry as the faces, but guard against sub-ulp float noise.
-                value = max(ball[1], max(values[f] for f in face_tuples(vs)))
-        values[vs] = value
-        cells.append(Cell(simp, value, sub))
-    _check_slabs(values, tri1, tri2, n1, len(cfg.z))
-    return Pipeline(cfg, tri, build(cells))
+    _check_slabs(tri, tri1, tri2, n1)
+    proj = cfg.z.array()[:, :-1]
+    vertices = tri.tables[0].simplices
+    cells = [CellTable(*tri.tables[0], np.zeros(len(vertices)), vertices[:, 0] < n1)]
+    # Dimension by dimension, so that every facet's ball and value is
+    # known when its cofaces are filtered.
+    for k, table in enumerate(tri.tables[1:], start=1):
+        if k == 1:
+            centers, radii, _ = _circumballs(proj[table.simplices])
+        else:
+            centers, radii = _cell_balls(proj, table, centers, radii)
+        # Same geometry as the faces, but guard against sub-ulp float noise.
+        values = np.maximum(radii, cells[-1].values[table.facets].max(axis=1))
+        sub = table.simplices[:, -1] < n1
+        values[sub] = 0.0
+        cells.append(CellTable(*table, values, sub))
+    return Pipeline(cfg, tri, build(tables=cells))
 
 
 def relative_delcech(x1: PointCloud, x2: PointCloud) -> FilteredComplex:
@@ -288,18 +363,13 @@ def verify_embedding(cfg: LiftedConfiguration, tri: Triangulation) -> EmbeddingR
     """Certify that both clouds' Delaunay complexes embed into del(Z) and
     that the all-plus part of del(Z) is exactly the lifted del(X1)."""
     n1 = len(cfg.x1)
-    present = {simp.vertices for simp in tri.simplices()}
-
-    j1 = _lifted(delaunay(cfg.x1), 0) if len(cfg.x1) else set()
-    j2 = _lifted(delaunay(cfg.x2), n1) if len(cfg.x2) else set()
-    missing_x1 = sorted(j1 - present)
-    missing_x2 = sorted(j2 - present)
-    mismatch = _slab_mismatch(present, j1, 0, n1)
+    plus = _slab_diff(tri, delaunay(cfg.x1), 0, n1) if len(cfg.x1) else ([], [])
+    missing_x2 = _slab_diff(tri, delaunay(cfg.x2), n1, len(cfg.z))[0] if len(cfg.x2) else []
     return EmbeddingReport(
-        x1_embedded=not missing_x1,
+        x1_embedded=not plus[0],
         x2_embedded=not missing_x2,
-        plus_matches=not mismatch,
-        missing_x1=missing_x1,
-        missing_x2=missing_x2,
-        plus_mismatch=mismatch,
+        plus_matches=not (plus[0] or plus[1]),
+        missing_x1=sorted(plus[0]),
+        missing_x2=sorted(missing_x2),
+        plus_mismatch=sorted(plus[0] + plus[1], key=lambda vs: (len(vs), vs)),
     )

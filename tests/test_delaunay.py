@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reldelcech.delaunay import Simplex, delaunay
+from reldelcech.delaunay import Simplex, delaunay, face_tables
 from reldelcech.geometry import InputError, PointCloud
 from reldelcech.predicates import det_sign_exact, sos_sign
 from reldelcech.relative_lift import build_pipeline, lift
@@ -217,6 +217,25 @@ class TestFaces:
             t.faces(3)
         with pytest.raises(InputError):
             t.faces(-1)
+
+    @pytest.mark.parametrize("low", [1 << 16, (1 << 62) - 64])
+    def test_face_tables_on_large_vertex_indices(self, low):
+        # 5-vertex tops on indices >= 2^16: a mixed-radix key of the rows
+        # would need N^5 >= 2^80.  Every table must still be the sorted
+        # distinct faces, and every facet row the face without vertex i.
+        rng = np.random.default_rng(92)
+        verts = low + np.sort(rng.choice(60, size=9, replace=False))
+        tops = np.array([np.sort(rng.choice(verts, size=5, replace=False)) for _ in range(25)])
+        tables = face_tables(tops[::-1])
+        assert len(tables) == 5
+        for k, (rows, facets) in enumerate(tables):
+            want = sorted({f for t in tops.tolist() for f in itertools.combinations(t, k + 1)})
+            assert [tuple(r) for r in rows.tolist()] == want
+            assert rows.dtype == facets.dtype == np.int64
+            assert facets.shape == (len(want), k + 1 if k else 0)
+            for r, vs in enumerate(want):
+                for i in range(k + 1 if k else 0):
+                    assert tuple(tables[k - 1].simplices[facets[r, i]].tolist()) == vs[:i] + vs[i + 1 :]
 
     def test_downward_closure_unique(self):
         rng = np.random.default_rng(17)

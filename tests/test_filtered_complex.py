@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from reldelcech.delaunay import Simplex
-from reldelcech.filtered_complex import Cell, build, dumps, loads
+from reldelcech.filtered_complex import Cell, CellTable, build, dumps, loads
 from reldelcech.geometry import InputError
 
 
@@ -90,6 +91,76 @@ class TestCanonicalOrder:
             for cell in c.cells:
                 for f in cell.simplex.boundary():
                     assert pos[f] < pos[cell.simplex]
+
+
+    def test_ties_match_python_tuple_sort(self):
+        # Equal values across dimensions, -0.0 beside 0.0 and inf, given
+        # in shuffled order: the order is Python's sort of the key tuples,
+        # where -0.0 == 0.0 and vertex tuples break every tie.
+        rng = random.Random(11)
+        levels = [-0.0, 0.0, 0.0, 0.5, 0.5, 1.0, math.inf]
+        value = {}
+        for k in range(1, 5):
+            for vs in itertools.combinations(range(6), k):
+                sub = vs[-1] < 2
+                faces = [value[vs[:i] + vs[i + 1 :]][0] for i in range(k)] if k > 1 else []
+                v = rng.choice([-0.0, 0.0]) if sub else max(faces + [rng.choice(levels)])
+                value[vs] = (v, sub)
+        cells = [Cell(Simplex(vs), v, sub) for vs, (v, sub) in value.items()]
+        rng.shuffle(cells)
+        c = build(cells)
+        want = sorted(range(len(cells)), key=lambda i: (not cells[i][2], cells[i][1], len(cells[i][0]), cells[i][0].vertices))
+        assert c.canonical_order() == want
+        text = dumps(c)
+        assert "-0.0" in text and "inf" in text
+        again = loads(text)
+        assert dumps(again) == text
+        assert again.canonical_order() == want
+
+
+class TestTables:
+    """`build(tables=...)`, the form `build_pipeline` hands in, is checked
+    like cells."""
+
+    @staticmethod
+    def tables():
+        c = build(
+            cells_of(
+                ((0,), 0, True),
+                ((1,), 0, True),
+                ((2,), 0, False),
+                ((0, 1), 0, True),
+                ((0, 2), 0.5, False),
+                ((1, 2), 0.75, False),
+                ((0, 1, 2), 1.0, False),
+            )
+        )
+        return [CellTable(*(a.copy() for a in t)) for t in c.tables]
+
+    def test_tables_round_trip(self):
+        c = build(tables=self.tables())
+        assert [cell.simplex.vertices for cell in c.cells] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        assert c.canonical_order() == [0, 1, 3, 2, 4, 5, 6]
+        assert c.vertex_count == 3 and c.euler_characteristic(0.6) == 1
+
+    @pytest.mark.parametrize(
+        "dim, field, row, value, error",
+        [
+            (2, "facets", (0, 1), 0, "missing face"),
+            (1, "simplices", 2, (0, 2), "duplicate"),
+            (1, "simplices", 1, (2, 0), "strictly increasing"),
+            (1, "values", 1, math.nan, "NaN"),
+            (1, "values", 2, -1.0, "negative"),
+            (0, "values", 0, 0.25, "must have value 0"),
+            (2, "values", 0, 0.6, "non-monotone"),
+            (0, "sub", 0, False, "not closed"),
+        ],
+    )
+    def test_tables_are_checked(self, dim, field, row, value, error):
+        tables = self.tables()
+        getattr(tables[dim], field)[row] = value
+        with pytest.raises(InputError, match=error):
+            build(tables=tables)
 
 
 class TestEuler:

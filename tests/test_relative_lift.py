@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import warnings
@@ -325,6 +326,45 @@ class TestSharedTriangulations:
         assert "AssertionError" in capsys.readouterr().err
 
 
+# Two crossing lines: neither cloud spans a slab of Z, so del(Z) is the
+# lifted hull of Z (`delaunay.pair_delaunay`).
+X1_LINE = [(t, 0.0) for t in (-2.0, -0.5, 1.0, 2.5)]
+X2_LINE = [(0.5 + t, 2.0 * t) for t in (-1.0, 0.25, 1.5)]
+
+
+def drop_hull_top(monkeypatch, k: int):
+    """Make the lifted hull that `pair_delaunay` falls back on lose top k."""
+    mod = importlib.import_module("reldelcech.delaunay")
+
+    def broken(c):
+        t = delaunay(c)
+        return Triangulation(c, [s for j, s in enumerate(t.top_simplices) if j != k], t.top_dim, t._space)
+
+    monkeypatch.setattr(mod, "delaunay", broken)
+
+
+class TestNonparallelFallback:
+    def test_broken_hull_raises_and_exits_1(self, monkeypatch, tmp_path, capsys):
+        # The hull's tops get the wrap's checks: each lost top leaves a
+        # vertex beyond a boundary ridge, or a vertex in no top.
+        for x1, x2 in ((cloud(X1_LINE), cloud(X2_LINE)), (cloud(X2_LINE), cloud(X1_LINE))):
+            tops = delaunay(lift(x1, x2, 1.0).z).top_simplices
+            assert len(tops) == 6
+            for k in range(len(tops)):
+                with monkeypatch.context() as m:
+                    drop_hull_top(m, k)
+                    with pytest.raises(AssertionError, match=r"lies beyond the boundary ridge|is in no top"):
+                        build_pipeline(x1, x2)
+        drop_hull_top(monkeypatch, 0)
+        assert cli.main(write_pair(tmp_path, X1_LINE, X2_LINE)) == 1
+        assert "AssertionError" in capsys.readouterr().err
+
+    def test_whole_hull_passes(self):
+        for x1, x2 in ((X1_LINE, X2_LINE), (X2_LINE, X1_LINE)):
+            pipe = build_pipeline(cloud(x1), cloud(x2))
+            assert pipe.triangulation.top_simplices == delaunay(pipe.cfg.z).top_simplices
+
+
 def s_invariance_clouds():
     """Named clouds in general and in degenerate position: integer grids,
     collinear and coplanar sets (a flat Z once both slabs are non-empty)
@@ -439,19 +479,19 @@ class TestFiltration:
         calls, own = [], []
         real = relative_lift.smallest_enclosing_ball
         monkeypatch.setattr(relative_lift, "smallest_enclosing_ball", lambda pts: calls.append(1) or real(pts))
-        real_weights = relative_lift.circumball_weights
+        real_balls = relative_lift._circumballs
 
-        def counting_weights(pts):
-            out = real_weights(pts)
-            if out[2] is not None and min(out[2]) > relative_lift._INTERIOR:
-                own.append(1)
+        def counting_balls(pts):
+            out = real_balls(pts)
+            if pts.shape[1] > 2:  # the own circumballs of cells above edges
+                own.append(int(out[2].sum()))
             return out
 
-        monkeypatch.setattr(relative_lift, "circumball_weights", counting_weights)
+        monkeypatch.setattr(relative_lift, "_circumballs", counting_balls)
         x = PointCloud(np.random.default_rng(83).random((n, d)).tolist())
         build_pipeline(*cli.split_pair(x, set(range(0, n, 4))))
         assert len(calls) == 0
-        assert len(own) > 0
+        assert sum(own) > 0
 
     def test_center_near_a_face_falls_back_to_welzl(self, monkeypatch):
         # An acute triangle that is nearly right-angled at its top vertex:
