@@ -44,14 +44,13 @@ def _tables_of(cells) -> tuple[list[CellTable], list[np.ndarray]]:
     """One `CellTable` per dimension of the cells, given in any order, and
     each table row's position in that order.  A facet that is not among
     the cells gets row -1."""
-    by_dim: dict[int, tuple[list, list, list, list]] = {}
+    by_dim: dict[int, list] = {}
     for pos, (s, v, sub) in enumerate(cells):
         vs = s.vertices if isinstance(s, Simplex) else Simplex(s).vertices
-        for column, x in zip(by_dim.setdefault(len(vs) - 1, ([], [], [], [])), (pos, vs, float(v), bool(sub))):
-            column.append(x)
+        by_dim.setdefault(len(vs) - 1, []).append((pos, vs, float(v), bool(sub)))
     tables, index = [], []
     for k in range(max(by_dim, default=-1) + 1):
-        pos, rows, values, sub = by_dim.get(k, ([], [], [], []))
+        pos, rows, values, sub = list(zip(*by_dim.get(k, []))) or ((), (), (), ())
         try:
             rows = np.array(rows, dtype=np.int64).reshape(len(pos), k + 1)
         except OverflowError:

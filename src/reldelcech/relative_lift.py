@@ -134,7 +134,8 @@ def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for j in range(k):
             p = j + np.abs(a[:, j:, j]).argmax(axis=1)  # the first largest pivot
             singular |= np.abs(a[rows, p, j]) <= 1e-14 * scale
-            pivot, a[rows, p] = a[rows, p], a[:, j].copy()
+            pivot = a[rows, p]  # rows j and p swap
+            a[rows, p] = a[:, j].copy()
             a[:, j] = pivot
             inv = 1.0 / a[:, j, j]
             for i in range(j + 1, k):

@@ -10,7 +10,7 @@ from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.delaunay import Triangulation, delaunay
 from reldelcech.filtered_complex import dumps
-from reldelcech.geometry import InputError, PointCloud, smallest_enclosing_ball
+from reldelcech.geometry import InputError, PointCloud, circumball_weights, smallest_enclosing_ball
 from reldelcech.persistence import Barcode, barcode
 from reldelcech.relative_lift import (
     build_pipeline,
@@ -492,6 +492,25 @@ class TestFiltration:
         build_pipeline(*cli.split_pair(x, set(range(0, n, 4))))
         assert len(calls) == 0
         assert sum(own) > 0
+
+    def test_batched_circumballs_match_the_scalar_solve(self):
+        # `_circumballs` must be `circumball_weights` of each sorted block
+        # to the bit: random, integer (right angles, collinear, repeated
+        # points) and far-from-unit blocks of every size in d = 1..3.
+        rng = np.random.default_rng(85)
+        checked = 0
+        for d in (1, 2, 3):
+            for m in range(2, d + 2):
+                for pts in (rng.random((200, m, d)), rng.integers(0, 3, (200, m, d)).astype(float),
+                            1e5 + rng.random((50, m, d)), 2.0**-40 * rng.random((50, m, d))):
+                    centers, radii, interior = relative_lift._circumballs(pts)
+                    for block, c, r, ok in zip(pts.tolist(), centers.tolist(), radii.tolist(), interior.tolist()):
+                        want_c, want_r, weights = circumball_weights(sorted(map(tuple, block)))
+                        assert ok == (weights is not None and min(weights) > relative_lift._INTERIOR)
+                        if weights is not None or m == 2:
+                            assert (tuple(c), r) == (want_c, want_r), block
+                            checked += 1
+        assert checked > 2000
 
     def test_center_near_a_face_falls_back_to_welzl(self, monkeypatch):
         # An acute triangle that is nearly right-angled at its top vertex:
