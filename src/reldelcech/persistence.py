@@ -56,7 +56,8 @@ def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None 
     relative=True drops subcomplex cells from rows and columns; with an empty
     subcomplex both modes coincide.  A cell's faces are its facet rows in
     the complex's tables (`CellTable.facets`), mapped to columns by one
-    rank array; a face that comes no earlier in `order` raises.
+    rank array.  A face outside the selected cells is dropped; a face that
+    `order` puts after its cell raises AssertionError.
     """
     if order is None:
         order = c.canonical_order()
