@@ -9,8 +9,8 @@ relative Cech oracle is included for desk-scale cross-validation.
 """
 
 from .cech_oracle import ORACLE_CAP, BarcodeDiff, compare_barcodes, relative_cech
-from .delaunay import Simplex, Triangulation, delaunay
-from .filtered_complex import Cell, FilteredComplex, build, dumps, loads
+from .delaunay import Triangulation, delaunay
+from .filtered_complex import Cell, FilteredComplex, Simplex, build, dumps, loads
 from .geometry import (
     DIM_CAP,
     Ball,
@@ -20,7 +20,6 @@ from .geometry import (
     in_sphere,
     orientation,
     smallest_enclosing_ball,
-    squared_distance,
 )
 from .persistence import (
     Barcode,
@@ -75,6 +74,5 @@ __all__ = [
     "relative_cech",
     "relative_delcech",
     "smallest_enclosing_ball",
-    "squared_distance",
     "verify_embedding",
 ]

@@ -11,8 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .delaunay import Simplex
-from .filtered_complex import Cell, FilteredComplex, build
+from .filtered_complex import Cell, FilteredComplex, Simplex, build
 from .geometry import InputError, PointCloud, smallest_enclosing_ball
 from .persistence import Barcode
 

@@ -24,6 +24,11 @@ far-side test in projection and a wrap with the hull's own perturbed
 `sides` pick it, so the tops are the lifted hull's.  The wrap starts from
 a top of a cloud that spans a slab of Z; where neither cloud does
 (non-parallel flat clouds), `delaunay(z)` triangulates Z.
+
+A `Triangulation` is arrays only: its tops are an (n, k + 1) int array
+of sorted vertex rows, and each dimension below is the `FaceTable` of
+their faces (`face_tables`).  The hull and the wrap work on vertex
+tuples; no per-simplex object is built.
 """
 
 from __future__ import annotations
@@ -46,42 +51,6 @@ from .predicates import (
 )
 
 _HULL_SEED = 0x9E3779B9  # orders hull insertion; the output does not depend on it
-
-
-@dataclass(frozen=True, order=True)
-class Simplex:
-    """Sorted, duplicate-free tuple of vertex indices into a point cloud."""
-
-    vertices: tuple[int, ...]
-
-    def __init__(self, vertices):
-        vs = tuple(int(v) for v in vertices)
-        if not vs:
-            raise InputError("empty simplex")
-        if any(b <= a for a, b in zip(vs, vs[1:])):
-            raise InputError(f"simplex vertices must be strictly increasing: {vs}")
-        object.__setattr__(self, "vertices", vs)
-
-    @classmethod
-    def _of(cls, vs: tuple[int, ...]) -> "Simplex":
-        """Wrap a tuple already known to be a valid simplex, unchecked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "vertices", vs)
-        return s
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def boundary(self) -> list["Simplex"]:
-        """Codimension-1 faces, in lexicographic order (`face_tuples`)."""
-        return [Simplex._of(f) for f in face_tuples(self.vertices)]
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 def face_tuples(vs: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -413,47 +382,40 @@ class _Hull:
 
 
 class Triangulation:
-    """Delaunay triangulation: top simplices plus their downward closure,
-    stored as one `FaceTable` per dimension (`tables`).  `simplices`,
-    `faces` and `simplices_by_dim` wrap the rows in `Simplex` objects only
-    when called."""
+    """Delaunay triangulation of `cloud`, held as one `FaceTable` per
+    dimension (`tables`), from the vertices up to the top simplices
+    (`tops`).  `tops` is handed in as an (n, k + 1) int array of strictly
+    increasing vertex rows, in any order; a row given twice raises
+    AssertionError, where `face_tables` would drop it without a word."""
 
-    def __init__(self, cloud: PointCloud, tops: list[Simplex], top_dim: int, space: _HullSpace):
+    def __init__(self, cloud: PointCloud, tops: np.ndarray, space: _HullSpace):
         self.cloud = cloud
-        self.top_simplices: tuple[Simplex, ...] = tuple(sorted(tops))
-        self.top_dim = top_dim
         self._space = space
-        rows = [t.vertices for t in self.top_simplices]
-        self.tables = face_tables(np.array(rows, dtype=np.int64).reshape(len(rows), top_dim + 1))
-
-    def _wrapped(self, dim: int) -> list[Simplex]:
-        return [Simplex._of(tuple(vs)) for vs in self.tables[dim].simplices.tolist()]
+        self.tables = face_tables(tops)
+        if len(self.tops) < len(tops):
+            twice = np.bincount(find_rows(self.tops, tops)).argmax()
+            raise AssertionError(f"top {tuple(self.tops[twice].tolist())} is given twice")
 
     @property
-    def simplices_by_dim(self) -> dict[int, tuple[Simplex, ...]]:
-        return {d: tuple(self._wrapped(d)) for d in range(self.top_dim + 1)}
+    def tops(self) -> np.ndarray:
+        """The top simplices, in lexicographic order."""
+        return self.tables[-1].simplices
 
-    def simplices(self):
-        """Every simplex, by dimension, each dimension in lexicographic
-        order: faces before cofaces."""
-        for d in range(self.top_dim + 1):
-            yield from self._wrapped(d)
+    @property
+    def top_dim(self) -> int:
+        return len(self.tables) - 1
 
-    def faces(self, dim: int) -> list[Simplex]:
-        if dim < 0 or dim > self.top_dim:
-            raise InputError(f"dimension {dim} out of range 0..{self.top_dim}")
-        return self._wrapped(dim)
-
-    def insphere_sign(self, top: Simplex, queries) -> list[int]:
+    def insphere_sign(self, top: tuple[int, ...], queries) -> list[int]:
         """Perturbed in-circumsphere sign of each query vertex against a top
-        simplex: +1 strictly inside under the symbolic perturbation, else -1.
+        simplex, given by its sorted vertex tuple: +1 strictly inside under
+        the symbolic perturbation, else -1.
         """
-        if any(q in top.vertices for q in queries):
+        if any(q in top for q in queries):
             raise InputError("query vertex belongs to the simplex")
-        s_inf = self._space.infdown_sign(top.vertices)
+        s_inf = self._space.infdown_sign(top)
         if s_inf == 0:
             raise InputError("vertical simplex has no oriented circumsphere")
-        return [1 if o == s_inf else -1 for o in self._space.sides(top.vertices, queries)]
+        return [1 if o == s_inf else -1 for o in self._space.sides(top, queries)]
 
 
 def _hull_space(cloud: PointCloud):
@@ -505,8 +467,7 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     rank, space = _hull_space(cloud)
     n = len(cloud)
     if n == rank + 1:
-        tops = [Simplex(range(n))]
-        return Triangulation(cloud, tops, rank, space)
+        return Triangulation(cloud, np.arange(n)[None], space)
     order = list(range(n))
     tail = order[space.P + 1 :]
     random.Random(_HULL_SEED).shuffle(tail)
@@ -516,10 +477,10 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     for f in hull.facets.values():
         s = space.infdown_sign(f.verts)
         if s != 0 and s == -f.inside_sign:
-            tops.append(Simplex(f.verts))
+            tops.append(f.verts)
     if not tops:
         raise AssertionError("hull produced no lower facets")
-    return Triangulation(cloud, tops, rank, space)
+    return Triangulation(cloud, np.array(tops, dtype=np.int64), space)
 
 
 # -- del(Z) of a lifted pair ---------------------------------------------------
@@ -722,13 +683,13 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
         raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")
     rank, space = _hull_space(z)
     if tri1 is None or tri2 is None:
-        tops = [t.vertices for t in (tri1 or tri2).top_simplices]
+        tops = list(map(tuple, (tri1 or tri2).tops.tolist()))
         if rank:  # a single vertex has no ridge
             _Wrap(space, 0, tops).check_tops(tops)
     else:
         n1 = len(tri1.cloud)
-        tops1 = [t.vertices for t in tri1.top_simplices]
-        tops2 = [tuple(v + n1 for v in t.vertices) for t in tri2.top_simplices]
+        tops1 = list(map(tuple, tri1.tops.tolist()))
+        tops2 = list(map(tuple, (tri2.tops + n1).tolist()))
         if not tops1 or not tops2:
             raise AssertionError(f"del(X{1 if not tops1 else 2}) has no top")
         if tri1.top_dim == rank - 1:
@@ -736,10 +697,10 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
         elif tri2.top_dim == rank - 1:
             tops = _Wrap(space, n1, tops1 + tops2).run(tops2[0], list(range(n1)))
         else:
-            tops = [t.vertices for t in delaunay(z).top_simplices]
+            tops = list(map(tuple, delaunay(z).tops.tolist()))
             _Wrap(space, n1, tops).check_tops(tops)
     covered = {v for top in tops for v in top}
     if len(covered) < len(z):
         missing = min(set(range(len(z))) - covered)
         raise AssertionError(f"vertex {missing} of Z is in no top of del(Z)")
-    return Triangulation(z, [Simplex._of(t) for t in tops], rank, space)
+    return Triangulation(z, np.array(tops, dtype=np.int64), space)

@@ -11,17 +11,58 @@ sorted lexicographically, each row's facets as rows of dimension k - 1
 is an array operation over these tables.  The cells also keep the order
 they were given in, which `cells`, `dumps` and the indices of
 `canonical_order` refer to.
+
+`Simplex` and `Cell` are per-cell views of these rows.  `loads`, the
+oracle and hand-built complexes hand cells in as them, and `cells` builds
+them on first use; the pipeline hands in tables and builds none.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .delaunay import Simplex, find_rows
+from .delaunay import face_tuples, find_rows
 from .geometry import InputError
+
+
+@dataclass(frozen=True, order=True)
+class Simplex:
+    """Sorted, duplicate-free tuple of vertex indices into a point cloud."""
+
+    vertices: tuple[int, ...]
+
+    def __init__(self, vertices):
+        vs = tuple(int(v) for v in vertices)
+        if not vs:
+            raise InputError("empty simplex")
+        if any(b <= a for a, b in zip(vs, vs[1:])):
+            raise InputError(f"simplex vertices must be strictly increasing: {vs}")
+        object.__setattr__(self, "vertices", vs)
+
+    @classmethod
+    def _of(cls, vs: tuple[int, ...]) -> "Simplex":
+        """Wrap a tuple already known to be a valid simplex, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "vertices", vs)
+        return s
+
+    @property
+    def dim(self) -> int:
+        return len(self.vertices) - 1
+
+    def boundary(self) -> list["Simplex"]:
+        """Codimension-1 faces, in lexicographic order (`face_tuples`)."""
+        return [Simplex._of(f) for f in face_tuples(self.vertices)]
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __len__(self):
+        return len(self.vertices)
 
 
 class Cell(NamedTuple):
@@ -146,7 +187,6 @@ class FilteredComplex:
         self.row = np.empty(n, dtype=np.int64)
         for k, (t, i) in enumerate(zip(tables, index)):
             self.value[i], self.dim[i], self.sub[i], self.row[i] = t.values, k, t.sub, np.arange(len(i))
-        self.vertex_count = int(tables[0].simplices[-1, 0]) + 1 if tables and len(tables[0].simplices) else 0
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
@@ -159,9 +199,6 @@ class FilteredComplex:
 
     def __len__(self):
         return len(self.value)
-
-    def __iter__(self):
-        return iter(self.cells)
 
     def canonical_order(self) -> list[int]:
         """Indices sorted by (subcomplex first, value, dimension, vertices).

@@ -132,13 +132,6 @@ def _int_points(pts) -> list[list[int]]:
     return [flat[i : i + m] for i in range(0, len(flat), m)]
 
 
-def squared_distance(a, b) -> float:
-    ca, cb = _coords(a), _coords(b)
-    if len(ca) != len(cb):
-        raise InputError(f"dimension mismatch: {len(ca)} vs {len(cb)}")
-    return sum((x - y) ** 2 for x, y in zip(ca, cb))
-
-
 def orientation(simplex_points) -> int:
     """Sign of the determinant of edge vectors from the first point.
 

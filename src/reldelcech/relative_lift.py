@@ -203,32 +203,25 @@ def _cell_balls(proj, table, centers, radii) -> tuple[np.ndarray, np.ndarray]:
     return out_c, out_r
 
 
-def _slab_diff(tri: Triangulation, lifted: Triangulation, lo: int, hi: int):
-    """(missing, extra): the simplices of `lifted`, shifted by lo, that are
-    not cells of `tri` with all vertices in range(lo, hi), and those cells
-    that are not in it; each by dimension, then lexicographic.  With (0, n1)
-    these compare the all-plus cells of del(Z) with the lifted del(X1),
-    with (n1, n) the all-minus ones with the lifted del(X2)."""
-    missing, extra = [], []
-    for k in range(max(len(tri.tables), len(lifted.tables))):
-        z = tri.tables[k].simplices if k < len(tri.tables) else np.empty((0, k + 1), np.int64)
-        z = z[(lo <= z[:, 0]) & (z[:, -1] < hi)]
-        want = lifted.tables[k].simplices + lo if k < len(lifted.tables) else z[:0]
-        if z.shape == want.shape and np.array_equal(z, want):
-            continue
-        missing += map(tuple, want[find_rows(z, want) < 0].tolist())
-        extra += map(tuple, z[find_rows(want, z) < 0].tolist())
-    return missing, extra
-
-
 def _check_slabs(tri: Triangulation, tri1: Triangulation | None, tri2: Triangulation | None, n1: int):
     """AssertionError unless the all-plus cells of del(Z) are exactly the
-    lifted del(X1) and the all-minus cells the lifted del(X2)."""
+    lifted del(X1) and the all-minus cells the lifted del(X2): the cells
+    of del(Z) with all vertices in range(lo, hi) against the simplices of
+    the lifted triangulation shifted by lo.  A missing simplex is named
+    before an extra cell, each the first by dimension, then lexicographic."""
     n = len(tri.cloud)
     for lifted, lo, hi, name, sign in ((tri1, 0, n1, "X1", "plus"), (tri2, n1, n, "X2", "minus")):
         if lifted is None:
             continue
-        missing, extra = _slab_diff(tri, lifted, lo, hi)
+        missing, extra = [], []
+        for k in range(max(len(tri.tables), len(lifted.tables))):
+            z = tri.tables[k].simplices if k < len(tri.tables) else np.empty((0, k + 1), np.int64)
+            z = z[(lo <= z[:, 0]) & (z[:, -1] < hi)]
+            want = lifted.tables[k].simplices + lo if k < len(lifted.tables) else z[:0]
+            if z.shape == want.shape and np.array_equal(z, want):
+                continue
+            missing += map(tuple, want[find_rows(z, want) < 0].tolist())
+            extra += map(tuple, z[find_rows(want, z) < 0].tolist())
         if missing:
             raise AssertionError(f"lifted del({name}) simplex {missing[0]} missing from del(Z)")
         if extra:
@@ -325,52 +318,30 @@ def relative_delcech(x1: PointCloud, x2: PointCloud) -> FilteredComplex:
 
 @dataclass
 class EmbeddingReport:
-    """Outcome of the three structural checks on a lifted triangulation.
+    """Outcome of `verify_embedding`: `failure` is the first failed
+    check's message, None when all pass.  With `sos_sign`'s heights-first
+    rule they hold on degenerate grids too (Cayley trick), so a failure
+    means a broken del(Z)."""
 
-    `build_pipeline` enforces all three against its own del(X1) and
-    del(X2) (`_check_slabs`); this report triangulates both clouds again.
-    With `sos_sign`'s heights-first rule all three hold on degenerate
-    grids too (Cayley trick), so a failure means a broken del(Z).
-    """
-
-    x1_embedded: bool
-    x2_embedded: bool
-    plus_matches: bool
-    missing_x1: list[tuple[int, ...]]
-    missing_x2: list[tuple[int, ...]]
-    plus_mismatch: list[tuple[int, ...]]
+    failure: str | None
 
     @property
     def ok(self) -> bool:
-        return self.x1_embedded and self.x2_embedded and self.plus_matches
+        return self.failure is None
 
     def text(self) -> str:
-        lines = [
-            f"check lifted del(X1) included: {'pass' if self.x1_embedded else 'FAIL'}",
-            f"check lifted del(X2) included: {'pass' if self.x2_embedded else 'FAIL'}",
-            f"check all-plus cells match del(X1): {'pass' if self.plus_matches else 'FAIL'}",
-        ]
-        for name, items in (
-            ("missing from del(Z) via j1", self.missing_x1),
-            ("missing from del(Z) via j2", self.missing_x2),
-            ("all-plus cells without del(X1) counterpart", self.plus_mismatch),
-        ):
-            if items:
-                lines.append(f"  {name}: {items}")
-        return "\n".join(lines)
+        return "embedding checks: pass" if self.ok else f"embedding check FAIL: {self.failure}"
 
 
 def verify_embedding(cfg: LiftedConfiguration, tri: Triangulation) -> EmbeddingReport:
-    """Certify that both clouds' Delaunay complexes embed into del(Z) and
-    that the all-plus part of del(Z) is exactly the lifted del(X1)."""
-    n1 = len(cfg.x1)
-    plus = _slab_diff(tri, delaunay(cfg.x1), 0, n1) if len(cfg.x1) else ([], [])
-    missing_x2 = _slab_diff(tri, delaunay(cfg.x2), n1, len(cfg.z))[0] if len(cfg.x2) else []
-    return EmbeddingReport(
-        x1_embedded=not plus[0],
-        x2_embedded=not missing_x2,
-        plus_matches=not (plus[0] or plus[1]),
-        missing_x1=sorted(plus[0]),
-        missing_x2=sorted(missing_x2),
-        plus_mismatch=sorted(plus[0] + plus[1], key=lambda vs: (len(vs), vs)),
-    )
+    """`_check_slabs` against del(X1) and del(X2) triangulated afresh: the
+    all-plus cells of del(Z) must be exactly the lifted del(X1) and the
+    all-minus cells the lifted del(X2).  `build_pipeline` runs the same
+    check against its own del(X1) and del(X2)."""
+    tri1 = delaunay(cfg.x1) if len(cfg.x1) else None
+    tri2 = delaunay(cfg.x2) if len(cfg.x2) else None
+    try:
+        _check_slabs(tri, tri1, tri2, len(cfg.x1))
+    except AssertionError as e:
+        return EmbeddingReport(str(e))
+    return EmbeddingReport(None)

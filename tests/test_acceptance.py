@@ -196,8 +196,8 @@ def test_criterion_5_delaunay_empty_circumsphere():
         pts = np.unique(rng.random((n, m)), axis=0)
         cloud = PointCloud(pts.tolist())
         t = delaunay(cloud)
-        for top in t.top_simplices:
-            queries = [q for q in range(len(cloud)) if q not in top.vertices]
+        for top in map(tuple, t.tops.tolist()):
+            queries = [q for q in range(len(cloud)) if q not in top]
             signs = t.insphere_sign(top, queries)
             assert len(signs) == len(queries)
             assert all(s <= 0 for s in signs)

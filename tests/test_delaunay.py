@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reldelcech.delaunay import Simplex, delaunay, face_tables
+from reldelcech.delaunay import Triangulation, delaunay, face_tables
+from reldelcech.filtered_complex import Simplex
 from reldelcech.geometry import InputError, PointCloud
 from reldelcech.predicates import det_sign_exact, sos_sign
 from reldelcech.relative_lift import build_pipeline, lift
@@ -15,6 +16,11 @@ from reldelcech.relative_lift import build_pipeline, lift
 def random_cloud(rng, n, d, low=0.0, high=1.0):
     pts = np.unique(low + (high - low) * rng.random((n, d)), axis=0)
     return PointCloud(pts.tolist())
+
+
+def rows(a) -> list[tuple[int, ...]]:
+    """The rows of an int array as vertex tuples."""
+    return list(map(tuple, a.tolist()))
 
 
 class TestSimplex:
@@ -49,26 +55,26 @@ class TestSimplex:
 class TestSmallClouds:
     def test_single_point(self):
         t = delaunay(PointCloud([(1.0, 2.0)]))
-        assert [s.vertices for s in t.top_simplices] == [(0,)]
+        assert rows(t.tops) == [(0,)]
         assert t.top_dim == 0
 
     def test_two_points(self):
         t = delaunay(PointCloud([(0.0,), (1.0,)]))
-        assert [s.vertices for s in t.top_simplices] == [(0, 1)]
+        assert rows(t.tops) == [(0, 1)]
 
     def test_triangle(self):
         t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1)]))
-        assert [s.vertices for s in t.top_simplices] == [(0, 1, 2)]
-        assert len(t.simplices_by_dim[1]) == 3
-        assert len(t.simplices_by_dim[0]) == 3
+        assert rows(t.tops) == [(0, 1, 2)]
+        assert len(t.tables[1].simplices) == 3
+        assert len(t.tables[0].simplices) == 3
 
     def test_unit_square_cocircular(self):
         t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1), (1, 1)]))
-        assert len(t.top_simplices) == 2
-        assert len(t.simplices_by_dim[1]) == 5
-        assert len(t.simplices_by_dim[0]) == 4
+        assert len(t.tops) == 2
+        assert len(t.tables[1].simplices) == 5
+        assert len(t.tables[0].simplices) == 4
         # the shared edge is one of the two diagonals
-        edges = {e.vertices for e in t.simplices_by_dim[1]}
+        edges = set(rows(t.tables[1].simplices))
         assert ((0, 3) in edges) != ((1, 2) in edges)
 
     def test_empty_cloud_rejected(self):
@@ -84,34 +90,30 @@ class TestDegenerate:
     def test_collinear_in_plane(self):
         t = delaunay(PointCloud([(0, 0), (1, 1), (2, 2), (3, 3)]))
         assert t.top_dim == 1
-        assert [s.vertices for s in t.top_simplices] == [(0, 1), (1, 2), (2, 3)]
+        assert rows(t.tops) == [(0, 1), (1, 2), (2, 3)]
 
     def test_collinear_unordered_input(self):
         t = delaunay(PointCloud([(2, 2), (0, 0), (3, 3), (1, 1)]))
         # path along the line in coordinate order: 1-3-0-2
-        assert {s.vertices for s in t.top_simplices} == {(1, 3), (0, 3), (0, 2)}
+        assert set(rows(t.tops)) == {(1, 3), (0, 3), (0, 2)}
 
     def test_coplanar_in_3d(self):
         pts = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 0.2, 1.0)]
         t = delaunay(PointCloud(pts))
-        assert t.top_dim == 2
-        union = set()
-        for s in t.top_simplices:
-            assert s.dim == 2
-            union |= set(s.vertices)
-        assert union == set(range(5))
+        assert t.top_dim == 2 and t.tops.shape[1] == 3
+        assert set(t.tops.ravel().tolist()) == set(range(5))
 
     def test_cube_cospherical(self):
         pts = [(float(i), float(j), float(k)) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
         t = delaunay(PointCloud(pts))
         assert t.top_dim == 3
-        assert sum(1 for s in t.top_simplices) in (5, 6)  # any triangulation of the cube
+        assert len(t.tops) in (5, 6)  # any triangulation of the cube
         _assert_empty_circumspheres(t)
 
     def test_grid_many_cocircularities(self):
         pts = [(float(i), float(j)) for i in range(4) for j in range(4)]
         t = delaunay(PointCloud(pts))
-        assert len(t.top_simplices) == 18  # 9 unit squares, 2 triangles each
+        assert len(t.tops) == 18  # 9 unit squares, 2 triangles each
         _assert_empty_circumspheres(t)
 
     @pytest.mark.parametrize("name", ["grid3x4", "ring"])
@@ -120,7 +122,7 @@ class TestDegenerate:
         # has the same tops when translated, or copied into a coordinate
         # plane of R^3 (pivot columns of a flat cloud), either way round.
         pts = _RING if name == "ring" else [(float(i), float(j)) for i in range(3) for j in range(4)]
-        want = delaunay(PointCloud(pts)).top_simplices
+        want = delaunay(PointCloud(pts)).tops
         copies = [[(x + dx, y + dy) for x, y in pts] for dx, dy in ((3.0, -7.5), (-1.25, 2.0))]
         for axes in ((0, 1), (0, 2), (1, 2), (2, 0)):
             for shift in ((0.0, 0.0, 0.0), (0.5, -2.25, 3.0)):
@@ -132,17 +134,17 @@ class TestDegenerate:
                     copy.append(tuple(q))
                 copies.append(copy)
         for copy in copies:
-            assert delaunay(PointCloud(copy)).top_simplices == want, copy[:2]
+            assert np.array_equal(delaunay(PointCloud(copy)).tops, want), copy[:2]
 
 
 def _assert_empty_circumspheres(t):
     n = len(t.cloud)
-    for top in t.top_simplices:
-        queries = [q for q in range(n) if q not in top.vertices]
+    for top in rows(t.tops):
+        queries = [q for q in range(n) if q not in top]
         signs = t.insphere_sign(top, queries)
         assert len(signs) == len(queries)
         for q, s in zip(queries, signs):
-            assert s <= 0, (top.vertices, q)
+            assert s <= 0, (top, q)
 
 
 class TestRandomClouds:
@@ -168,8 +170,8 @@ class TestRandomClouds:
             w = rng.dirichlet(np.ones(len(cloud)))
             q = w @ arr
             found = False
-            for top in t.top_simplices:
-                tri = arr[list(top.vertices)]
+            for top in t.tops:
+                tri = arr[top]
                 a = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
                 try:
                     uv = np.linalg.solve(a, q - tri[0])
@@ -184,9 +186,7 @@ class TestRandomClouds:
         rng = np.random.default_rng(11)
         for trial in range(5):
             t = delaunay(random_cloud(rng, 12 + trial, 2))
-            v = len(t.simplices_by_dim[0])
-            e = len(t.simplices_by_dim[1])
-            f = len(t.simplices_by_dim[2])
+            v, e, f = (len(table.simplices) for table in t.tables)
             assert v - e + f == 1
 
     def test_determinism_and_seed_independence(self, monkeypatch):
@@ -194,29 +194,28 @@ class TestRandomClouds:
         cloud = random_cloud(rng, 30, 2)
         t1 = delaunay(cloud)
         t2 = delaunay(cloud)
-        assert t1.top_simplices == t2.top_simplices
+        assert np.array_equal(t1.tops, t2.tops)
         monkeypatch.setattr(importlib.import_module("reldelcech.delaunay"), "_HULL_SEED", 12345)
         t3 = delaunay(cloud)
         # insertion order changes, the triangulation must not
-        assert t3.top_simplices == t1.top_simplices
+        assert np.array_equal(t3.tops, t1.tops)
 
 
 class TestFaces:
     def test_faces_of_triangle(self):
         t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1)]))
-        assert [s.vertices for s in t.faces(1)] == [(0, 1), (0, 2), (1, 2)]
-        assert [s.vertices for s in t.faces(0)] == [(0,), (1,), (2,)]
+        assert rows(t.tables[1].simplices) == [(0, 1), (0, 2), (1, 2)]
+        assert rows(t.tables[0].simplices) == [(0,), (1,), (2,)]
 
     def test_faces_square(self):
         t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1), (1, 1)]))
-        assert len(t.faces(1)) == 5
+        assert len(t.tables[1].simplices) == 5
 
-    def test_out_of_range(self):
-        t = delaunay(PointCloud([(0, 0), (1, 0), (0, 1)]))
-        with pytest.raises(InputError):
-            t.faces(3)
-        with pytest.raises(InputError):
-            t.faces(-1)
+    def test_duplicated_top_raises(self):
+        # `face_tables` would drop the repeated row without a word.
+        t = delaunay(random_cloud(np.random.default_rng(18), 10, 2))
+        with pytest.raises(AssertionError, match=r"top \(\d+, \d+, \d+\) is given twice"):
+            Triangulation(t.cloud, np.vstack([t.tops, t.tops[:1]]), t._space)
 
     @pytest.mark.parametrize("low", [1 << 16, (1 << 62) - 64])
     def test_face_tables_on_large_vertex_indices(self, low):
@@ -240,15 +239,15 @@ class TestFaces:
     def test_downward_closure_unique(self):
         rng = np.random.default_rng(17)
         t = delaunay(random_cloud(rng, 14, 3))
-        for d, simps in t.simplices_by_dim.items():
+        faces = [rows(table.simplices) for table in t.tables]
+        for d, simps in enumerate(faces):
             assert len(simps) == len(set(simps))
-            for s in simps:
-                assert s.dim == d
+            assert {len(s) for s in simps} == {d + 1}
         # closure: every boundary face of every simplex is present
-        all_set = {s for ss in t.simplices_by_dim.values() for s in ss}
-        for s in all_set:
-            for f in s.boundary():
-                assert f in all_set
+        for lower, simps in zip(faces, faces[1:]):
+            for s in simps:
+                for i in range(len(s)):
+                    assert s[:i] + s[i + 1 :] in set(lower)
 
 
 # -- exact integer coordinates of the lifted hull ----------------------------
@@ -617,7 +616,7 @@ class TestPairDelaunay:
         monkeypatch.setattr(mod, "delaunay", lambda c: hulls.append(len(c)) or delaunay(c))
         z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
         tri = mod.pair_delaunay(z, delaunay(PointCloud(x1)), delaunay(PointCloud(x2)))
-        assert tri.top_simplices == delaunay(z).top_simplices
+        assert np.array_equal(tri.tops, delaunay(z).tops)
         return hulls, len(z)
 
     @pytest.mark.parametrize("name", sorted(NONPARALLEL))
@@ -638,7 +637,7 @@ class TestPairDelaunay:
         for x1, x2 in ((x, empty), (empty, x)):
             z = lift(x1, x2, 1.0).z
             tri = mod.pair_delaunay(z, delaunay(x1) if len(x1) else None, delaunay(x2) if len(x2) else None)
-            assert tri.top_simplices == delaunay(x).top_simplices == delaunay(z).top_simplices
+            assert np.array_equal(tri.tops, delaunay(x).tops) and np.array_equal(tri.tops, delaunay(z).tops)
             assert tri.top_dim == 2
 
     @staticmethod
@@ -647,14 +646,14 @@ class TestPairDelaunay:
         first top of del(X1), which no mixed ridge's wrap holds."""
         mod = importlib.import_module("reldelcech.delaunay")
         tri1, tri2 = delaunay(x1), delaunay(x2)
-        start = set(tri1.top_simplices[0].vertices)
+        start = set(tri1.tops[0].tolist())
         facets = []
         real = mod._HullSpace.sides
         monkeypatch.setattr(mod._HullSpace, "sides", lambda sp, verts, qs: facets.append(verts) or real(sp, verts, qs))
         z = lift(x1, x2, 1.0).z
-        tops = mod.pair_delaunay(z, tri1, tri2).top_simplices
+        tops = mod.pair_delaunay(z, tri1, tri2).tops
         monkeypatch.setattr(mod._HullSpace, "sides", real)
-        assert tops == delaunay(z).top_simplices
+        assert np.array_equal(tops, delaunay(z).tops)
         return sum(start <= set(f) for f in facets)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -676,7 +675,7 @@ class TestPairDelaunay:
             ([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 3.0)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)], "3 tops"),
         ]:
             x = PointCloud(pts)
-            broken = mod.Triangulation(x, [Simplex(t) for t in tops], 2, delaunay(x)._space)
+            broken = mod.Triangulation(x, np.array(list(tops)), delaunay(x)._space)
             z = lift(x, empty, 1.0).z
             with pytest.raises(AssertionError, match=err):
                 mod.pair_delaunay(z, broken, None)

@@ -17,7 +17,6 @@ from reldelcech.geometry import (
     in_sphere,
     orientation,
     smallest_enclosing_ball,
-    squared_distance,
 )
 
 
@@ -50,17 +49,6 @@ class TestPointAndCloud:
             PointCloud([])
         c = PointCloud([], dimension=3)
         assert len(c) == 0 and c.dimension == 3
-
-
-class TestSquaredDistance:
-    def test_examples(self):
-        assert squared_distance((0, 0), (0, 0)) == 0
-        assert squared_distance((0, 0), (3, 4)) == 25
-        assert squared_distance((1, 1, 1), (2, 2, 2)) == 3
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            squared_distance((0, 0), (1, 2, 3))
 
 
 class TestOrientation:

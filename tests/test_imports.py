@@ -2,14 +2,17 @@
 
 import ast
 import importlib
+import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 
 import reldelcech
-from reldelcech import cli
+from reldelcech import cli, relative_lift
 
 PACKAGE = pathlib.Path(reldelcech.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def imported_modules(path: pathlib.Path) -> set[str]:
@@ -33,7 +36,7 @@ def test_one_exact_number_type():
 
 def traced_names() -> list[tuple[str, str]]:
     """(module, global name) of every entry of the benchmark tracer's TARGETS."""
-    spans = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spans = PERFBENCH / "spans.py"
     tree = ast.parse(spans.read_text(), filename=str(spans))
     (targets,) = [
         node.value
@@ -89,3 +92,22 @@ def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
         assert cli.main(["compute", str(pts), "--subset-indices", str(sub)]) == 0
         capsys.readouterr()
     assert sorted({f"{m}.{n}" for m, n in traced_names()} - called) == []
+
+
+def test_benchmark_instance_runs_and_checks(monkeypatch, tmp_path):
+    # The benchmark parses, solves and checks each instance through
+    # perfbench/instance.py, and its traced pass certifies del(Z) with
+    # verify_embedding: what they reach of the package must keep working.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # load it read-only
+    spec = importlib.util.spec_from_file_location("perfbench_instance", PERFBENCH / "instance.py")
+    instance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instance)
+    rng = np.random.default_rng(89)
+    pts = tmp_path / "instance.points.csv"
+    pts.write_text("".join(",".join(map(repr, p.coords)) + "\n" for p in cli.generate_cloud("uniform-box", 30, 2, rng)))
+    sub = tmp_path / "instance.subset.txt"
+    sub.write_text("".join(f"{i}\n" for i in sorted(rng.choice(30, size=8, replace=False).tolist())))
+    x, a, pipe, bc = instance.run(str(pts), str(sub))
+    assert len(x) == 30 and len(a) == 8
+    assert instance.output_problems(bc, pipe.complex, a) == []
+    assert relative_lift.verify_embedding(pipe.cfg, pipe.triangulation).ok is True

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from reldelcech.cech_oracle import relative_cech
-from reldelcech.delaunay import Simplex
-from reldelcech.filtered_complex import Cell, build
+from reldelcech.filtered_complex import Cell, Simplex, build
 from reldelcech.geometry import PointCloud
 from reldelcech.persistence import (
     Barcode,

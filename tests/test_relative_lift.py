@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.delaunay import Triangulation, delaunay
-from reldelcech.filtered_complex import dumps
+from reldelcech.filtered_complex import Simplex, dumps
 from reldelcech.geometry import InputError, PointCloud, circumball_weights, smallest_enclosing_ball
 from reldelcech.persistence import Barcode, barcode
 from reldelcech.relative_lift import (
@@ -100,10 +101,9 @@ class TestRelativeDelcech:
 
         tri = delaunay(cloud(pts))
         expected = {}
-        for s in tri.simplices():
-            expected[s.vertices] = smallest_enclosing_ball(
-                [pts[v] for v in s.vertices]
-            ).radius
+        for table in tri.tables:
+            for vs in map(tuple, table.simplices.tolist()):
+                expected[vs] = smallest_enclosing_ball([pts[v] for v in vs]).radius
         got = {c.simplex.vertices: c.value for c in fc.cells}
         assert set(got) == set(expected)
         for k in expected:
@@ -121,7 +121,7 @@ class TestRelativeDelcech:
         assert by_simplex[(1,)].in_subcomplex
         assert not by_simplex[(2,)].in_subcomplex
         del_x1 = delaunay(x1)
-        lifted = {s.vertices for s in del_x1.simplices()}
+        lifted = {tuple(vs) for table in del_x1.tables for vs in table.simplices.tolist()}
         marked = {v for v, c in by_simplex.items() if c.in_subcomplex}
         assert lifted == marked
 
@@ -172,9 +172,9 @@ def drop_lifted_edge(monkeypatch, lo: int, hi: int):
 
     def broken(z, tri1, tri2):
         t = real(z, tri1, tri2)
-        edge = next(e.vertices for e in t.faces(1) if lo <= e.vertices[0] and e.vertices[-1] < hi)
-        tops = [top for top in t.top_simplices if not set(edge) <= set(top.vertices)]
-        return Triangulation(z, tops, t.top_dim, t._space)
+        edge = next(e for e in t.tables[1].simplices.tolist() if lo <= e[0] and e[-1] < hi)
+        tops = [top for top in t.tops.tolist() if not set(edge) <= set(top)]
+        return Triangulation(z, np.array(tops), t._space)
 
     monkeypatch.setattr(relative_lift, "pair_delaunay", broken)
 
@@ -191,7 +191,7 @@ def drop_top(monkeypatch, call: int, k: int = 0):
         calls.append(c)
         if (len(calls) - 1) % 2 != call:
             return t
-        return Triangulation(c, [s for j, s in enumerate(t.top_simplices) if j != k], t.top_dim, t._space)
+        return Triangulation(c, np.delete(t.tops, k, axis=0), t._space)
 
     monkeypatch.setattr(relative_lift, "delaunay", broken)
 
@@ -301,7 +301,7 @@ class TestSharedTriangulations:
         # cross-checks: a lost top leaves a hole or an uncovered vertex.
         x = cloud(X1_EIGHT)
         pair = (EMPTY2, x) if empty_side == 0 else (x, EMPTY2)
-        for k in range(len(delaunay(x).top_simplices)):
+        for k in range(len(delaunay(x).tops)):
             with monkeypatch.context() as m:
                 drop_top(m, 0, k)  # the only triangulation of the run
                 with pytest.raises(AssertionError, match=r"lies beyond the boundary ridge|is in no top"):
@@ -312,7 +312,7 @@ class TestSharedTriangulations:
         # del(Z) is wrapped from the broken triangulation itself: without
         # its checks, a lost top left a hole or overlapping tops, silently.
         x1, x2 = cloud(X1_EIGHT), cloud(X2_EIGHT)
-        tops = len(delaunay(x1 if drop is drop_x1_top else x2).top_simplices)
+        tops = len(delaunay(x1 if drop is drop_x1_top else x2).tops)
         seen = set()
         for k in range(tops):
             with monkeypatch.context() as m:
@@ -338,7 +338,7 @@ def drop_hull_top(monkeypatch, k: int):
 
     def broken(c):
         t = delaunay(c)
-        return Triangulation(c, [s for j, s in enumerate(t.top_simplices) if j != k], t.top_dim, t._space)
+        return Triangulation(c, np.delete(t.tops, k, axis=0), t._space)
 
     monkeypatch.setattr(mod, "delaunay", broken)
 
@@ -348,7 +348,7 @@ class TestNonparallelFallback:
         # The hull's tops get the wrap's checks: each lost top leaves a
         # vertex beyond a boundary ridge, or a vertex in no top.
         for x1, x2 in ((cloud(X1_LINE), cloud(X2_LINE)), (cloud(X2_LINE), cloud(X1_LINE))):
-            tops = delaunay(lift(x1, x2, 1.0).z).top_simplices
+            tops = delaunay(lift(x1, x2, 1.0).z).tops
             assert len(tops) == 6
             for k in range(len(tops)):
                 with monkeypatch.context() as m:
@@ -362,7 +362,26 @@ class TestNonparallelFallback:
     def test_whole_hull_passes(self):
         for x1, x2 in ((X1_LINE, X2_LINE), (X2_LINE, X1_LINE)):
             pipe = build_pipeline(cloud(x1), cloud(x2))
-            assert pipe.triangulation.top_simplices == delaunay(pipe.cfg.z).top_simplices
+            assert np.array_equal(pipe.triangulation.tops, delaunay(pipe.cfg.z).tops)
+
+
+class TestRunPathBuildsNoSimplex:
+    def test_pipeline_and_barcode(self, monkeypatch):
+        # From the clouds to the barcode every complex is face tables:
+        # random pairs in 2D and 3D, an empty side, and the crossing lines
+        # that del(Z) falls back on the lifted hull for.
+        def refuse(*args):
+            raise AssertionError("a Simplex was built")
+
+        monkeypatch.setattr(Simplex, "__init__", refuse)
+        monkeypatch.setattr(Simplex, "_of", classmethod(refuse))
+        rng = np.random.default_rng(87)
+        pairs = [(rng.random((8, d)).tolist(), rng.random((20, d)).tolist()) for d in (2, 3)]
+        pairs += [([], X2_AROUND), (X1_TRIANGLE, []), (X1_LINE, X2_LINE)]
+        for x1, x2 in pairs:
+            d = len((x1 or x2)[0])
+            pipe = build_pipeline(PointCloud(x1, dimension=d), PointCloud(x2, dimension=d))
+            barcode(pipe.complex, relative=True, max_dim=d)
 
 
 def s_invariance_clouds():
@@ -550,23 +569,25 @@ class TestVerifyEmbedding:
         x1 = cloud([(0.0, 0.0), (1.0, 0.0), (0.2, 0.8)])
         pipe = build_pipeline(x1, EMPTY2)
         rep = verify_embedding(pipe.cfg, pipe.triangulation)
-        assert rep.ok
-        assert rep.x2_embedded and rep.plus_matches
+        assert rep.ok and rep.failure is None
+        assert "pass" in rep.text()
 
-    def test_report_text_mentions_failures(self):
-        from reldelcech.relative_lift import EmbeddingReport
-
-        rep = EmbeddingReport(
-            x1_embedded=False,
-            x2_embedded=True,
-            plus_matches=True,
-            missing_x1=[(0, 1)],
-            missing_x2=[],
-            plus_mismatch=[],
-        )
-        assert not rep.ok
-        text = rep.text()
-        assert "FAIL" in text and "(0, 1)" in text
+    def test_report_text_mentions_failures(self, monkeypatch):
+        # del(Z) against a del(X1) or a del(X2) that lost a top: its cells
+        # are extra, in the all-minus slab too.
+        pipe = build_pipeline(cloud(X1_EIGHT), cloud(X2_EIGHT))
+        for drop, name, sign in ((drop_x1_top, "X1", "plus"), (drop_x2_top, "X2", "minus")):
+            with monkeypatch.context() as m:
+                drop(m)
+                rep = verify_embedding(pipe.cfg, pipe.triangulation)
+            assert re.fullmatch(rf"all-{sign} simplex \(\d+(, \d+)*\) of del\(Z\) is not in del\({name}\)", rep.failure)
+            assert not rep.ok and "FAIL" in rep.text() and rep.failure in rep.text()
+        # del(Z) without its top over the lifted del(X1) triangle.
+        pipe = build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
+        tri = pipe.triangulation
+        tops = np.array([t for t in tri.tops.tolist() if t[:3] != [0, 1, 2]])
+        rep = verify_embedding(pipe.cfg, Triangulation(tri.cloud, tops, tri._space))
+        assert re.fullmatch(r"lifted del\(X1\) simplex \([012](, [012])+\) missing from del\(Z\)", rep.failure)
 
     def test_degenerate_shared_square_is_flagged_or_consistent(self):
         # Fully shared cocircular squares: the heights-first tie breaks of
@@ -597,13 +618,17 @@ def random_subsets(n: int, k: int, seed: int) -> list[set[int]]:
     return [set(np.flatnonzero(rng.random(n) < 0.5).tolist()) for _ in range(k)]
 
 
+def euler_characteristic(tri: Triangulation) -> int:
+    return sum((-1) ** k * len(table.simplices) for k, table in enumerate(tri.tables))
+
+
 def assert_pair_matches_oracle(x: PointCloud, a: set[int]):
     """build_pipeline runs (its subcomplex check included), del(Z) has
     Euler characteristic 1 (it triangulates a convex polytope), all three
     embedding checks pass, and the barcode is the brute-force oracle's."""
     pipe = build_pipeline(*cli.split_pair(x, a))
     tri = pipe.triangulation
-    assert sum((-1) ** s.dim for s in tri.simplices()) == 1, sorted(a)
+    assert euler_characteristic(tri) == 1, sorted(a)
     rep = verify_embedding(pipe.cfg, tri)
     assert rep.ok, (sorted(a), rep.text())
     d = x.dimension
@@ -652,7 +677,7 @@ class TestDegenerateCorpus:
         # points: beyond the oracle's cap, so the structural checks only.
         sq = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         pipe = build_pipeline(cloud(RING), cloud(sq))
-        assert sum((-1) ** s.dim for s in pipe.triangulation.simplices()) == 1
+        assert euler_characteristic(pipe.triangulation) == 1
         rep = verify_embedding(pipe.cfg, pipe.triangulation)
         assert rep.ok, rep.text()
 
@@ -661,7 +686,7 @@ def assert_wrap_matches_lifted_hull(x1: PointCloud, x2: PointCloud):
     """del(Z) of build_pipeline, wrapped from del(X1) and del(X2), has the
     tops of the lifted hull of Z."""
     pipe = build_pipeline(x1, x2)
-    assert pipe.triangulation.top_simplices == delaunay(pipe.cfg.z).top_simplices
+    assert np.array_equal(pipe.triangulation.tops, delaunay(pipe.cfg.z).tops)
 
 
 def _small_side_pairs():
