@@ -25,6 +25,16 @@ far-side test in projection and a wrap with the hull's own perturbed
 a top of a cloud that spans a slab of Z; where neither cloud does
 (non-parallel flat clouds), `delaunay(z)` triangulates Z.
 
+The wrap goes one breadth-first level at a time, and every float test of
+a level runs in one elementwise numpy kernel, `_orient_batch`: the far
+sides, a guess of each new top from the pencil of lifted hyperplanes
+through its ridge, and the confirmation of the guess.  The kernel does
+the scalar filter's float operations in the same order, so its signs and
+its certified or uncertified decisions are the scalar ones; what it
+cannot certify goes to the scalar exact and perturbed tests.  The hull
+stays scalar: one insertion makes only a few new facets with a few
+conflict candidates each, fewer tests than pay for a numpy call.
+
 A `Triangulation` is arrays only: its tops are an (n, k + 1) int array
 of sorted vertex rows, and each dimension below is the `FaceTable` of
 their faces (`face_tables`).  The hull and the wrap work on vertex
@@ -33,6 +43,7 @@ tuples; no per-simplex object is built.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -42,9 +53,12 @@ import numpy as np
 
 from .geometry import DIM_CAP, InputError, PointCloud
 from .predicates import (
-    certified_sign,
+    _FILTER_C,
+    batch_cofactors,
+    certified_signs,
     cofactors,
     det_sign_exact,
+    exact_cofactors,
     exact_ints,
     filtered_det_sign,
     sos_sign,
@@ -268,16 +282,18 @@ class _Orientation:
         base = pts[0]
         k = len(base)
         block = [[a - b for a, b in zip(u, base)] for u in pts[1:]]
-        self.k = k
         self.base = base
         self.cof = cofactors(block)
         self.scale = max([1.0, size] + [abs(x) for row in block for x in row])
         self.homog = -1 if k % 2 else 1
+        self.bound, self.powers = _FILTER_C[k], range(k)
 
     def sign(self, x, size: float) -> int:
         """Certified orientation sign of (u_0, ..., u_{k-1}, x), whose
         entries are at most `size` in magnitude; 0 when the filter cannot
-        certify it."""
+        certify it.  The certification is `predicates.certified_sign`'s,
+        in its float operations, inlined: this is the lifted hull's inner
+        loop."""
         val = 0.0
         scale = size if size > self.scale else self.scale
         for a, b, cf in zip(x, self.base, self.cof):
@@ -287,11 +303,52 @@ class _Orientation:
                 scale = dc
             elif -dc > scale:
                 scale = -dc
-        return self.homog * (certified_sign(val, self.k, scale) or 0)
+        bound = self.bound
+        for _ in self.powers:
+            bound *= scale
+        if bound < abs(val) < math.inf:
+            return self.homog if val > 0 else -self.homog
+        return 0
 
     def value(self, x) -> float:
         """The float orientation of (u_0, ..., u_{k-1}, x), uncertified."""
         return self.homog * sum((a - b) * cf for a, b, cf in zip(x, self.base, self.cof))
+
+
+def _orient_batch(rows: np.ndarray, size: np.ndarray, simplices: np.ndarray, which: np.ndarray, queries: np.ndarray):
+    """`_Orientation` of many simplices against many queries at once.
+
+    `rows` is an (n, k) float array, `size` the largest magnitude in each
+    row, `simplices` an (m, k) array of vertex rows, and query i asks for
+    the orientation of simplex which[i] and vertex queries[i].  Returns
+    (signs, values): `_Orientation.sign` and `.value` of each query, a
+    sign 0 where the filter does not certify it.
+
+    The float operations are the scalar ones, elementwise and in the same
+    order: the cofactors by `batch_cofactors`, the dot product left to
+    right from 0.0, the scale as the largest of 1, the simplex's sizes,
+    its edge entries, the query's size and its edge entries, and the
+    bound by `certified_signs`.  So every value and every decision is
+    bit-identical to the scalar filter's.  No matrix product, no axis sum
+    (pairwise summation reorders the additions), so no BLAS either."""
+    k = rows.shape[1]
+    with np.errstate(all="ignore"):
+        pts = rows[simplices]
+        base = pts[:, 0]
+        block = pts[:, 1:] - base[:, None]
+        cof = batch_cofactors(block)[which]
+        scale = np.maximum(size[simplices].max(axis=1), 1.0)
+        if k > 1:
+            scale = np.maximum(scale, np.abs(block).max(axis=(1, 2)))
+        x = rows[queries] - base[which]
+        values = np.zeros(len(queries))
+        for j in range(k):
+            values = values + x[:, j] * cof[:, j]
+        scale = np.maximum(np.maximum(scale[which], size[queries]), np.abs(x).max(axis=1))
+        signs = certified_signs(values, k, scale)
+    if k % 2:
+        return -signs, -values
+    return signs, values
 
 
 @dataclass
@@ -486,106 +543,128 @@ def delaunay(cloud: PointCloud) -> Triangulation:
 # -- del(Z) of a lifted pair ---------------------------------------------------
 
 
+# Queries per `_Wrap.beyond` batch: bounds its arrays on large clouds.
+_BEYOND_BATCH = 1 << 12
+
+
 class _Wrap:
-    """Breadth-first gift-wrap of del(Z) across its mixed ridges
+    """Level-synchronous gift-wrap of del(Z) across its mixed ridges
     (`pair_delaunay`), over `space`, Z's lifted coordinates.
 
     `tops` are those of del(X1) and del(X2) in Z's indices: a vertex below
     n1 is in X1.  orient(ridge, q) is the unperturbed orientation of a
-    ridge and a query in projection (rows without the lift), filtered by
-    one `_Orientation` per ridge and exact where the filter cannot certify,
-    as in `infdown_sign`.  For verts = sorted(ridge + (q,)), q at position
-    j, infdown_sign(verts) = (-1)^(P-1-j) orient(ridge, q), so every top's
-    vertical sign follows from the ridge it was wrapped across."""
+    ridge and a query in projection (rows without the lift), exact: 0 when
+    q lies on the ridge's hyperplane.  For verts = sorted(ridge + (q,)), q
+    at position j, infdown_sign(verts) = (-1)^(P-1-j) orient(ridge, q), so
+    every top's vertical sign follows from the ridge it was wrapped across.
+
+    Every float test of one breadth-first level runs in a few calls of one
+    kernel, `_orient_batch`, whose signs are the scalar filter's; what it
+    cannot certify goes to the scalar fallbacks: the integer cofactors of
+    the ridge (`orient`) or the perturbed `sides` (`wrap`)."""
 
     def __init__(self, space: _HullSpace, n1: int, tops: list[tuple[int, ...]]):
         p = space.P
         self.space = space
         self.n1 = n1
-        self.prows = [row[:-1] for row in space.frows]
-        self.psize = [max(map(abs, row)) for row in self.prows]
+        self.frows = np.array(space.frows)
+        self.fsize = np.array(space.fsize)
+        self.prows = self.frows[:, :-1]
+        self.psize = np.abs(self.prows).max(axis=1)
         self.pints = [row[: p - 1] + row[p:] for row in space.int_rows]
         self.star: list[list[tuple[int, ...]]] = [[] for _ in space.frows]
         for top in tops:
             for v in top:
                 self.star[v].append(top)
         self.links: dict[tuple[int, ...], set[int]] = {}
+        self.exact: dict[tuple[int, ...], list[int]] = {}  # a ridge's integer cofactors
 
     def link(self, face: tuple[int, ...]) -> set[int]:
         """Vertices v outside the face with face + v in del(X1) or
         del(X2), the face lying in one cloud."""
         got = self.links.get(face)
         if got is None:
-            rest = face[1:]
-            got = {v for t in self.star[face[0]] if all(u in t for u in rest) for v in t}
-            got = self.links[face] = got.difference(face)
+            tops = self.star[face[0]]
+            if len(face) > 1:
+                tops = set(tops).intersection(*(self.star[u] for u in face[1:]))
+            got = self.links[face] = {v for t in tops for v in t}.difference(face)
         return got
 
-    def orientation(self, ridge: tuple[int, ...]) -> _Orientation:
-        return _Orientation([self.prows[v] for v in ridge], max(self.psize[v] for v in ridge))
+    def orient(self, ridges: np.ndarray, which: np.ndarray, queries: np.ndarray):
+        """orient(ridges[w], q) for each (w, q) in zip(which, queries), and
+        its float value; `ridges` is an int array of sorted vertex rows.
+        The batch filter decides what it certifies; each other sign is the
+        integer dot product of q's row with the ridge's exact cofactors,
+        computed once per ridge: the sign of the determinant that
+        `infdown_sign` would decide by Bareiss."""
+        signs, values = _orient_batch(self.prows, self.psize, ridges, which, queries)
+        pints = self.pints
+        for i in np.flatnonzero(signs == 0).tolist():
+            ridge = tuple(ridges[which[i]].tolist())
+            cof = self.exact.get(ridge)
+            if cof is None:
+                cof = self.exact[ridge] = exact_cofactors([pints[v] for v in ridge])
+            d = sum(a * c for a, c in zip(pints[queries[i]], cof))
+            signs[i] = (d > 0) - (d < 0)
+        return signs, values
 
-    def orient(self, ridge: tuple[int, ...], o: _Orientation, queries) -> list[int]:
-        """orient(ridge, q) for each query q, `o` the ridge's
-        `orientation`; 0 when q lies on the ridge's hyperplane."""
-        prows, psize, pints = self.prows, self.psize, self.pints
-        out = []
-        for q in queries:
-            s = o.sign(prows[q], psize[q])
-            out.append(s or det_sign_exact([pints[v] for v in ridge] + [pints[q]]))
+    def beyond(self, ridges: np.ndarray, fars: np.ndarray) -> np.ndarray:
+        """For each ridge, the first vertex q of Z with orient(ridge, q) =
+        its far sign, or -1 where there is none.  A ridge without a far
+        candidate must lie on the boundary of conv(Z), so a vertex beyond
+        it means a broken del(X1) or del(X2) left a hole there."""
+        n = len(self.prows)
+        out = np.full(len(ridges), -1)
+        step = max(1, _BEYOND_BATCH // n)
+        for lo in range(0, len(ridges), step):
+            chunk = ridges[lo : lo + step]
+            keep = np.ones((len(chunk), n), dtype=bool)
+            keep[np.arange(len(chunk))[:, None], chunk] = False
+            which, queries = np.nonzero(keep)  # by ridge, then by vertex
+            signs, _ = self.orient(chunk, which, queries)
+            hit = signs == fars[lo : lo + step][which]
+            found, first = np.unique(which[hit], return_index=True)
+            out[lo + found] = queries[hit][first]
         return out
-
-    def check_boundary(self, ridge: tuple[int, ...], o: _Orientation, far: int):
-        """AssertionError unless no vertex q of Z has orient(ridge, q) =
-        far: a ridge without a far candidate must lie on the boundary of
-        conv(Z), or a broken del(X1) or del(X2) left a hole."""
-        queries = [q for q in range(len(self.prows)) if q not in ridge]
-        for q, s in zip(queries, self.orient(ridge, o, queries)):
-            if s == far:
-                raise AssertionError(f"vertex {q} of Z lies beyond the boundary ridge {ridge} of del(Z)")
 
     def check_tops(self, tops: list[tuple[int, ...]]):
         """The wrap's checks on `tops`, a whole triangulation of Z's
         vertices: AssertionError if a ridge has more than two tops, if the
         two tops of a ridge are flat or lie on one side of it, or if a
-        vertex of Z lies beyond a ridge of one top (`check_boundary`)."""
+        vertex of Z lies beyond a ridge of one top (`beyond`)."""
         apexes: dict[tuple[int, ...], list[int]] = {}
         for top in tops:
             for ridge, a in zip(face_tuples(top), reversed(top)):
                 apexes.setdefault(ridge, []).append(a)
-        for ridge, ends in apexes.items():
-            if len(ends) > 2:
-                raise AssertionError(f"ridge {ridge} of del(Z) has {len(ends)} tops")
-            o = self.orientation(ridge)
-            signs = self.orient(ridge, o, ends)
-            if 0 in signs or len(ends) == 2 and signs[0] == signs[1]:
+        ridges = [r for r, ends in apexes.items() if len(ends) <= 2]
+        rows = np.array(ridges, dtype=np.int64).reshape(len(ridges), -1)
+        counts = [len(apexes[r]) for r in ridges]
+        which = np.repeat(np.arange(len(ridges)), counts)
+        signs, _ = self.orient(rows, which, np.array([a for r in ridges for a in apexes[r]], dtype=np.int64))
+        ends = dict(zip(ridges, np.split(signs, np.cumsum(counts)[:-1])))
+        single = [i for i, r in enumerate(ridges) if len(ends[r]) == 1 and ends[r][0]]
+        fars = -np.array([ends[ridges[i]][0] for i in single], dtype=np.int64)
+        beyond = dict(zip((ridges[i] for i in single), self.beyond(rows[single], fars).tolist()))
+        for ridge, a in apexes.items():
+            if len(a) > 2:
+                raise AssertionError(f"ridge {ridge} of del(Z) has {len(a)} tops")
+            s = ends[ridge]
+            if 0 in s or len(s) == 2 and s[0] == s[1]:
                 raise AssertionError(f"the tops of ridge {ridge} of del(Z) are flat or overlap")
-            if len(ends) == 1:
-                self.check_boundary(ridge, o, -signs[0])
+            if beyond.get(ridge, -1) >= 0:
+                raise AssertionError(f"vertex {beyond[ridge]} of Z lies beyond the boundary ridge {ridge} of del(Z)")
 
     def down(self, verts: tuple[int, ...], b: int, o: int) -> int:
         """infdown_sign(verts) for verts = sorted(ridge + (b,)) and
         o = orient(ridge, b) (class docstring)."""
         return o if (self.space.P - 1 - verts.index(b)) % 2 == 0 else -o
 
-    def nearest(self, start: tuple[int, ...], other: list[int], o: int) -> int:
-        """The vertex of `other` nearest the circumcenter of `start` in
-        float, o = orient(start, q) for every q in `other`.  `start` spans
-        one slab of Z and `other` lies in the other, so the lifted
-        orientation of start + other[0] and q, times the `down` sign, is a
-        positive multiple of other[0]'s power distance from the
-        circumsphere of `start` minus q's: the largest is the nearest."""
-        frows = self.space.frows
-        verts = tuple(sorted(start + (other[0],)))
-        below = self.down(verts, other[0], o)
-        f = _Orientation([frows[v] for v in verts], 0.0)
-        return max(other, key=lambda q: below * f.value(frows[q]))
-
     def wrap(self, ridge: tuple[int, ...], far: list[int], o: int) -> int:
         """The vertex b of `far` for which no other lies below the lifted
-        hyperplane of ridge + b.  Every vertex of `far` has orient(ridge, q)
-        = o, so they turn around the ridge in one half-space, and a vertex
-        that is not below the hyperplane of ridge + c is not below that of
-        any c' below it either."""
+        hyperplane of ridge + b, by the perturbed `sides`.  Every vertex of
+        `far` has orient(ridge, q) = o, so they turn around the ridge in
+        one half-space, and a vertex that is not below the hyperplane of
+        ridge + c is not below that of any c' below it either."""
         best, rest = far[0], far[1:]
         while rest:
             verts = tuple(sorted(ridge + (best,)))
@@ -595,9 +674,84 @@ class _Wrap:
                 best, rest = rest[0], rest[1:]
         return best
 
+    def step(self, jobs: list[tuple[tuple[int, ...], int, list[int]]]) -> tuple[np.ndarray, np.ndarray]:
+        """One level of the wrap.  Each job is (ridge, far, candidates),
+        far = orient(ridge, b) for the vertex b of the top across it.
+        Returns, per job, b (-1 when no candidate lies on the far side)
+        and the first vertex of Z beyond a ridge without far candidates
+        (-1 when there is none).
+
+        Far side: orient(ridge, q) of every candidate, in one batch.
+        Pencil guess: the far candidates q of a ridge R turn around it in
+        one half-space, so with f the first of them, the lifted value of
+        (sorted(R + f), q) over the far-side value of q orders the lifted
+        hyperplanes R + q: the extreme towards below(R + f) * far is the
+        lowest one, the guess b.  Confirm: b is the top's vertex iff no
+        other far candidate lies below the hyperplane of R + b, which one
+        more batch certifies; where it does not, `wrap` decides, from b."""
+        ridges = [r for r, _, _ in jobs]
+        rows = np.array(ridges, dtype=np.int64)
+        fars = np.array([o for _, o, _ in jobs], dtype=np.int64)
+        which = np.repeat(np.arange(len(jobs)), [len(c) for _, _, c in jobs])
+        queries = np.array([q for _, _, c in jobs for q in c], dtype=np.int64)
+        signs, values = self.orient(rows, which, queries)
+        far = signs == fars[which]
+        which, queries, values = which[far], queries[far], values[far]
+        found, lo = np.unique(which, return_index=True)
+        hi = np.append(lo[1:], len(which))
+        b = np.full(len(jobs), -1)
+        b[found] = queries[lo]
+        many = hi - lo > 1
+        multi, mlo, mhi = found[many], lo[many].tolist(), hi[many].tolist()
+        if len(multi):
+            slot = np.full(len(jobs), -1)  # a ridge's row in `multi`
+            slot[multi] = np.arange(len(multi))
+
+            def facets():
+                """sorted(R + b) for each ridge R of `multi` and its b, b
+                inserted at its position in R + b, which is the number of
+                R's vertices below it, and below(R + b), the sign of a
+                vertex below its hyperplane (`down`)."""
+                r, v = rows[multi], b[multi][:, None]
+                j = np.count_nonzero(r < v, axis=1)[:, None]
+                col = np.arange(r.shape[1] + 1)
+                verts = np.where(col < j, np.hstack([r, v]), np.where(col == j, v, np.hstack([v, r])))
+                return verts, np.where((r.shape[1] - j[:, 0]) % 2 == 0, fars[multi], -fars[multi])
+
+            pencil, below = facets()
+            rest = np.ones(len(which), dtype=bool)  # a ridge's far candidates after f
+            rest[lo] = False
+            w = slot[which[rest]]
+            _, lifted = _orient_batch(self.frows, self.fsize, pencil, w, queries[rest])
+            keys = np.zeros(len(which))
+            with np.errstate(all="ignore"):
+                ratio = lifted / values[rest]
+            keys[rest] = np.where(below[w] == fars[which[rest]], ratio, -ratio)
+            # The first largest key of each ridge; a NaN key is never chosen.
+            keys = keys.tolist()
+            for j, a, e in zip(multi.tolist(), mlo, mhi):
+                b[j] = queries[max(range(a, e), key=keys.__getitem__)]
+            confirm, below = facets()
+            other = queries != b[which]
+            w = slot[which[other]]
+            s, _ = _orient_batch(self.frows, self.fsize, confirm, w, queries[other])
+            for k in sorted(set(w[(s == 0) | (s == below[w])].tolist())):
+                j = int(multi[k])
+                rest_j = [q for q in queries[mlo[k] : mhi[k]].tolist() if q != b[j]]
+                b[j] = self.wrap(ridges[j], [int(b[j])] + rest_j, int(fars[j]))
+        out = np.full(len(jobs), -1)
+        empty = np.flatnonzero(b < 0)
+        if len(empty):
+            out[empty] = self.beyond(rows[empty], fars[empty])
+        return b, out
+
     def run(self, start: tuple[int, ...], other: list[int]) -> list[tuple[int, ...]]:
         """Tops of del(Z), from `start`, a top of the cloud that spans one
-        slab of Z, and `other`, the vertices of the other cloud."""
+        slab of Z, and `other`, the vertices of the other cloud, which all
+        lie strictly on one side of that slab: the first level's one job.
+        Each level's ridges are then taken in the order of a sequential
+        breadth-first wrap, so the tops, their order and the first check
+        that fails are that wrap's."""
         p, n1 = self.space.P, self.n1
         owners: dict[tuple[int, ...], int] = {}
         tops: list[tuple[tuple[int, ...], int]] = []  # (top, its infdown_sign)
@@ -611,26 +765,28 @@ class _Wrap:
                 owners[face] = k + 1
             tops.append((top, self.down(top, b, o)))
 
-        # Every vertex of the other cloud lies strictly on one side of the
-        # slab that `start` spans.  The wrap from the nearest in float
-        # usually ends after one `sides` call, whatever the vertex order.
-        (o,) = self.orient(start, self.orientation(start), other[:1])
-        b = self.nearest(start, other, o)
-        add(start, self.wrap(start, [b] + [q for q in other if q != b], o), o)
-        for top, down in tops:  # breadth first: `add` appends to `tops`
-            for i in range(p):
-                ridge = top[:i] + top[i + 1 :]
-                if ridge[-1] < n1 or ridge[0] >= n1 or owners[ridge] == 2:
-                    continue  # a slab ridge lies on the boundary of conv(Z)
-                far_o = -down if (p - 1 - i) % 2 == 0 else down  # -orient(ridge, a)
-                k = bisect_left(ridge, n1)
-                cands = sorted((self.link(ridge[:k]) | self.link(ridge[k:])).difference(top))
-                o = self.orientation(ridge)
-                far = [q for q, s in zip(cands, self.orient(ridge, o, cands)) if s == far_o]
-                if far:
-                    add(ridge, self.wrap(ridge, far, far_o), far_o)
-                else:
-                    self.check_boundary(ridge, o, far_o)
+        (o,), _ = self.orient(np.array([start]), np.zeros(1, dtype=np.int64), np.array(other[:1], dtype=np.int64))
+        jobs = [(start, int(o), other)]
+        done = 0
+        while jobs:
+            bs, beyond = self.step(jobs)
+            for (ridge, o, _), b, q in zip(jobs, bs.tolist(), beyond.tolist()):
+                if owners.get(ridge) == 2:
+                    continue  # wrapped from another top of this level
+                if q >= 0:
+                    raise AssertionError(f"vertex {q} of Z lies beyond the boundary ridge {ridge} of del(Z)")
+                if b >= 0:
+                    add(ridge, b, o)
+            jobs = []
+            for top, down in tops[done:]:
+                for i in range(p):
+                    ridge = top[:i] + top[i + 1 :]
+                    if ridge[-1] < n1 or ridge[0] >= n1 or owners[ridge] == 2:
+                        continue  # a slab ridge lies on the boundary of conv(Z)
+                    far_o = -down if (p - 1 - i) % 2 == 0 else down  # -orient(ridge, a)
+                    k = bisect_left(ridge, n1)
+                    jobs.append((ridge, far_o, sorted((self.link(ridge[:k]) | self.link(ridge[k:])).difference(top))))
+            done = len(tops)
         return [top for top, _ in tops]
 
 
@@ -655,29 +811,38 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     without the lift) on the other side of R's hyperplane than a, and is
     not vertical, so b lies strictly there.  A candidate on R's
     hyperplane would make a vertical facet, which `delaunay` drops; so
-    the filter is unperturbed (`_Wrap.orient`), and R lies on the
-    boundary of conv(Z) when no candidate is strictly beyond it.  That is
-    checked against every vertex of Z (`_Wrap.check_boundary`): a broken
-    del(X1) or del(X2) leaves a hole there.
+    the test is unperturbed (`_Wrap.orient`), and R lies on the boundary
+    of conv(Z) when no candidate is strictly beyond it.  That is checked
+    against every vertex of Z (`_Wrap.beyond`): a broken del(X1) or
+    del(X2) leaves a hole there.
 
     Wrap.  Among the far candidates, b is the one whose lifted hyperplane
-    with R has no other candidate below it (`_Wrap.wrap`), by `sides`,
-    the perturbed orientation the lifted hull decides with: that is the
-    lower hull facet across R, as each of those candidates would be
-    below it.  Each mixed ridge is wrapped once, from the first of its
-    tops to be found.  A ridge that would get a third top, a vertex beyond
-    a boundary ridge and a vertex of Z in no top raise AssertionError: a
-    broken del(X1) or del(X2) causes them.
+    with R has no other candidate below it, by `sides`, the perturbed
+    orientation the lifted hull decides with: that is the lower hull
+    facet across R, as each of those candidates would be below it.  The
+    wrap runs one breadth-first level at a time (`_Wrap.step`).  The far
+    side of every candidate of the level is one batch of the float filter
+    (`_orient_batch`); the far candidates of R turn around it in one
+    half-space, so one more batch orders their lifted hyperplanes with R
+    (the pencil) and guesses b, and a third confirms that no other far
+    candidate lies below R + b.  Each certified sign is `sides`' own;
+    where the filter cannot certify one, the ridge's integer cofactors
+    decide the far side, and `_Wrap.wrap`, by `sides`, the top.  The
+    level's ridges are then taken in the order a sequential wrap would
+    take them, and each mixed ridge is wrapped once, from the first of
+    its tops to be found.  A ridge that would get a third top, a vertex
+    beyond a boundary ridge and a vertex of Z in no top raise
+    AssertionError: a broken del(X1) or del(X2) causes them.
 
     Start.  Write rho = rank(Z).  When a cloud has rank rho - 1, its
     tops span a slab of Z, and each lies in exactly one top of del(Z),
     joined to the vertex of the other cloud nearest its circumcenter:
-    the one wrap over that cloud finds it.  The wrap starts from the
-    vertex nearest in float (`_Wrap.nearest`), so one `sides` call
-    usually confirms it, in whatever order the cloud is listed.
-    Otherwise neither cloud's affine hull is parallel to the other's (two
-    crossing lines in R^2, skew lines or two planes in R^3), and
-    `delaunay(z)` triangulates Z; `_Wrap.check_tops` checks its tops too.
+    the first level wraps over that cloud from one such top, and its
+    pencil guess is the nearest vertex in float, in whatever order the
+    cloud is listed.  Otherwise neither cloud's affine hull is parallel
+    to the other's (two crossing lines in R^2, skew lines or two planes
+    in R^3), and `delaunay(z)` triangulates Z; `_Wrap.check_tops` checks
+    its tops with the same batches.
     """
     if z.dimension + 1 > DIM_CAP:
         raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")

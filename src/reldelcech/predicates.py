@@ -6,12 +6,16 @@ shift.  From fast to slow:
 
 1. a static floating-point filter that certifies the sign of a float
    determinant whenever its magnitude safely exceeds a rounding error
-   bound.  `certified_sign` is the one rule.  Every float determinant is
+   bound.  `certified_sign` is the one rule, and `certified_signs` its
+   array form in the same float operations.  Every float determinant is
    a dot product of its last row with the cofactors of the others
-   (`cofactors`, a Laplace expansion that shares minors):
-   `filtered_det_sign` evaluates one, and the lifted hull reuses one
-   facet's cofactors for many last rows,
+   (`cofactors`, a Laplace expansion that shares minors; `batch_cofactors`
+   runs it over a stack of blocks, bit for bit): `filtered_det_sign`
+   evaluates one, and the lifted hull reuses one facet's cofactors for
+   many last rows,
 2. the exact integer determinant (`det_exact_int`, fraction-free Bareiss),
+   or, for many last rows under one block, the integer dot product with
+   the block's exact cofactors (`exact_cofactors`),
 3. a symbolic perturbation (`sos_sign`) that resolves exact zeros.  The
    sign is that of the first nonzero coefficient of the perturbed
    determinant by increasing infinitesimal degree, and is never zero.
@@ -49,6 +53,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+
+import numpy as np
 
 _EPS = float(math.ulp(1.0))  # 2^-52
 
@@ -137,7 +143,7 @@ def _expansion_plan(k: int):
     return tuple(levels), top
 
 
-def cofactors(block) -> list[float]:
+def cofactors(block, zero=0.0) -> list:
     """Cofactors of a last row under a (k-1) x k float block: c_j is
     (-1)^(k-1+j) det(block without column j), so the determinant of the
     block with a row x appended is sum(x_j c_j).
@@ -145,9 +151,9 @@ def cofactors(block) -> list[float]:
     One Laplace expansion computes all k: the minors of the last rows are
     shared between the cofactors (`_expansion_plan`), the sum over
     r = 2..k-1 of C(k, r) r multiply-adds for all of them (70 for k = 5).
-    The error bound is `_FILTER_C`'s."""
+    Every sum starts from `zero`.  The error bound is `_FILTER_C`'s."""
     if not block:
-        return [1.0]
+        return [zero + 1]
     k = len(block[0])
     levels, top = _expansion_plan(k)
     minors = block[-1]
@@ -155,7 +161,7 @@ def cofactors(block) -> list[float]:
         row = block[r]
         level = []
         for pos, neg in terms:
-            v = 0.0
+            v = zero
             for c, i in pos:
                 v += row[c] * minors[i]
             for c, i in neg:
@@ -165,18 +171,84 @@ def cofactors(block) -> list[float]:
     return [-minors[i] if (k - 1 + j) % 2 else minors[i] for j, i in enumerate(top)]
 
 
+def exact_cofactors(block) -> list[int]:
+    """`cofactors` of an integer block, exact: every sum starts from the
+    integer 0, so the determinant of the block with an integer row x
+    appended is exactly sum(x_j c_j)."""
+    return cofactors(block, 0)
+
+
+@functools.cache
+def _batch_plan(k: int):
+    """`_expansion_plan(k)` as index arrays: per level (row, positive
+    columns, positive minors, negative columns, negative minors), each
+    (terms, pairs), and the top indices.  Every term of a level has the
+    same number of positive and of negative pairs."""
+    levels, top = _expansion_plan(k)
+    out = []
+    for r, terms in levels:
+        pos = np.array([p for p, _ in terms], dtype=np.intp)
+        neg = np.array([n for _, n in terms], dtype=np.intp)
+        out.append((r, pos[..., 0], pos[..., 1], neg[..., 0], neg[..., 1]))
+    return tuple(out), np.array(top, dtype=np.intp)
+
+
+def batch_cofactors(blocks: np.ndarray) -> np.ndarray:
+    """`cofactors` of each block of `blocks`, an (m, k-1, k) float array,
+    as an (m, k) array.  The same float operations in the same order:
+    each sum starts from 0.0 and adds or subtracts one product at a time,
+    elementwise, so every cofactor is bit-identical to the scalar one.
+    The work runs entry-major, (entry, block), so that each gather and
+    each operation is over contiguous rows of m blocks."""
+    m, rows, k = blocks.shape
+    if rows == 0:
+        return np.ones((m, 1))
+    levels, top = _batch_plan(k)
+    b = np.ascontiguousarray(blocks.transpose(1, 2, 0))
+    minors = b[-1]
+    for r, pc, pi, nc, ni in levels:
+        row = b[r]
+        pos = row[pc] * minors[pi]
+        neg = row[nc] * minors[ni]
+        v = np.zeros((len(pc), m))
+        for j in range(pc.shape[1]):
+            v = v + pos[:, j]
+        for j in range(nc.shape[1]):
+            v = v - neg[:, j]
+        minors = v
+    cof = minors[top]
+    cof[(k - 1 + np.arange(k)) % 2 == 1] *= -1.0
+    return cof.T
+
+
 def certified_sign(value: float, n: int, scale: float) -> int | None:
     """Sign of `value`, a float evaluation of an n x n determinant whose
     entries are at most `scale` >= 1 in magnitude, if it exceeds the
-    rounding error bound; else None."""
-    try:
-        bound = _FILTER_C[n] * scale**n
-    except OverflowError:  # no float bound: the exact path decides
-        return None
+    rounding error bound _FILTER_C[n] * scale^n; else None.
+
+    The bound is multiplied out one factor at a time, so that
+    `certified_signs` computes the same float (a libm or SIMD `pow` need
+    not be correctly rounded); its n roundings are far inside the bound's
+    slack.  An overflow makes it infinite, which certifies nothing."""
+    bound = _FILTER_C[n]
+    for _ in range(n):
+        bound *= scale
     # An infinite value overflowed on the way and certifies nothing.
     if bound < abs(value) < math.inf:
         return 1 if value > 0 else -1
     return None
+
+
+def certified_signs(values: np.ndarray, n: int, scales: np.ndarray) -> np.ndarray:
+    """`certified_sign` of each value with its scale, in the same float
+    operations, as an int array: 0 where it returns None.  Call it under
+    `np.errstate(all="ignore")`: an overflow is an infinite bound."""
+    bound = _FILTER_C[n] * scales
+    for _ in range(n - 1):
+        bound = bound * scales
+    mag = np.abs(values)
+    ok = (bound < mag) & (mag < math.inf)
+    return np.where(ok, np.where(values > 0, 1, -1), 0)
 
 
 def filtered_det_sign(rows) -> int | None:

@@ -228,6 +228,16 @@ def _check_slabs(tri: Triangulation, tri1: Triangulation | None, tri2: Triangula
             raise AssertionError(f"all-{sign} simplex {extra[0]} of del(Z) is not in del({name})")
 
 
+def _check_euler(tri: Triangulation):
+    """AssertionError unless del(Z) has Euler characteristic 1, the sum
+    of (-1)^k times its number of k-simplices: it triangulates the convex
+    polytope conv(Z), which is contractible.  A crack or a hole that the
+    wrap's own checks let through changes it."""
+    chi = sum((-1) ** k * len(table.simplices) for k, table in enumerate(tri.tables))
+    if chi != 1:
+        raise AssertionError(f"del(Z) has Euler characteristic {chi}, not 1")
+
+
 @dataclass
 class Pipeline:
     """All intermediate artifacts of one relative Delaunay-Cech run;
@@ -248,14 +258,16 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     candidates strictly beyond the ridge in projection can make a top that
     is not vertical, and among them the wrap keeps the one whose lifted
     hyperplane with the ridge has no other candidate below it, by the
-    lifted hull's perturbed test; the start is a top of a cloud that spans
-    its slab of Z and the other cloud's vertex nearest its circumcenter,
-    guessed in float and confirmed by the wrap.  A broken del(X1) or
+    lifted hull's perturbed test, guessed and confirmed in float for a
+    whole breadth-first level at once; the start is a top of a cloud that
+    spans its slab of Z and the other cloud's vertex nearest its
+    circumcenter, the first level's one guess.  A broken del(X1) or
     del(X2) raises AssertionError there (a third top on a ridge, a vertex
     beyond a boundary ridge, or a vertex in no top).  With one cloud
     empty, del(Z) is the other's triangulation, checked the same way.
-    Then the all-plus cells of del(Z) must be exactly the lifted del(X1)
-    and the all-minus cells the lifted del(X2) (`_check_slabs`), else
+    Then del(Z) must have Euler characteristic 1 (`_check_euler`), and
+    its all-plus cells must be exactly the lifted del(X1) and its
+    all-minus cells the lifted del(X2) (`_check_slabs`), else
     AssertionError.
 
     A cell outside the subcomplex is filtered by the smallest enclosing
@@ -287,6 +299,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     tri2 = delaunay(x2) if len(x2) else None
     cfg = lift(x1, x2, choose_s(x1, x2))
     tri = pair_delaunay(cfg.z, tri1, tri2)
+    _check_euler(tri)
     n1 = len(x1)
     _check_slabs(tri, tri1, tri2, n1)
     proj = cfg.z.array()[:, :-1]

@@ -1,8 +1,12 @@
-"""A deliberately broken pipeline, to check that `check` reports a mismatch."""
+"""A deliberately broken pipeline, to check that `check` reports a
+mismatch, and a float filter that certifies nothing, to check that the
+fallbacks alone give the same result."""
 
 from __future__ import annotations
 
 import dataclasses
+
+import numpy as np
 
 from reldelcech import cli
 from reldelcech.filtered_complex import Cell, FilteredComplex, build
@@ -29,3 +33,14 @@ def inject_fault(monkeypatch):
         return dataclasses.replace(pipe, complex=bump_maximal_cell(pipe.complex))
 
     monkeypatch.setattr(cli, "build_pipeline", faulty)
+
+
+def certify_nothing(real):
+    """`delaunay._orient_batch` with every sign uncertified, its values
+    kept: every test goes to the exact or perturbed fallback."""
+
+    def stub(*args):
+        signs, values = real(*args)
+        return np.zeros_like(signs), values
+
+    return stub

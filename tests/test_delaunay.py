@@ -1,10 +1,12 @@
 import importlib
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from _faults import certify_nothing
 
 from reldelcech.delaunay import Triangulation, delaunay, face_tables
 from reldelcech.filtered_complex import Simplex
@@ -657,14 +659,17 @@ class TestPairDelaunay:
         return sum(start <= set(f) for f in facets)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_start_takes_one_sides_call_on_a_sorted_cloud(self, d, monkeypatch):
+    def test_start_takes_at_most_one_sides_call_on_a_sorted_cloud(self, d, monkeypatch):
         # X2 is listed from its far end towards X1: a wrap that began at
         # the first listed vertex would drop about one vertex per call.
+        # The pencil guesses the nearest vertex, and the batch confirms
+        # it, or `wrap` does in one call where the batch cannot certify;
+        # a wrong guess would take two calls at least.
         rng = np.random.default_rng(86 + d)
         x1 = rng.random((6, d)) + np.eye(d)[0] * 10.0
         x2 = rng.random((60, d)) * np.r_[10.0, np.ones(d - 1)]
         x2 = x2[np.argsort(x2[:, 0])]
-        assert self._start_calls(PointCloud(x1.tolist()), PointCloud(x2.tolist()), monkeypatch) == 1
+        assert self._start_calls(PointCloud(x1.tolist()), PointCloud(x2.tolist()), monkeypatch) <= 1
 
     def test_empty_side_checks_the_other_triangulation(self):
         mod = importlib.import_module("reldelcech.delaunay")
@@ -681,3 +686,85 @@ class TestPairDelaunay:
                 mod.pair_delaunay(z, broken, None)
             with pytest.raises(AssertionError, match=err):
                 mod.pair_delaunay(lift(empty, x, 1.0).z, None, broken)
+
+
+class TestOrientBatch:
+    """`_orient_batch` is the scalar `_Orientation` over many simplices
+    and queries, bit for bit, and the wrap's exact fallback is Bareiss's
+    sign."""
+
+    @staticmethod
+    def _rows(rng, kind: str, n: int, k: int) -> np.ndarray:
+        if kind == "grid":  # zero determinants and repeated rows
+            return rng.integers(-2, 3, (n, k)).astype(float)
+        if kind == "overflow":  # finite values, but C * scale^k > 1.8e308
+            return 10.0 ** (320 / k) * (1.0 + rng.random((n, k)) * 2.0**-30)
+        if kind == "inf":  # the values overflow as well
+            return 1e300 * (rng.random((n, k)) - 0.5)
+        scale = {"random": 1.0, "tiny": 2.0**-40, "large": 2.0**40}[kind]
+        return scale * (rng.random((n, k)) - 0.5)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_the_scalar_filter(self, k):
+        mod = importlib.import_module("reldelcech.delaunay")
+        rng = np.random.default_rng(90 + k)
+        n, m = 12, 40
+        for kind in ("random", "grid", "tiny", "large", "overflow", "inf"):
+            rows = self._rows(rng, kind, n, k)
+            size = np.abs(rows).max(axis=1)
+            simplices = np.array([rng.choice(n, k, replace=False) for _ in range(m)])
+            which, queries = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                signs, values = mod._orient_batch(rows, size, simplices, which, queries)
+            want_signs, want_values = [], []
+            for w, q in zip(which.tolist(), queries.tolist()):
+                o = mod._Orientation([tuple(rows[v].tolist()) for v in simplices[w]], float(size[simplices[w]].max()))
+                want_signs.append(o.sign(tuple(rows[q].tolist()), float(size[q])))
+                want_values.append(o.value(tuple(rows[q].tolist())).hex())
+            assert signs.tolist() == want_signs, kind
+            assert [v.hex() for v in values.tolist()] == want_values, kind
+            # The queries include each simplex's own vertices, which no
+            # filter certifies; at 2^-40 the scale's floor of 1 certifies
+            # nothing either.
+            certified = np.count_nonzero(signs)
+            if kind in ("overflow", "inf"):
+                assert certified == 0, kind
+                assert kind == "inf" or np.isfinite(values).all()
+            elif kind != "tiny":
+                assert 0 < certified < len(signs), kind
+
+    def test_exact_fallback_matches_bareiss_on_grid_ridges(self, monkeypatch):
+        # Every far-side test of the wrap, the filter switched off: the
+        # integer cofactors of each ridge of del(Z) against every vertex
+        # of Z, on grids, where many vertices lie on a ridge's hyperplane.
+        mod = importlib.import_module("reldelcech.delaunay")
+        monkeypatch.setattr(mod, "_orient_batch", certify_nothing(mod._orient_batch))
+        signs_seen = set()
+        for shape, a in (((4, 4), range(0, 16, 3)), ((3, 3, 3), range(0, 27, 4))):
+            pts = [tuple(float(c) for c in p) for p in np.ndindex(*shape)]
+            x1, x2 = [pts[i] for i in a], [p for i, p in enumerate(pts) if i not in a]
+            z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
+            tri = mod.pair_delaunay(z, delaunay(PointCloud(x1)), delaunay(PointCloud(x2)))
+            wrap = mod._Wrap(tri._space, len(x1), [])
+            ridges = tri.tables[-2].simplices
+            which, queries = np.repeat(np.arange(len(ridges)), len(z)), np.tile(np.arange(len(z)), len(ridges))
+            signs, _ = wrap.orient(ridges, which, queries)
+            pints = wrap.pints
+            rows = ridges.tolist()
+            want = [det_sign_exact([pints[v] for v in rows[w]] + [pints[q]]) for w, q in zip(which.tolist(), queries.tolist())]
+            assert signs.tolist() == want
+            signs_seen |= set(want)
+        assert signs_seen == {-1, 0, 1}
+
+    def test_scalar_wrap_is_rare_on_a_random_pair(self, monkeypatch):
+        # The pencil guess is confirmed by the batch for nearly every
+        # wrapped ridge; the scalar `wrap` runs for at most 5% of them.
+        mod = importlib.import_module("reldelcech.delaunay")
+        calls = []
+        real = mod._Wrap.wrap
+        monkeypatch.setattr(mod._Wrap, "wrap", lambda self, *args: calls.append(1) or real(self, *args))
+        x = np.random.default_rng(91).random((80, 3)).tolist()
+        tops = build_pipeline(PointCloud(x[:20]), PointCloud(x[20:])).triangulation.tops
+        assert len(tops) > 300
+        assert len(calls) <= 0.05 * len(tops)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _faults import certify_nothing
 
 from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
@@ -649,6 +650,18 @@ DEGENERATE = {
 FLAT = {"grid3x3": grid(3, 3), "grid3x4": grid(3, 4), "grid2x6": grid(2, 6), "ring": RING, "ring+centre": RING + [(0.0, 0.0)]}
 
 
+def corpus_pairs() -> list[tuple[PointCloud, PointCloud]]:
+    """The (X1, X2) pairs of the degenerate and the flat corpus."""
+    pairs = []
+    for pts, k, seed in DEGENERATE.values():
+        pairs += [cli.split_pair(PointCloud(pts), a) for a in random_subsets(len(pts), k, seed)]
+    for name, pts in FLAT.items():
+        for k, (u, v) in enumerate(PLANES.values()):
+            x = PointCloud([tuple(p * a + q * b for a, b in zip(u, v)) for p, q in pts])
+            pairs += [cli.split_pair(x, a) for a in random_subsets(len(pts), 3, 300 + 4 * sorted(FLAT).index(name) + k)]
+    return pairs
+
+
 class TestDegenerateCorpus:
     """Exact ties beyond general position.  Breaking them by the moment
     curve alone needed flat mixed-slab cells in del(Z), which the vertical
@@ -680,6 +693,39 @@ class TestDegenerateCorpus:
         assert euler_characteristic(pipe.triangulation) == 1
         rep = verify_embedding(pipe.cfg, pipe.triangulation)
         assert rep.ok, rep.text()
+
+
+def crack_del_z(monkeypatch):
+    """Make del(Z) carry a disjoint copy of the star of vertex 0, on new
+    vertices: a second component, which passes every ridge check of the
+    wrap but has Euler characteristic 2."""
+    real = relative_lift.pair_delaunay
+
+    def cracked(z, tri1, tri2):
+        t = real(z, tri1, tri2)
+        star = t.tops[(t.tops == 0).any(axis=1)]
+        _, copy = np.unique(star, return_inverse=True)
+        return Triangulation(z, np.concatenate([t.tops, len(z) + copy.reshape(star.shape)]), t._space)
+
+    monkeypatch.setattr(relative_lift, "pair_delaunay", cracked)
+
+
+class TestEulerCertificate:
+    def test_crack_raises_and_exits_1(self, monkeypatch, tmp_path, capsys):
+        crack_del_z(monkeypatch)
+        with pytest.raises(AssertionError, match=r"del\(Z\) has Euler characteristic 2, not 1"):
+            build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
+        assert cli.main(write_pair(tmp_path, X1_TRIANGLE, X2_AROUND)) == 1
+        assert "Euler characteristic 2" in capsys.readouterr().err
+
+    def test_corpus_passes(self, monkeypatch):
+        checked = []
+        real = relative_lift._check_euler
+        monkeypatch.setattr(relative_lift, "_check_euler", lambda tri: checked.append(euler_characteristic(tri)) or real(tri))
+        pairs = corpus_pairs()
+        for x1, x2 in pairs:
+            build_pipeline(x1, x2)
+        assert checked == [1] * len(pairs)
 
 
 def assert_wrap_matches_lifted_hull(x1: PointCloud, x2: PointCloud):
@@ -748,6 +794,28 @@ class TestWrapMatchesLiftedHull:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_wrap_matches_lifted_hull(cloud(x[:3].tolist()), cloud(x[3:].tolist()))
+
+
+class TestWrapFallbacks:
+    def test_uncertified_kernel_keeps_tops_and_barcodes(self, monkeypatch):
+        # With the batch filter certifying nothing, the integer cofactors
+        # decide every far side and `wrap` every top: the same result.
+        mod = importlib.import_module("reldelcech.delaunay")
+        rng = np.random.default_rng(92)
+        pairs = corpus_pairs()
+        for d, n in ((2, 40), (3, 24)):
+            x = rng.random((n, d)).tolist()
+            pairs.append((cloud(x[: n // 3]), cloud(x[n // 3 :])))
+
+        def run(x1, x2):
+            pipe = build_pipeline(x1, x2)
+            return pipe.triangulation.tops, repr(barcode(pipe.complex, relative=True, max_dim=pipe.cfg.z.dimension - 1))
+
+        want = [run(x1, x2) for x1, x2 in pairs]
+        monkeypatch.setattr(mod, "_orient_batch", certify_nothing(mod._orient_batch))
+        for (x1, x2), (tops, bars) in zip(pairs, want):
+            got_tops, got_bars = run(x1, x2)
+            assert np.array_equal(got_tops, tops) and got_bars == bars
 
 
 class TestPipelineBarcodes:
