@@ -2,17 +2,19 @@
 
 Points of R^m are lifted to (x, |x|^2) in R^(m+1); the lower convex hull of
 the lifted set, computed by a randomized incremental algorithm with conflict
-lists, projects back to the Delaunay top simplices.  Predicate ties are
-broken by a symbolic perturbation ordered by vertex index, lift heights
-first (`predicates`), so construction is deterministic and no zero signs
-escape.  Every cloud is triangulated in its pivot columns (`_hull_space`),
-onto which its affine hull projects one to one, so flat configurations are
-fine.  All exact arithmetic is on integers: every float coordinate is a
-dyadic rational.
+lists, in rounds over pending ridges (`_Hull`), projects back to the
+Delaunay top simplices.  Predicate ties are broken by a symbolic
+perturbation ordered by vertex index, lift heights first (`predicates`),
+so construction is deterministic and no zero signs escape.  Every cloud
+is triangulated in its pivot columns (`_hull_space`), onto which its
+affine hull projects one to one, so flat configurations are fine.  All
+exact arithmetic is on integers: every float coordinate is a dyadic
+rational.
 
 Vertical hull facets (whose supporting hyperplane contains the lift
-direction) are discarded by an exact, unperturbed test: they project to
-degenerate simplices and are not Delaunay cells.
+direction) are discarded by an exact, unperturbed test, one batch over the
+final facets: they project to degenerate simplices and are not Delaunay
+cells.
 
 The lifted set Z of a pair of clouds (X1 at height +s, X2 at -s) gets no
 hull of its own: `pair_delaunay` gift-wraps del(Z) from del(X1) and
@@ -25,20 +27,20 @@ far-side test in projection and a wrap with the hull's own perturbed
 a top of a cloud that spans a slab of Z; where neither cloud does
 (non-parallel flat clouds), `delaunay(z)` triangulates Z.
 
-The wrap goes one breadth-first level at a time, and every float test of
-a level runs in one elementwise numpy kernel, `_orient_batch`: the far
-sides, a guess of each new top from the pencil of lifted hyperplanes
-through its ridge, and the confirmation of the guess.  The kernel does
-the scalar filter's float operations in the same order, so its signs and
-its certified or uncertified decisions are the scalar ones; what it
-cannot certify goes to the scalar exact and perturbed tests.  The hull
-stays scalar: one insertion makes only a few new facets with a few
-conflict candidates each, fewer tests than pay for a numpy call.
+Every float test runs in one elementwise numpy kernel, `_orient_batch`,
+many at a time.  The hull makes all facets of one round and tests all
+their conflict candidates in one call.  The wrap goes one breadth-first
+level at a time: the far sides, a guess of each new top from the pencil
+of lifted hyperplanes through its ridge, and the confirmation of the
+guess.  The kernel does the scalar filter's float operations in the same
+order, so its signs and its certified or uncertified decisions are the
+scalar ones; what it cannot certify goes to the scalar exact and
+perturbed tests.
 
 A `Triangulation` is arrays only: its tops are an (n, k + 1) int array
 of sorted vertex rows, and each dimension below is the `FaceTable` of
-their faces (`face_tables`).  The hull and the wrap work on vertex
-tuples; no per-simplex object is built.
+their faces (`face_tables`).  The hull works on vertex arrays and the
+wrap on vertex tuples; no per-simplex object is built.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -171,11 +172,12 @@ class _HullSpace:
     positive constant, which preserves all predicate signs) decide the rest,
     with symbolic perturbation ranked by vertex index as tie-breaker.
 
-    Every orientation of a facet against a point goes through `sides`: the
+    `sides` is the perturbed orientation of a facet against points: the
     facet's float cofactors are computed once (`_Orientation`), each
     query's determinant is their dot product with the query's edge row,
-    `certified_sign` certifies it or `sos_sign` decides.  So each test runs
-    one float filter at most.
+    `certified_sign` certifies it or `sos_sign` decides.  The hull and the
+    wrap test in batches (`_orient_batch`, the same filter) and take to
+    `sides` only what the batch cannot certify.
 
     Same-slab ties: when the facet's integer rows have exactly one constant
     coordinate column h (a facet inside one slab of a lifted pair: its
@@ -194,7 +196,9 @@ class _HullSpace:
     The vertical test `infdown_sign`, the orientation of the projected
     facet, is the other predicate; it returns 0 for a facet with a constant
     coordinate column (a single-slab facet), filters the orientation
-    otherwise and decides the rest exactly, unperturbed.
+    otherwise and decides the rest exactly, unperturbed.  `delaunay` runs
+    it for the final facets that its batch (`_vertical_signs`) cannot
+    certify.
     """
 
     def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]]):
@@ -202,6 +206,12 @@ class _HullSpace:
         self.fsize = [max(map(abs, row)) for row in frows]  # for `_Orientation`
         self.P = len(frows[0])
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float rows and their sizes as arrays, for `_orient_batch`;
+        built for each hull or wrap, not kept with a triangulation."""
+        return np.array(self.frows), np.array(self.fsize)
+
 
     def infdown_sign(self, verts: tuple[int, ...]) -> int:
         """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical.
@@ -351,88 +361,230 @@ def _orient_batch(rows: np.ndarray, size: np.ndarray, simplices: np.ndarray, whi
     return signs, values
 
 
-@dataclass
-class _Facet:
-    verts: tuple[int, ...]
-    inside_sign: int
-    conflicts: set[int]
+def _vertical_signs(space: _HullSpace, rows: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """`infdown_sign` of each sorted vertex row of `facets`, in one batch.
+    For verts = facets[i], it is the orientation of the projected facet:
+    that of its first P - 1 vertices and its last in projection (rows
+    without the lift), which `_orient_batch` filters.  What the batch
+    cannot certify, the structural zeros among it (a constant column
+    makes the float value exactly 0), goes to the scalar `infdown_sign`.
+    `rows` are `space.arrays()`' float rows."""
+    prows = rows[:, :-1]
+    size = np.abs(prows).max(axis=1)
+    signs, _ = _orient_batch(prows, size, facets[:, :-1], np.arange(len(facets)), facets[:, -1])
+    for i in np.flatnonzero(signs == 0).tolist():
+        signs[i] = space.infdown_sign(tuple(facets[i].tolist()))
+    return signs
+
+
+def _join(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sorted(row + (v,)) for each sorted vertex row of `rows` and its
+    vertex of `v`, and v's position in it: the number of the row's
+    vertices below v."""
+    j = np.count_nonzero(rows < v[:, None], axis=1)[:, None]
+    col = np.arange(rows.shape[1] + 1)
+    v = v[:, None]
+    return np.where(col < j, np.hstack([rows, v]), np.where(col == j, v, np.hstack([v, rows]))), j[:, 0]
 
 
 class _Hull:
-    """Incremental convex hull in R^P with conflict lists.
+    """Randomized incremental convex hull in R^P, built in rounds over
+    pending ridges (Blelloch, Gu, Shun & Sun, "Parallelism in randomized
+    incremental algorithms", SPAA 2016 / JACM 2020).
 
-    A facet's `inside_sign`, sign(verts..., w) for a hull vertex w off it,
-    comes from the facet it replaces: each sign of `sides` is a perturbed
-    determinant (Simulation of Simplicity, Edelsbrunner & Mucke 1990), so
-    an odd row permutation flips it exactly.  If q sees fvis = ridge + w, w
-    its i-th vertex, sign(fvis..., q) = -inside(fvis), and (new..., w) for
-    new = ridge + q, q its j-th vertex, has those rows in an order of
-    parity i + j + 1: inside(new) = (-1)^(i+j) inside(fvis)."""
+    The first P + 1 points of `order` make a simplex; a point's rank is
+    its position in `order`.  A facet's conflict set is the set of later
+    points strictly beyond it, kept as a rank-sorted array, and its pivot
+    is the earliest of them (n, standing for infinity, when there is
+    none).  A job (t1, r, t2) is a ridge r and its two facets.  One round
+    takes every pending job:
+      - equal pivots: r is final when there is none; otherwise the pivot
+        sees both facets and buries them across r;
+      - otherwise, t1 the facet with the earlier pivot p: p sees t1 and
+        not t2, so r is on p's horizon, and the new facet is
+        t = sorted(r + p), with the conflict set of the candidates
+        C(t1) | C(t2) - {p} beyond it.  Next round t meets t2 across r;
+        each other ridge of t holds p and meets the other new facet of p
+        that holds it, through a ridge map kept across rounds.
+    These are the sequential algorithm's steps for the same order: when
+    it inserts p, the facets it removes are those whose pivot is p (an
+    earlier point beyond one would have removed it), each horizon ridge
+    has one of them and one facet whose pivot is later, and a later point
+    beyond r + p lies beyond one of the two (the conflict lemma of
+    Clarkson & Shor).  So the rounds make each of its facets once, the
+    final facets, whose conflict sets are empty, are the hull's, and a
+    facet's pivot is known when it is made: no facet of a round depends on
+    another.  That takes O(log n) rounds with high probability.
+
+    A facet's inside sign, sign(verts..., w) for a hull vertex w off it,
+    comes from t1: each sign of `sides` is a perturbed determinant
+    (Simulation of Simplicity, Edelsbrunner & Mucke 1990), so an odd row
+    permutation flips it exactly.  p sees t1 = r + w, w its i-th vertex,
+    so sign(t1..., p) = -inside(t1), and (t..., w) for t = r + p, p its
+    j-th vertex, has those rows in an order of parity i + j + 1:
+    inside(t) = (-1)^(i+j) inside(t1).
+
+    All visibility tests of a round run in one `_orient_batch` call, whose
+    certified signs are `sides`' own; each facet with entries that it
+    cannot certify (same-slab ties among them) takes those to `sides`
+    once.  A facet's conflict array is dropped once all its ridges are
+    settled: once it has been t1 of a job on each of them, or buried by
+    equal pivots.  The result is `facets`, the final facets' sorted
+    vertex rows, and `inside_signs`."""
 
     def __init__(self, space: _HullSpace, order: list[int]):
         self.space = space
-        self.facets: dict[int, _Facet] = {}
-        self.ridge_map: dict[tuple[int, ...], set[int]] = {}
-        self._next_id = 0
-        self._point_conflicts: dict[int, set[int]] = {}
-        self._build(order)
+        self.rows, self.sizes = space.arrays()
+        self.order = np.array(order, dtype=np.int64)
+        self.rounds = 0
+        # Per facet id, grown by `_reserve`: inside sign, pivot rank,
+        # ridges not yet settled, and its slice of `_conflicts` (count 0
+        # once dropped).
+        self._inside = self._pivot = self._open = self._start = self._count = np.zeros(0, dtype=np.int64)
+        self._made = 0
+        self._conflicts = np.zeros(0, dtype=np.int64)  # ranks
+        self._used = 0  # the length of `_conflicts` in use
+        # The ridge map: ridges that wait for their second facet, their
+        # first facet and its vertex off the ridge.
+        self._waiting = (np.zeros((0, space.P - 1), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        self._final: list[tuple[np.ndarray, np.ndarray]] = []
+        self._build()
 
-    def _add_facet(self, verts: tuple[int, ...], inside: int, cand_ids: list[int]):
-        """New facet whose inside has sign `inside` (class docstring); its
-        conflicts are the `cand_ids` strictly beyond its hyperplane."""
-        signs = self.space.sides(verts, cand_ids)
-        conflicts = {pid for pid, s in zip(cand_ids, signs) if s == -inside}
-        fid = self._next_id
-        self._next_id += 1
-        self.facets[fid] = _Facet(verts, inside, conflicts)
-        for pid in conflicts:
-            self._point_conflicts[pid].add(fid)
-        for ridge in face_tuples(verts):
-            self.ridge_map.setdefault(ridge, set()).add(fid)
-
-    def _remove_facet(self, fid: int):
-        f = self.facets.pop(fid)
-        for ridge in face_tuples(f.verts):
-            owners = self.ridge_map[ridge]
-            owners.discard(fid)
-            if not owners:
-                del self.ridge_map[ridge]
-        for pid in f.conflicts:
-            s = self._point_conflicts.get(pid)
-            if s is not None:
-                s.discard(fid)
-        return f
-
-    def _build(self, order: list[int]):
-        p = self.space.P
-        init, rest = tuple(sorted(order[: p + 1])), order[p + 1 :]
-        for pid in rest:
-            self._point_conflicts[pid] = set()
+    def _build(self):
+        space, order = self.space, self.order
+        p, n = space.P, len(order)
+        init = tuple(sorted(order[: p + 1].tolist()))
         # Facet e lacks init[p - e]; moving it after the others takes e swaps.
-        (d,) = self.space.sides(init[:-1], init[-1:])
-        for e, verts in enumerate(face_tuples(init)):
-            self._add_facet(verts, d * (-1) ** e, rest)
-        for q in rest:
-            vis = self._point_conflicts.pop(q)
-            if not vis:
-                raise AssertionError("lifted point inside hull: duplicate input?")
-            horizon = []
-            for fid in vis:
-                for i, ridge in enumerate(reversed(face_tuples(self.facets[fid].verts))):
-                    others = self.ridge_map[ridge] - vis
-                    if others:
-                        (other,) = others
-                        horizon.append((ridge, i, fid, other))
-            removed = {fid: self._remove_facet(fid) for fid in vis}
-            for ridge, i, fvis_id, fhid_id in horizon:
-                fvis = removed[fvis_id]
-                new_verts = tuple(sorted(ridge + (q,)))
-                inside = fvis.inside_sign * (-1) ** (i + new_verts.index(q))
-                cands = (fvis.conflicts | self.facets[fhid_id].conflicts) - {q}
-                self._add_facet(new_verts, inside, sorted(cands))
-        for ridge, owners in self.ridge_map.items():
-            if len(owners) != 2:
-                raise AssertionError(f"open ridge {ridge} on finished hull")
+        (d,) = space.sides(init[:-1], init[-1:])
+        verts = np.array(face_tuples(init), dtype=np.int64)
+        inside = d * (-1) ** np.arange(p + 1)
+        rest = np.arange(p + 1, n)
+        ids = self._add(verts, inside, np.repeat(np.arange(p + 1), len(rest)), np.tile(rest, p + 1))
+        jobs = self._match(ids, verts, np.full(p + 1, -1))
+        while len(jobs[1]):
+            jobs = self._round(*jobs)
+        if len(self._waiting[0]):
+            raise AssertionError(f"open ridge {tuple(self._waiting[0][0].tolist())} on finished hull")
+        self.facets = np.concatenate([v for v, _ in self._final])
+        self.inside_signs = np.concatenate([s for _, s in self._final])
+        if np.count_nonzero(np.bincount(self.facets.ravel(), minlength=n)) < n:
+            raise AssertionError("lifted point inside hull: duplicate input?")
+
+    def _reserve(self, size: int):
+        """Room for `size` facets in the per-facet arrays, doubled as needed."""
+        if size > len(self._pivot):
+            cap = max(size, 2 * len(self._pivot))
+            for name in ("_inside", "_pivot", "_open", "_start", "_count"):
+                old = getattr(self, name)
+                new = np.zeros(cap, dtype=np.int64)
+                new[: len(old)] = old
+                setattr(self, name, new)
+
+    def _store(self, conf: np.ndarray) -> int:
+        """Append `conf` to `_conflicts` and return where it starts; first
+        compact it when the dropped entries are most of it."""
+        if self._used + len(conf) > len(self._conflicts):
+            live = np.flatnonzero(self._count[: self._made])
+            kept = int(self._count[live].sum())
+            if 2 * kept < self._used:
+                self._conflicts = self._conflicts[_slices(self._start[live], self._count[live])]
+                self._start[live] = np.cumsum(self._count[live]) - self._count[live]
+                self._used = kept
+            if self._used + len(conf) > len(self._conflicts):
+                grown = np.zeros(max(self._used + len(conf), 2 * len(self._conflicts)), dtype=np.int64)
+                grown[: self._used] = self._conflicts[: self._used]
+                self._conflicts = grown
+        at = self._used
+        self._conflicts[at : at + len(conf)] = conf
+        self._used += len(conf)
+        return at
+
+    def _add(self, verts: np.ndarray, inside: np.ndarray, which: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """New facets with sorted vertex rows `verts` and inside signs
+        `inside`; candidate i is the point of rank ranks[i] for facet
+        which[i], by facet, then by rank.  Returns their ids."""
+        space = self.space
+        queries = self.order[ranks]
+        signs, _ = _orient_batch(self.rows, self.sizes, verts, which, queries)
+        unsure = np.flatnonzero(signs == 0)
+        if len(unsure):
+            for part in np.split(unsure, np.flatnonzero(np.diff(which[unsure])) + 1):
+                signs[part] = space.sides(tuple(verts[which[part[0]]].tolist()), queries[part].tolist())
+        beyond = signs == -inside[which]
+        count = np.bincount(which[beyond], minlength=len(verts))
+        conf = ranks[beyond]
+        first = np.cumsum(count) - count
+        ids = np.arange(self._made, self._made + len(verts))
+        self._made += len(verts)
+        self._reserve(self._made)
+        self._inside[ids] = inside
+        self._pivot[ids] = np.where(count > 0, np.append(conf, 0)[first], len(self.order))
+        self._open[ids] = space.P
+        self._start[ids] = self._store(conf) + first
+        self._count[ids] = count
+        final = count == 0
+        self._final.append((verts[final], inside[final]))
+        return ids
+
+    def _match(self, ids: np.ndarray, verts: np.ndarray, skip: np.ndarray):
+        """Jobs for the ridges of the new facets `ids`, but for the one
+        without vertex skip[i] of facet i: each meets the facet across it
+        in the ridge map, or waits there for it.  One `np.lexsort` of the
+        waiting and the new ridges puts the two facets of a ridge next to
+        each other."""
+        p = verts.shape[1]
+        cols = np.array([[c for c in range(p) if c != k] for k in range(p)], dtype=np.intp)
+        keep = verts.ravel() != np.repeat(skip, p)
+        new = (verts[:, cols].reshape(-1, p - 1)[keep], np.repeat(ids, p)[keep], verts.ravel()[keep])
+        ridges, facet, apex = (np.concatenate([x, y]) for x, y in zip(self._waiting, new))
+        order = np.lexsort(ridges.T[::-1])
+        ridges, facet, apex = ridges[order], facet[order], apex[order]
+        pair = np.flatnonzero(np.all(ridges[1:] == ridges[:-1], axis=1))
+        if np.any(np.diff(pair) == 1):
+            raise AssertionError(f"ridge {tuple(ridges[pair[np.diff(pair) == 1][0]].tolist())} has three facets")
+        alone = np.ones(len(ridges), dtype=bool)
+        alone[pair] = alone[pair + 1] = False
+        self._waiting = ridges[alone], facet[alone], apex[alone]
+        return ridges[pair], facet[pair], facet[pair + 1], apex[pair], apex[pair + 1]
+
+    def _round(self, ridges, a, b, wa, wb):
+        """One round over the jobs (ridges[i], a[i], b[i]), wa[i] and
+        wb[i] the vertices of facets a[i] and b[i] off the ridge (class
+        docstring).  Returns the next round's jobs."""
+        self.rounds += 1
+        n = len(self.order)
+        swap = self._pivot[b] < self._pivot[a]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        wa, wb = np.where(swap, wb, wa), np.where(swap, wa, wb)
+        pivot = self._pivot[a]
+        make = pivot < self._pivot[b]
+        settled = np.concatenate([a, b[~make]])
+        np.subtract.at(self._open, settled, 1)
+        ridges, a, b, wa, wb, pivot = ridges[make], a[make], b[make], wa[make], wb[make], pivot[make]
+        # Candidates: C(a) but its first entry, the pivot, and C(b), by
+        # (job, rank) keys, each kept once.
+        starts = np.concatenate([self._start[a] + 1, self._start[b]])
+        counts = np.concatenate([self._count[a] - 1, self._count[b]])
+        keys = np.repeat(np.tile(np.arange(len(a)), 2) * n, counts) + self._conflicts[_slices(starts, counts)]
+        keys.sort()
+        once = np.ones(len(keys), dtype=bool)
+        once[1:] = keys[1:] != keys[:-1]
+        keys = keys[once]
+        self._count[settled[self._open[settled] == 0]] = 0
+        if not len(a):
+            return ridges, a, b, wa, wb
+        pts = self.order[pivot]
+        verts, j = _join(ridges, pts)
+        i = np.count_nonzero(ridges < wa[:, None], axis=1)
+        ids = self._add(verts, np.where((i + j) % 2, -self._inside[a], self._inside[a]), keys // n, keys % n)
+        matched = self._match(ids, verts, pts)
+        return tuple(np.concatenate([x, y]) for x, y in zip((ridges, ids, b, pts, wb), matched))
+
+
+def _slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + counts[i] - 1 for each i,
+    in order."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 # -- public triangulation ------------------------------------------------------
@@ -515,7 +667,8 @@ def delaunay(cloud: PointCloud) -> Triangulation:
 
     Deterministic for a fixed input ordering.  The insertion order of the
     incremental hull is drawn from the fixed seed `_HULL_SEED`; the output
-    does not depend on it.
+    does not depend on it (`_Hull` makes the facets of the sequential
+    algorithm for that order).
     """
     if len(cloud) == 0:
         raise InputError("cannot triangulate an empty cloud")
@@ -530,14 +683,11 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     random.Random(_HULL_SEED).shuffle(tail)
     order[space.P + 1 :] = tail
     hull = _Hull(space, order)
-    tops = []
-    for f in hull.facets.values():
-        s = space.infdown_sign(f.verts)
-        if s != 0 and s == -f.inside_sign:
-            tops.append(f.verts)
-    if not tops:
+    down = _vertical_signs(space, hull.rows, hull.facets)
+    tops = hull.facets[(down != 0) & (down == -hull.inside_signs)]
+    if not len(tops):
         raise AssertionError("hull produced no lower facets")
-    return Triangulation(cloud, np.array(tops, dtype=np.int64), space)
+    return Triangulation(cloud, tops, space)
 
 
 # -- del(Z) of a lifted pair ---------------------------------------------------
@@ -567,8 +717,7 @@ class _Wrap:
         p = space.P
         self.space = space
         self.n1 = n1
-        self.frows = np.array(space.frows)
-        self.fsize = np.array(space.fsize)
+        self.frows, self.fsize = space.arrays()
         self.prows = self.frows[:, :-1]
         self.psize = np.abs(self.prows).max(axis=1)
         self.pints = [row[: p - 1] + row[p:] for row in space.int_rows]
@@ -708,15 +857,11 @@ class _Wrap:
             slot[multi] = np.arange(len(multi))
 
             def facets():
-                """sorted(R + b) for each ridge R of `multi` and its b, b
-                inserted at its position in R + b, which is the number of
-                R's vertices below it, and below(R + b), the sign of a
-                vertex below its hyperplane (`down`)."""
-                r, v = rows[multi], b[multi][:, None]
-                j = np.count_nonzero(r < v, axis=1)[:, None]
-                col = np.arange(r.shape[1] + 1)
-                verts = np.where(col < j, np.hstack([r, v]), np.where(col == j, v, np.hstack([v, r])))
-                return verts, np.where((r.shape[1] - j[:, 0]) % 2 == 0, fars[multi], -fars[multi])
+                """sorted(R + b) for each ridge R of `multi` and its b,
+                and below(R + b), the sign of a vertex below its
+                hyperplane (`down`)."""
+                verts, j = _join(rows[multi], b[multi])
+                return verts, np.where((rows.shape[1] - j) % 2 == 0, fars[multi], -fars[multi])
 
             pencil, below = facets()
             rest = np.ones(len(which), dtype=bool)  # a ridge's far candidates after f

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import math
@@ -357,43 +358,59 @@ class TestHullSpace:
                 assert all(got[i] == lam * col[i] for i in nonzero)
 
     def test_one_float_filter_per_test(self, monkeypatch):
-        # Each new facet gets its conflicts from one `sides` call, and the
-        # first simplex its orientation from one more; every other inside
-        # sign follows by parity (`_Hull`).  `sides` filters each test once
-        # (through the facet's cofactors, or a same-slab tie's minor) and
-        # goes to sos_sign directly; only the vertical tests (infdown_sign)
-        # run filtered_det_sign, once each, except the structural zeros: a
+        # Each visibility test of the hull is one entry of one kernel call
+        # (`_orient_batch`), and the first simplex takes its orientation
+        # from one `sides` call; every other inside sign follows by parity
+        # (`_Hull`).  `sides` runs once for each facet with entries that
+        # the kernel cannot certify, on exactly those: here the same-slab
+        # ties of a lifted pair, whose tie minor `sides` filters.  The
+        # vertical tests of the final facets run in one more batch, and
+        # only what it cannot certify goes to `infdown_sign`, once each;
+        # that runs filtered_det_sign, except on the structural zeros: a
         # facet with a constant coordinate column below the lift column
         # is vertical without a determinant.
         mod = importlib.import_module("reldelcech.delaunay")
-        counts = {"filter": 0, "facet": 0, "vertical": 0, "sides": 0, "zeros": 0}
+        batches, sides, vertical, filters = [], [], [], []
+        real_batch, real_sides = mod._orient_batch, mod._HullSpace.sides
+        real_vertical, real_filter = mod._HullSpace.infdown_sign, mod.filtered_det_sign
 
-        def counting(key, fn):
-            def wrapped(*args):
-                counts[key] += 1
-                return fn(*args)
+        def batch(rows, size, simplices, which, queries):
+            signs, values = real_batch(rows, size, simplices, which, queries)
+            batches.append((rows.shape[1], simplices[which].tolist(), queries.tolist(), signs.tolist()))
+            return signs, values
 
-            return wrapped
-
-        real_vertical = mod._HullSpace.infdown_sign
-
-        def vertical(space, verts):
-            facet = [space.int_rows[v] for v in verts]
-            s = real_vertical(space, verts)
-            if any(len({row[c] for row in facet}) == 1 for c in range(space.P - 1)):
-                counts["zeros"] += 1
-                assert s == 0
-            return s
-
-        monkeypatch.setattr(mod, "filtered_det_sign", counting("filter", mod.filtered_det_sign))
-        monkeypatch.setattr(mod._Hull, "_add_facet", counting("facet", mod._Hull._add_facet))
-        monkeypatch.setattr(mod._HullSpace, "infdown_sign", counting("vertical", vertical))
-        monkeypatch.setattr(mod._HullSpace, "sides", counting("sides", mod._HullSpace.sides))
+        monkeypatch.setattr(mod, "_orient_batch", batch)
+        monkeypatch.setattr(mod._HullSpace, "sides", lambda sp, verts, qs: sides.append((verts, list(qs))) or real_sides(sp, verts, qs))
+        monkeypatch.setattr(mod._HullSpace, "infdown_sign", lambda sp, verts: vertical.append(verts) or real_vertical(sp, verts))
+        monkeypatch.setattr(mod, "filtered_det_sign", lambda rows: filters.append(rows) or real_filter(rows))
         x = np.random.default_rng(72).random((40, 2)).tolist()
-        delaunay(lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z)
-        assert counts["facet"] > 0 and counts["vertical"] > counts["zeros"] > 0
-        assert counts["sides"] == counts["facet"] + 1
-        assert counts["filter"] == counts["vertical"] - counts["zeros"]
+        z = lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z
+        delaunay(z)
+        p = 4  # the hull of a lifted planar pair lives in R^4
+        *hull, down = batches
+        assert [k for k, *_ in hull] == [p] * len(hull) and down[0] == p - 1
+        tests = [(tuple(f), q, s) for _, fs, qs, ss in hull for f, q, s in zip(fs, qs, ss)]
+        assert len({(f, q) for f, q, _ in tests}) == len(tests)
+        unsure: dict[tuple[int, ...], list[int]] = {}
+        for f, q, s in tests:
+            if s == 0:
+                unsure.setdefault(f, []).append(q)
+        assert unsure and sides[0] == ((0, 1, 2, 3), [4])
+        assert len(sides) == len(unsure) + 1 and dict(sides[1:]) == unsure
+        assert vertical == [(*f, q) for _, fs, qs, ss in [down] for f, q, s in zip(fs, qs, ss) if s == 0]
+        _, space = mod._hull_space(z)
+        zeros = [v for v in vertical if mod._constant_columns([space.int_rows[u] for u in v], p - 1)]
+        assert zeros and len(filters) == len(vertical) - len(zeros)
+
+    def test_hull_rounds_are_few(self, monkeypatch):
+        # The rounds are O(log n) deep with high probability: 54 kernel
+        # calls for these 2000 points, the vertical batch included.
+        mod = importlib.import_module("reldelcech.delaunay")
+        calls = []
+        real = mod._orient_batch
+        monkeypatch.setattr(mod, "_orient_batch", lambda *args: calls.append(1) or real(*args))
+        delaunay(PointCloud(np.random.default_rng(93).random((2000, 2)).tolist()))
+        assert len(calls) <= 150
 
     def test_one_expansion_per_orientation(self, monkeypatch):
         # Each facet orientation gets all of its cofactors from one
@@ -554,10 +571,10 @@ class TestHullOrientation:
         monkeypatch.setattr(mod, "_Hull", lambda space, order: hulls.append(real(space, order)) or hulls[-1])
         delaunay(HULL_CLOUDS[name])
         (hull,) = hulls
-        on_hull = sorted({v for f in hull.facets.values() for v in f.verts})
-        for f in hull.facets.values():
-            off = [v for v in on_hull if v not in f.verts]
-            assert hull.space.sides(f.verts, off) == [f.inside_sign] * len(off), f.verts
+        on_hull = sorted(set(hull.facets.ravel().tolist()))
+        for verts, inside in zip(rows(hull.facets), hull.inside_signs.tolist()):
+            off = [v for v in on_hull if v not in verts]
+            assert hull.space.sides(verts, off) == [inside] * len(off), verts
 
     def test_vertical_sign_matches_direction_row_determinant(self, monkeypatch):
         # infdown_sign is the projected facet's orientation: the exact sign
@@ -582,6 +599,72 @@ class TestHullOrientation:
                     assert space.infdown_sign(verts) == want, verts
                     signs.add(want)
         assert signs == {-1, 0, 1} and exact
+
+
+def _oracle_clouds():
+    """Small clouds for the brute-force hull: uniform in 2D and 3D, the
+    3x4 grid (cocircular ties), a collinear cloud, and lifted pairs, one
+    random and one on a grid, whose facets inside one slab make
+    same-slab ties."""
+    rng = np.random.default_rng(94)
+    u2, u3 = rng.random((10, 2)).tolist(), rng.random((9, 3)).tolist()
+    grid = _grid(3, 3)
+    return {
+        "uniform2d": PointCloud(u2),
+        "uniform3d": PointCloud(u3),
+        "grid3x4": PointCloud(_grid(3, 4)),
+        "collinear": PointCloud([(0.5 + t, 1.0 - 2.0 * t) for t in (0.0, 3.0, 0.25, 1.5, -2.0, 0.75, 2.0)]),
+        "pair": lift(PointCloud(u2[:4]), PointCloud(u2[4:]), 1.0).z,
+        "grid pair": lift(PointCloud(grid[::2]), PointCloud(grid[1::2]), 1.0).z,
+    }
+
+
+ORACLE_CLOUDS = _oracle_clouds()
+
+
+@functools.cache
+def _perturbed_hull(name: str) -> dict[tuple[int, ...], int]:
+    """The facets of the perturbed lifted hull of an oracle cloud, with
+    their inside signs: the P-subsets that have every other point on one
+    side by `sos_sign`, that side."""
+    _, space = importlib.import_module("reldelcech.delaunay")._hull_space(ORACLE_CLOUDS[name])
+    n, facets = len(space.int_rows), {}
+    for verts in itertools.combinations(range(n), space.P):
+        rows = [space.int_rows[v] for v in verts]
+        signs = {sos_sign(rows + [space.int_rows[q]], [*verts, q]) for q in range(n) if q not in verts}
+        if len(signs) == 1:
+            facets[verts] = signs.pop()
+    return facets
+
+
+class TestHullOracle:
+    """The rounds' final facets and inside signs are the perturbed hull's,
+    found by brute force, whatever the insertion order."""
+
+    @pytest.mark.parametrize("seed", [0x9E3779B9, 1, 12345])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CLOUDS))
+    def test_final_facets_are_the_perturbed_hull(self, name, seed, monkeypatch):
+        mod = importlib.import_module("reldelcech.delaunay")
+        hulls = []
+        real = mod._Hull
+        monkeypatch.setattr(mod, "_Hull", lambda space, order: hulls.append(real(space, order)) or hulls[-1])
+        monkeypatch.setattr(mod, "_HULL_SEED", seed)
+        delaunay(ORACLE_CLOUDS[name])
+        (hull,) = hulls
+        got = dict(zip(rows(hull.facets), hull.inside_signs.tolist()))
+        assert len(got) == len(hull.facets)
+        assert got == _perturbed_hull(name)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 0, 1, 2, 3]])
+    def test_point_inside_hull_raises(self, order):
+        # Every lifted point is a vertex of its hull; a row inside the
+        # hull of the others, inserted late or in the first simplex, is
+        # a vertex of no final facet.
+        mod = importlib.import_module("reldelcech.delaunay")
+        pts = [(0, 4, 8), (28, 12, 20), (8, 36, 16), (20, 24, 44), (14, 19, 22)]
+        space = mod._HullSpace([tuple(map(float, p)) for p in pts], [(*p, 1) for p in pts])
+        with pytest.raises(AssertionError, match="lifted point inside hull"):
+            mod._Hull(space, order)
 
 
 def _line(direction, offset, ts):

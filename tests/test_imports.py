@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -114,3 +116,25 @@ def test_benchmark_instance_runs_and_checks(monkeypatch, tmp_path):
     assert len(x) == 30 and len(a) == 8
     assert instance.output_problems(bc, pipe.complex, a) == []
     assert relative_lift.verify_embedding(pipe.cfg, pipe.triangulation).ok is True
+
+
+def test_run_does_not_import_numpy_ma():
+    # `np.unique` without index outputs, and the set routines built on it,
+    # import numpy.ma (+0.5 MB of peak RSS) to test for a masked array.
+    # A fresh interpreter runs the pipeline and the barcode on the 12x12
+    # grid pair, whose cocircular ties reach every fallback.
+    script = """
+import sys
+import numpy as np
+from reldelcech.geometry import PointCloud
+from reldelcech.persistence import barcode
+from reldelcech.relative_lift import build_pipeline
+grid = [(float(i), float(j)) for i in range(12) for j in range(12)]
+a = set(np.random.default_rng(3).choice(144, 72, replace=False).tolist())
+pipe = build_pipeline(PointCloud([p for i, p in enumerate(grid) if i in a]), PointCloud([p for i, p in enumerate(grid) if i not in a]))
+barcode(pipe.complex, relative=True, max_dim=2)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
