@@ -397,7 +397,8 @@ class TestHullSpace:
                 unsure.setdefault(f, []).append(q)
         assert unsure and sides[0] == ((0, 1, 2, 3), [4])
         assert len(sides) == len(unsure) + 1 and dict(sides[1:]) == unsure
-        assert vertical == [(*f, q) for _, fs, qs, ss in [down] for f, q, s in zip(fs, qs, ss) if s == 0]
+        _, fs, qs, ss = down
+        assert vertical == [(*f, q) for f, q, s in zip(fs, qs, ss) if s == 0]
         _, space = mod._hull_space(z)
         zeros = [v for v in vertical if mod._constant_columns([space.int_rows[u] for u in v], p - 1)]
         assert zeros and len(filters) == len(vertical) - len(zeros)
@@ -630,8 +631,8 @@ def _perturbed_hull(name: str) -> dict[tuple[int, ...], int]:
     _, space = importlib.import_module("reldelcech.delaunay")._hull_space(ORACLE_CLOUDS[name])
     n, facets = len(space.int_rows), {}
     for verts in itertools.combinations(range(n), space.P):
-        rows = [space.int_rows[v] for v in verts]
-        signs = {sos_sign(rows + [space.int_rows[q]], [*verts, q]) for q in range(n) if q not in verts}
+        facet = [space.int_rows[v] for v in verts]
+        signs = {sos_sign(facet + [space.int_rows[q]], [*verts, q]) for q in range(n) if q not in verts}
         if len(signs) == 1:
             facets[verts] = signs.pop()
     return facets
