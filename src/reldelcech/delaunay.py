@@ -23,7 +23,7 @@ face of del(X1) and a face of del(X2) (Cayley trick), so the top across a
 ridge with vertices in both clouds has its new vertex in the link of the
 ridge's X1 part in del(X1) or of its X2 part in del(X2).  An unperturbed
 far-side test in projection and a wrap with the hull's own perturbed
-`sides` pick it, so the tops are the lifted hull's.  The wrap starts from
+orientation pick it, so the tops are the lifted hull's.  The wrap starts from
 a top of a cloud that spans a slab of Z; where neither cloud does
 (non-parallel flat clouds), `delaunay(z)` triangulates Z.
 
@@ -34,8 +34,13 @@ level at a time: the far sides, a guess of each new top from the pencil
 of lifted hyperplanes through its ridge, and the confirmation of the
 guess.  The kernel does the scalar filter's float operations in the same
 order, so its signs and its certified or uncertified decisions are the
-scalar ones; what it cannot certify goes to the scalar exact and
-perturbed tests.
+scalar ones.  On a cloud in the exact range (integer coordinates of
+modest range: grids, lattices, voxel data; `_HullSpace`) its values are
+the determinants themselves, zeros included.  The perturbed orientation
+(`_perturbed_signs`) decides in batches what the kernel cannot certify
+wherever it can: same-slab ties by their tie minor, and exact zeros in
+range by the first lift terms of the perturbation; only the rest goes to
+the scalar `sos_sign`.
 
 A `Triangulation` is arrays only: its tops are an (n, k + 1) int array
 of sorted vertex rows, and each dimension below is the `FaceTable` of
@@ -45,6 +50,7 @@ wrap on vertex tuples; no per-simplex object is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left
@@ -168,30 +174,44 @@ class _HullSpace:
     """Coordinates and exact predicates for the lifted hull of one cloud.
 
     Points live in R^P with the lift value as last coordinate.  Float rows
-    feed the static filter; exact integer rows (each column scaled by a
-    positive constant, which preserves all predicate signs) decide the rest,
-    with symbolic perturbation ranked by vertex index as tie-breaker.
+    (`rows`, with their largest magnitudes `sizes`) feed the static filter;
+    exact integer rows (each column scaled by a positive constant, which
+    preserves all predicate signs) decide the rest, with symbolic
+    perturbation ranked by vertex index as tie-breaker.
 
-    `sides` is the perturbed orientation of a facet against points: the
-    facet's float cofactors are computed once (`_Orientation`), each
-    query's determinant is their dot product with the query's edge row,
-    `certified_sign` certifies it or `sos_sign` decides.  The hull and the
-    wrap test in batches (`_orient_batch`, the same filter) and take to
-    `sides` only what the batch cannot certify.
+    The exact range (`exact`): every float row is integer-valued, the
+    float rows are the integer rows up to a positive factor per column,
+    and P! * prod_c max(1, range of column c) < 2^53.  Grids, lattices and
+    voxel data have it; random floats do not.  `_orient_batch` subtracts a
+    row from rows of one simplex and expands the minors of those edges: in
+    range every minor of r columns and every partial sum is an integer of
+    at most r! times the product of their ranges, below 2^53, so every
+    float operation is exact and the kernel's value is the determinant
+    itself, zeros included (the small-integer static filter of Devillers &
+    Pion, ALENEX 2003).  A kernel over fewer columns (the projection, the
+    tie minor) stays in range.
+
+    The perturbed orientation of a facet against points is
+    `_perturbed_signs`; `sides` is its one-facet case.  What the kernel
+    cannot certify, it decides in batches where it can:
 
     Same-slab ties: when the facet's integer rows have exactly one constant
     coordinate column h (a facet inside one slab of a lifted pair: its
     height) and the query shares that value, the determinant is 0 by
     structure, and SoS replaces the lowest-ranked row, the smallest vertex,
-    by e_h (`predicates`).  The sign is then a P x P minor without column h.
-    Write orient(...) for the homogeneous determinant of P points with
-    column h dropped; `sides` filters it with an `_Orientation` of verts[1:]:
-      - q > verts[0]: (-1)^h orient(verts[1:], q), one dot product each;
-      - q < verts[0]: (-1)^(P+h) orient(verts), one value per facet, which
-        the cyclic shift of verts[0] to the end makes
-        (-1)^(P+h) (-1)^(P-1) orient(verts[1:], verts[0]).
-    A zero minor (cospherical slab points) or an uncertified one goes to
-    `sos_sign`, so every sign is `sos_sign`'s.
+    by e_h (`predicates`).  The sign is then (-1)^(r+h) times the P x P
+    minor without that row r and column h.  Write orient(...) for the
+    homogeneous determinant of P points with column h dropped:
+      - q > verts[0]: (-1)^h orient(verts[1:], q);
+      - q < verts[0]: (-1)^(P+h) orient(verts).
+    Exact zeros: in range, a zero determinant takes `sos_sign`'s first
+    coefficients, the lift terms of the empty monomial: (-1)^(i + P - 1)
+    times the projected orientation of the rows without row i, rows i by
+    increasing rank.  When a coordinate column is constant over all rows,
+    a multiple of the homogeneous one, `sos_sign` skips the determinant
+    itself but not these terms, and each of them is 0.  A zero minor (cospherical slab points) or an uncertified one
+    out of range goes to the scalar `sos_sign`, so every sign is
+    `sos_sign`'s.
 
     The vertical test `infdown_sign`, the orientation of the projected
     facet, is the other predicate; it returns 0 for a facet with a constant
@@ -203,15 +223,21 @@ class _HullSpace:
 
     def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]]):
         self.frows = frows
-        self.fsize = [max(map(abs, row)) for row in frows]  # for `_Orientation`
         self.P = len(frows[0])
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
+        self.rows = np.array(frows)
+        self.sizes = np.abs(self.rows).max(axis=1)
+        self.exact = _exact_range(self.rows, int_rows)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The float rows and their sizes as arrays, for `_orient_batch`;
-        built for each hull or wrap, not kept with a triangulation."""
-        return np.array(self.frows), np.array(self.fsize)
-
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """(n, P) int array: in each coordinate column, equal codes for
+        equal integer entries; it finds constant columns and ties."""
+        out = np.empty((len(self.int_rows), self.P), dtype=np.int64)
+        for c, col in zip(range(self.P), zip(*self.int_rows)):
+            index: dict[int, int] = {}
+            out[:, c] = [index.setdefault(x, len(index)) for x in col]
+        return out
 
     def infdown_sign(self, verts: tuple[int, ...]) -> int:
         """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical.
@@ -236,31 +262,32 @@ class _HullSpace:
         lowest-ranked row."""
         if not queries:
             return []
-        frows, fsize = self.frows, self.fsize
-        facet = [self.int_rows[v] for v in verts]
-        size = max(fsize[v] for v in verts)
-        h = _tie_column(facet, self.P)
-        full = tie = None
-        out = []
-        for q in queries:
-            row = self.int_rows[q]
-            if h is None or row[h] != facet[0][h]:
-                if full is None:
-                    full = _Orientation([frows[v] for v in verts], size)
-                s = full.sign(frows[q], fsize[q])
-            else:
-                # A same-slab tie (class docstring); `flip` is (-1)^h.
-                if tie is None:
-                    tie = _Orientation([frows[v][:h] + frows[v][h + 1 :] for v in verts[1:]], size)
-                    flip = -1 if h % 2 else 1
-                    v0 = frows[verts[0]]
-                    below = -flip * tie.sign(v0[:h] + v0[h + 1 :], size)
-                if q > verts[0]:
-                    s = flip * tie.sign(frows[q][:h] + frows[q][h + 1 :], fsize[q])
-                else:
-                    s = below
-            out.append(s or sos_sign(facet + [row], list(verts) + [q]))
-        return out
+        queries = np.array(queries, dtype=np.int64)
+        return _perturbed_signs(self, np.array([verts], dtype=np.int64), np.zeros(len(queries), dtype=np.int64), queries).tolist()
+
+
+def _exact_range(rows: np.ndarray, int_rows: list[tuple[int, ...]]) -> bool:
+    """Whether the float `rows` are in the exact range (`_HullSpace`).
+    The integer rows are positive column multiples of the rational ones;
+    the float rows must be such multiples too, not roundings of them."""
+    if not np.all(rows == np.floor(rows)):
+        return False
+    k = rows.shape[1]
+    bound = math.factorial(k)
+    for lo, hi in zip(rows.min(axis=0).tolist(), rows.max(axis=0).tolist()):
+        bound *= max(1, int(hi) - int(lo))
+    if bound >= 1 << 53:
+        return False
+    for c, col in enumerate(zip(*rows.tolist())):
+        col = [int(x) for x in col]  # Python ints: exact products
+        ref = max(range(len(col)), key=lambda i: abs(col[i]))
+        f0, i0 = col[ref], int_rows[ref][c]
+        if f0 == 0:
+            if any(row[c] for row in int_rows):
+                return False
+        elif i0 == 0 or (i0 > 0) != (f0 > 0) or any(f * i0 != row[c] * f0 for f, row in zip(col, int_rows)):
+            return False
+    return True
 
 
 def _constant_columns(facet, limit: int) -> list[int]:
@@ -268,11 +295,81 @@ def _constant_columns(facet, limit: int) -> list[int]:
     return [c for c, col in zip(range(limit), zip(*facet)) if col.count(col[0]) == len(col)]
 
 
-def _tie_column(facet, p: int) -> int | None:
-    """The coordinate column that is constant over the facet's integer
-    rows, when there is exactly one; else None."""
-    const = _constant_columns(facet, p)
-    return const[0] if len(const) == 1 else None
+def _perturbed_signs(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The perturbed orientation sign of (verts[which[i]]..., queries[i])
+    for each i, never 0: `sos_sign` of their integer rows, ranked by
+    vertex.  `verts` is an (m, P) int array of sorted vertex rows.
+
+    One `_orient_batch` call over the float rows decides what it
+    certifies; in the exact range, its value decides the rest of what is
+    not 0.  What is left takes the first coefficients of `sos_sign`,
+    each (-1)^(r + c) times the minor of the determinant without row r
+    and column c (`_HullSpace`):
+      (a) a same-slab tie: r the row of lowest rank, c its tie column h;
+          in range the minor's value decides;
+      (b) in range, any other exact zero: the lift terms, c the lift
+          column and r each row in rank order, the first nonzero deciding
+          (a coordinate column constant over all rows makes each 0).
+    All those minors are one more kernel call (`_minors`).  Whatever is
+    left goes to the scalar `sos_sign`."""
+    p, exact = space.P, space.exact
+    signs, values = _orient_batch(space.rows, space.sizes, verts, which, queries)
+    todo = (signs == 0).nonzero()[0]
+    if not len(todo):
+        return signs
+    # Small batches: the array methods cost less than the np.* functions.
+    rows = np.concatenate([verts[which[todo]], queries[todo, None]], axis=1)  # the determinants' rows
+    codes = space.codes[rows]  # (entry, row, column)
+    same = codes == codes[:, :1]
+    const = same[:, :-1].all(axis=1)  # over the facet
+    h = const.argmax(axis=1)
+    tie = (const.sum(axis=1) == 1) & same[np.arange(len(todo)), -1, h]
+    rank, others = _rank_tables(p)
+    rank = rank[(rows[:, :-1] < rows[:, -1:]).sum(axis=1)]  # rank[i, t]: the row of rank t
+    a = tie.nonzero()[0]
+    ties = len(a)
+    r, c = rank[a, 0], h[a]
+    if exact:
+        signs[todo] = np.sign(values[todo])
+        b = ((signs[todo] == 0) & ~tie).nonzero()[0]
+        r = np.concatenate([r, rank[b].ravel()])
+        c = np.concatenate([c, np.full(len(b) * (p + 1), p - 1)])
+        a = np.concatenate([a, np.repeat(b, p + 1)])
+    if len(a):
+        s, v = _minors(space, rows[a[:, None], others[r]], c)
+        if exact:
+            s = np.sign(v).astype(np.int64)
+        s *= 1 - 2 * ((r + c) & 1)
+        signs[todo[a[:ties]]] = s[:ties]
+        if ties < len(a):
+            s = s[ties:].reshape(-1, p + 1)
+            signs[todo[b]] = s[np.arange(len(b)), (s != 0).argmax(axis=1)]
+    int_rows = space.int_rows
+    for i in todo[signs[todo] == 0].tolist():
+        vs, x = verts[which[i]].tolist(), int(queries[i])
+        signs[i] = sos_sign([int_rows[v] for v in vs] + [int_rows[x]], vs + [x])
+    return signs
+
+
+def _minors(space: _HullSpace, pts: np.ndarray, drop: np.ndarray):
+    """`_orient_batch` of the simplex pts[i, :-1] against the vertex
+    pts[i, -1] over the float rows without column drop[i], for each i,
+    in one call: (signs, values).  The sizes are those of the whole rows."""
+    m, k = pts.shape
+    _, others = _rank_tables(k - 1)
+    local = space.rows[pts[:, :, None], others[drop][:, None, :]].reshape(m * k, k - 1)
+    ids = np.arange(m * k).reshape(m, k)
+    return _orient_batch(local, space.sizes[pts].ravel(), ids[:, :-1], np.arange(m), ids[:, -1])
+
+
+@functools.cache
+def _rank_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the P + 1 rows of a facet and a query, the query last:
+    rank[j][t], the row of rank t when the query has rank j among them
+    (the facet's rows are sorted), and others[r], the rows but row r."""
+    rank = [list(range(j)) + [p] + list(range(j, p)) for j in range(p + 1)]
+    others = [[i for i in range(p + 1) if i != r] for r in range(p + 1)]
+    return np.array(rank), np.array(others)
 
 
 class _Orientation:
@@ -286,7 +383,10 @@ class _Orientation:
     an edge entry inherits the error of both of its rows: far from the
     origin (a lift |x|^2 against edges of |x|), that is more than the
     edges' own half ulps.  So the filter's scale is the largest magnitude
-    among the edges and the rows themselves; `size` bounds the rows'."""
+    among the edges and the rows themselves; `size` bounds the rows'.
+
+    The scalar reference of `_orient_batch`, which the tests hold it to
+    bit for bit; no run path uses it."""
 
     def __init__(self, pts, size: float):
         base = pts[0]
@@ -302,8 +402,7 @@ class _Orientation:
         """Certified orientation sign of (u_0, ..., u_{k-1}, x), whose
         entries are at most `size` in magnitude; 0 when the filter cannot
         certify it.  The certification is `predicates.certified_sign`'s,
-        in its float operations, inlined: this is the lifted hull's inner
-        loop."""
+        in its float operations, inlined."""
         val = 0.0
         scale = size if size > self.scale else self.scale
         for a, b, cf in zip(x, self.base, self.cof):
@@ -361,15 +460,14 @@ def _orient_batch(rows: np.ndarray, size: np.ndarray, simplices: np.ndarray, whi
     return signs, values
 
 
-def _vertical_signs(space: _HullSpace, rows: np.ndarray, facets: np.ndarray) -> np.ndarray:
+def _vertical_signs(space: _HullSpace, facets: np.ndarray) -> np.ndarray:
     """`infdown_sign` of each sorted vertex row of `facets`, in one batch.
     For verts = facets[i], it is the orientation of the projected facet:
     that of its first P - 1 vertices and its last in projection (rows
     without the lift), which `_orient_batch` filters.  What the batch
     cannot certify, the structural zeros among it (a constant column
-    makes the float value exactly 0), goes to the scalar `infdown_sign`.
-    `rows` are `space.arrays()`' float rows."""
-    prows = rows[:, :-1]
+    makes the float value exactly 0), goes to the scalar `infdown_sign`."""
+    prows = space.rows[:, :-1]
     size = np.abs(prows).max(axis=1)
     signs, _ = _orient_batch(prows, size, facets[:, :-1], np.arange(len(facets)), facets[:, -1])
     for i in np.flatnonzero(signs == 0).tolist():
@@ -424,17 +522,15 @@ class _Hull:
     j-th vertex, has those rows in an order of parity i + j + 1:
     inside(t) = (-1)^(i+j) inside(t1).
 
-    All visibility tests of a round run in one `_orient_batch` call, whose
-    certified signs are `sides`' own; each facet with entries that it
-    cannot certify (same-slab ties among them) takes those to `sides`
-    once.  A facet's conflict array is dropped once all its ridges are
-    settled: once it has been t1 of a job on each of them, or buried by
-    equal pivots.  The result is `facets`, the final facets' sorted
+    All visibility tests of a round are one batch of `_perturbed_signs`:
+    one kernel call, one more for the same-slab ties and exact zeros it
+    cannot certify, and the scalar `sos_sign` for the rest.  A facet's
+    conflict array is dropped once all its ridges are settled: once it
+    has been t1 of a job on each of them, or buried by equal pivots.  The result is `facets`, the final facets' sorted
     vertex rows, and `inside_signs`."""
 
     def __init__(self, space: _HullSpace, order: list[int]):
         self.space = space
-        self.rows, self.sizes = space.arrays()
         self.order = np.array(order, dtype=np.int64)
         self.rounds = 0
         # Per facet id, grown by `_reserve`: inside sign, pivot rank,
@@ -504,12 +600,7 @@ class _Hull:
         `inside`; candidate i is the point of rank ranks[i] for facet
         which[i], by facet, then by rank.  Returns their ids."""
         space = self.space
-        queries = self.order[ranks]
-        signs, _ = _orient_batch(self.rows, self.sizes, verts, which, queries)
-        unsure = np.flatnonzero(signs == 0)
-        if len(unsure):
-            for part in np.split(unsure, np.flatnonzero(np.diff(which[unsure])) + 1):
-                signs[part] = space.sides(tuple(verts[which[part[0]]].tolist()), queries[part].tolist())
+        signs = _perturbed_signs(space, verts, which, self.order[ranks])
         beyond = signs == -inside[which]
         count = np.bincount(which[beyond], minlength=len(verts))
         conf = ranks[beyond]
@@ -683,7 +774,7 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     random.Random(_HULL_SEED).shuffle(tail)
     order[space.P + 1 :] = tail
     hull = _Hull(space, order)
-    down = _vertical_signs(space, hull.rows, hull.facets)
+    down = _vertical_signs(space, hull.facets)
     tops = hull.facets[(down != 0) & (down == -hull.inside_signs)]
     if not len(tops):
         raise AssertionError("hull produced no lower facets")
@@ -709,16 +800,16 @@ class _Wrap:
     every top's vertical sign follows from the ridge it was wrapped across.
 
     Every float test of one breadth-first level runs in a few calls of one
-    kernel, `_orient_batch`, whose signs are the scalar filter's; what it
-    cannot certify goes to the scalar fallbacks: the integer cofactors of
-    the ridge (`orient`) or the perturbed `sides` (`wrap`)."""
+    kernel, `_orient_batch`, whose signs are the scalar filter's.  What it
+    cannot certify, the far side takes from the exact value in the exact
+    range or from the integer cofactors of the ridge (`orient`), and the
+    wrap from the batched perturbed orientation (`_perturbed_signs`)."""
 
     def __init__(self, space: _HullSpace, n1: int, tops: list[tuple[int, ...]]):
         p = space.P
         self.space = space
         self.n1 = n1
-        self.frows, self.fsize = space.arrays()
-        self.prows = self.frows[:, :-1]
+        self.prows = space.rows[:, :-1]
         self.psize = np.abs(self.prows).max(axis=1)
         self.pints = [row[: p - 1] + row[p:] for row in space.int_rows]
         self.star: list[list[tuple[int, ...]]] = [[] for _ in space.frows]
@@ -726,7 +817,8 @@ class _Wrap:
             for v in top:
                 self.star[v].append(top)
         self.links: dict[tuple[int, ...], set[int]] = {}
-        self.exact: dict[tuple[int, ...], list[int]] = {}  # a ridge's integer cofactors
+        self.cofactors: dict[tuple[int, ...], list[int]] = {}  # a ridge's integer cofactors
+        self.rounds = 0  # refinement rounds: updates of refuted guesses (`step`)
 
     def link(self, face: tuple[int, ...]) -> set[int]:
         """Vertices v outside the face with face + v in del(X1) or
@@ -742,17 +834,22 @@ class _Wrap:
     def orient(self, ridges: np.ndarray, which: np.ndarray, queries: np.ndarray):
         """orient(ridges[w], q) for each (w, q) in zip(which, queries), and
         its float value; `ridges` is an int array of sorted vertex rows.
-        The batch filter decides what it certifies; each other sign is the
-        integer dot product of q's row with the ridge's exact cofactors,
-        computed once per ridge: the sign of the determinant that
-        `infdown_sign` would decide by Bareiss."""
+        The batch filter decides what it certifies.  In the exact range
+        (`_HullSpace`) the float value of each other sign is exact;
+        otherwise each other sign is the integer dot product of q's row
+        with the ridge's exact cofactors, computed once per ridge: the sign
+        of the determinant that `infdown_sign` would decide by Bareiss."""
         signs, values = _orient_batch(self.prows, self.psize, ridges, which, queries)
+        unsure = np.flatnonzero(signs == 0)
+        if self.space.exact:
+            signs[unsure] = np.sign(values[unsure])
+            return signs, values
         pints = self.pints
-        for i in np.flatnonzero(signs == 0).tolist():
+        for i in unsure.tolist():
             ridge = tuple(ridges[which[i]].tolist())
-            cof = self.exact.get(ridge)
+            cof = self.cofactors.get(ridge)
             if cof is None:
-                cof = self.exact[ridge] = exact_cofactors([pints[v] for v in ridge])
+                cof = self.cofactors[ridge] = exact_cofactors([pints[v] for v in ridge])
             d = sum(a * c for a, c in zip(pints[queries[i]], cof))
             signs[i] = (d > 0) - (d < 0)
         return signs, values
@@ -808,21 +905,6 @@ class _Wrap:
         o = orient(ridge, b) (class docstring)."""
         return o if (self.space.P - 1 - verts.index(b)) % 2 == 0 else -o
 
-    def wrap(self, ridge: tuple[int, ...], far: list[int], o: int) -> int:
-        """The vertex b of `far` for which no other lies below the lifted
-        hyperplane of ridge + b, by the perturbed `sides`.  Every vertex of
-        `far` has orient(ridge, q) = o, so they turn around the ridge in
-        one half-space, and a vertex that is not below the hyperplane of
-        ridge + c is not below that of any c' below it either."""
-        best, rest = far[0], far[1:]
-        while rest:
-            verts = tuple(sorted(ridge + (best,)))
-            below = self.down(verts, best, o)
-            rest = [q for q, s in zip(rest, self.space.sides(verts, rest)) if s == below]
-            if rest:
-                best, rest = rest[0], rest[1:]
-        return best
-
     def step(self, jobs: list[tuple[tuple[int, ...], int, list[int]]]) -> tuple[np.ndarray, np.ndarray]:
         """One level of the wrap.  Each job is (ridge, far, candidates),
         far = orient(ridge, b) for the vertex b of the top across it.
@@ -836,8 +918,14 @@ class _Wrap:
         (sorted(R + f), q) over the far-side value of q orders the lifted
         hyperplanes R + q: the extreme towards below(R + f) * far is the
         lowest one, the guess b.  Confirm: b is the top's vertex iff no
-        other far candidate lies below the hyperplane of R + b, which one
-        more batch certifies; where it does not, `wrap` decides, from b."""
+        other far candidate lies below the hyperplane of R + b, by one
+        batch of `_perturbed_signs`.  Where one does, the first of them
+        becomes b, and the next batch tests the others below the old b
+        against R + b: the sequential wrap's rule, one round for all
+        refuted ridges of the level (`rounds` counts these).  The far
+        candidates turn around R in one half-space, so a vertex that is
+        not below the hyperplane of R + c is not below that of any c'
+        below it either."""
         ridges = [r for r, _, _ in jobs]
         rows = np.array(ridges, dtype=np.int64)
         fars = np.array([o for _, o, _ in jobs], dtype=np.int64)
@@ -867,7 +955,7 @@ class _Wrap:
             rest = np.ones(len(which), dtype=bool)  # a ridge's far candidates after f
             rest[lo] = False
             w = slot[which[rest]]
-            _, lifted = _orient_batch(self.frows, self.fsize, pencil, w, queries[rest])
+            _, lifted = _orient_batch(self.space.rows, self.space.sizes, pencil, w, queries[rest])
             keys = np.zeros(len(which))
             with np.errstate(all="ignore"):
                 ratio = lifted / values[rest]
@@ -876,14 +964,20 @@ class _Wrap:
             keys = keys.tolist()
             for j, a, e in zip(multi.tolist(), mlo, mhi):
                 b[j] = queries[max(range(a, e), key=keys.__getitem__)]
-            confirm, below = facets()
+            # Confirm, and refine where the guess is refuted as the
+            # sequential wrap from b would: b <- the first candidate below
+            # R + b, the others below it stay, until none is below.
             other = queries != b[which]
-            w = slot[which[other]]
-            s, _ = _orient_batch(self.frows, self.fsize, confirm, w, queries[other])
-            for k in sorted(set(w[(s == 0) | (s == below[w])].tolist())):
-                j = int(multi[k])
-                rest_j = [q for q in queries[mlo[k] : mhi[k]].tolist() if q != b[j]]
-                b[j] = self.wrap(ridges[j], [int(b[j])] + rest_j, int(fars[j]))
+            w, cand = slot[which[other]], queries[other]
+            while len(w):
+                verts, below = facets()
+                hit = _perturbed_signs(self.space, verts, w, cand) == below[w]
+                w, cand = w[hit], cand[hit]
+                first = np.ones(len(w), dtype=bool)
+                first[1:] = w[1:] != w[:-1]
+                b[multi[w[first]]] = cand[first]
+                w, cand = w[~first], cand[~first]
+                self.rounds += bool(first.any())
         out = np.full(len(jobs), -1)
         empty = np.flatnonzero(b < 0)
         if len(empty):
@@ -962,20 +1056,28 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     del(X2) leaves a hole there.
 
     Wrap.  Among the far candidates, b is the one whose lifted hyperplane
-    with R has no other candidate below it, by `sides`, the perturbed
-    orientation the lifted hull decides with: that is the lower hull
-    facet across R, as each of those candidates would be below it.  The
-    wrap runs one breadth-first level at a time (`_Wrap.step`).  The far
-    side of every candidate of the level is one batch of the float filter
-    (`_orient_batch`); the far candidates of R turn around it in one
-    half-space, so one more batch orders their lifted hyperplanes with R
-    (the pencil) and guesses b, and a third confirms that no other far
-    candidate lies below R + b.  Each certified sign is `sides`' own;
-    where the filter cannot certify one, the ridge's integer cofactors
-    decide the far side, and `_Wrap.wrap`, by `sides`, the top.  The
-    level's ridges are then taken in the order a sequential wrap would
-    take them, and each mixed ridge is wrapped once, from the first of
-    its tops to be found.  A ridge that would get a third top, a vertex
+    with R has no other candidate below it, by the perturbed orientation
+    the lifted hull decides with (`_perturbed_signs`): that is the lower
+    hull facet across R, as each of those candidates would be below it,
+    and it is unique under the perturbation.  The wrap runs one
+    breadth-first level at a time (`_Wrap.step`).  The far side of every
+    candidate of the level is one batch of the float filter
+    (`_orient_batch`); where the filter cannot certify one, the kernel's
+    value decides it in the exact range (`_HullSpace`), and the ridge's
+    integer cofactors outside it.  The far candidates of R turn around it
+    in one half-space, so one more batch orders their lifted hyperplanes
+    with R (the pencil) and guesses b, and one batch of the perturbed
+    orientation confirms that no other far candidate lies below R + b.
+    Where one does, the guess is refined in batch rounds by the rule of a
+    sequential wrap from b: b becomes the first candidate below R + b,
+    and the others below it are tested against the new R + b, until none
+    is below.  The perturbed orientation leaves the kernel only for what
+    it cannot certify: the same-slab ties (a top in a plane of constant
+    coordinate) take their tie minor and exact zeros in range their lift
+    terms, in one more kernel call, and what is left the scalar
+    `sos_sign`.  The level's ridges are then taken in the order a
+    sequential wrap would take them, and each mixed ridge is wrapped
+    once, from the first of its tops to be found.  A ridge that would get a third top, a vertex
     beyond a boundary ridge and a vertex of Z in no top raise
     AssertionError: a broken del(X1) or del(X2) causes them.
 

@@ -44,8 +44,9 @@ homogeneous one, and only coefficients whose unit rows (lift rows
 included) cover it count.  With exactly one such column h, the first of
 them replaces the row of lowest rank, row r, by e_h (a lift term when h is
 the lift column): the perturbed sign is (-1)^(r+h) times the minor without
-row r and column h, unless that minor is 0.  The lifted hull filters that
-minor itself (`delaunay._HullSpace.sides`).
+row r and column h, unless that minor is 0.  The lifted hull evaluates
+that minor, and the first lift terms of an exact zero, in batches itself
+(`delaunay._perturbed_signs`).
 """
 
 from __future__ import annotations

@@ -359,19 +359,20 @@ class TestHullSpace:
 
     def test_one_float_filter_per_test(self, monkeypatch):
         # Each visibility test of the hull is one entry of one kernel call
-        # (`_orient_batch`), and the first simplex takes its orientation
-        # from one `sides` call; every other inside sign follows by parity
-        # (`_Hull`).  `sides` runs once for each facet with entries that
-        # the kernel cannot certify, on exactly those: here the same-slab
-        # ties of a lifted pair, whose tie minor `sides` filters.  The
-        # vertical tests of the final facets run in one more batch, and
-        # only what it cannot certify goes to `infdown_sign`, once each;
-        # that runs filtered_det_sign, except on the structural zeros: a
-        # facet with a constant coordinate column below the lift column
-        # is vertical without a determinant.
+        # over the full rows (`_orient_batch`, via `_perturbed_signs`), and
+        # the first simplex takes its orientation from one `sides` call,
+        # itself one entry; every other inside sign follows by parity
+        # (`_Hull`).  The entries that the kernel cannot certify, here the
+        # same-slab ties of a lifted pair (random floats are outside the
+        # exact range), take one tie minor each, all of one round in one
+        # `_minors` call.  The vertical tests of the final facets run in
+        # one more batch, and only what it cannot certify goes to
+        # `infdown_sign`, once each; that runs filtered_det_sign, except
+        # on the structural zeros: a facet with a constant coordinate
+        # column below the lift column is vertical without a determinant.
         mod = importlib.import_module("reldelcech.delaunay")
-        batches, sides, vertical, filters = [], [], [], []
-        real_batch, real_sides = mod._orient_batch, mod._HullSpace.sides
+        batches, minors, sides, vertical, filters = [], [], [], [], []
+        real_batch, real_minors, real_sides = mod._orient_batch, mod._minors, mod._HullSpace.sides
         real_vertical, real_filter = mod._HullSpace.infdown_sign, mod.filtered_det_sign
 
         def batch(rows, size, simplices, which, queries):
@@ -379,7 +380,12 @@ class TestHullSpace:
             batches.append((rows.shape[1], simplices[which].tolist(), queries.tolist(), signs.tolist()))
             return signs, values
 
+        def minor(space, pts, drop):
+            minors.append((len(batches), pts.tolist(), drop.tolist()))
+            return real_minors(space, pts, drop)
+
         monkeypatch.setattr(mod, "_orient_batch", batch)
+        monkeypatch.setattr(mod, "_minors", minor)
         monkeypatch.setattr(mod._HullSpace, "sides", lambda sp, verts, qs: sides.append((verts, list(qs))) or real_sides(sp, verts, qs))
         monkeypatch.setattr(mod._HullSpace, "infdown_sign", lambda sp, verts: vertical.append(verts) or real_vertical(sp, verts))
         monkeypatch.setattr(mod, "filtered_det_sign", lambda rows: filters.append(rows) or real_filter(rows))
@@ -387,16 +393,24 @@ class TestHullSpace:
         z = lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z
         delaunay(z)
         p = 4  # the hull of a lifted planar pair lives in R^4
+        assert sides == [((0, 1, 2, 3), [4])]
         *hull, down = batches
-        assert [k for k, *_ in hull] == [p] * len(hull) and down[0] == p - 1
-        tests = [(tuple(f), q, s) for _, fs, qs, ss in hull for f, q, s in zip(fs, qs, ss)]
+        assert down[0] == p - 1
+        at_minors = {at for at, *_ in minors}
+        assert [k for k, *_ in hull] == [p - 1 if i in at_minors else p for i in range(len(hull))]
+        full = [b for b in hull if b[0] == p]
+        assert full[0][1:3] == ([[0, 1, 2, 3]], [4])
+        tests = [(tuple(f), q, s) for _, fs, qs, ss in full for f, q, s in zip(fs, qs, ss)]
         assert len({(f, q) for f, q, _ in tests}) == len(tests)
-        unsure: dict[tuple[int, ...], list[int]] = {}
-        for f, q, s in tests:
-            if s == 0:
-                unsure.setdefault(f, []).append(q)
-        assert unsure and sides[0] == ((0, 1, 2, 3), [4])
-        assert len(sides) == len(unsure) + 1 and dict(sides[1:]) == unsure
+        # Each `_minors` call follows the full call whose entries it
+        # resolves: one tie minor per uncertified entry, every one a tie.
+        assert minors and len(minors) == len(hull) - len(full)
+        for at, pts, drop in minors:
+            _, fs, qs, ss = batches[at - 1]
+            unsure = [(f, q) for f, q, s in zip(fs, qs, ss) if s == 0]
+            assert len(pts) == len(unsure) and set(drop) == {2}  # the height column
+            for f, q in unsure:
+                assert len({v < 10 for v in f + [q]}) == 1  # inside one slab
         _, fs, qs, ss = down
         assert vertical == [(*f, q) for f, q, s in zip(fs, qs, ss) if s == 0]
         _, space = mod._hull_space(z)
@@ -414,28 +428,34 @@ class TestHullSpace:
         assert len(calls) <= 150
 
     def test_one_expansion_per_orientation(self, monkeypatch):
-        # Each facet orientation gets all of its cofactors from one
-        # `cofactors` call, not one evaluation per column.
+        # Every orientation test of a run is an entry of one kernel call,
+        # which gets all cofactors of all its simplices from one
+        # `batch_cofactors` expansion, not one evaluation per column or
+        # per query; the scalar reference `_Orientation` gets its own
+        # from one `cofactors` call.
         mod = importlib.import_module("reldelcech.delaunay")
-        counts = {"cofactors": 0, "orientation": 0}
-        real_cofactors, real_init = mod.cofactors, mod._Orientation.__init__
+        counts = {"cofactors": 0, "batch_cofactors": 0, "kernel": 0}
+        real_cofactors, real_batch_cofactors, real_kernel = mod.cofactors, mod.batch_cofactors, mod._orient_batch
 
-        def cofactors(block):
-            counts["cofactors"] += 1
-            return real_cofactors(block)
+        def counting(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
 
-        def init(self, *args):
-            counts["orientation"] += 1
-            real_init(self, *args)
+            return call
 
-        monkeypatch.setattr(mod, "cofactors", cofactors)
-        monkeypatch.setattr(mod._Orientation, "__init__", init)
+        monkeypatch.setattr(mod, "cofactors", counting("cofactors", real_cofactors))
+        monkeypatch.setattr(mod, "batch_cofactors", counting("batch_cofactors", real_batch_cofactors))
+        monkeypatch.setattr(mod, "_orient_batch", counting("kernel", real_kernel))
         rng = np.random.default_rng(76)
         for n, d in [(40, 2), (24, 3)]:
             x = rng.random((n, d)).tolist()
             build_pipeline(PointCloud(x[: n // 4]), PointCloud(x[n // 4 :]))
-        assert counts["orientation"] > 0
-        assert counts["cofactors"] == counts["orientation"]
+        assert counts["kernel"] > 0
+        assert counts["batch_cofactors"] == counts["kernel"] and counts["cofactors"] == 0
+        for k in (2, 3, 4):
+            mod._Orientation([tuple(row) for row in rng.random((k, k)).tolist()], 1.0)
+        assert counts["cofactors"] == 3
 
     @pytest.mark.parametrize("name", sorted(SIDES_CLOUDS))
     def test_sides_match_sos_sign(self, name, monkeypatch):
@@ -727,33 +747,40 @@ class TestPairDelaunay:
             assert tri.top_dim == 2
 
     @staticmethod
-    def _start_calls(x1, x2, monkeypatch) -> int:
-        """`sides` calls of the start's wrap: those whose facet holds the
-        first top of del(X1), which no mixed ridge's wrap holds."""
+    def _start_batches(x1, x2, monkeypatch) -> tuple[int, int]:
+        """`_perturbed_signs` batches of the start's wrap, those with a
+        facet that holds the first top of del(X1), which no mixed ridge's
+        wrap holds, and the refinement rounds of the first level."""
         mod = importlib.import_module("reldelcech.delaunay")
         tri1, tri2 = delaunay(x1), delaunay(x2)
         start = set(tri1.tops[0].tolist())
-        facets = []
-        real = mod._HullSpace.sides
-        monkeypatch.setattr(mod._HullSpace, "sides", lambda sp, verts, qs: facets.append(verts) or real(sp, verts, qs))
+        batches, rounds = [], []
+        real, real_step = mod._perturbed_signs, mod._Wrap.step
+
+        def step(self, jobs):
+            out = real_step(self, jobs)
+            rounds.append(self.rounds)
+            return out
+
+        monkeypatch.setattr(mod, "_perturbed_signs", lambda space, verts, *args: batches.append(rows(verts)) or real(space, verts, *args))
+        monkeypatch.setattr(mod._Wrap, "step", step)
         z = lift(x1, x2, 1.0).z
         tops = mod.pair_delaunay(z, tri1, tri2).tops
-        monkeypatch.setattr(mod._HullSpace, "sides", real)
+        monkeypatch.setattr(mod, "_perturbed_signs", real)
         assert np.array_equal(tops, delaunay(z).tops)
-        return sum(start <= set(f) for f in facets)
+        return sum(any(start <= set(f) for f in facets) for facets in batches), rounds[0]
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_start_takes_at_most_one_sides_call_on_a_sorted_cloud(self, d, monkeypatch):
+    def test_start_takes_one_perturbed_batch_on_a_sorted_cloud(self, d, monkeypatch):
         # X2 is listed from its far end towards X1: a wrap that began at
-        # the first listed vertex would drop about one vertex per call.
-        # The pencil guesses the nearest vertex, and the batch confirms
-        # it, or `wrap` does in one call where the batch cannot certify;
-        # a wrong guess would take two calls at least.
+        # the first listed vertex would drop about one vertex per round.
+        # The pencil guesses the nearest vertex, and one batch confirms
+        # it; a wrong guess would take a refinement round.
         rng = np.random.default_rng(86 + d)
         x1 = rng.random((6, d)) + np.eye(d)[0] * 10.0
         x2 = rng.random((60, d)) * np.r_[10.0, np.ones(d - 1)]
         x2 = x2[np.argsort(x2[:, 0])]
-        assert self._start_calls(PointCloud(x1.tolist()), PointCloud(x2.tolist()), monkeypatch) <= 1
+        assert self._start_batches(PointCloud(x1.tolist()), PointCloud(x2.tolist()), monkeypatch) == (1, 0)
 
     def test_empty_side_checks_the_other_triangulation(self):
         mod = importlib.import_module("reldelcech.delaunay")
@@ -819,36 +846,217 @@ class TestOrientBatch:
                 assert 0 < certified < len(signs), kind
 
     def test_exact_fallback_matches_bareiss_on_grid_ridges(self, monkeypatch):
-        # Every far-side test of the wrap, the filter switched off: the
-        # integer cofactors of each ridge of del(Z) against every vertex
-        # of Z, on grids, where many vertices lie on a ridge's hyperplane.
+        # Every far-side test of the wrap, the filter switched off: on
+        # grids, where many vertices lie on a ridge's hyperplane, against
+        # every vertex of Z.  In the exact range the kernel's value gives
+        # the sign, with no `exact_cofactors` call; outside it (the range
+        # switched off) the integer cofactors of each ridge do.
         mod = importlib.import_module("reldelcech.delaunay")
         monkeypatch.setattr(mod, "_orient_batch", certify_nothing(mod._orient_batch))
+        cofactor_calls = []
+        real_cofactors = mod.exact_cofactors
+        monkeypatch.setattr(mod, "exact_cofactors", lambda block: cofactor_calls.append(1) or real_cofactors(block))
         signs_seen = set()
         for shape, a in (((4, 4), range(0, 16, 3)), ((3, 3, 3), range(0, 27, 4))):
             pts = [tuple(float(c) for c in p) for p in np.ndindex(*shape)]
             x1, x2 = [pts[i] for i in a], [p for i, p in enumerate(pts) if i not in a]
             z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
             tri = mod.pair_delaunay(z, delaunay(PointCloud(x1)), delaunay(PointCloud(x2)))
-            wrap = mod._Wrap(tri._space, len(x1), [])
+            space = tri._space
+            assert space.exact
             ridges = tri.tables[-2].simplices
             which, queries = np.repeat(np.arange(len(ridges)), len(z)), np.tile(np.arange(len(z)), len(ridges))
-            signs, _ = wrap.orient(ridges, which, queries)
-            pints = wrap.pints
+            pints = mod._Wrap(space, len(x1), []).pints
             rows = ridges.tolist()
             want = [det_sign_exact([pints[v] for v in rows[w]] + [pints[q]]) for w, q in zip(which.tolist(), queries.tolist())]
-            assert signs.tolist() == want
+            for exact in (True, False):
+                monkeypatch.setattr(space, "exact", exact)
+                cofactor_calls.clear()
+                signs, _ = mod._Wrap(space, len(x1), []).orient(ridges, which, queries)
+                assert signs.tolist() == want
+                assert len(cofactor_calls) == (0 if exact else len(ridges))
             signs_seen |= set(want)
         assert signs_seen == {-1, 0, 1}
 
-    def test_scalar_wrap_is_rare_on_a_random_pair(self, monkeypatch):
+    def test_refinement_rounds_are_few_on_a_random_pair(self, monkeypatch):
         # The pencil guess is confirmed by the batch for nearly every
-        # wrapped ridge; the scalar `wrap` runs for at most 5% of them.
+        # wrapped ridge: at most one refinement round in a level, and
+        # rounds for at most 5% of the tops in all.
         mod = importlib.import_module("reldelcech.delaunay")
-        calls = []
-        real = mod._Wrap.wrap
-        monkeypatch.setattr(mod._Wrap, "wrap", lambda self, *args: calls.append(1) or real(self, *args))
+        rounds = []
+        real_step = mod._Wrap.step
+
+        def step(self, jobs):
+            before = self.rounds
+            out = real_step(self, jobs)
+            rounds.append(self.rounds - before)
+            return out
+
+        monkeypatch.setattr(mod._Wrap, "step", step)
         x = np.random.default_rng(91).random((80, 3)).tolist()
         tops = build_pipeline(PointCloud(x[:20]), PointCloud(x[20:])).triangulation.tops
-        assert len(tops) > 300
-        assert len(calls) <= 0.05 * len(tops)
+        assert len(tops) > 300 and len(rounds) > 5
+        assert max(rounds) <= 1
+        assert sum(rounds) <= 0.05 * len(tops)
+
+
+def _exact_range_bound(space) -> int:
+    """P! times the product of the float rows' column ranges (at least 1)."""
+    lo, hi = space.rows.min(axis=0).tolist(), space.rows.max(axis=0).tolist()
+    return math.factorial(space.P) * math.prod(max(1, int(b) - int(a)) for a, b in zip(lo, hi))
+
+
+class TestExactRange:
+    """In the exact range the kernel's value is the determinant itself;
+    outside it the range is off."""
+
+    @staticmethod
+    def _space(rows):
+        mod = importlib.import_module("reldelcech.delaunay")
+        return mod._HullSpace([tuple(map(float, r)) for r in rows], [(*r, 1) for r in rows])
+
+    @staticmethod
+    def _rows(rng, ranges, n=12):
+        """n integer rows whose column c spans exactly ranges[c], from a
+        random offset; half of the entries at an end of their range."""
+        cols = []
+        for r in ranges:
+            lo = int(rng.integers(-r, 1))
+            col = rng.integers(lo, lo + r + 1, n)
+            ends = rng.random(n) < 0.5
+            col[ends] = np.where(rng.random(n) < 0.5, lo, lo + r)[ends]
+            col[:2] = lo, lo + r
+            cols.append(col.tolist())
+        return [tuple(row) for row in zip(*cols)]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_values_are_exact_at_the_bound(self, k):
+        mod = importlib.import_module("reldelcech.delaunay")
+        from reldelcech.predicates import det_exact_int
+
+        rng = np.random.default_rng(95 + k)
+        limit = 1 << 53
+        base = (limit / math.factorial(k)) ** (1 / k)
+        ranges = [int(base * f) for f in rng.uniform(0.5, 1.0, k - 1)]
+        last = (limit - 1) // (math.factorial(k) * math.prod(ranges))
+        for top in (last, last - 1):  # at the bound, and just inside it
+            rows = self._rows(rng, ranges + [top])
+            space = self._space(rows)
+            assert space.exact and _exact_range_bound(space) < limit
+            m, n = 30, len(rows)
+            simplices = np.array([rng.choice(n, k, replace=False) for _ in range(m)])
+            which, queries = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+            _, values = mod._orient_batch(space.rows, space.sizes, simplices, which, queries)
+            want = [det_exact_int([(*rows[v], 1) for v in simplices[w]] + [(*rows[q], 1)]) for w, q in zip(which.tolist(), queries.tolist())]
+            assert values.tolist() == want
+            assert any(abs(v) > 2**40 for v in want)
+        # One column step past the bound.
+        space = self._space(self._rows(rng, ranges + [last + 1]))
+        assert _exact_range_bound(space) >= limit and not space.exact
+
+    def test_range_is_off_for_rounded_or_fractional_rows(self):
+        mod = importlib.import_module("reldelcech.delaunay")
+        grid = _grid(3, 3)
+        _, space = mod._hull_space(PointCloud(grid))
+        assert space.exact
+        _, space = mod._hull_space(PointCloud([[x * 2.0**-20 for x in p] for p in grid]))
+        assert not space.exact  # not integer-valued
+        # Translated by 2^40, the rows are integers and the ranges small,
+        # but the float lifts (~2^81) are rounded.
+        _, space = mod._hull_space(PointCloud([[x + 2.0**40 for x in p] for p in grid]))
+        assert _exact_range_bound(space) < 1 << 53 and not space.exact
+
+    def test_workload_clouds(self):
+        # Integer grids and their lifted pairs are in range; random
+        # floats are not.
+        mod = importlib.import_module("reldelcech.delaunay")
+        for name in ("grid12x12", "grid4x4x4", "repro"):
+            _, space = mod._hull_space(HULL_CLOUDS[name])
+            assert space.exact, name
+        for name in ("uniform2d", "uniform3d", "pair2d", "pair3d"):
+            _, space = mod._hull_space(HULL_CLOUDS[name])
+            assert not space.exact, name
+
+
+def _circle():
+    """The 12 integer points of the circle x^2 + y^2 = 25: every lifted
+    row has the same lift."""
+    pts = {(5.0 * a, 0.0) for a in (-1, 1)} | {(0.0, 5.0 * a) for a in (-1, 1)}
+    pts |= {(a * x, b * y) for x, y in ((3.0, 4.0), (4.0, 3.0)) for a in (-1, 1) for b in (-1, 1)}
+    return sorted(pts)
+
+
+# Pairs (X, A) on which `_perturbed_signs` leaves the kernel for the tie
+# minors, the lift terms and `sos_sign`: grids, the triangular "diagonal"
+# grid, the integer circle (a constant lift column), and a cloud with five
+# points on a diagonal line, where every lift term of a determinant of
+# four of them is 0.
+PERTURBED_PAIRS = {
+    "grid12x12": (_grid(12, 12), set(np.random.default_rng(3).choice(144, 72, replace=False).tolist())),
+    "grid4x4x4": (_grid(4, 4, 4), set(np.random.default_rng(4).choice(64, 32, replace=False).tolist())),
+    "repro": (_grid(3, 4), {0, 4, 5, 6}),
+    "diagonal": ([[float(i), float(j)] for i in range(4) for j in range(i + 1)], {0, 2, 5}),
+    "circle": (_circle(), {0, 3, 5, 6, 9}),
+    "collinear": ([[float(i), float(i)] for i in range(6)] + [[0.0, 3.0], [4.0, 1.0], [1.0, 4.0], [5.0, 2.0]], {0, 6, 8}),
+}
+
+
+def _run_recording(x, a, monkeypatch):
+    """Run the pipeline on the pair (X, A) and record, per call of
+    `_perturbed_signs`, its space, entries and result; and count the
+    scalar `sos_sign` calls."""
+    mod = importlib.import_module("reldelcech.delaunay")
+    calls, scalar = [], []
+    real = mod._perturbed_signs
+
+    def recording(space, verts, which, queries):
+        out = real(space, verts, which, queries)
+        calls.append((space, verts, which, queries, out.copy()))
+        return out
+
+    monkeypatch.setattr(mod, "_perturbed_signs", recording)
+    monkeypatch.setattr(mod, "sos_sign", lambda rows, ranks: scalar.append(1) or sos_sign(rows, ranks))
+    build_pipeline(PointCloud([p for i, p in enumerate(x) if i in a]), PointCloud([p for i, p in enumerate(x) if i not in a]))
+    return calls, len(scalar)
+
+
+class TestPerturbedSigns:
+    """`_perturbed_signs` is `sos_sign` on every entry the kernel does not
+    certify, in the hulls of X1 and X2 and in the wrap of Z."""
+
+    @pytest.mark.parametrize("name", sorted(PERTURBED_PAIRS))
+    def test_uncertified_entries_match_sos_sign(self, name, monkeypatch):
+        mod = importlib.import_module("reldelcech.delaunay")
+        x, a = PERTURBED_PAIRS[name]
+        calls, scalar = _run_recording(x, a, monkeypatch)
+        d = len(x[0])
+        checked = {d + 1: 0, d + 2: 0}  # hull rows and Z's rows
+        for space, verts, which, queries, out in calls:
+            signs, _ = mod._orient_batch(space.rows, space.sizes, verts, which, queries)
+            assert np.all(out[signs != 0] == signs[signs != 0])
+            for i in np.flatnonzero(signs == 0).tolist():
+                vs, q = verts[which[i]].tolist(), int(queries[i])
+                want = sos_sign([space.int_rows[v] for v in vs] + [space.int_rows[q]], vs + [q])
+                assert out[i] == want, (name, vs, q)
+                checked[space.P] += 1
+        assert checked[d + 1], checked
+        if name == "collinear":
+            assert scalar  # step (c): every lift term is 0
+        else:
+            assert checked[d + 2], checked
+
+    def test_scalar_remainder_is_small_on_the_grid_pair(self, monkeypatch):
+        # On the 12x12 grid pair no ridge takes the integer cofactors, and
+        # the scalar `sos_sign` decides at most 10% of the entries that
+        # the kernel does not certify.
+        mod = importlib.import_module("reldelcech.delaunay")
+        cofactor_calls = []
+        real_cofactors = mod.exact_cofactors
+        monkeypatch.setattr(mod, "exact_cofactors", lambda block: cofactor_calls.append(1) or real_cofactors(block))
+        calls, scalar = _run_recording(*PERTURBED_PAIRS["grid12x12"], monkeypatch)
+        uncertified = 0
+        for space, verts, which, queries, _ in calls:
+            signs, _ = mod._orient_batch(space.rows, space.sizes, verts, which, queries)
+            uncertified += int(np.count_nonzero(signs == 0))
+        assert cofactor_calls == []
+        assert uncertified > 100 and scalar <= 0.1 * uncertified

@@ -73,8 +73,9 @@ def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, counting)
-    # A random pair, an integer grid pair whose cocircular ties only
-    # sos_sign decides, the 3x4 grid with A = {0, 4, 5, 6}, whose lifted
+    # A random pair, an integer grid pair, the same grid scaled by 2^30,
+    # outside the exact range, whose cocircular ties only sos_sign
+    # decides, the 3x4 grid with A = {0, 4, 5, 6}, whose lifted
     # hull has flat mixed-slab facets that only an exact vertical test
     # finds vertical, a triangular grid, whose hull edge along the diagonal
     # holds collinear points (a vertical facet of del(X2) without a
@@ -84,6 +85,7 @@ def test_traced_names_are_called_by_compute(monkeypatch, tmp_path, capsys):
     rng = np.random.default_rng(74)
     grid = [(float(i), float(j)) for i in range(4) for j in range(4)]
     pairs = [("random", rng.random((40, 2)).tolist(), None), ("grid", grid, None)]
+    pairs.append(("grid-2^30", [(x * 2.0**30, y * 2.0**30) for x, y in grid], None))
     pairs.append(("repro", [(float(i), float(j)) for i in range(3) for j in range(4)], [0, 4, 5, 6]))
     pairs.append(("diagonal", [(float(i), float(j)) for i in range(4) for j in range(i + 1)], [0]))
     pairs.append(("near-right", [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0 + 1e-7)], [0]))
