@@ -23,16 +23,17 @@ face of del(X1) and a face of del(X2) (Cayley trick), so the top across a
 ridge with vertices in both clouds has its new vertex in the link of the
 ridge's X1 part in del(X1) or of its X2 part in del(X2).  An unperturbed
 far-side test in projection and a wrap with the hull's own perturbed
-orientation pick it, so the tops are the lifted hull's.  The wrap starts from
-a top of a cloud that spans a slab of Z; where neither cloud does
+orientation pick it, so the tops are the lifted hull's.  The wrap is seeded
+with every top of a cloud that spans its slab of Z, each joined to its one
+partner in the other cloud by a batched walk; where neither cloud spans
 (non-parallel flat clouds), `delaunay(z)` triangulates Z.
 
 Every float test runs in one elementwise numpy kernel, `_orient_batch`,
 many at a time.  The hull makes all facets of one round and tests all
-their conflict candidates in one call.  The wrap goes one breadth-first
-level at a time: the far sides, a guess of each new top from the pencil
-of lifted hyperplanes through its ridge, and the confirmation of the
-guess.  The kernel does the scalar filter's float operations in the same
+their conflict candidates in one call.  The wrap confirms all seeds in
+one call, then goes one breadth-first level at a time: the far sides, a
+guess of each new top from the pencil of lifted hyperplanes through its
+ridge, and the confirmation of the guess.  The kernel does the scalar filter's float operations in the same
 order, so its signs and its certified or uncertified decisions are the
 scalar ones.  On a cloud in the exact range (integer coordinates of
 modest range: grids, lattices, voxel data; `_HullSpace`) its values are
@@ -44,8 +45,8 @@ the scalar `sos_sign`.
 
 A `Triangulation` is arrays only: its tops are an (n, k + 1) int array
 of sorted vertex rows, and each dimension below is the `FaceTable` of
-their faces (`face_tables`).  The hull works on vertex arrays and the
-wrap on vertex tuples; no per-simplex object is built.
+their faces (`face_tables`).  The hull and the wrap work on vertex
+arrays; no per-simplex object is built.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -312,8 +312,13 @@ def _perturbed_signs(space: _HullSpace, verts: np.ndarray, which: np.ndarray, qu
           (a coordinate column constant over all rows makes each 0).
     All those minors are one more kernel call (`_minors`).  Whatever is
     left goes to the scalar `sos_sign`."""
+    return _resolve(space, verts, which, queries, *_orient_batch(space.rows, space.sizes, verts, which, queries))
+
+
+def _resolve(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: np.ndarray, signs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`_perturbed_signs` of the entries whose kernel signs and values
+    are `signs` and `values`: each 0 sign is filled in, in place."""
     p, exact = space.P, space.exact
-    signs, values = _orient_batch(space.rows, space.sizes, verts, which, queries)
     todo = (signs == 0).nonzero()[0]
     if not len(todo):
         return signs
@@ -336,7 +341,11 @@ def _perturbed_signs(space: _HullSpace, verts: np.ndarray, which: np.ndarray, qu
         c = np.concatenate([c, np.full(len(b) * (p + 1), p - 1)])
         a = np.concatenate([a, np.repeat(b, p + 1)])
     if len(a):
-        s, v = _minors(space, rows[a[:, None], others[r]], c)
+        # At most _BATCH // 8 minors per call: each holds ~1 KB of kernel
+        # arrays, and a wrap level on a 3D grid can have thousands.
+        pts, step = rows[a[:, None], others[r]], _BATCH // 8
+        parts = [_minors(space, pts[i : i + step], c[i : i + step]) for i in range(0, len(a), step)]
+        s, v = (np.concatenate(x) for x in zip(*parts))
         if exact:
             s = np.sign(v).astype(np.int64)
         s *= 1 - 2 * ((r + c) & 1)
@@ -784,52 +793,59 @@ def delaunay(cloud: PointCloud) -> Triangulation:
 # -- del(Z) of a lifted pair ---------------------------------------------------
 
 
-# Queries per `_Wrap.beyond` batch: bounds its arrays on large clouds.
-_BEYOND_BATCH = 1 << 12
+# Queries per kernel call of a batch that grows with the cloud (`_Wrap.beyond`,
+# the jump of `_Wrap.seed`, `_Wrap.candidates`' star entries, the minors of
+# `_resolve` in eighths): bounds their arrays on large clouds.
+_BATCH = 1 << 12
+
+
+def _first_max(keys: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The index of the first largest key of each segment
+    keys[starts[i] : starts[i + 1]], the last segment ending at the end; a
+    NaN key is never chosen, unless its segment has nothing else."""
+    keys = np.where(np.isnan(keys), -np.inf, keys)
+    top = np.maximum.reduceat(keys, starts)
+    seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(keys))))
+    hit = np.flatnonzero(keys == top[seg])
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = seg[hit[1:]] != seg[hit[:-1]]
+    return hit[first]
+
+
+def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, out): the dst of each pair with src v are out[ptr[v] : ptr[v + 1]],
+    in increasing order, for each v < n."""
+    order = np.lexsort([dst, src])
+    return np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]), dst[order]
 
 
 class _Wrap:
-    """Level-synchronous gift-wrap of del(Z) across its mixed ridges
-    (`pair_delaunay`), over `space`, Z's lifted coordinates.
+    """Gift-wrap of del(Z) (`pair_delaunay`) over `space`, Z's lifted
+    coordinates: the seeds (`seed`), then one breadth-first level at a
+    time across the mixed ridges (`step`).  A vertex below n1 is in X1.
 
-    `tops` are those of del(X1) and del(X2) in Z's indices: a vertex below
-    n1 is in X1.  orient(ridge, q) is the unperturbed orientation of a
-    ridge and a query in projection (rows without the lift), exact: 0 when
-    q lies on the ridge's hyperplane.  For verts = sorted(ridge + (q,)), q
-    at position j, infdown_sign(verts) = (-1)^(P-1-j) orient(ridge, q), so
-    every top's vertical sign follows from the ridge it was wrapped across.
+    orient(ridge, q) is the unperturbed orientation of a ridge and a query
+    in projection (rows without the lift), exact: 0 when q lies on the
+    ridge's hyperplane.  For verts = sorted(ridge + (q,)), q at position j,
+    infdown_sign(verts) = (-1)^(P-1-j) orient(ridge, q), the sign of a
+    point below the lifted hyperplane of verts; so every top's vertical
+    sign follows from the ridge it was wrapped across.
 
-    Every float test of one breadth-first level runs in a few calls of one
-    kernel, `_orient_batch`, whose signs are the scalar filter's.  What it
-    cannot certify, the far side takes from the exact value in the exact
-    range or from the integer cofactors of the ridge (`orient`), and the
-    wrap from the batched perturbed orientation (`_perturbed_signs`)."""
+    Every float test runs in a few calls of one kernel, `_orient_batch`,
+    whose signs are the scalar filter's.  What it cannot certify, the far
+    side takes from the exact value in the exact range or from the integer
+    cofactors of the ridge (`orient`), and the wrap and the seeds from the
+    batched perturbed orientation (`_perturbed_signs`, `_resolve`)."""
 
-    def __init__(self, space: _HullSpace, n1: int, tops: list[tuple[int, ...]]):
+    def __init__(self, space: _HullSpace, n1: int):
         p = space.P
         self.space = space
         self.n1 = n1
         self.prows = space.rows[:, :-1]
         self.psize = np.abs(self.prows).max(axis=1)
         self.pints = [row[: p - 1] + row[p:] for row in space.int_rows]
-        self.star: list[list[tuple[int, ...]]] = [[] for _ in space.frows]
-        for top in tops:
-            for v in top:
-                self.star[v].append(top)
-        self.links: dict[tuple[int, ...], set[int]] = {}
         self.cofactors: dict[tuple[int, ...], list[int]] = {}  # a ridge's integer cofactors
-        self.rounds = 0  # refinement rounds: updates of refuted guesses (`step`)
-
-    def link(self, face: tuple[int, ...]) -> set[int]:
-        """Vertices v outside the face with face + v in del(X1) or
-        del(X2), the face lying in one cloud."""
-        got = self.links.get(face)
-        if got is None:
-            tops = self.star[face[0]]
-            if len(face) > 1:
-                tops = set(tops).intersection(*(self.star[u] for u in face[1:]))
-            got = self.links[face] = {v for t in tops for v in t}.difference(face)
-        return got
+        self.rounds = 0  # refinement rounds: moves of the seeds' walk and updates of refuted guesses (`step`)
 
     def orient(self, ridges: np.ndarray, which: np.ndarray, queries: np.ndarray):
         """orient(ridges[w], q) for each (w, q) in zip(which, queries), and
@@ -861,7 +877,7 @@ class _Wrap:
         it means a broken del(X1) or del(X2) left a hole there."""
         n = len(self.prows)
         out = np.full(len(ridges), -1)
-        step = max(1, _BEYOND_BATCH // n)
+        step = max(1, _BATCH // n)
         for lo in range(0, len(ridges), step):
             chunk = ridges[lo : lo + step]
             keep = np.ones((len(chunk), n), dtype=bool)
@@ -900,56 +916,180 @@ class _Wrap:
             if beyond.get(ridge, -1) >= 0:
                 raise AssertionError(f"vertex {beyond[ridge]} of Z lies beyond the boundary ridge {ridge} of del(Z)")
 
-    def down(self, verts: tuple[int, ...], b: int, o: int) -> int:
-        """infdown_sign(verts) for verts = sorted(ridge + (b,)) and
-        o = orient(ridge, b) (class docstring)."""
-        return o if (self.space.P - 1 - verts.index(b)) % 2 == 0 else -o
+    def seed(self, ridges: np.ndarray, ptr: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The partner b of each top T of a cloud that spans its slab of Z,
+        given as the sorted vertex rows `ridges`: T + b is the one top of
+        del(Z) on the ridge T, b in the other cloud.  `ptr` and `nbr` hold
+        the neighbours of each vertex in del(X1) and del(X2) (`_csr`).
+        Returns b and below(T + b), the infdown sign of sorted(T + b).
 
-    def step(self, jobs: list[tuple[tuple[int, ...], int, list[int]]]) -> tuple[np.ndarray, np.ndarray]:
-        """One level of the wrap.  Each job is (ridge, far, candidates),
-        far = orient(ridge, b) for the vertex b of the top across it.
-        Returns, per job, b (-1 when no candidate lies on the far side)
-        and the first vertex of Z beyond a ridge without far candidates
-        (-1 when there is none).
+        Every vertex q of the other cloud lies on the far side of T, at
+        one orient(T, q) (the other height), so the lifted hyperplanes
+        T + q form one pencil, and the lifted value of (sorted(T + f), q)
+        times below(T + f) orders it for a fixed f, the other cloud's first
+        vertex: the larger, the lower T + q.  That value is a dot product
+        of q's row with the cofactors of T + f, in float.  Guess: jump to
+        the best of a fixed sample of ceil(sqrt(n)) vertices of the other
+        cloud, then walk greedily over its triangulation's edges to a
+        vertex whose neighbours all have smaller values (Mucke, Saias &
+        Zhu, "Fast randomized point location without preprocessing", SoCG
+        1996).  Confirm: while a neighbour of b lies below the hyperplane
+        of T + b by the perturbed orientation, b moves to the one among
+        them of the largest kernel value against T + b, in batch rounds
+        (`rounds` counts them).  Each move is strictly lower in the pencil,
+        so this ends, and where it ends, b is T's partner:
+          (i) no vertex of T's cloud lies below T + b: in its slab that
+              hyperplane is T's lifted one, and T is a Delaunay top of
+              its cloud under the heights-first rule;
+          (ii) Z's lifted points are in general position under the
+              perturbation and their lower hull is convex, so if a point
+              lies below a hyperplane through a vertex b of it, so does a
+              neighbour of b on it, a neighbour in del(Z);
+          (iii) an edge of del(Z) inside one cloud is an edge of that
+              cloud's triangulation (`relative_lift._check_slabs`).
+        So no vertex of Z lies below T + b when no neighbour of b in the
+        other cloud's triangulation does."""
+        space, p, n1 = self.space, self.space.P, self.n1
+        m, n = len(ridges), len(self.prows)
+        in_x1 = ridges[:, 0] < n1
+        lo, size = np.where(in_x1, n1, 0), np.where(in_x1, n - n1, n1)
+        fars, _ = self.orient(ridges, np.arange(m), lo)
+        # b is last in sorted(T + b) when T is in X1, first otherwise.
+        below = np.where(in_x1 | ((p - 1) % 2 == 0), fars, -fars)
+        pts = space.rows[_join(ridges, lo)[0]]
+        base = pts[:, 0]
+        with np.errstate(all="ignore"):  # a float guess: overflow only spoils it
+            cof = batch_cofactors(pts[:, 1:] - base[:, None]) * (below * (-1) ** p)[:, None]
+
+            def values(which, queries):
+                x = space.rows[queries] - base[which]
+                out = np.zeros(len(queries))
+                for j in range(p):
+                    out = out + x[:, j] * cof[which, j]
+                return out
+
+            k = np.ceil(np.sqrt(size)).astype(np.int64)
+            b = np.empty(m, dtype=np.int64)
+            step = max(1, _BATCH // int(k.max()))
+            for at in range(0, m, step):
+                kc = k[at : at + step]
+                which = at + np.repeat(np.arange(len(kc)), kc)
+                queries = lo[which] + _slices(np.zeros(len(kc), dtype=np.int64), kc) * size[which] // k[which]
+                b[at : at + len(kc)] = queries[_first_max(values(which, queries), np.cumsum(kc) - kc)]
+            active = np.arange(m)
+            while len(active):  # b first in its segment: it stays on a tie
+                v = b[active]
+                counts = ptr[v + 1] - ptr[v] + 1
+                starts = np.cumsum(counts) - counts
+                which = np.repeat(np.arange(len(active)), counts)
+                rest = np.ones(len(which), dtype=bool)
+                rest[starts] = False
+                queries = np.empty(len(which), dtype=np.int64)
+                queries[starts] = v
+                queries[rest] = nbr[_slices(ptr[v], counts - 1)]
+                queries = queries[_first_max(values(active[which], queries), starts)]
+                moved = queries != v
+                active = active[moved]
+                b[active] = queries[moved]
+        active = np.arange(m)
+        while len(active):
+            v = b[active]
+            counts = ptr[v + 1] - ptr[v]
+            which = np.repeat(np.arange(len(active)), counts)
+            queries = nbr[_slices(ptr[v], counts)]
+            verts, _ = _join(ridges[active], v)
+            signs, lifted = _orient_batch(space.rows, space.sizes, verts, which, queries)
+            side = below[active][which]
+            lower = _resolve(space, verts, which, queries, signs, lifted) == side
+            which, queries, keys = which[lower], queries[lower], (lifted * side)[lower]
+            if not len(which):
+                break
+            starts = np.flatnonzero(np.diff(which, prepend=-1))
+            active = active[which[starts]]
+            b[active] = queries[_first_max(keys, starts)]
+            self.rounds += 1
+        return b, below
+
+    def candidates(self, ridges: np.ndarray, apexes: np.ndarray, ptr: np.ndarray, star: np.ndarray, tops: np.ndarray):
+        """(which, queries), by job, then by vertex: the vertices q of the
+        link of the X1 part of ridges[w] in del(X1) or of its X2 part in
+        del(X2), but for apexes[w], for each mixed ridge w.  `tops` are
+        the tops of both, rows padded with -1, and star[ptr[v] : ptr[v + 1]]
+        those that hold v (`_csr`): a part's link is gathered from the star
+        of its first vertex, about `_BATCH` star entries at a time."""
+        m, n, n1 = len(ridges), len(self.prows), self.n1
+        anchors = np.stack([ridges[:, 0], ridges[np.arange(m), np.count_nonzero(ridges < n1, axis=1)]])
+        counts = ptr[anchors + 1] - ptr[anchors]
+        ends = np.cumsum(counts.sum(axis=0))
+        out = []
+        at = 0
+        while at < m:
+            hi = max(at + 1, int(np.searchsorted(ends, ends[at] - counts[:, at].sum() + _BATCH, side="right")))
+            c = counts[:, at:hi].ravel()
+            job = np.repeat(np.tile(np.arange(at, hi), 2), c)
+            in_x1 = np.repeat(np.arange(2 * (hi - at)) < hi - at, c)
+            held = tops[star[_slices(ptr[anchors[:, at:hi].ravel()], c)]]
+            ok = np.ones(len(job), dtype=bool)
+            for r in ridges[job].T:  # column by column: numpy's small-axis reductions cost more
+                has = held[:, 0] == r
+                for h in held.T[1:]:
+                    has |= h == r
+                ok &= has | ((r < n1) != in_x1)
+            q = held[ok].ravel()
+            job = np.repeat(job[ok], tops.shape[1])
+            keep = (q >= 0) & (q != apexes[job])
+            for r in ridges[job].T:
+                keep &= q != r
+            keys = job[keep] * n + q[keep]
+            keys.sort()
+            once = np.ones(len(keys), dtype=bool)
+            once[1:] = keys[1:] != keys[:-1]
+            out.append(keys[once])
+            at = hi
+        keys = np.concatenate(out)
+        return keys // n, keys % n
+
+    def step(self, ridges: np.ndarray, fars: np.ndarray, which: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One level of the wrap.  Job w is the ridge ridges[w] and
+        fars[w] = orient(ridge, b) for the vertex b of the top across it;
+        its candidates are the queries q of the entries (w, q), sorted by
+        job.  Returns, per job, b (-1 when no candidate lies on the far
+        side) and the first vertex of Z beyond a ridge without far
+        candidates (-1 when there is none).
 
         Far side: orient(ridge, q) of every candidate, in one batch.
         Pencil guess: the far candidates q of a ridge R turn around it in
         one half-space, so with f the first of them, the lifted value of
         (sorted(R + f), q) over the far-side value of q orders the lifted
         hyperplanes R + q: the extreme towards below(R + f) * far is the
-        lowest one, the guess b.  Confirm: b is the top's vertex iff no
-        other far candidate lies below the hyperplane of R + b, by one
-        batch of `_perturbed_signs`.  Where one does, the first of them
-        becomes b, and the next batch tests the others below the old b
-        against R + b: the sequential wrap's rule, one round for all
-        refuted ridges of the level (`rounds` counts these).  The far
-        candidates turn around R in one half-space, so a vertex that is
-        not below the hyperplane of R + c is not below that of any c'
-        below it either."""
-        ridges = [r for r, _, _ in jobs]
-        rows = np.array(ridges, dtype=np.int64)
-        fars = np.array([o for _, o, _ in jobs], dtype=np.int64)
-        which = np.repeat(np.arange(len(jobs)), [len(c) for _, _, c in jobs])
-        queries = np.array([q for _, _, c in jobs for q in c], dtype=np.int64)
-        signs, values = self.orient(rows, which, queries)
+        lowest one, the guess b, the first of the largest keys
+        (`_first_max`).  Confirm: b is the top's vertex iff no other far
+        candidate lies below the hyperplane of R + b, by one batch of
+        `_perturbed_signs`.  Where one does, the first of them becomes b,
+        and the next batch tests the others below the old b against R + b:
+        the sequential wrap's rule, one round for all refuted ridges of the
+        level (`rounds` counts these).  The far candidates turn around R in
+        one half-space, so a vertex that is not below the hyperplane of
+        R + c is not below that of any c' below it either."""
+        signs, values = self.orient(ridges, which, queries)
         far = signs == fars[which]
         which, queries, values = which[far], queries[far], values[far]
-        found, lo = np.unique(which, return_index=True)
-        hi = np.append(lo[1:], len(which))
-        b = np.full(len(jobs), -1)
+        b = np.full(len(ridges), -1)
+        lo = np.flatnonzero(np.diff(which, prepend=-1))
+        found = which[lo]
         b[found] = queries[lo]
-        many = hi - lo > 1
-        multi, mlo, mhi = found[many], lo[many].tolist(), hi[many].tolist()
+        many = np.diff(np.append(lo, len(which))) > 1
+        multi = found[many]
         if len(multi):
-            slot = np.full(len(jobs), -1)  # a ridge's row in `multi`
+            slot = np.full(len(ridges), -1)  # a ridge's row in `multi`
             slot[multi] = np.arange(len(multi))
 
             def facets():
                 """sorted(R + b) for each ridge R of `multi` and its b,
                 and below(R + b), the sign of a vertex below its
-                hyperplane (`down`)."""
-                verts, j = _join(rows[multi], b[multi])
-                return verts, np.where((rows.shape[1] - j) % 2 == 0, fars[multi], -fars[multi])
+                hyperplane (class docstring)."""
+                verts, j = _join(ridges[multi], b[multi])
+                return verts, np.where((ridges.shape[1] - j) % 2 == 0, fars[multi], -fars[multi])
 
             pencil, below = facets()
             rest = np.ones(len(which), dtype=bool)  # a ridge's far candidates after f
@@ -960,10 +1100,7 @@ class _Wrap:
             with np.errstate(all="ignore"):
                 ratio = lifted / values[rest]
             keys[rest] = np.where(below[w] == fars[which[rest]], ratio, -ratio)
-            # The first largest key of each ridge; a NaN key is never chosen.
-            keys = keys.tolist()
-            for j, a, e in zip(multi.tolist(), mlo, mhi):
-                b[j] = queries[max(range(a, e), key=keys.__getitem__)]
+            b[found] = queries[_first_max(keys, lo)]
             # Confirm, and refine where the guess is refuted as the
             # sequential wrap from b would: b <- the first candidate below
             # R + b, the others below it stay, until none is below.
@@ -978,55 +1115,64 @@ class _Wrap:
                 b[multi[w[first]]] = cand[first]
                 w, cand = w[~first], cand[~first]
                 self.rounds += bool(first.any())
-        out = np.full(len(jobs), -1)
+        out = np.full(len(ridges), -1)
         empty = np.flatnonzero(b < 0)
         if len(empty):
-            out[empty] = self.beyond(rows[empty], fars[empty])
+            out[empty] = self.beyond(ridges[empty], fars[empty])
         return b, out
 
-    def run(self, start: tuple[int, ...], other: list[int]) -> list[tuple[int, ...]]:
-        """Tops of del(Z), from `start`, a top of the cloud that spans one
-        slab of Z, and `other`, the vertices of the other cloud, which all
-        lie strictly on one side of that slab: the first level's one job.
-        Each level's ridges are then taken in the order of a sequential
-        breadth-first wrap, so the tops, their order and the first check
-        that fails are that wrap's."""
-        p, n1 = self.space.P, self.n1
-        owners: dict[tuple[int, ...], int] = {}
-        tops: list[tuple[tuple[int, ...], int]] = []  # (top, its infdown_sign)
-
-        def add(ridge, b, o):
-            top = tuple(sorted(ridge + (b,)))
-            for face in face_tuples(top):
-                k = owners.get(face, 0)
-                if k == 2:
-                    raise AssertionError(f"ridge {face} of del(Z) would get a third top {top}")
-                owners[face] = k + 1
-            tops.append((top, self.down(top, b, o)))
-
-        (o,), _ = self.orient(np.array([start]), np.zeros(1, dtype=np.int64), np.array(other[:1], dtype=np.int64))
-        jobs = [(start, int(o), other)]
-        done = 0
-        while jobs:
-            bs, beyond = self.step(jobs)
-            for (ridge, o, _), b, q in zip(jobs, bs.tolist(), beyond.tolist()):
-                if owners.get(ridge) == 2:
-                    continue  # wrapped from another top of this level
-                if q >= 0:
-                    raise AssertionError(f"vertex {q} of Z lies beyond the boundary ridge {ridge} of del(Z)")
-                if b >= 0:
-                    add(ridge, b, o)
-            jobs = []
-            for top, down in tops[done:]:
-                for i in range(p):
-                    ridge = top[:i] + top[i + 1 :]
-                    if ridge[-1] < n1 or ridge[0] >= n1 or owners[ridge] == 2:
-                        continue  # a slab ridge lies on the boundary of conv(Z)
-                    far_o = -down if (p - 1 - i) % 2 == 0 else down  # -orient(ridge, a)
-                    k = bisect_left(ridge, n1)
-                    jobs.append((ridge, far_o, sorted((self.link(ridge[:k]) | self.link(ridge[k:])).difference(top))))
-            done = len(tops)
-        return [top for top, _ in tops]
+    def run(self, tops1: np.ndarray, tops2: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Tops of del(Z), from the tops of del(X1) and del(X2) and the
+        edges of both, in Z's indices; at least one cloud spans its slab
+        of Z (its tops have P - 1 vertices).  Level 0 is the seeds, the
+        tops of the spanning clouds joined to their partners (`seed`).
+        Each level records the ridges of its new tops, and the mixed ridges
+        that then have one top make the next level's jobs (`step`); a
+        slab ridge lies on the boundary of conv(Z)."""
+        p, n1, n = self.space.P, self.n1, len(self.prows)
+        ptr, nbr = _csr(n, np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]]))
+        width = max(tops1.shape[1], tops2.shape[1])
+        tops = np.full((len(tops1) + len(tops2), width), -1, dtype=np.int64)
+        tops[: len(tops1), : tops1.shape[1]] = tops1
+        tops[len(tops1) :, : tops2.shape[1]] = tops2
+        owner, col = np.nonzero(tops >= 0)
+        sptr, star = _csr(n, tops[owner, col], owner)
+        ridges = np.concatenate([t for t in (tops1, tops2) if t.shape[1] == p - 1])
+        b, downs = self.seed(ridges, ptr, nbr)
+        new, _ = _join(ridges, b)
+        cols = np.array([[c for c in range(p) if c != i] for i in range(p)], dtype=np.intp)
+        seen = np.zeros((0, p - 1), dtype=np.int64)  # every ridge of a top found so far
+        count = np.zeros(0, dtype=np.int64)  # and its number of tops
+        found = []
+        while len(new):
+            new, inverse = unique_rows(new)  # a top found across two ridges
+            down = np.empty(len(new), dtype=np.int64)
+            down[inverse] = downs
+            found.append(new)
+            faces = new[:, cols].reshape(-1, p - 1)  # by top, then by dropped vertex
+            old = len(seen)
+            seen, where = unique_rows(np.concatenate([seen, faces]))
+            count = np.bincount(where, weights=np.append(count, np.ones(len(faces))), minlength=len(seen)).astype(np.int64)
+            tops_now = count[where[old:]]  # of each face of the new tops
+            third = np.flatnonzero(tops_now > 2)
+            if len(third):
+                face, top = faces[third[0]], new[third[0] // p]
+                raise AssertionError(f"ridge {tuple(face.tolist())} of del(Z) would get a third top {tuple(top.tolist())}")
+            jobs = np.flatnonzero((tops_now == 1) & (faces[:, 0] < n1) & (faces[:, -1] >= n1))
+            if not len(jobs):
+                break
+            ridges, i = faces[jobs], jobs % p
+            d = down[jobs // p]
+            fars = np.where((p - 1 - i) % 2 == 0, -d, d)  # -orient(ridge, apex)
+            which, queries = self.candidates(ridges, new[jobs // p, i], sptr, star, tops)
+            b, beyond = self.step(ridges, fars, which, queries)
+            bad = np.flatnonzero(beyond >= 0)
+            if len(bad):
+                raise AssertionError(f"vertex {beyond[bad[0]]} of Z lies beyond the boundary ridge {tuple(ridges[bad[0]].tolist())} of del(Z)")
+            hit = b >= 0
+            new, j = _join(ridges[hit], b[hit])
+            downs = np.where((p - 1 - j) % 2 == 0, fars[hit], -fars[hit])
+        return np.concatenate(found)
 
 
 def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation | None) -> Triangulation:
@@ -1046,6 +1192,19 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     ridge, in one cloud, lies on the boundary of conv(Z) and has no other
     top.
 
+    Seeds.  Write rho = rank(Z).  When a cloud has rank rho - 1, each of
+    its tops T spans its slab of Z and is a ridge of del(Z) with exactly
+    one top, T + b for a vertex b of the other cloud, T's partner: the
+    other cloud lies strictly on one side of the slab.  Every such top
+    of both clouds is a seed, and `_Wrap.seed` finds all partners in one
+    batched walk over the other cloud's triangulation: a jump to the best
+    of a fixed sample, greedy moves to lower hyperplanes T + b, and the
+    lemma that b is the partner when no neighbour of b in that
+    triangulation lies below T + b.  Otherwise neither cloud's affine
+    hull is parallel to the other's (two crossing lines in R^2, skew lines
+    or two planes in R^3), and `delaunay(z)` triangulates Z;
+    `_Wrap.check_tops` checks its tops with the same batches.
+
     Far side.  The top across R lies in projection (Z's coordinates
     without the lift) on the other side of R's hyperplane than a, and is
     not vertical, so b lies strictly there.  A candidate on R's
@@ -1059,60 +1218,33 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     with R has no other candidate below it, by the perturbed orientation
     the lifted hull decides with (`_perturbed_signs`): that is the lower
     hull facet across R, as each of those candidates would be below it,
-    and it is unique under the perturbation.  The wrap runs one
-    breadth-first level at a time (`_Wrap.step`).  The far side of every
-    candidate of the level is one batch of the float filter
-    (`_orient_batch`); where the filter cannot certify one, the kernel's
-    value decides it in the exact range (`_HullSpace`), and the ridge's
-    integer cofactors outside it.  The far candidates of R turn around it
-    in one half-space, so one more batch orders their lifted hyperplanes
-    with R (the pencil) and guesses b, and one batch of the perturbed
-    orientation confirms that no other far candidate lies below R + b.
-    Where one does, the guess is refined in batch rounds by the rule of a
-    sequential wrap from b: b becomes the first candidate below R + b,
-    and the others below it are tested against the new R + b, until none
-    is below.  The perturbed orientation leaves the kernel only for what
-    it cannot certify: the same-slab ties (a top in a plane of constant
-    coordinate) take their tie minor and exact zeros in range their lift
-    terms, in one more kernel call, and what is left the scalar
-    `sos_sign`.  The level's ridges are then taken in the order a
-    sequential wrap would take them, and each mixed ridge is wrapped
-    once, from the first of its tops to be found.  A ridge that would get a third top, a vertex
-    beyond a boundary ridge and a vertex of Z in no top raise
-    AssertionError: a broken del(X1) or del(X2) causes them.
-
-    Start.  Write rho = rank(Z).  When a cloud has rank rho - 1, its
-    tops span a slab of Z, and each lies in exactly one top of del(Z),
-    joined to the vertex of the other cloud nearest its circumcenter:
-    the first level wraps over that cloud from one such top, and its
-    pencil guess is the nearest vertex in float, in whatever order the
-    cloud is listed.  Otherwise neither cloud's affine hull is parallel
-    to the other's (two crossing lines in R^2, skew lines or two planes
-    in R^3), and `delaunay(z)` triangulates Z; `_Wrap.check_tops` checks
-    its tops with the same batches.
+    and it is unique under the perturbation.  The seeds are level 0, and
+    each later level wraps, in a few batches (`_Wrap.step`), every mixed
+    ridge that has one top once the tops of the level before are
+    recorded; a top found across two ridges of a level is kept once.  A
+    ridge that would get a third top, a vertex beyond a boundary ridge
+    and a vertex of Z in no top raise AssertionError: a broken del(X1) or
+    del(X2) causes them.
     """
     if z.dimension + 1 > DIM_CAP:
         raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")
     rank, space = _hull_space(z)
     if tri1 is None or tri2 is None:
-        tops = list(map(tuple, (tri1 or tri2).tops.tolist()))
+        tops = (tri1 or tri2).tops
         if rank:  # a single vertex has no ridge
-            _Wrap(space, 0, tops).check_tops(tops)
+            _Wrap(space, 0).check_tops(list(map(tuple, tops.tolist())))
     else:
         n1 = len(tri1.cloud)
-        tops1 = list(map(tuple, tri1.tops.tolist()))
-        tops2 = list(map(tuple, (tri2.tops + n1).tolist()))
-        if not tops1 or not tops2:
-            raise AssertionError(f"del(X{1 if not tops1 else 2}) has no top")
-        if tri1.top_dim == rank - 1:
-            tops = _Wrap(space, n1, tops1 + tops2).run(tops1[0], list(range(n1, len(z))))
-        elif tri2.top_dim == rank - 1:
-            tops = _Wrap(space, n1, tops1 + tops2).run(tops2[0], list(range(n1)))
+        if not len(tri1.tops) or not len(tri2.tops):
+            raise AssertionError(f"del(X{1 if not len(tri1.tops) else 2}) has no top")
+        if rank - 1 in (tri1.top_dim, tri2.top_dim):
+            edges = [t.tables[1].simplices + lo for t, lo in ((tri1, 0), (tri2, n1)) if t.top_dim]
+            tops = _Wrap(space, n1).run(tri1.tops, tri2.tops + n1, np.concatenate(edges + [np.zeros((0, 2), dtype=np.int64)]))
         else:
-            tops = list(map(tuple, delaunay(z).tops.tolist()))
-            _Wrap(space, n1, tops).check_tops(tops)
-    covered = {v for top in tops for v in top}
-    if len(covered) < len(z):
-        missing = min(set(range(len(z))) - covered)
-        raise AssertionError(f"vertex {missing} of Z is in no top of del(Z)")
-    return Triangulation(z, np.array(tops, dtype=np.int64), space)
+            tops = delaunay(z).tops
+            _Wrap(space, n1).check_tops(list(map(tuple, tops.tolist())))
+    covered = np.zeros(len(z), dtype=bool)
+    covered[tops.ravel()] = True
+    if not covered.all():
+        raise AssertionError(f"vertex {covered.argmin()} of Z is in no top of del(Z)")
+    return Triangulation(z, tops, space)

@@ -15,8 +15,8 @@ vertices at both heights takes its new vertex from the links of the
 ridge's two parts in del(X1) and del(X2).  Of those candidates, the ones
 strictly beyond the ridge in projection are wrapped with the lifted hull's
 perturbed orientation test, which gives the lifted hull's tops; the wrap
-starts from a top of a cloud that spans its slab of Z, joined to the
-other cloud's vertex nearest its circumcenter.
+is seeded with every top of a cloud that spans its slab of Z, each joined
+to its partner, the other cloud's vertex nearest its circumcenter.
 
 Each ball is taken from the cell's faces or from the cell itself (Bauer &
 Edelsbrunner, "The Morse theory of Cech and Delaunay complexes"): a
@@ -259,9 +259,10 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     is not vertical, and among them the wrap keeps the one whose lifted
     hyperplane with the ridge has no other candidate below it, by the
     lifted hull's perturbed test, guessed and confirmed in float for a
-    whole breadth-first level at once; the start is a top of a cloud that
-    spans its slab of Z and the other cloud's vertex nearest its
-    circumcenter, the first level's one guess.  A broken del(X1) or
+    whole breadth-first level at once.  The levels start from every top
+    of a cloud that spans its slab of Z, joined to its partner, the other
+    cloud's vertex nearest its circumcenter, which one batched walk over
+    that cloud's triangulation finds for all.  A broken del(X1) or
     del(X2) raises AssertionError there (a third top on a ridge, a vertex
     beyond a boundary ridge, or a vertex in no top).  With one cloud
     empty, del(Z) is the other's triangulation, checked the same way.

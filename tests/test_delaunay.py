@@ -431,10 +431,11 @@ class TestHullSpace:
         # Every orientation test of a run is an entry of one kernel call,
         # which gets all cofactors of all its simplices from one
         # `batch_cofactors` expansion, not one evaluation per column or
-        # per query; the scalar reference `_Orientation` gets its own
+        # per query; so does the float guess of all seeds of the wrap
+        # (`_Wrap.seed`); the scalar reference `_Orientation` gets its own
         # from one `cofactors` call.
         mod = importlib.import_module("reldelcech.delaunay")
-        counts = {"cofactors": 0, "batch_cofactors": 0, "kernel": 0}
+        counts = {"cofactors": 0, "batch_cofactors": 0, "kernel": 0, "seed": 0}
         real_cofactors, real_batch_cofactors, real_kernel = mod.cofactors, mod.batch_cofactors, mod._orient_batch
 
         def counting(name, real):
@@ -447,12 +448,13 @@ class TestHullSpace:
         monkeypatch.setattr(mod, "cofactors", counting("cofactors", real_cofactors))
         monkeypatch.setattr(mod, "batch_cofactors", counting("batch_cofactors", real_batch_cofactors))
         monkeypatch.setattr(mod, "_orient_batch", counting("kernel", real_kernel))
+        monkeypatch.setattr(mod._Wrap, "seed", counting("seed", mod._Wrap.seed))
         rng = np.random.default_rng(76)
         for n, d in [(40, 2), (24, 3)]:
             x = rng.random((n, d)).tolist()
             build_pipeline(PointCloud(x[: n // 4]), PointCloud(x[n // 4 :]))
-        assert counts["kernel"] > 0
-        assert counts["batch_cofactors"] == counts["kernel"] and counts["cofactors"] == 0
+        assert counts["kernel"] > 0 and counts["seed"] == 2
+        assert counts["batch_cofactors"] == counts["kernel"] + counts["seed"] and counts["cofactors"] == 0
         for k in (2, 3, 4):
             mod._Orientation([tuple(row) for row in rng.random((k, k)).tolist()], 1.0)
         assert counts["cofactors"] == 3
@@ -747,40 +749,38 @@ class TestPairDelaunay:
             assert tri.top_dim == 2
 
     @staticmethod
-    def _start_batches(x1, x2, monkeypatch) -> tuple[int, int]:
-        """`_perturbed_signs` batches of the start's wrap, those with a
-        facet that holds the first top of del(X1), which no mixed ridge's
-        wrap holds, and the refinement rounds of the first level."""
+    def _seeding(x1, x2, monkeypatch) -> tuple[int, int]:
+        """The exact rounds of the seeds' walk, each one `_resolve` of a
+        kernel batch, and its refinement rounds, the moves it makes."""
         mod = importlib.import_module("reldelcech.delaunay")
-        tri1, tri2 = delaunay(x1), delaunay(x2)
-        start = set(tri1.tops[0].tolist())
-        batches, rounds = [], []
-        real, real_step = mod._perturbed_signs, mod._Wrap.step
+        exact, moves = [], []
+        real_seed, real_resolve = mod._Wrap.seed, mod._resolve
 
-        def step(self, jobs):
-            out = real_step(self, jobs)
-            rounds.append(self.rounds)
+        def seed(self, *args):
+            monkeypatch.setattr(mod, "_resolve", lambda *a: exact.append(1) or real_resolve(*a))
+            out = real_seed(self, *args)
+            monkeypatch.setattr(mod, "_resolve", real_resolve)
+            moves.append(self.rounds)
             return out
 
-        monkeypatch.setattr(mod, "_perturbed_signs", lambda space, verts, *args: batches.append(rows(verts)) or real(space, verts, *args))
-        monkeypatch.setattr(mod._Wrap, "step", step)
+        monkeypatch.setattr(mod._Wrap, "seed", seed)
         z = lift(x1, x2, 1.0).z
-        tops = mod.pair_delaunay(z, tri1, tri2).tops
-        monkeypatch.setattr(mod, "_perturbed_signs", real)
+        tops = mod.pair_delaunay(z, delaunay(x1), delaunay(x2)).tops
         assert np.array_equal(tops, delaunay(z).tops)
-        return sum(any(start <= set(f) for f in facets) for facets in batches), rounds[0]
+        return len(exact), moves[0]
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_start_takes_one_perturbed_batch_on_a_sorted_cloud(self, d, monkeypatch):
-        # X2 is listed from its far end towards X1: a wrap that began at
-        # the first listed vertex would drop about one vertex per round.
-        # The pencil guesses the nearest vertex, and one batch confirms
-        # it; a wrong guess would take a refinement round.
+    def test_seeds_take_one_exact_round_on_a_sorted_cloud(self, d, monkeypatch):
+        # X2 is listed from its far end towards X1: a walk that began at
+        # the first listed vertex would move about one vertex per round.
+        # The float jump and walk guess every partner, and one exact
+        # batch confirms them all; a wrong guess would take a refinement
+        # round.
         rng = np.random.default_rng(86 + d)
         x1 = rng.random((6, d)) + np.eye(d)[0] * 10.0
         x2 = rng.random((60, d)) * np.r_[10.0, np.ones(d - 1)]
         x2 = x2[np.argsort(x2[:, 0])]
-        assert self._start_batches(PointCloud(x1.tolist()), PointCloud(x2.tolist()), monkeypatch) == (1, 0)
+        assert self._seeding(PointCloud(x1.tolist()), PointCloud(x2.tolist()), monkeypatch) == (1, 0)
 
     def test_empty_side_checks_the_other_triangulation(self):
         mod = importlib.import_module("reldelcech.delaunay")
@@ -797,6 +797,109 @@ class TestPairDelaunay:
                 mod.pair_delaunay(z, broken, None)
             with pytest.raises(AssertionError, match=err):
                 mod.pair_delaunay(lift(empty, x, 1.0).z, None, broken)
+
+
+def _seed_pairs():
+    """(X1, X2) pairs for the seeds' partner oracle: random pairs of
+    d = 1..3, the 12x12, 4x4x4 and 3x4 grids, the radius-5 integer ring,
+    flat clouds, 2^-20-scaled and 1e5-translated copies, and the sorted
+    cloud of `test_seeds_take_one_exact_round_on_a_sorted_cloud`."""
+    rng = np.random.default_rng(94)
+    pairs = {}
+    for d in (1, 2, 3):
+        x = rng.random((30, d))
+        pairs[f"random{d}d"] = (x[:10], x[10:])
+    pairs["grid12x12"] = _split(_grid(12, 12), rng.choice(144, 72, replace=False))
+    pairs["grid4x4x4"] = _split(_grid(4, 4, 4), rng.choice(64, 32, replace=False))
+    pairs["grid3x4"] = _split(_grid(3, 4), [0, 4, 5, 6])
+    pairs["ring"] = _split(_RING, [0, 2, 5, 7, 9])
+    x1, x2 = PARALLEL["parallel lines"]
+    pairs["parallel lines"] = (np.array(x1), np.array(x2))
+    tilt = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])  # a plane of R^3
+    pairs["grid2x6"] = _split(np.array(_grid(2, 6)) @ tilt, [0, 3, 7, 8])
+    pairs["ring+centre"] = _split(np.array(_RING + [(0.0, 0.0)]) @ tilt, [1, 4, 6, 12])
+    for name in ("random2d", "grid12x12", "ring"):
+        x1, x2 = pairs[name]
+        pairs[name + " scaled"] = (x1 * 2.0**-20, x2 * 2.0**-20)
+        pairs[name + " translated"] = (x1 + 1e5, x2 + 1e5)
+    d_rng = np.random.default_rng(88)
+    x1 = d_rng.random((6, 2)) + np.eye(2)[0] * 10.0
+    x2 = d_rng.random((60, 2)) * np.r_[10.0, 1.0]
+    pairs["sorted"] = (x1, x2[np.argsort(x2[:, 0])])
+    return pairs
+
+
+def _split(pts, a):
+    pts = np.array(pts, dtype=float)
+    inside = np.zeros(len(pts), dtype=bool)
+    inside[list(a)] = True
+    return pts[inside], pts[~inside]
+
+
+SEED_PAIRS = _seed_pairs()
+
+
+class TestSeeds:
+    """`_Wrap.seed` joins every top of a cloud that spans its slab of Z to
+    its partner in the other cloud, by a batched walk over that cloud's
+    triangulation."""
+
+    @staticmethod
+    def _seeded(x1, x2, monkeypatch):
+        """Run `pair_delaunay` on the pair and return, per `seed` call, the
+        wrap, its tops and the partners it found; and the `_orient_batch`
+        entries of the calls."""
+        mod = importlib.import_module("reldelcech.delaunay")
+        calls, entries = [], []
+        real_seed, real_kernel = mod._Wrap.seed, mod._orient_batch
+
+        def seed(self, ridges, *args):
+            monkeypatch.setattr(mod, "_orient_batch", lambda *a: entries.append(len(a[-1])) or real_kernel(*a))
+            b, below = real_seed(self, ridges, *args)
+            monkeypatch.setattr(mod, "_orient_batch", real_kernel)
+            calls.append((self, ridges, b))
+            return b, below
+
+        monkeypatch.setattr(mod._Wrap, "seed", seed)
+        x1, x2 = PointCloud(np.asarray(x1).tolist()), PointCloud(np.asarray(x2).tolist())
+        z = lift(x1, x2, 1.0).z
+        tops = mod.pair_delaunay(z, delaunay(x1), delaunay(x2)).tops
+        assert np.array_equal(tops, delaunay(z).tops)
+        return calls, sum(entries)
+
+    @pytest.mark.parametrize("name", sorted(SEED_PAIRS))
+    def test_partners_match_the_brute_force_wrap(self, name, monkeypatch):
+        # The brute-force start: each seed a job of `step` with every
+        # vertex of the other cloud as a candidate.
+        calls, _ = self._seeded(*SEED_PAIRS[name], monkeypatch)
+        assert calls
+        for wrap, seeds, partners in calls:
+            n1, n = wrap.n1, len(wrap.prows)
+            for in_x1, (lo, hi) in ((True, (n1, n)), (False, (0, n1))):
+                ridges = seeds[(seeds[:, 0] < n1) == in_x1]
+                m = len(ridges)
+                fars, _ = wrap.orient(ridges, np.arange(m), np.full(m, lo))
+                which, queries = np.repeat(np.arange(m), hi - lo), np.tile(np.arange(lo, hi), m)
+                want, beyond = wrap.step(ridges, fars, which, queries)
+                assert np.all(beyond < 0)
+                assert partners[(seeds[:, 0] < n1) == in_x1].tolist() == want.tolist()
+
+    def test_random_pair_wraps_in_few_levels(self, monkeypatch):
+        # From a single start the wrap took one level per breadth-first
+        # step away from it, ~32 on such a pair; from every pure top, a
+        # top of one cloud joined to a vertex of the other, it takes a few.
+        # The seeding stays local: a few kernel entries per seed, where a
+        # guess against the whole other cloud would take ~n/2 of them.
+        mod = importlib.import_module("reldelcech.delaunay")
+        steps = []
+        real_step = mod._Wrap.step
+        monkeypatch.setattr(mod._Wrap, "step", lambda self, *args: steps.append(1) or real_step(self, *args))
+        x = np.random.default_rng(95).random((250, 2))
+        calls, entries = self._seeded(x[:62], x[62:], monkeypatch)
+        seeds = sum(len(ridges) for _, ridges, _ in calls)
+        assert seeds > 400
+        assert len(steps) <= 6
+        assert entries < 20 * seeds
 
 
 class TestOrientBatch:
@@ -866,38 +969,40 @@ class TestOrientBatch:
             assert space.exact
             ridges = tri.tables[-2].simplices
             which, queries = np.repeat(np.arange(len(ridges)), len(z)), np.tile(np.arange(len(z)), len(ridges))
-            pints = mod._Wrap(space, len(x1), []).pints
+            pints = mod._Wrap(space, len(x1)).pints
             rows = ridges.tolist()
             want = [det_sign_exact([pints[v] for v in rows[w]] + [pints[q]]) for w, q in zip(which.tolist(), queries.tolist())]
             for exact in (True, False):
                 monkeypatch.setattr(space, "exact", exact)
                 cofactor_calls.clear()
-                signs, _ = mod._Wrap(space, len(x1), []).orient(ridges, which, queries)
+                signs, _ = mod._Wrap(space, len(x1)).orient(ridges, which, queries)
                 assert signs.tolist() == want
                 assert len(cofactor_calls) == (0 if exact else len(ridges))
             signs_seen |= set(want)
         assert signs_seen == {-1, 0, 1}
 
     def test_refinement_rounds_are_few_on_a_random_pair(self, monkeypatch):
-        # The pencil guess is confirmed by the batch for nearly every
-        # wrapped ridge: at most one refinement round in a level, and
-        # rounds for at most 5% of the tops in all.
+        # The guesses are confirmed by the batch for nearly every seed
+        # and every wrapped ridge: at most one refinement round in a
+        # level, and rounds for at most 5% of the tops in all, the seeds'
+        # walk included.
         mod = importlib.import_module("reldelcech.delaunay")
-        rounds = []
-        real_step = mod._Wrap.step
+        rounds, wraps = [], []
+        real_step, real_run = mod._Wrap.step, mod._Wrap.run
 
-        def step(self, jobs):
+        def step(self, *args):
             before = self.rounds
-            out = real_step(self, jobs)
+            out = real_step(self, *args)
             rounds.append(self.rounds - before)
             return out
 
         monkeypatch.setattr(mod._Wrap, "step", step)
+        monkeypatch.setattr(mod._Wrap, "run", lambda self, *args: wraps.append(self) or real_run(self, *args))
         x = np.random.default_rng(91).random((80, 3)).tolist()
         tops = build_pipeline(PointCloud(x[:20]), PointCloud(x[20:])).triangulation.tops
-        assert len(tops) > 300 and len(rounds) > 5
+        assert len(tops) > 300 and len(rounds) >= 2
         assert max(rounds) <= 1
-        assert sum(rounds) <= 0.05 * len(tops)
+        assert wraps[0].rounds <= 0.05 * len(tops)
 
 
 def _exact_range_bound(space) -> int:
