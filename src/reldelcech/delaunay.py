@@ -802,7 +802,8 @@ _BATCH = 1 << 12
 def _first_max(keys: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The index of the first largest key of each segment
     keys[starts[i] : starts[i + 1]], the last segment ending at the end; a
-    NaN key is never chosen, unless its segment has nothing else."""
+    NaN key counts as -inf, so it is chosen only from a segment of NaN and
+    -inf keys."""
     keys = np.where(np.isnan(keys), -np.inf, keys)
     top = np.maximum.reduceat(keys, starts)
     seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(keys))))
@@ -823,6 +824,10 @@ class _Wrap:
     """Gift-wrap of del(Z) (`pair_delaunay`) over `space`, Z's lifted
     coordinates: the seeds (`seed`), then one breadth-first level at a
     time across the mixed ridges (`step`).  A vertex below n1 is in X1.
+    A seed is a top T of a cloud that spans its slab of Z, joined to its
+    partner b in the other cloud: b is the partner iff no neighbour of b
+    in that cloud's triangulation lies below the lifted hyperplane of
+    T + b (`seed` proves it), so a walk over that triangulation finds it.
 
     orient(ridge, q) is the unperturbed orientation of a ridge and a query
     in projection (rows without the lift), exact: 0 when q lies on the
