@@ -666,10 +666,7 @@ class _Hull:
         starts = np.concatenate([self._start[a] + 1, self._start[b]])
         counts = np.concatenate([self._count[a] - 1, self._count[b]])
         keys = np.repeat(np.tile(np.arange(len(a)), 2) * n, counts) + self._conflicts[_slices(starts, counts)]
-        keys.sort()
-        once = np.ones(len(keys), dtype=bool)
-        once[1:] = keys[1:] != keys[:-1]
-        keys = keys[once]
+        keys = _sorted_unique(keys)
         self._count[settled[self._open[settled] == 0]] = 0
         if not len(a):
             return ridges, a, b, wa, wb
@@ -685,6 +682,15 @@ def _slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The indices starts[i], ..., starts[i] + counts[i] - 1 for each i,
     in order."""
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the int array `keys`, sorted; `keys` is
+    sorted in place."""
+    keys.sort()
+    once = np.ones(len(keys), dtype=bool)
+    once[1:] = keys[1:] != keys[:-1]
+    return keys[once]
 
 
 # -- public triangulation ------------------------------------------------------
@@ -1045,11 +1051,7 @@ class _Wrap:
             keep = (q >= 0) & (q != apexes[job])
             for r in ridges[job].T:
                 keep &= q != r
-            keys = job[keep] * n + q[keep]
-            keys.sort()
-            once = np.ones(len(keys), dtype=bool)
-            once[1:] = keys[1:] != keys[:-1]
-            out.append(keys[once])
+            out.append(_sorted_unique(job[keep] * n + q[keep]))
             at = hi
         keys = np.concatenate(out)
         return keys // n, keys % n
