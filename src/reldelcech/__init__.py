@@ -11,16 +11,7 @@ relative Cech oracle is included for desk-scale cross-validation.
 from .cech_oracle import ORACLE_CAP, BarcodeDiff, compare_barcodes, relative_cech
 from .delaunay import Triangulation, delaunay
 from .filtered_complex import Cell, FilteredComplex, Simplex, build, dumps, loads
-from .geometry import (
-    DIM_CAP,
-    Ball,
-    InputError,
-    Point,
-    PointCloud,
-    in_sphere,
-    orientation,
-    smallest_enclosing_ball,
-)
+from .geometry import DIM_CAP, InputError, PointCloud, in_sphere, orientation, smallest_enclosing_ball
 from .persistence import (
     Barcode,
     BoundaryMatrix,
@@ -35,7 +26,6 @@ from .relative_lift import (
     build_pipeline,
     choose_s,
     lift,
-    relative_delcech,
     verify_embedding,
 )
 
@@ -44,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ORACLE_CAP",
     "DIM_CAP",
-    "Ball",
     "Barcode",
     "BarcodeDiff",
     "BoundaryMatrix",
@@ -54,7 +43,6 @@ __all__ = [
     "InputError",
     "LiftedConfiguration",
     "Pipeline",
-    "Point",
     "PointCloud",
     "Simplex",
     "Triangulation",
@@ -72,7 +60,6 @@ __all__ = [
     "orientation",
     "reduce_matrix",
     "relative_cech",
-    "relative_delcech",
     "smallest_enclosing_ball",
     "verify_embedding",
 ]

@@ -36,6 +36,7 @@ def relative_cech(
         raise InputError("subset index out of range")
     if max_simplex_dim < 0:
         raise InputError("max_simplex_dim must be >= 0")
+    pts = x.coords.tolist()
     values: dict[Simplex, tuple[float, bool]] = {}
     for k in range(1, min(max_simplex_dim + 1, n) + 1):
         for comb in itertools.combinations(range(n), k):
@@ -43,7 +44,7 @@ def relative_cech(
             if set(comb) <= a:
                 values[simp] = (0.0, True)
                 continue
-            r = smallest_enclosing_ball([x[i] for i in comb]).radius
+            _, r = smallest_enclosing_ball([pts[i] for i in comb])
             if k > 1:
                 # Same geometry, but guard against sub-ulp float noise.
                 r = max(r, max(values[f][0] for f in simp.boundary()))

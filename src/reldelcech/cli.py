@@ -18,7 +18,7 @@ import numpy as np
 
 from .cech_oracle import ORACLE_CAP, compare_barcodes, relative_cech
 from .filtered_complex import dumps
-from .geometry import InputError, PointCloud
+from .geometry import InputError, PointCloud, unique_rows
 from .persistence import Barcode, barcode, boundary_matrix, reduce_matrix
 from .relative_lift import build_pipeline
 
@@ -85,11 +85,11 @@ def read_subset(path: str, n: int) -> set[int]:
 
 
 def split_pair(x: PointCloud, a_indices: set[int]) -> tuple[PointCloud, PointCloud]:
-    x1 = PointCloud([x[i] for i in sorted(a_indices)], dimension=x.dimension)
-    x2 = PointCloud(
-        [x[i] for i in range(len(x)) if i not in a_indices], dimension=x.dimension
-    )
-    return x1, x2
+    """(X1, X2): the points of x with an index in a_indices, and the rest,
+    each in the order of x."""
+    in_a = np.zeros(len(x), dtype=bool)
+    in_a[list(a_indices)] = True
+    return PointCloud(x.coords[in_a], dimension=x.dimension), PointCloud(x.coords[~in_a], dimension=x.dimension)
 
 
 def check_pair(
@@ -159,8 +159,9 @@ def render_svg(b: Barcode) -> str:
 
 
 def generate_cloud(kind: str, n: int, d: int, rng: np.random.Generator) -> PointCloud:
-    """n distinct points drawn from the generator `kind`; a draw that
-    repeats a point is topped up from the same generator."""
+    """n distinct points drawn from the generator `kind`, sorted
+    lexicographically; a draw that repeats a point is topped up from the
+    same generator."""
     if n < 1:
         raise InputError("need at least one point")
     if d < 1:
@@ -189,10 +190,10 @@ def generate_cloud(kind: str, n: int, d: int, rng: np.random.Generator) -> Point
 
     else:
         raise InputError(f"unknown generator '{kind}'")
-    pts = np.unique(draw(n), axis=0)
+    pts, _ = unique_rows(draw(n))
     while len(pts) < n:  # a repeat is ~impossible with float64, except on the 0-sphere
-        pts = np.unique(np.vstack([pts, draw(n - len(pts))]), axis=0)
-    return PointCloud(pts[:n].tolist())
+        pts, _ = unique_rows(np.vstack([pts, draw(n - len(pts))]))
+    return PointCloud(pts[:n])
 
 
 # -- subcommands -------------------------------------------------------------------

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import DIM_CAP, InputError, PointCloud
+from .geometry import DIM_CAP, InputError, PointCloud, unique_rows
 from .predicates import (
     _FILTER_C,
     batch_cofactors,
@@ -91,19 +91,6 @@ class FaceTable(NamedTuple):
 
     simplices: np.ndarray
     facets: np.ndarray
-
-
-def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the int array a, sorted lexicographically, and
-    the row among them of each row of a.  `np.lexsort` orders the columns
-    one by one, so no key combines them and none can overflow."""
-    order = np.lexsort(a.T[::-1])
-    s = a[order]
-    new = np.ones(len(s), dtype=bool)
-    new[1:] = np.any(s[1:] != s[:-1], axis=1)
-    inverse = np.empty(len(a), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return s[new], inverse
 
 
 def find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -747,7 +734,7 @@ def _hull_space(cloud: PointCloud):
     quotients.  Raises InputError when a lifted coordinate (a squared
     length) does not fit in a float.
     """
-    cols, shifts = zip(*(exact_ints(col) for col in cloud.array().T.tolist()))
+    cols, shifts = zip(*(exact_ints(col) for col in cloud.coords.T.tolist()))
     pts = list(zip(*cols))
     top = max(shifts)
     # Weight of column c in a squared length over the denominator 4**top.

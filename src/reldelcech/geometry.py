@@ -1,5 +1,9 @@
-"""Geometric kernel: points, exact orientation/in-sphere tests, smallest
-enclosing balls and squared distances, dimension-generic up to DIM_CAP.
+"""Geometric kernel: point clouds, exact orientation/in-sphere tests,
+smallest enclosing balls and squared distances, dimension-generic up to
+DIM_CAP.
+
+A point cloud is one read-only (n, d) float64 array, checked once, in a
+few array operations, for its shape, finiteness and duplicates.
 
 Predicate signs are exact: a floating-point filter answers the easy cases
 and an integer determinant of the power-of-two scaled coordinates decides
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,98 +30,74 @@ class InputError(ValueError):
     """Invalid input data (maps to CLI exit code 2)."""
 
 
-def _coords(p) -> tuple[float, ...]:
-    if isinstance(p, Point):
-        return p.coords
-    return tuple(float(x) for x in p)
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the array a, sorted lexicographically, and the
+    row among them of each row of a.  `np.lexsort` orders the columns one
+    by one, so no key combines them and none can overflow.  Rows are
+    compared with ==, so -0.0 and 0.0 are one value."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], inverse
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of R^m; coordinates must be finite."""
+class Point(NamedTuple):
+    """One point of a `PointCloud`, as its iteration yields it."""
 
     coords: tuple[float, ...]
 
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(float(x) for x in coords))
-        if not self.coords:
-            raise InputError("point must have at least one coordinate")
-        if not all(math.isfinite(x) for x in self.coords):
-            raise InputError(f"non-finite coordinate in point {self.coords}")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
 
 class PointCloud:
-    """An ordered, duplicate-free collection of points of equal dimension.
+    """An ordered, duplicate-free set of points of R^d, held as `coords`,
+    a read-only (n, d) float64 array.
 
-    Duplicates (exact coordinate equality) are rejected: Voronoi cells of
-    repeated sites are ill-defined.  An empty cloud needs an explicit
-    `dimension`.
+    `rows` is a sequence of n rows of d numbers, or an array of that
+    shape.  Duplicate rows are rejected, -0.0 and 0.0 being equal:
+    Voronoi cells of repeated sites are ill-defined.  An empty cloud
+    needs an explicit `dimension`.
     """
 
-    def __init__(self, points, dimension: int | None = None):
-        pts = [p if isinstance(p, Point) else Point(p) for p in points]
-        if pts:
-            dim = pts[0].dimension
-            if dimension is not None and dimension != dim:
-                raise InputError(f"declared dimension {dimension} != point dimension {dim}")
-        else:
+    def __init__(self, rows, dimension: int | None = None):
+        try:
+            coords = np.array(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InputError(f"points must be rows of numbers: {e}") from None
+        if dimension is not None and dimension < 1:
+            raise InputError("dimension must be positive")
+        if coords.shape == (0,):
             if dimension is None:
                 raise InputError("empty cloud requires an explicit dimension")
-            dim = dimension
+            coords = coords.reshape(0, dimension)
+        if coords.ndim != 2:
+            raise InputError(f"points must be rows of numbers of one length, not of shape {coords.shape}")
+        dim = coords.shape[1]
+        if dimension is not None and dimension != dim:
+            raise InputError(f"declared dimension {dimension} != point dimension {dim}")
+        if dim < 1:
+            raise InputError("point must have at least one coordinate")
         if dim > DIM_CAP:
             raise InputError(f"dimension {dim} exceeds cap {DIM_CAP}")
-        if dim < 1:
-            raise InputError("dimension must be positive")
-        seen = set()
-        for p in pts:
-            if p.dimension != dim:
-                raise InputError(f"mixed dimensions: {p.dimension} vs {dim}")
-            if p.coords in seen:
-                raise InputError(f"duplicate point {p.coords}")
-            seen.add(p.coords)
-        self.points: tuple[Point, ...] = tuple(pts)
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            raise InputError(f"non-finite coordinate in point {tuple(coords[finite.argmin()].tolist())}")
+        distinct, inverse = unique_rows(coords)
+        if len(distinct) < len(coords):
+            raise InputError(f"duplicate point {tuple(distinct[np.bincount(inverse).argmax()].tolist())}")
+        coords.flags.writeable = False
+        self.coords: np.ndarray = coords
         self.dimension: int = dim
 
     def __len__(self):
-        return len(self.points)
+        return len(self.coords)
 
     def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i) -> Point:
-        return self.points[i]
-
-    def array(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=float).reshape(len(self.points), self.dimension)
+        return map(Point, map(tuple, self.coords.tolist()))
 
     def __repr__(self):
-        return f"PointCloud({len(self.points)} points, dim={self.dimension})"
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise InputError("negative radius")
-
-    def contains(self, p) -> bool:
-        return in_ball(self.center.coords, self.radius, _coords(p))
+        return f"PointCloud({len(self)} points, dim={self.dimension})"
 
 
 def in_ball(center: tuple[float, ...], r: float, p: tuple[float, ...]) -> bool:
@@ -138,7 +118,7 @@ def orientation(simplex_points) -> int:
     Takes m+1 points of R^m; returns +1/-1/0, with 0 exactly when the points
     are affinely dependent.  The decision is exact.
     """
-    pts = [_coords(p) for p in simplex_points]
+    pts = [tuple(map(float, p)) for p in simplex_points]
     m = len(pts[0])
     if m > DIM_CAP:
         raise InputError(f"dimension {m} exceeds cap {DIM_CAP}")
@@ -159,8 +139,8 @@ def in_sphere(simplex_points, query) -> int:
     The sign is normalized to be independent of the order of
     `simplex_points`.  Exact decision; the simplex must be nondegenerate.
     """
-    pts = [_coords(p) for p in simplex_points]
-    q = _coords(query)
+    pts = [tuple(map(float, p)) for p in simplex_points]
+    q = tuple(map(float, query))
     m = len(q)
     if len(pts) != m + 1 or any(len(p) != m for p in pts):
         raise InputError(f"in_sphere needs {m + 1} simplex points of dimension {m}")
@@ -268,10 +248,10 @@ def _welzl(pts: list[tuple[float, ...]], start: int, support: list[tuple[float, 
     return center, r, sup
 
 
-def smallest_enclosing_ball(points) -> Ball:
-    """Unique smallest ball containing all the points (Welzl recursion with
-    boundary sets of size <= dim + 1)."""
-    pts = [_coords(p) for p in points]
+def smallest_enclosing_ball(points) -> tuple[tuple[float, ...], float]:
+    """Center and radius of the unique smallest ball containing all the
+    points (Welzl recursion with boundary sets of size <= dim + 1)."""
+    pts = [tuple(map(float, p)) for p in points]
     if not pts:
         raise InputError("smallest_enclosing_ball of empty set")
     dim = len(pts[0])
@@ -284,5 +264,4 @@ def smallest_enclosing_ball(points) -> Ball:
     _, _, support = _welzl(pts, 0, [], dim)
     # Recompute from the sorted support so that any point set sharing this
     # boundary set gets a bit-identical ball.
-    center, r = circumball(sorted(support)) if support else ((0.0,) * dim, 0.0)
-    return Ball(Point(center), float(r))
+    return circumball(sorted(support)) if support else ((0.0,) * dim, 0.0)

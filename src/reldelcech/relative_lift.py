@@ -52,22 +52,17 @@ import numpy as np
 
 from .delaunay import Triangulation, delaunay, find_rows, pair_delaunay
 from .filtered_complex import CellTable, FilteredComplex, build
-from .geometry import (
-    MEB_TOL,
-    InputError,
-    Point,
-    PointCloud,
-    smallest_enclosing_ball,
-)
+from .geometry import MEB_TOL, InputError, PointCloud, smallest_enclosing_ball
 
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
     """The lifted point set Z of the pair (X1, X2).
 
-    z[i] is x1[i] at height +s for i < len(x1), and x2[i - len(x1)] at
-    height -s otherwise.  So a simplex of del(Z) lies in the lifted del(X1)
-    iff its largest vertex is below len(x1).
+    Row i of z.coords is row i of x1.coords at height +s for i < len(x1),
+    and row i - len(x1) of x2.coords at height -s otherwise.  So a simplex
+    of del(Z) lies in the lifted del(X1) iff its largest vertex is below
+    len(x1).
     """
 
     x1: PointCloud
@@ -91,20 +86,26 @@ def choose_s(x1: PointCloud, x2: PointCloud) -> float:
     signs.  s stays on the data's scale so that the filter certifies as
     often as on unit-scale data.
     """
-    columns = zip(*(p.coords for p in x1), *(p.coords for p in x2))
-    extent = max((max(c) - min(c) for c in columns), default=0.0)
-    return extent if extent > 0 else 1.0
+    both = np.vstack([x1.coords, x2.coords])
+    extent = np.ptp(both, axis=0).max() if len(both) else 0.0
+    return float(extent) if extent > 0 else 1.0
 
 
 def lift(x1: PointCloud, x2: PointCloud, s: float) -> LiftedConfiguration:
     """Embed x1 at height +s and x2 at height -s; x1 vertices come first."""
     if s <= 0:
         raise InputError("lift height must be positive")
-    if len(x1) and len(x2) and x1.dimension != x2.dimension:
-        raise InputError("x1 and x2 must share a dimension")
-    d = x1.dimension if len(x1) else x2.dimension
-    zpts = [Point(p.coords + (s,)) for p in x1] + [Point(p.coords + (-s,)) for p in x2]
-    return LiftedConfiguration(x1, x2, float(s), PointCloud(zpts, dimension=d + 1))
+    _check_dimensions(x1, x2)
+    s = float(s)
+    heights = np.repeat([s, -s], [len(x1), len(x2)])
+    z = np.hstack([np.vstack([x1.coords, x2.coords]), heights[:, None]])
+    return LiftedConfiguration(x1, x2, s, PointCloud(z))
+
+
+def _check_dimensions(x1: PointCloud, x2: PointCloud):
+    """InputError unless the two clouds have one dimension, empty or not."""
+    if x1.dimension != x2.dimension:
+        raise InputError(f"x1 and x2 must share a dimension, not {x1.dimension} and {x2.dimension}")
 
 
 # Least barycentric weight of a cell's circumcenter for its circumball to be
@@ -198,8 +199,7 @@ def _cell_balls(proj, table, centers, radii) -> tuple[np.ndarray, np.ndarray]:
         out_c[out[interior]], out_r[out[interior]] = own_c[interior], own_r[interior]
         out = out[~interior]
     for i in out.tolist():
-        ball = smallest_enclosing_ball(proj[simplices[i]].tolist())
-        out_c[i], out_r[i] = ball.center.coords, ball.radius
+        out_c[i], out_r[i] = smallest_enclosing_ball(proj[simplices[i]].tolist())
     return out_c, out_r
 
 
@@ -292,7 +292,8 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     subcomplex flags go to `build` as one `CellTable` per dimension, rows
     as in del(Z)'s face tables.
     """
-    if len(x1) and x1.dimension > 3 or len(x2) and x2.dimension > 3:
+    _check_dimensions(x1, x2)
+    if x1.dimension > 3:
         raise InputError("ambient dimension must be at most 3")
     if len(x1) + len(x2) == 0:
         raise InputError("x1 and x2 are both empty")
@@ -303,7 +304,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     _check_euler(tri)
     n1 = len(x1)
     _check_slabs(tri, tri1, tri2, n1)
-    proj = cfg.z.array()[:, :-1]
+    proj = cfg.z.coords[:, :-1]
     vertices = tri.tables[0].simplices
     cells = [CellTable(*tri.tables[0], np.zeros(len(vertices)), vertices[:, 0] < n1)]
     # Dimension by dimension, so that every facet's ball and value is
@@ -319,12 +320,6 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
         values[sub] = 0.0
         cells.append(CellTable(*table, values, sub))
     return Pipeline(cfg, tri, build(tables=cells))
-
-
-def relative_delcech(x1: PointCloud, x2: PointCloud) -> FilteredComplex:
-    """The filtered complex whose relative persistence (quotient by the
-    marked subcomplex) is the relative persistent homology of the pair."""
-    return build_pipeline(x1, x2).complex
 
 
 # -- embedding certification ----------------------------------------------------

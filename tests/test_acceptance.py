@@ -116,7 +116,7 @@ def test_criterion_4_geometry_kernel():
         d = rng.randint(1, 4)
         k = rng.randint(1, 8)
         pts = list({tuple(rng.uniform(-1, 1) for _ in range(d)) for _ in range(k)})
-        got = smallest_enclosing_ball(pts).radius
+        _, got = smallest_enclosing_ball(pts)
         want = brute_meb_radius(pts, d)
         assert abs(got - want) <= 1e-9 * (1.0 + want), (pts, got, want)
     n_meb = 10_000

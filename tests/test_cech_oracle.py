@@ -6,7 +6,7 @@ import pytest
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.geometry import InputError, PointCloud
 from reldelcech.persistence import Barcode, barcode
-from reldelcech.relative_lift import relative_delcech
+from reldelcech.relative_lift import build_pipeline
 
 
 class TestRelativeCech:
@@ -125,9 +125,9 @@ class TestPipelineOracleEquivalence:
             n = len(x)
             k = int(rng.integers(0, n + 1))
             a = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-            x1 = PointCloud([x[i] for i in sorted(a)], dimension=d)
-            x2 = PointCloud([x[i] for i in range(n) if i not in a], dimension=d)
-            b1 = barcode(relative_delcech(x1, x2), relative=True, max_dim=d)
+            x1 = PointCloud([x.coords[i] for i in sorted(a)], dimension=d)
+            x2 = PointCloud([x.coords[i] for i in range(n) if i not in a], dimension=d)
+            b1 = barcode(build_pipeline(x1, x2).complex, relative=True, max_dim=d)
             b2 = barcode(relative_cech(x, a, d + 1), relative=True, max_dim=d)
             diff = compare_barcodes(b1, b2, tol=1e-9)
             assert diff.matched, diff.text()

@@ -167,7 +167,7 @@ class TestRandomClouds:
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, 18, 2)
         t = delaunay(cloud)
-        arr = cloud.array()
+        arr = cloud.coords
         # random convex combinations of the cloud lie in some top triangle
         for _ in range(1000):
             w = rng.dirichlet(np.ones(len(cloud)))

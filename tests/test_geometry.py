@@ -10,10 +10,9 @@ from _oracles import minor_expansion_det
 from reldelcech.geometry import (
     DIM_CAP,
     MEB_TOL,
-    Ball,
     InputError,
-    Point,
     PointCloud,
+    in_ball,
     in_sphere,
     orientation,
     smallest_enclosing_ball,
@@ -22,14 +21,48 @@ from reldelcech.geometry import (
 
 class TestPointAndCloud:
     def test_point_basics(self):
-        p = Point((1.0, 2.0))
-        assert p.dimension == 2 and tuple(p) == (1.0, 2.0)
+        c = PointCloud([(1, 2), (3.5, -0.0)])
+        assert c.dimension == 2 and c.coords.dtype == np.float64 and c.coords.shape == (2, 2)
+        assert [p.coords for p in c] == [(1.0, 2.0), (3.5, -0.0)]
+        assert all(type(x) is float for p in c for x in p.coords)
+        with pytest.raises(ValueError):
+            c.coords[0, 0] = 5.0  # read-only
 
     def test_point_rejects_nan_inf(self):
         with pytest.raises(InputError):
-            Point((float("nan"), 0.0))
+            PointCloud([(float("nan"), 0.0)])
         with pytest.raises(InputError):
-            Point((float("inf"), 0.0))
+            PointCloud([(float("inf"), 0.0)])
+        with pytest.raises(InputError):
+            PointCloud(np.array([[0.0, 1.0], [2.0, -np.inf]]))
+
+    @pytest.mark.parametrize(
+        "rows, dimension",
+        [
+            ([[(1, 2)]], None),  # nested
+            ([(0, 0), (1, 1, 1)], None),  # ragged
+            ([(0, 0), 1.0], None),  # ragged
+            ([1.0, 2.0], None),  # numbers, not rows
+            ([("a", 1.0)], None),  # non-numeric
+            ([(1j, 1.0)], None),  # non-real
+            ([(10**400, 1.0)], None),  # no float holds it
+            ([()], None),  # zero coordinates
+            ([(float("nan"), 0.0)], None),
+            ([(1.0, float("-inf"))], None),
+            ([tuple(range(DIM_CAP + 1))], None),
+            ([], DIM_CAP + 1),
+            ([(0.0, 1.0)], 3),  # declared dimension does not match
+            (np.zeros((0, 2)), 3),
+            ([], None),  # empty, no dimension
+            ([], 0),
+            ([(0.0, 1.0), (2.0, 3.0), (0.0, 1.0)], None),  # duplicate rows
+            ([(0.0, 1.0), (-0.0, 1.0)], None),  # -0.0 == 0.0, as in tuple equality
+            (np.array([[5.0, 0.0, -0.0], [1.0, 2.0, 3.0], [5.0, -0.0, 0.0]]), None),
+        ],
+    )
+    def test_cloud_rejects(self, rows, dimension):
+        with pytest.raises(InputError):
+            PointCloud(rows, dimension=dimension)
 
     def test_cloud_rejects_duplicates(self):
         with pytest.raises(InputError):
@@ -48,7 +81,7 @@ class TestPointAndCloud:
         with pytest.raises(InputError):
             PointCloud([])
         c = PointCloud([], dimension=3)
-        assert len(c) == 0 and c.dimension == 3
+        assert len(c) == 0 and c.dimension == 3 and c.coords.shape == (0, 3)
 
 
 class TestOrientation:
@@ -152,14 +185,14 @@ def brute_force_meb(pts, dim):
 
 class TestSmallestEnclosingBall:
     def test_examples(self):
-        b = smallest_enclosing_ball([(0, 0)])
-        assert b.center.coords == (0.0, 0.0) and b.radius == 0.0
-        b = smallest_enclosing_ball([(0, 0), (2, 0)])
-        assert b.center.coords == (1.0, 0.0) and abs(b.radius - 1) < 1e-12
-        b = smallest_enclosing_ball([(0, 0), (4, 0), (1, 1)])
-        assert math.dist(b.center.coords, (2, 0)) < 1e-9 and abs(b.radius - 2) < 1e-9
-        b = smallest_enclosing_ball([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
-        assert abs(b.radius - 1 / math.sqrt(3)) < 1e-9
+        center, r = smallest_enclosing_ball([(0, 0)])
+        assert center == (0.0, 0.0) and r == 0.0
+        center, r = smallest_enclosing_ball([(0, 0), (2, 0)])
+        assert center == (1.0, 0.0) and abs(r - 1) < 1e-12
+        center, r = smallest_enclosing_ball([(0, 0), (4, 0), (1, 1)])
+        assert math.dist(center, (2, 0)) < 1e-9 and abs(r - 2) < 1e-9
+        _, r = smallest_enclosing_ball([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
+        assert abs(r - 1 / math.sqrt(3)) < 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -171,11 +204,11 @@ class TestSmallestEnclosingBall:
             dim = rng.randint(1, 4)
             k = rng.randint(1, 7)
             pts = [tuple(rng.uniform(-3, 3) for _ in range(dim)) for _ in range(k)]
-            b = smallest_enclosing_ball(pts)
-            tol = 1e-9 * (1 + b.radius)
-            dists = [math.dist(b.center.coords, p) for p in pts]
-            assert all(d <= b.radius + tol for d in dists)
-            assert max(dists) >= b.radius - tol
+            center, r = smallest_enclosing_ball(pts)
+            tol = 1e-9 * (1 + r)
+            dists = [math.dist(center, p) for p in pts]
+            assert all(d <= r + tol for d in dists)
+            assert max(dists) >= r - tol
 
     def test_against_subset_oracle(self):
         rng = random.Random(23)
@@ -183,9 +216,9 @@ class TestSmallestEnclosingBall:
             dim = rng.randint(1, 3)
             k = rng.randint(1, 6)
             pts = list({tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in range(k)})
-            b = smallest_enclosing_ball(pts)
+            _, r = smallest_enclosing_ball(pts)
             expected = brute_force_meb(pts, dim)
-            assert abs(b.radius - expected) <= 1e-9 * (1 + expected)
+            assert abs(r - expected) <= 1e-9 * (1 + expected)
 
     def test_monotone_under_inclusion(self):
         rng = random.Random(29)
@@ -194,8 +227,8 @@ class TestSmallestEnclosingBall:
             pts = [tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in range(6)]
             sub = rng.sample(pts, rng.randint(1, 5))
             assert (
-                smallest_enclosing_ball(sub).radius
-                <= smallest_enclosing_ball(pts).radius + 1e-12
+                smallest_enclosing_ball(sub)[1]
+                <= smallest_enclosing_ball(pts)[1] + 1e-12
             )
 
     def test_rigid_motion_invariance(self):
@@ -205,8 +238,8 @@ class TestSmallestEnclosingBall:
         for _ in range(50):
             pts = np.array([[rng.uniform(-2, 2), rng.uniform(-2, 2)] for _ in range(5)])
             moved = pts @ rot.T + np.array([1.5, -0.5])
-            r1 = smallest_enclosing_ball(pts.tolist()).radius
-            r2 = smallest_enclosing_ball(moved.tolist()).radius
+            _, r1 = smallest_enclosing_ball(pts.tolist())
+            _, r2 = smallest_enclosing_ball(moved.tolist())
             assert abs(r1 - r2) <= 1e-9 * (1 + r1)
 
     def test_order_invariance_is_bitwise(self):
@@ -216,43 +249,37 @@ class TestSmallestEnclosingBall:
         for _ in range(5):
             rng.shuffle(pts)
             b2 = smallest_enclosing_ball(pts)
-            assert b2.radius == b1.radius and b2.center.coords == b1.center.coords
+            assert b2 == b1
 
     def test_scale_equivariance(self):
-        assert math.isclose(smallest_enclosing_ball([(0.0, 0.0), (1e-10, 0.0)]).radius, 5e-11)
+        assert math.isclose(smallest_enclosing_ball([(0.0, 0.0), (1e-10, 0.0)])[1], 5e-11)
         rng = random.Random(43)
         for _ in range(50):
             pts = [(rng.random(), rng.random()) for _ in range(6)]
-            r = smallest_enclosing_ball(pts).radius
+            _, r = smallest_enclosing_ball(pts)
             for c in (1e-12, 1e6):
-                got = smallest_enclosing_ball([(c * x, c * y) for x, y in pts]).radius
+                _, got = smallest_enclosing_ball([(c * x, c * y) for x, y in pts])
                 assert math.isclose(got, c * r, rel_tol=1e-9)
 
     def test_large_n_no_recursion_limit(self):
         rng = random.Random(41)
         pts = [(rng.random(), rng.random()) for _ in range(2000)]
-        b = smallest_enclosing_ball(pts)
-        tol = MEB_TOL * (1 + b.radius)
-        dists = [math.dist(b.center.coords, p) for p in pts]
-        assert all(d <= b.radius + tol for d in dists)
-        boundary = [p for p, d in zip(pts, dists) if d >= b.radius - tol]
+        b = center, r = smallest_enclosing_ball(pts)
+        tol = MEB_TOL * (1 + r)
+        dists = [math.dist(center, p) for p in pts]
+        assert all(d <= r + tol for d in dists)
+        boundary = [p for p, d in zip(pts, dists) if d >= r - tol]
         assert 2 <= len(boundary) <= 3
         assert smallest_enclosing_ball(boundary) == b
 
 
 class TestBall:
-    def test_negative_radius_rejected(self):
-        with pytest.raises(InputError):
-            Ball(Point((0.0,)), -1.0)
-
     def test_contains(self):
-        b = Ball(Point((0.0, 0.0)), 1.0)
-        assert b.contains((1.0, 0.0))
-        assert not b.contains((1.1, 0.0))
+        assert in_ball((0.0, 0.0), 1.0, (1.0, 0.0))
+        assert not in_ball((0.0, 0.0), 1.0, (1.1, 0.0))
         # The tolerance is relative to the radius, not absolute.
-        tiny = Ball(Point((0.0, 0.0)), 1e-10)
-        assert tiny.contains((1e-10, 0.0))
-        assert not tiny.contains((2e-10, 0.0))
+        assert in_ball((0.0, 0.0), 1e-10, (1e-10, 0.0))
+        assert not in_ball((0.0, 0.0), 1e-10, (2e-10, 0.0))
 
 
 class TestExactness:

@@ -5,16 +5,19 @@ import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import reldelcech
 from reldelcech import cli, relative_lift
 
 PACKAGE = pathlib.Path(reldelcech.__file__).parent
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def imported_modules(path: pathlib.Path) -> set[str]:
@@ -34,6 +37,19 @@ def test_one_exact_number_type():
     assert len(sources) >= 9
     offenders = [p.name for p in sources if "fractions" in imported_modules(p)]
     assert offenders == []
+
+
+def test_imports_are_stdlib_or_declared():
+    # A module that is installed but not declared, such as scipy, must not
+    # creep in: `import scipy.spatial` alone adds ~37 MB of peak RSS.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+    allowed = set(sys.stdlib_module_names) | declared
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 9
+    offenders = {p.name: sorted(imported_modules(p) - allowed) for p in sources}
+    assert {name: mods for name, mods in offenders.items() if mods} == {}
 
 
 def traced_names() -> list[tuple[str, str]]:

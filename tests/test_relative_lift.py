@@ -18,7 +18,6 @@ from reldelcech.relative_lift import (
     build_pipeline,
     choose_s,
     lift,
-    relative_delcech,
     verify_embedding,
 )
 
@@ -65,8 +64,8 @@ class TestLift:
         assert [p.coords for p in cfg.z] == [(0.0, 0.0, 2.0), (3.0, 0.0, -2.0)]
         # X1 comes first: z[i] is x1[i] for i < len(x1), else x2[i - len(x1)].
         assert len(cfg.x1) == 1
-        assert cfg.z[0].coords[:-1] == x1[0].coords and cfg.z[0].coords[-1] > 0
-        assert cfg.z[1].coords[:-1] == x2[0].coords and cfg.z[1].coords[-1] < 0
+        assert np.array_equal(cfg.z.coords[0, :-1], x1.coords[0]) and cfg.z.coords[0, -1] > 0
+        assert np.array_equal(cfg.z.coords[1, :-1], x2.coords[0]) and cfg.z.coords[1, -1] < 0
 
     def test_shared_base_point_is_fine(self):
         cfg = lift(cloud([(1.0, 1.0)]), cloud([(1.0, 1.0)]), s=1.0)
@@ -81,10 +80,28 @@ class TestLift:
         with pytest.raises(InputError):
             lift(cloud([(0.0, 0.0)]), EMPTY2, s=0.0)
 
+    def test_pair_dimensions_are_checked(self):
+        # An empty cloud has a dimension too: it must match the other's,
+        # which is then at most 3.
+        pairs = [
+            (PointCloud([], dimension=3), cloud([(0.0, 0.0)])),
+            (cloud([(0.0, 0.0)]), PointCloud([], dimension=1)),
+            (cloud([(0.0, 0.0), (1.0, 0.0)]), cloud([(0.5, 0.5, 0.5)])),
+        ]
+        for x1, x2 in pairs:
+            with pytest.raises(InputError, match="share a dimension"):
+                lift(x1, x2, s=1.0)
+            with pytest.raises(InputError, match="share a dimension"):
+                build_pipeline(x1, x2)
+        with pytest.raises(InputError, match="at most 3"):
+            build_pipeline(PointCloud([], dimension=4), PointCloud([(0.0, 0.0, 0.0, 1.0)]))
+        with pytest.raises(InputError, match="at most 3"):
+            build_pipeline(PointCloud([(0.0, 0.0, 0.0, 1.0)]), PointCloud([], dimension=4))
+
 
 class TestRelativeDelcech:
     def test_two_point_example(self):
-        fc = relative_delcech(cloud([(0.0, 0.0)]), cloud([(3.0, 0.0)]))
+        fc = build_pipeline(cloud([(0.0, 0.0)]), cloud([(3.0, 0.0)])).complex
         by_simplex = {c.simplex.vertices: c for c in fc.cells}
         assert set(by_simplex) == {(0,), (1,), (0, 1)}
         assert by_simplex[(0,)].in_subcomplex
@@ -95,7 +112,7 @@ class TestRelativeDelcech:
 
     def test_empty_x1_gives_plain_delaunay_cech(self):
         pts = [(0.1, 0.2), (0.9, 0.1), (0.4, 0.8), (0.6, 0.4)]
-        fc = relative_delcech(EMPTY2, cloud(pts))
+        fc = build_pipeline(EMPTY2, cloud(pts)).complex
         assert not any(c.in_subcomplex for c in fc.cells)
         # same simplices and values as the unlifted Delaunay-Cech filtration
         from reldelcech.geometry import smallest_enclosing_ball
@@ -104,7 +121,7 @@ class TestRelativeDelcech:
         expected = {}
         for table in tri.tables:
             for vs in map(tuple, table.simplices.tolist()):
-                expected[vs] = smallest_enclosing_ball([pts[v] for v in vs]).radius
+                _, expected[vs] = smallest_enclosing_ball([pts[v] for v in vs])
         got = {c.simplex.vertices: c.value for c in fc.cells}
         assert set(got) == set(expected)
         for k in expected:
@@ -127,21 +144,21 @@ class TestRelativeDelcech:
         assert lifted == marked
 
     def test_all_subcomplex_when_x2_empty(self):
-        fc = relative_delcech(cloud([(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)]), EMPTY2)
+        fc = build_pipeline(cloud([(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)]), EMPTY2).complex
         assert all(c.in_subcomplex for c in fc.cells)
 
     def test_dimension_cap(self):
         c4 = PointCloud([(0.0, 0.0, 0.0, 0.0)])
         with pytest.raises(InputError):
-            relative_delcech(c4, PointCloud([], dimension=4))
+            build_pipeline(c4, PointCloud([], dimension=4)).complex
 
     def test_both_empty_rejected(self):
         with pytest.raises(InputError):
-            relative_delcech(EMPTY2, EMPTY2)
+            build_pipeline(EMPTY2, EMPTY2).complex
 
     def test_shared_points_projected_meb_deduplicates(self):
         # a z-edge over one shared base point projects to a single point
-        fc = relative_delcech(cloud([(1.0, 1.0)]), cloud([(1.0, 1.0)]))
+        fc = build_pipeline(cloud([(1.0, 1.0)]), cloud([(1.0, 1.0)])).complex
         by_simplex = {c.simplex.vertices: c for c in fc.cells}
         assert by_simplex[(0, 1)].value == 0.0
 
@@ -485,7 +502,7 @@ class TestFiltration:
                     if c.in_subcomplex:
                         continue
                     vs = c.simplex.vertices
-                    want = smallest_enclosing_ball([pipe.cfg.z[v].coords[:-1] for v in vs]).radius
+                    _, want = smallest_enclosing_ball(pipe.cfg.z.coords[list(vs), :-1].tolist())
                     if len(vs) > 1:
                         want = max(want, max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
                     assert c.value == want, (name, sorted(a), vs)
@@ -548,7 +565,7 @@ class TestFiltration:
             if c.in_subcomplex:
                 continue
             vs = c.simplex.vertices
-            want = real([pipe.cfg.z[v].coords[:-1] for v in vs]).radius
+            _, want = real(pipe.cfg.z.coords[list(vs), :-1].tolist())
             if len(vs) > 1:
                 want = max(want, max(values[vs[:i] + vs[i + 1 :]] for i in range(len(vs))))
             assert c.value == want, vs
@@ -822,7 +839,7 @@ class TestPipelineBarcodes:
     def test_relative_pair_single_a(self):
         x1 = cloud([(0.0, 0.0)])
         x2 = cloud([(2.0, 0.0)])
-        fc = relative_delcech(x1, x2)
+        fc = build_pipeline(x1, x2).complex
         b = barcode(fc, relative=True, max_dim=2)
         assert b.bars(0) == [(0.0, 1.0)]
         assert not any(math.isinf(d) for _, d in b.bars(0))
@@ -830,7 +847,7 @@ class TestPipelineBarcodes:
     def test_line_triple_relative(self):
         x1 = PointCloud([(0.0,), (2.0,)])
         x2 = PointCloud([(1.0,)])
-        b = barcode(relative_delcech(x1, x2), relative=True, max_dim=1)
+        b = barcode(build_pipeline(x1, x2).complex, relative=True, max_dim=1)
         assert b.bars(0) == [(0.0, 0.5)]
         assert b.bars(1) == [(0.5, 1.0)]
 
@@ -844,7 +861,7 @@ class TestPipelineBarcodes:
                 dimension=d,
             )
             x2 = PointCloud(np.unique(rng.random((n2, d)), axis=0).tolist())
-            relative_delcech(x1, x2)  # build() validates every invariant
+            build_pipeline(x1, x2).complex  # build() validates every invariant
 
 
 class TestScaleEquivariance:
