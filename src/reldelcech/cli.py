@@ -86,9 +86,12 @@ def read_subset(path: str, n: int) -> set[int]:
 
 def split_pair(x: PointCloud, a_indices: set[int]) -> tuple[PointCloud, PointCloud]:
     """(X1, X2): the points of x with an index in a_indices, and the rest,
-    each in the order of x."""
+    each in the order of x.  InputError for an index outside 0..n-1."""
+    index = [int(i) for i in a_indices]
+    if index and (min(index) < 0 or max(index) >= len(x)):
+        raise InputError("subset index out of range")
     in_a = np.zeros(len(x), dtype=bool)
-    in_a[list(a_indices)] = True
+    in_a[index] = True
     return PointCloud(x.coords[in_a], dimension=x.dimension), PointCloud(x.coords[~in_a], dimension=x.dimension)
 
 

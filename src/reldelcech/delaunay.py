@@ -3,13 +3,15 @@
 Points of R^m are lifted to (x, |x|^2) in R^(m+1); the lower convex hull of
 the lifted set, computed by a randomized incremental algorithm with conflict
 lists, in rounds over pending ridges (`_Hull`), projects back to the
-Delaunay top simplices.  Predicate ties are broken by a symbolic
-perturbation ordered by vertex index, lift heights first (`predicates`),
-so construction is deterministic and no zero signs escape.  Every cloud
-is triangulated in its pivot columns (`_hull_space`), onto which its
-affine hull projects one to one, so flat configurations are fine.  All
-exact arithmetic is on integers: every float coordinate is a dyadic
-rational.
+Delaunay top simplices.  Clouds triangulated in one call, as del(X1) and
+del(X2) are, share those rounds: each round takes the pending ridges of
+every cloud's hull, so they cost as many rounds as the deepest hull.
+Predicate ties are broken by a symbolic perturbation ordered by vertex
+index, lift heights first (`predicates`), so construction is deterministic
+and no zero signs escape.  Every cloud is triangulated in its pivot
+columns (`_hull_space`), onto which its affine hull projects one to one,
+so flat configurations are fine.  All exact arithmetic is on integers:
+every float coordinate is a dyadic rational.
 
 Vertical hull facets (whose supporting hyperplane contains the lift
 direction) are discarded by an exact, unperturbed test, one batch over the
@@ -176,7 +178,8 @@ class _HullSpace:
     float operation is exact and the kernel's value is the determinant
     itself, zeros included (the small-integer static filter of Devillers &
     Pion, ALENEX 2003).  A kernel over fewer columns (the projection, the
-    tie minor) stays in range.
+    tie minor) stays in range.  A space of several clouds (`joint`) holds
+    the flag per row.
 
     The perturbed orientation of a facet against points is
     `_perturbed_signs`; `sides` is its one-facet case.  What the kernel
@@ -208,13 +211,31 @@ class _HullSpace:
     certify.
     """
 
-    def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]]):
+    def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]], exact: np.ndarray | None = None):
         self.frows = frows
         self.P = len(frows[0])
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
         self.rows = np.array(frows)
         self.sizes = np.abs(self.rows).max(axis=1)
-        self.exact = _exact_range(self.rows, int_rows)
+        self.exact = _exact_range(self.rows, int_rows) if exact is None else exact
+        self.starts = [0]  # the first row of each cloud (`joint`)
+
+    @classmethod
+    def joint(cls, spaces: list[_HullSpace]) -> _HullSpace:
+        """One space for the clouds of `spaces`, all of one P: their rows
+        one after the other, so a cloud's row ids are offset by the sizes
+        of the clouds before it, as in Z; one space is itself.  Each
+        predicate reads the rows of one cloud, whose float and integer
+        rows are that cloud's own, so every sign is the one its cloud's
+        space gives.  `exact` is one flag per row, its cloud's: the union
+        of two clouds in the exact range need not be in it, since their
+        column ranges add up."""
+        if len(spaces) == 1:
+            return spaces[0]
+        sizes = [len(s.frows) for s in spaces]
+        out = cls([r for s in spaces for r in s.frows], [r for s in spaces for r in s.int_rows], np.repeat([s.exact for s in spaces], sizes))
+        out.starts = np.cumsum([0, *sizes[:-1]]).tolist()
+        return out
 
     @functools.cached_property
     def codes(self) -> np.ndarray:
@@ -304,8 +325,9 @@ def _perturbed_signs(space: _HullSpace, verts: np.ndarray, which: np.ndarray, qu
 
 def _resolve(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: np.ndarray, signs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """`_perturbed_signs` of the entries whose kernel signs and values
-    are `signs` and `values`: each 0 sign is filled in, in place."""
-    p, exact = space.P, space.exact
+    are `signs` and `values`: each 0 sign is filled in, in place.  An
+    entry's rows are in one cloud, whose flag `exact` it reads."""
+    p = space.P
     todo = (signs == 0).nonzero()[0]
     if not len(todo):
         return signs
@@ -321,9 +343,10 @@ def _resolve(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: n
     a = tie.nonzero()[0]
     ties = len(a)
     r, c = rank[a, 0], h[a]
-    if exact:
-        signs[todo] = np.sign(values[todo])
-        b = ((signs[todo] == 0) & ~tie).nonzero()[0]
+    exact = space.exact[rows[:, -1]] if np.ndim(space.exact) else np.full(len(todo), space.exact)
+    if exact.any():
+        signs[todo[exact]] = np.sign(values[todo[exact]])
+        b = ((signs[todo] == 0) & exact & ~tie).nonzero()[0]
         r = np.concatenate([r, rank[b].ravel()])
         c = np.concatenate([c, np.full(len(b) * (p + 1), p - 1)])
         a = np.concatenate([a, np.repeat(b, p + 1)])
@@ -333,8 +356,7 @@ def _resolve(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: n
         pts, step = rows[a[:, None], others[r]], _BATCH // 8
         parts = [_minors(space, pts[i : i + step], c[i : i + step]) for i in range(0, len(a), step)]
         s, v = (np.concatenate(x) for x in zip(*parts))
-        if exact:
-            s = np.sign(v).astype(np.int64)
+        s[exact[a]] = np.sign(v[exact[a]])
         s *= 1 - 2 * ((r + c) & 1)
         signs[todo[a[:ties]]] = s[:ties]
         if ties < len(a):
@@ -482,16 +504,22 @@ def _join(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Hull:
-    """Randomized incremental convex hull in R^P, built in rounds over
-    pending ridges (Blelloch, Gu, Shun & Sun, "Parallelism in randomized
+    """Randomized incremental convex hulls in R^P, one per cloud of
+    `space` (`_HullSpace.joint`), built in rounds over the pending ridges
+    of every cloud (Blelloch, Gu, Shun & Sun, "Parallelism in randomized
     incremental algorithms", SPAA 2016 / JACM 2020).
 
-    The first P + 1 points of `order` make a simplex; a point's rank is
-    its position in `order`.  A facet's conflict set is the set of later
-    points strictly beyond it, kept as a rank-sorted array, and its pivot
-    is the earliest of them (n, standing for infinity, when there is
-    none).  A job (t1, r, t2) is a ridge r and its two facets.  One round
-    takes every pending job:
+    `order` is the clouds' insertion orders one after the other, each a
+    permutation of its cloud's rows; a point's rank is its position in
+    `order`.  The first P + 1 points of each cloud's order make a simplex.
+    A facet's conflict set is the set of later points of its cloud
+    strictly beyond it, kept as a rank-sorted array, and its pivot is the
+    earliest of them (n, standing for infinity, when there is none).  A
+    job (t1, r, t2) is a ridge r and its two facets.  No ridge has facets
+    of two clouds, and no job or conflict set mixes them: the rounds run
+    each cloud's hull as if it were alone, so each cloud's facets are its
+    own hull's, and the hulls take as many rounds as the deepest of them.
+    One round takes every pending job:
       - equal pivots: r is final when there is none; otherwise the pivot
         sees both facets and buries them across r;
       - otherwise, t1 the facet with the earlier pivot p: p sees t1 and
@@ -545,14 +573,20 @@ class _Hull:
     def _build(self):
         space, order = self.space, self.order
         p, n = space.P, len(order)
-        init = tuple(sorted(order[: p + 1].tolist()))
-        # Facet e lacks init[p - e]; moving it after the others takes e swaps.
-        (d,) = space.sides(init[:-1], init[-1:])
-        verts = np.array(face_tuples(init), dtype=np.int64)
-        inside = d * (-1) ** np.arange(p + 1)
-        rest = np.arange(p + 1, n)
-        ids = self._add(verts, inside, np.repeat(np.arange(p + 1), len(rest)), np.tile(rest, p + 1))
-        jobs = self._match(ids, verts, np.full(p + 1, -1))
+        bounds = [*space.starts, n]
+        verts, inside, which, ranks = [], [], [], []
+        for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            init = tuple(sorted(order[lo : lo + p + 1].tolist()))
+            # Facet e lacks init[p - e]; moving it after the others takes e swaps.
+            (d,) = space.sides(init[:-1], init[-1:])
+            verts += face_tuples(init)
+            inside.append(d * (-1) ** np.arange(p + 1))
+            rest = np.arange(lo + p + 1, hi)
+            which.append(np.repeat(np.arange(c * (p + 1), (c + 1) * (p + 1)), len(rest)))
+            ranks.append(np.tile(rest, p + 1))
+        verts = np.array(verts, dtype=np.int64)
+        ids = self._add(verts, np.concatenate(inside), np.concatenate(which), np.concatenate(ranks))
+        jobs = self._match(ids, verts, np.full(len(verts), -1))
         while len(jobs[1]):
             jobs = self._round(*jobs)
         if len(self._waiting[0]):
@@ -755,32 +789,47 @@ def _hull_space(cloud: PointCloud):
     return len(pivots), _HullSpace(frows, int_rows)
 
 
-def delaunay(cloud: PointCloud) -> Triangulation:
-    """Delaunay triangulation of a point cloud (affine rank <= 5).
+def delaunay(cloud: PointCloud, *more: PointCloud) -> Triangulation | tuple[Triangulation, ...]:
+    """Delaunay triangulation of each point cloud (affine rank <= 5): a
+    `Triangulation` for one cloud, a tuple of them for several.
 
-    Deterministic for a fixed input ordering.  The insertion order of the
-    incremental hull is drawn from the fixed seed `_HULL_SEED`; the output
-    does not depend on it (`_Hull` makes the facets of the sequential
-    algorithm for that order).
+    The clouds whose lifted hulls live in one R^P share one `_Hull`
+    (`_HullSpace.joint`), whose rounds serve all of them at once, and one
+    batch of vertical tests; a cloud of rank + 1 points is one simplex.
+    Deterministic for a fixed input ordering.  Each cloud's insertion
+    order is drawn from the fixed seed `_HULL_SEED`; the output does not
+    depend on it (`_Hull` makes the facets of the sequential algorithm for
+    that order).
     """
-    if len(cloud) == 0:
-        raise InputError("cannot triangulate an empty cloud")
-    if cloud.dimension + 1 > DIM_CAP:
-        raise InputError(f"dimension {cloud.dimension} exceeds triangulation cap {DIM_CAP - 1}")
-    rank, space = _hull_space(cloud)
-    n = len(cloud)
-    if n == rank + 1:
-        return Triangulation(cloud, np.arange(n)[None], space)
-    order = list(range(n))
-    tail = order[space.P + 1 :]
-    random.Random(_HULL_SEED).shuffle(tail)
-    order[space.P + 1 :] = tail
-    hull = _Hull(space, order)
-    down = _vertical_signs(space, hull.facets)
-    tops = hull.facets[(down != 0) & (down == -hull.inside_signs)]
-    if not len(tops):
-        raise AssertionError("hull produced no lower facets")
-    return Triangulation(cloud, tops, space)
+    clouds = (cloud, *more)
+    for cloud in clouds:
+        if len(cloud) == 0:
+            raise InputError("cannot triangulate an empty cloud")
+        if cloud.dimension + 1 > DIM_CAP:
+            raise InputError(f"dimension {cloud.dimension} exceeds triangulation cap {DIM_CAP - 1}")
+    spaces = [_hull_space(cloud) for cloud in clouds]
+    tops = [np.arange(len(cloud))[None] for cloud in clouds]
+    groups: dict[int, list[int]] = {}  # P: the clouds of more than rank + 1 points
+    for i, (rank, space) in enumerate(spaces):
+        if len(clouds[i]) > rank + 1:
+            groups.setdefault(space.P, []).append(i)
+    for group in groups.values():
+        space = _HullSpace.joint([spaces[i][1] for i in group])
+        order = []
+        for lo, i in zip(space.starts, group):
+            tail = list(range(lo + space.P + 1, lo + len(clouds[i])))
+            random.Random(_HULL_SEED).shuffle(tail)
+            order += list(range(lo, lo + space.P + 1)) + tail
+        hull = _Hull(space, order)
+        down = _vertical_signs(space, hull.facets)
+        lower = hull.facets[(down != 0) & (down == -hull.inside_signs)]
+        cloud_of = np.searchsorted(space.starts, lower[:, 0], side="right") - 1
+        for c, (lo, i) in enumerate(zip(space.starts, group)):
+            tops[i] = lower[cloud_of == c] - lo
+            if not len(tops[i]):
+                raise AssertionError("hull produced no lower facets")
+    tris = tuple(Triangulation(c, t, s) for c, t, (_, s) in zip(clouds, tops, spaces))
+    return tris[0] if len(tris) == 1 else tris
 
 
 # -- del(Z) of a lifted pair ---------------------------------------------------

@@ -7,16 +7,17 @@ smallest enclosing ball of its projected (height-dropped) vertices.  The
 resulting filtered complex has size linear in the Delaunay triangulation of
 the lifted set instead of exponential in |X|.
 
-del(Z) is built from del(X1) and del(X2), each cloud triangulated once
-(`delaunay.pair_delaunay`).  With ties broken by the lift heights first,
-every top of del(Z) is the join of a face of del(X1) and a face of del(X2)
-(Cayley trick, Huber, Rambau & Santos): so the top across a ridge with
-vertices at both heights takes its new vertex from the links of the
-ridge's two parts in del(X1) and del(X2).  Of those candidates, the ones
-strictly beyond the ridge in projection are wrapped with the lifted hull's
-perturbed orientation test, which gives the lifted hull's tops; the wrap
-is seeded with every top of a cloud that spans its slab of Z, each joined
-to its partner, the other cloud's vertex nearest its circumcenter.
+del(Z) is built from del(X1) and del(X2), both clouds triangulated once,
+in one `delaunay` call (`delaunay.pair_delaunay`).  With ties broken by the
+lift heights first, every top of del(Z) is the join of a face of del(X1)
+and a face of del(X2) (Cayley trick, Huber, Rambau & Santos): so the top
+across a ridge with vertices at both heights takes its new vertex from the
+links of the ridge's two parts in del(X1) and del(X2).  Of those
+candidates, the ones strictly beyond the ridge in projection are wrapped
+with the lifted hull's perturbed orientation test, which gives the lifted
+hull's tops; the wrap is seeded with every top of a cloud that spans its
+slab of Z, each joined to its partner, the other cloud's vertex nearest
+its circumcenter.
 
 Each ball is taken from the cell's faces or from the cell itself (Bauer &
 Edelsbrunner, "The Morse theory of Cech and Delaunay complexes"): a
@@ -203,6 +204,14 @@ def _cell_balls(proj, table, centers, radii) -> tuple[np.ndarray, np.ndarray]:
     return out_c, out_r
 
 
+def _triangulate(x1: PointCloud, x2: PointCloud) -> tuple[Triangulation | None, Triangulation | None]:
+    """(del(X1), del(X2)), None for an empty cloud: one `delaunay` call,
+    which builds both clouds' hulls in one set of rounds."""
+    if len(x1) and len(x2):
+        return delaunay(x1, x2)
+    return (delaunay(x1) if len(x1) else None, delaunay(x2) if len(x2) else None)
+
+
 def _check_slabs(tri: Triangulation, tri1: Triangulation | None, tri2: Triangulation | None, n1: int):
     """AssertionError unless the all-plus cells of del(Z) are exactly the
     lifted del(X1) and the all-minus cells the lifted del(X2): the cells
@@ -251,10 +260,11 @@ class Pipeline:
 def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     """Lift, triangulate and filter.
 
-    del(X1) and del(X2) are triangulated once each, and del(Z) is wrapped
-    from them (`delaunay.pair_delaunay`): a candidate for the top across a
-    ridge with vertices in both clouds is a vertex of the link of the
-    ridge's X1 part in del(X1) or of its X2 part in del(X2).  Only the
+    del(X1) and del(X2) are triangulated once, in one `delaunay` call
+    whose hull rounds serve both clouds (`_triangulate`), and del(Z) is
+    wrapped from them (`delaunay.pair_delaunay`): a candidate for the top
+    across a ridge with vertices in both clouds is a vertex of the link of
+    the ridge's X1 part in del(X1) or of its X2 part in del(X2).  Only the
     candidates strictly beyond the ridge in projection can make a top that
     is not vertical, and among them the wrap keeps the one whose lifted
     hyperplane with the ridge has no other candidate below it, by the
@@ -297,8 +307,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
         raise InputError("ambient dimension must be at most 3")
     if len(x1) + len(x2) == 0:
         raise InputError("x1 and x2 are both empty")
-    tri1 = delaunay(x1) if len(x1) else None
-    tri2 = delaunay(x2) if len(x2) else None
+    tri1, tri2 = _triangulate(x1, x2)
     cfg = lift(x1, x2, choose_s(x1, x2))
     tri = pair_delaunay(cfg.z, tri1, tri2)
     _check_euler(tri)
@@ -343,12 +352,12 @@ class EmbeddingReport:
 
 
 def verify_embedding(cfg: LiftedConfiguration, tri: Triangulation) -> EmbeddingReport:
-    """`_check_slabs` against del(X1) and del(X2) triangulated afresh: the
-    all-plus cells of del(Z) must be exactly the lifted del(X1) and the
-    all-minus cells the lifted del(X2).  `build_pipeline` runs the same
-    check against its own del(X1) and del(X2)."""
-    tri1 = delaunay(cfg.x1) if len(cfg.x1) else None
-    tri2 = delaunay(cfg.x2) if len(cfg.x2) else None
+    """`_check_slabs` against del(X1) and del(X2) triangulated afresh, as
+    `build_pipeline` triangulates them (`_triangulate`): the all-plus
+    cells of del(Z) must be exactly the lifted del(X1) and the all-minus
+    cells the lifted del(X2).  `build_pipeline` runs the same check
+    against its own del(X1) and del(X2)."""
+    tri1, tri2 = _triangulate(cfg.x1, cfg.x2)
     try:
         _check_slabs(tri, tri1, tri2, len(cfg.x1))
     except AssertionError as e:

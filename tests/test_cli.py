@@ -10,7 +10,7 @@ import pytest
 
 import reldelcech
 from _faults import inject_fault
-from reldelcech.cli import generate_cloud, main, read_points, read_subset, render_svg
+from reldelcech.cli import generate_cloud, main, read_points, read_subset, render_svg, split_pair
 from reldelcech.filtered_complex import loads
 from reldelcech.geometry import InputError
 from reldelcech.persistence import Barcode
@@ -59,6 +59,15 @@ class TestReaders:
         f.write_text("0\n9\n")
         with pytest.raises(InputError, match="out of range"):
             read_subset(str(f), 4)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_split_pair_range_check(self, index):
+        # -1 would put the last point in X1, and n raised IndexError.
+        x = reldelcech.PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        with pytest.raises(InputError, match="subset index out of range"):
+            split_pair(x, {0, index})
+        x1, x2 = split_pair(x, {0, 2})
+        assert x1.coords.tolist() == [[0.0, 0.0], [0.0, 1.0]] and x2.coords.tolist() == [[1.0, 0.0]]
 
     def test_missing_file(self):
         with pytest.raises(InputError):

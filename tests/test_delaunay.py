@@ -1165,3 +1165,105 @@ class TestPerturbedSigns:
             uncertified += int(np.count_nonzero(signs == 0))
         assert cofactor_calls == []
         assert uncertified > 100 and scalar <= 0.1 * uncertified
+
+
+def _joint_pairs():
+    """(X1, X2) pairs for the joint hull: random pairs of d = 1..3, halves
+    of the 12x12 and 4x4x4 grids, a collinear X1 beside a full 2D X2 (two
+    values of P), a cloud of rank + 1 points beside a full one, 2^-20-scaled
+    and 1e5-translated copies, and an integer grid (in the exact range)
+    beside random floats (out of it)."""
+    rng = np.random.default_rng(96)
+    pairs = {}
+    for d in (1, 2, 3):
+        x = rng.random((40, d))
+        pairs[f"random{d}d"] = (x[:10], x[10:])
+    pairs["grid12x12"] = _split(_grid(12, 12), rng.choice(144, 72, replace=False))
+    pairs["grid4x4x4"] = _split(_grid(4, 4, 4), rng.choice(64, 32, replace=False))
+    pairs["collinear+full"] = (np.array(_line((1, 2), (0.5, 0), (-1.0, 0.25, 1.5, 3.0, -2.5))), rng.random((25, 2)))
+    pairs["simplex+full"] = (np.array([(0.1, 0.2), (0.9, 0.1), (0.4, 0.8)]), rng.random((25, 2)))
+    for name in ("random2d", "grid12x12"):
+        x1, x2 = pairs[name]
+        pairs[name + " scaled"] = (x1 * 2.0**-20, x2 * 2.0**-20)
+        pairs[name + " translated"] = (x1 + 1e5, x2 + 1e5)
+    pairs["grid+floats"] = (np.array(_grid(12, 12)), rng.random((60, 2)) * 11.0)
+    return pairs
+
+
+JOINT_PAIRS = _joint_pairs()
+
+
+def _recording_hulls(mod, monkeypatch) -> list:
+    """Every `_Hull` made while the patch holds."""
+    hulls, real = [], mod._Hull
+    monkeypatch.setattr(mod, "_Hull", lambda space, order: hulls.append(real(space, order)) or hulls[-1])
+    return hulls
+
+
+class TestJointHulls:
+    """`delaunay(x1, x2)` builds both clouds' hulls in one set of rounds
+    (`_HullSpace.joint`); each cloud's triangulation is the one it gets
+    alone."""
+
+    @pytest.mark.parametrize("seed", [0x9E3779B9, 1, 12345])
+    @pytest.mark.parametrize("name", sorted(JOINT_PAIRS))
+    def test_tops_are_each_clouds_own(self, name, seed, monkeypatch):
+        mod = importlib.import_module("reldelcech.delaunay")
+        monkeypatch.setattr(mod, "_HULL_SEED", seed)
+        x1, x2 = (PointCloud(x) for x in JOINT_PAIRS[name])
+        alone = [delaunay(x1).tops, delaunay(x2).tops]
+        hulls = _recording_hulls(mod, monkeypatch)
+        for clouds, want in (((x1, x2), alone), ((x2, x1), alone[::-1])):
+            tris = delaunay(*clouds)
+            assert all(t.cloud is c for t, c in zip(tris, clouds))
+            for t, tops in zip(tris, want):
+                assert np.array_equal(t.tops, tops), name
+        # One hull for two clouds of one P, one each for two values of P,
+        # none for a cloud of rank + 1 points.
+        counts = {"collinear+full": 2, "simplex+full": 1}
+        assert len(hulls) == 2 * counts.get(name, 1)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_each_cloud_keeps_its_exact_range(self, first, monkeypatch):
+        # The grid is in the exact range and the random floats are not,
+        # and their union would not be: beside them, the grid's hull makes
+        # no more scalar `sos_sign` or `exact_cofactors` calls than alone.
+        mod = importlib.import_module("reldelcech.delaunay")
+        grid, floats = (PointCloud(x) for x in JOINT_PAIRS["grid+floats"])
+        assert mod._hull_space(grid)[1].exact and not mod._hull_space(floats)[1].exact
+        ranks, cofactor_calls = [], []
+        real_cofactors = mod.exact_cofactors
+        monkeypatch.setattr(mod, "sos_sign", lambda rows, r: ranks.append(r) or sos_sign(rows, r))
+        monkeypatch.setattr(mod, "exact_cofactors", lambda block: cofactor_calls.append(1) or real_cofactors(block))
+        delaunay(grid)
+        alone = len(ranks)
+        ranks.clear()
+        clouds = (grid, floats) if first == 0 else (floats, grid)
+        delaunay(*clouds)
+        lo = 0 if first == 0 else len(floats)
+        assert sum(lo <= r[0] < lo + len(grid) for r in ranks) <= alone
+        assert cofactor_calls == []
+
+    @pytest.mark.parametrize("name", ["uniform2d", "grid12x12"])
+    def test_rounds_are_the_deeper_hulls(self, name, monkeypatch):
+        # The joint hull takes as many rounds as the deeper of the two,
+        # not their sum, and its visibility tests stay one kernel call per
+        # round: the full-width calls are the two first simplices'
+        # orientations, their one first `_add`, and one `_add` per round.
+        mod = importlib.import_module("reldelcech.delaunay")
+        if name == "uniform2d":
+            x = np.random.default_rng([1, 0]).random((250, 2))
+            x1, x2 = _split(x, np.random.default_rng(97).choice(250, 62, replace=False))
+        else:
+            x1, x2 = JOINT_PAIRS["grid12x12"]
+        x1, x2 = PointCloud(x1), PointCloud(x2)
+        hulls = _recording_hulls(mod, monkeypatch)
+        delaunay(x1)
+        delaunay(x2)
+        r1, r2 = (h.rounds for h in hulls)
+        calls, real = [], mod._orient_batch
+        monkeypatch.setattr(mod, "_orient_batch", lambda rows, *a: calls.append(rows.shape[1]) or real(rows, *a))
+        delaunay(x1, x2)
+        joint = hulls[-1]
+        assert joint.rounds == max(r1, r2) and joint.rounds < r1 + r2
+        assert calls.count(joint.space.P) <= 2 + 1 + joint.rounds

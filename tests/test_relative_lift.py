@@ -170,14 +170,15 @@ RING = [(5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)]
 RING += [(a * x, b * y) for x, y in ((3.0, 4.0), (4.0, 3.0)) for a in (-1, 1) for b in (-1, 1)]
 
 
-def count_delaunay_calls(monkeypatch) -> list[int]:
-    """Dimension of the cloud of every delaunay call build_pipeline makes."""
+def count_delaunay_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """For every delaunay call build_pipeline makes, the dimensions of the
+    clouds it triangulates."""
     calls = []
     real = relative_lift.delaunay
 
-    def counting(c):
-        calls.append(c.dimension)
-        return real(c)
+    def counting(*clouds):
+        calls.append(tuple(c.dimension for c in clouds))
+        return real(*clouds)
 
     monkeypatch.setattr(relative_lift, "delaunay", counting)
     return calls
@@ -198,18 +199,19 @@ def drop_lifted_edge(monkeypatch, lo: int, hi: int):
 
 
 def drop_top(monkeypatch, call: int, k: int = 0):
-    """Make every build_pipeline run on a pair of non-empty clouds, which
-    triangulates X1 and then X2, lose top k of the call-th triangulation
-    (0: del(X1), 1: del(X2))."""
+    """Make every delaunay call of build_pipeline and verify_embedding lose
+    top k of its call-th triangulation: on a pair of non-empty clouds,
+    which one call triangulates, 0 is del(X1) and 1 del(X2); with a side
+    empty, the one triangulation is 0."""
     real = relative_lift.delaunay
-    calls = []
 
-    def broken(c):
-        t = real(c)
-        calls.append(c)
-        if (len(calls) - 1) % 2 != call:
-            return t
-        return Triangulation(c, np.delete(t.tops, k, axis=0), t._space)
+    def broken(*clouds):
+        tris = real(*clouds)
+        tris = list(tris) if len(clouds) > 1 else [tris]
+        if call < len(tris):
+            t = tris[call]
+            tris[call] = Triangulation(t.cloud, np.delete(t.tops, k, axis=0), t._space)
+        return tuple(tris) if len(clouds) > 1 else tris[0]
 
     monkeypatch.setattr(relative_lift, "delaunay", broken)
 
@@ -250,22 +252,22 @@ BROKEN_WRAP = r"would get a third top|lies beyond the boundary ridge|has no top"
 
 
 class TestSharedTriangulations:
-    def test_two_calls_x1_and_x2(self, monkeypatch):
+    def test_one_call_for_x1_and_x2(self, monkeypatch):
         calls = count_delaunay_calls(monkeypatch)
         build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
-        assert calls == [2, 2]  # X1, X2; del(Z) is wrapped from them
+        assert calls == [(2, 2)]  # X1 and X2 at once; del(Z) is wrapped from them
 
     def test_empty_x1_is_not_triangulated(self, monkeypatch):
         calls = count_delaunay_calls(monkeypatch)
         build_pipeline(EMPTY2, cloud(X2_AROUND))
-        assert calls == [2]  # X2
+        assert calls == [(2,)]  # X2
 
     def test_empty_x2_triangulates_x1_once(self, monkeypatch):
         # Z is X1 at height +s, so del(Z) is the lifted del(X1): the check
         # passes and every cell is in the subcomplex.
         calls = count_delaunay_calls(monkeypatch)
         pipe = build_pipeline(cloud(X2_AROUND), EMPTY2)
-        assert calls == [2]  # X1
+        assert calls == [(2,)]  # X1
         assert all(c.in_subcomplex for c in pipe.complex.cells)
 
     def test_cocircular_ring_with_a_all_exits_0(self, tmp_path, capsys):
