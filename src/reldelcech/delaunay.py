@@ -35,15 +35,15 @@ many at a time.  The hull makes all facets of one round and tests all
 their conflict candidates in one call.  The wrap confirms all seeds in
 one call, then goes one breadth-first level at a time: the far sides, a
 guess of each new top from the pencil of lifted hyperplanes through its
-ridge, and the confirmation of the guess.  The kernel does the scalar filter's float operations in the same
-order, so its signs and its certified or uncertified decisions are the
-scalar ones.  On a cloud in the exact range (integer coordinates of
-modest range: grids, lattices, voxel data; `_HullSpace`) its values are
-the determinants themselves, zeros included.  The perturbed orientation
-(`_perturbed_signs`) decides in batches what the kernel cannot certify
-wherever it can: same-slab ties by their tie minor, and exact zeros in
-range by the first lift terms of the perturbation; only the rest goes to
-the scalar `sos_sign`.
+ridge, and the confirmation of the guess.  The kernel does the scalar
+filter's float operations in the same order, so its signs and its
+certified or uncertified decisions are the scalar ones.  On a cloud in
+the exact range (integer coordinates of modest range: grids, lattices,
+voxel data; `_HullSpace`) its values are the determinants themselves,
+zeros included.  The perturbed orientation (`_perturbed_signs`) decides
+in batches what the kernel cannot certify wherever it can: same-slab
+ties by their tie minor, and exact zeros in range by the first lift
+terms of the perturbation; only the rest goes to the scalar `sos_sign`.
 
 A `Triangulation` is arrays only: its tops are an (n, k + 1) int array
 of sorted vertex rows, and each dimension below is the `FaceTable` of
@@ -163,27 +163,35 @@ class _HullSpace:
     """Coordinates and exact predicates for the lifted hull of one cloud.
 
     Points live in R^P with the lift value as last coordinate.  Float rows
-    (`rows`, with their largest magnitudes `sizes`) feed the static filter;
-    exact integer rows (each column scaled by a positive constant, which
-    preserves all predicate signs) decide the rest, with symbolic
-    perturbation ranked by vertex index as tie-breaker.
+    (`rows`, an (n, P) array, with their largest magnitudes `sizes`; in
+    projection, without the lift, `prows` and `psizes`) feed the static
+    filter; exact integer rows (each column scaled by a positive constant,
+    which preserves all predicate signs; `pints` in projection) decide the
+    rest, with symbolic perturbation ranked by vertex index as tie-breaker.
 
-    The exact range (`exact`): every float row is integer-valued, the
-    float rows are the integer rows up to a positive factor per column,
-    and P! * prod_c max(1, range of column c) < 2^53.  Grids, lattices and
-    voxel data have it; random floats do not.  `_orient_batch` subtracts a
-    row from rows of one simplex and expands the minors of those edges: in
-    range every minor of r columns and every partial sum is an integer of
-    at most r! times the product of their ranges, below 2^53, so every
-    float operation is exact and the kernel's value is the determinant
-    itself, zeros included (the small-integer static filter of Devillers &
-    Pion, ALENEX 2003).  A kernel over fewer columns (the projection, the
-    tie minor) stays in range.  A space of several clouds (`joint`) holds
-    the flag per row.
+    The exact range (`exact`, one flag per row, its cloud's): the cloud's
+    columns need no shift (`_hull_space`), every lift is at most 2^53, and
+    P! * prod_c max(1, range of column c) < 2^53 over the integer rows
+    (`_exact_range`).  Grids, lattices and voxel data have it; random
+    floats do not.  It implies the definition that an entry-by-entry
+    comparison of the float and integer rows used to test (the tests keep
+    it as a reference): each coordinate is the cloud's own float, an
+    integer, and each lift h is an integer of at most 2^53, so the float
+    h / 1 is h; the float rows are the integer rows, integer-valued and
+    within the bound.  A cloud that met that definition only (halves off
+    the pivot columns whose squares add up to integers) takes the exact
+    paths outside the range, with the same signs.  `_orient_batch`
+    subtracts a row from rows of one simplex and expands the minors of
+    those edges: in range every minor of r columns and every partial sum
+    is an integer of at most r! times the product of their ranges, below
+    2^53, so every float operation is exact and the kernel's value is the
+    determinant itself, zeros included (the small-integer static filter of
+    Devillers & Pion, ALENEX 2003).  A kernel over fewer columns (the
+    projection, the tie minor) stays in range.
 
     The perturbed orientation of a facet against points is
-    `_perturbed_signs`; `sides` is its one-facet case.  What the kernel
-    cannot certify, it decides in batches where it can:
+    `_perturbed_signs`.  What the kernel cannot certify, it decides in
+    batches where it can:
 
     Same-slab ties: when the facet's integer rows have exactly one constant
     coordinate column h (a facet inside one slab of a lifted pair: its
@@ -199,9 +207,9 @@ class _HullSpace:
     times the projected orientation of the rows without row i, rows i by
     increasing rank.  When a coordinate column is constant over all rows,
     a multiple of the homogeneous one, `sos_sign` skips the determinant
-    itself but not these terms, and each of them is 0.  A zero minor (cospherical slab points) or an uncertified one
-    out of range goes to the scalar `sos_sign`, so every sign is
-    `sos_sign`'s.
+    itself but not these terms, and each of them is 0.  A zero minor
+    (cospherical slab points) or an uncertified one out of range goes to
+    the scalar `sos_sign`, so every sign is `sos_sign`'s.
 
     The vertical test `infdown_sign`, the orientation of the projected
     facet, is the other predicate; it returns 0 for a facet with a constant
@@ -211,13 +219,13 @@ class _HullSpace:
     certify.
     """
 
-    def __init__(self, frows: list[tuple[float, ...]], int_rows: list[tuple[int, ...]], exact: np.ndarray | None = None):
-        self.frows = frows
-        self.P = len(frows[0])
+    def __init__(self, rows: np.ndarray, int_rows: list[tuple[int, ...]], exact: np.ndarray):
+        self.rows, self.prows = rows, rows[:, :-1]
+        self.P = rows.shape[1]
         self.int_rows = int_rows  # homogeneous: P scaled coordinates + 1
-        self.rows = np.array(frows)
-        self.sizes = np.abs(self.rows).max(axis=1)
-        self.exact = _exact_range(self.rows, int_rows) if exact is None else exact
+        # initial=0.0: the space of one point has no projected column.
+        self.sizes, self.psizes = np.abs(rows).max(axis=1), np.abs(self.prows).max(axis=1, initial=0.0)
+        self.exact = exact
         self.starts = [0]  # the first row of each cloud (`joint`)
 
     @classmethod
@@ -227,14 +235,13 @@ class _HullSpace:
         of the clouds before it, as in Z; one space is itself.  Each
         predicate reads the rows of one cloud, whose float and integer
         rows are that cloud's own, so every sign is the one its cloud's
-        space gives.  `exact` is one flag per row, its cloud's: the union
-        of two clouds in the exact range need not be in it, since their
-        column ranges add up."""
+        space gives.  `exact` is each row's cloud's flag: the union of two
+        clouds in the exact range need not be in it, since their column
+        ranges add up."""
         if len(spaces) == 1:
             return spaces[0]
-        sizes = [len(s.frows) for s in spaces]
-        out = cls([r for s in spaces for r in s.frows], [r for s in spaces for r in s.int_rows], np.repeat([s.exact for s in spaces], sizes))
-        out.starts = np.cumsum([0, *sizes[:-1]]).tolist()
+        out = cls(np.concatenate([s.rows for s in spaces]), [r for s in spaces for r in s.int_rows], np.concatenate([s.exact for s in spaces]))
+        out.starts = np.cumsum([0, *(len(s.rows) for s in spaces[:-1])]).tolist()
         return out
 
     @functools.cached_property
@@ -247,60 +254,41 @@ class _HullSpace:
             out[:, c] = [index.setdefault(x, len(index)) for x in col]
         return out
 
+    @functools.cached_property
+    def pints(self) -> list[tuple[int, ...]]:
+        p = self.P
+        return [row[: p - 1] + row[p:] for row in self.int_rows]
+
     def infdown_sign(self, verts: tuple[int, ...]) -> int:
         """Exact homogeneous sign of (verts..., direction -e_P); 0 = vertical.
 
         Expanding along the direction row, -1 in lift column P - 1, leaves
         +1 times the orientation of the projected facet (rows without the
         lift).  A column c < P - 1 constant over the facet (a single-slab
-        facet's height) is a multiple of the homogeneous column: it is 0."""
-        p = self.P
-        facet = [self.int_rows[v] for v in verts]
-        if _constant_columns(facet, p - 1):
+        facet's height; equal `codes`) is a multiple of the homogeneous
+        column: it is 0."""
+        codes = self.codes[list(verts), :-1]
+        if (codes == codes[0]).all(axis=0).any():
             return 0
-        s = filtered_det_sign([self.frows[v][:-1] + (1.0,) for v in verts])
+        s = filtered_det_sign([[*self.prows[v].tolist(), 1.0] for v in verts])
         if s is not None:
             return s
-        return det_sign_exact([row[: p - 1] + row[p:] for row in facet])
-
-    def sides(self, verts: tuple[int, ...], queries) -> list[int]:
-        """Perturbed orientation sign of (verts..., q) for each query q,
-        P vertices and the query in homogeneous rows; never 0.  `verts`
-        must be sorted ascending: the tie path takes verts[0] as the
-        lowest-ranked row."""
-        if not queries:
-            return []
-        queries = np.array(queries, dtype=np.int64)
-        return _perturbed_signs(self, np.array([verts], dtype=np.int64), np.zeros(len(queries), dtype=np.int64), queries).tolist()
+        return det_sign_exact([self.pints[v] for v in verts])
 
 
-def _exact_range(rows: np.ndarray, int_rows: list[tuple[int, ...]]) -> bool:
-    """Whether the float `rows` are in the exact range (`_HullSpace`).
-    The integer rows are positive column multiples of the rational ones;
-    the float rows must be such multiples too, not roundings of them."""
-    if not np.all(rows == np.floor(rows)):
+def _exact_range(int_rows: list[tuple[int, ...]], shift: int) -> bool:
+    """Whether a cloud's lifted rows are in the exact range (`_HullSpace`),
+    from its homogeneous integer rows and the largest shift of its
+    columns (`_hull_space`); no float entry is read."""
+    if shift:
         return False
-    k = rows.shape[1]
-    bound = math.factorial(k)
-    for lo, hi in zip(rows.min(axis=0).tolist(), rows.max(axis=0).tolist()):
-        bound *= max(1, int(hi) - int(lo))
-    if bound >= 1 << 53:
+    cols = list(zip(*int_rows))[:-1]
+    if max(map(abs, cols[-1])) > 1 << 53:
         return False
-    for c, col in enumerate(zip(*rows.tolist())):
-        col = [int(x) for x in col]  # Python ints: exact products
-        ref = max(range(len(col)), key=lambda i: abs(col[i]))
-        f0, i0 = col[ref], int_rows[ref][c]
-        if f0 == 0:
-            if any(row[c] for row in int_rows):
-                return False
-        elif i0 == 0 or (i0 > 0) != (f0 > 0) or any(f * i0 != row[c] * f0 for f, row in zip(col, int_rows)):
-            return False
-    return True
-
-
-def _constant_columns(facet, limit: int) -> list[int]:
-    """The columns c < limit that are constant over the facet's rows."""
-    return [c for c, col in zip(range(limit), zip(*facet)) if col.count(col[0]) == len(col)]
+    bound = math.factorial(len(cols))
+    for col in cols:
+        bound *= max(1, max(col) - min(col))
+    return bound < 1 << 53
 
 
 def _perturbed_signs(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -343,7 +331,7 @@ def _resolve(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: n
     a = tie.nonzero()[0]
     ties = len(a)
     r, c = rank[a, 0], h[a]
-    exact = space.exact[rows[:, -1]] if np.ndim(space.exact) else np.full(len(todo), space.exact)
+    exact = space.exact[rows[:, -1]]
     if exact.any():
         signs[todo[exact]] = np.sign(values[todo[exact]])
         b = ((signs[todo] == 0) & exact & ~tie).nonzero()[0]
@@ -485,9 +473,7 @@ def _vertical_signs(space: _HullSpace, facets: np.ndarray) -> np.ndarray:
     without the lift), which `_orient_batch` filters.  What the batch
     cannot certify, the structural zeros among it (a constant column
     makes the float value exactly 0), goes to the scalar `infdown_sign`."""
-    prows = space.rows[:, :-1]
-    size = np.abs(prows).max(axis=1)
-    signs, _ = _orient_batch(prows, size, facets[:, :-1], np.arange(len(facets)), facets[:, -1])
+    signs, _ = _orient_batch(space.prows, space.psizes, facets[:, :-1], np.arange(len(facets)), facets[:, -1])
     for i in np.flatnonzero(signs == 0).tolist():
         signs[i] = space.infdown_sign(tuple(facets[i].tolist()))
     return signs
@@ -511,7 +497,8 @@ class _Hull:
 
     `order` is the clouds' insertion orders one after the other, each a
     permutation of its cloud's rows; a point's rank is its position in
-    `order`.  The first P + 1 points of each cloud's order make a simplex.
+    `order`.  The first P + 1 points of each cloud's order make a simplex,
+    all of them oriented in one `_perturbed_signs` batch.
     A facet's conflict set is the set of later points of its cloud
     strictly beyond it, kept as a rank-sorted array, and its pivot is the
     earliest of them (n, standing for infinity, when there is none).  A
@@ -539,9 +526,9 @@ class _Hull:
     another.  That takes O(log n) rounds with high probability.
 
     A facet's inside sign, sign(verts..., w) for a hull vertex w off it,
-    comes from t1: each sign of `sides` is a perturbed determinant
-    (Simulation of Simplicity, Edelsbrunner & Mucke 1990), so an odd row
-    permutation flips it exactly.  p sees t1 = r + w, w its i-th vertex,
+    comes from t1: each sign of `_perturbed_signs` is a perturbed
+    determinant (Simulation of Simplicity, Edelsbrunner & Mucke 1990), so
+    an odd row permutation flips it exactly.  p sees t1 = r + w, w its i-th vertex,
     so sign(t1..., p) = -inside(t1), and (t..., w) for t = r + p, p its
     j-th vertex, has those rows in an order of parity i + j + 1:
     inside(t) = (-1)^(i+j) inside(t1).
@@ -550,8 +537,9 @@ class _Hull:
     one kernel call, one more for the same-slab ties and exact zeros it
     cannot certify, and the scalar `sos_sign` for the rest.  A facet's
     conflict array is dropped once all its ridges are settled: once it
-    has been t1 of a job on each of them, or buried by equal pivots.  The result is `facets`, the final facets' sorted
-    vertex rows, and `inside_signs`."""
+    has been t1 of a job on each of them, or buried by equal pivots.  The
+    result is `facets`, the final facets' sorted vertex rows, and
+    `inside_signs`."""
 
     def __init__(self, space: _HullSpace, order: list[int]):
         self.space = space
@@ -573,19 +561,14 @@ class _Hull:
     def _build(self):
         space, order = self.space, self.order
         p, n = space.P, len(order)
-        bounds = [*space.starts, n]
-        verts, inside, which, ranks = [], [], [], []
-        for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            init = tuple(sorted(order[lo : lo + p + 1].tolist()))
-            # Facet e lacks init[p - e]; moving it after the others takes e swaps.
-            (d,) = space.sides(init[:-1], init[-1:])
-            verts += face_tuples(init)
-            inside.append(d * (-1) ** np.arange(p + 1))
-            rest = np.arange(lo + p + 1, hi)
-            which.append(np.repeat(np.arange(c * (p + 1), (c + 1) * (p + 1)), len(rest)))
-            ranks.append(np.tile(rest, p + 1))
-        verts = np.array(verts, dtype=np.int64)
-        ids = self._add(verts, np.concatenate(inside), np.concatenate(which), np.concatenate(ranks))
+        inits = np.sort([order[lo : lo + p + 1] for lo in space.starts], axis=1)
+        # Facet e lacks init[p - e]; moving it after the others takes e swaps.
+        d = _perturbed_signs(space, inits[:, :-1], np.arange(len(inits)), inits[:, -1])
+        verts = np.array([f for init in inits.tolist() for f in face_tuples(tuple(init))], dtype=np.int64)
+        rest = [np.arange(lo + p + 1, hi) for lo, hi in zip(space.starts, [*space.starts[1:], n])]
+        which = np.repeat(np.arange(len(verts)), np.repeat([len(r) for r in rest], p + 1))
+        ranks = np.concatenate([np.tile(r, p + 1) for r in rest])
+        ids = self._add(verts, np.outer(d, (-1) ** np.arange(p + 1)).ravel(), which, ranks)
         jobs = self._match(ids, verts, np.full(len(verts), -1))
         while len(jobs[1]):
             jobs = self._round(*jobs)
@@ -751,22 +734,29 @@ class Triangulation:
         s_inf = self._space.infdown_sign(top)
         if s_inf == 0:
             raise InputError("vertical simplex has no oriented circumsphere")
-        return [1 if o == s_inf else -1 for o in self._space.sides(top, queries)]
+        queries = np.array(queries, dtype=np.int64)
+        signs = _perturbed_signs(self._space, np.array([top], dtype=np.int64), np.zeros(len(queries), dtype=np.int64), queries)
+        return [1 if o == s_inf else -1 for o in signs.tolist()]
 
 
 def _hull_space(cloud: PointCloud):
-    """Lifted coordinates of the cloud: its pivot columns and |x|^2.
+    """The rank of the cloud and its lifted space (`_HullSpace`): its
+    pivot columns and |x|^2, in one pass over the cloud.
 
     Column c of the cloud is exactly ints / 2**shift[c] (`exact_ints`), so
     all exact work is in integers; the lift is the sum of squares over the
-    common denominator 4**top.  The pivot columns (`_pivot_columns`) are
-    all columns of a full-rank cloud; a flat one's affine hull projects
-    onto them one to one, and on it |x|^2 differs from the induced squared
-    length by an affine function, so the lower facets are the same.  The
-    integer rows are positive column multiples of the rational ones, which
-    changes no predicate sign; the float rows are the correctly rounded
-    quotients.  Raises InputError when a lifted coordinate (a squared
-    length) does not fit in a float.
+    common denominator 4**top, top the largest shift.  The pivot columns
+    (`_pivot_columns`) are all columns of a full-rank cloud; a flat one's
+    affine hull projects onto them one to one, and on it |x|^2 differs
+    from the induced squared length by an affine function, so the lower
+    facets are the same.  The integer rows are positive column multiples
+    of the rational ones, which changes no predicate sign.  The float rows
+    are the cloud's own floats in the pivot columns, which are those
+    rationals exactly (+ 0.0 makes -0.0 the 0.0 of the integer 0), and
+    the correctly rounded lifts h / 4**top.  The exact-range flag
+    (`_exact_range`) follows from the shifts and the integer rows.  Raises
+    InputError when a lifted coordinate (a squared length) does not fit in
+    a float.
     """
     cols, shifts = zip(*(exact_ints(col) for col in cloud.coords.T.tolist()))
     pts = list(zip(*cols))
@@ -774,19 +764,16 @@ def _hull_space(cloud: PointCloud):
     # Weight of column c in a squared length over the denominator 4**top.
     weights = [1 << 2 * (top - k) for k in shifts]
     pivots = _pivot_columns(pts)
-    coords = [tuple(p[c] for c in pivots) for p in pts]
     lifts = [sum(w * x * x for w, x in zip(weights, p)) for p in pts]
-    coord_dens = [1 << shifts[c] for c in pivots]
+    int_rows = [tuple(p[c] for c in pivots) + (h, 1) for p, h in zip(pts, lifts)]
+    rows = np.empty((len(pts), len(pivots) + 1))
+    rows[:, :-1] = cloud.coords[:, pivots] + 0.0
     lift_den = 1 << 2 * top
     try:
-        frows = [
-            tuple(x / d for x, d in zip(c, coord_dens)) + (h / lift_den,)
-            for c, h in zip(coords, lifts)
-        ]
+        rows[:, -1] = [h / lift_den for h in lifts]
     except OverflowError:
         raise InputError("squared coordinates exceed the float range (1.8e308)") from None
-    int_rows = [c + (h, 1) for c, h in zip(coords, lifts)]
-    return len(pivots), _HullSpace(frows, int_rows)
+    return len(pivots), _HullSpace(rows, int_rows, np.full(len(pts), _exact_range(int_rows, top)))
 
 
 def delaunay(cloud: PointCloud, *more: PointCloud) -> Triangulation | tuple[Triangulation, ...]:
@@ -885,12 +872,8 @@ class _Wrap:
     batched perturbed orientation (`_perturbed_signs`, `_resolve`)."""
 
     def __init__(self, space: _HullSpace, n1: int):
-        p = space.P
         self.space = space
         self.n1 = n1
-        self.prows = space.rows[:, :-1]
-        self.psize = np.abs(self.prows).max(axis=1)
-        self.pints = [row[: p - 1] + row[p:] for row in space.int_rows]
         self.cofactors: dict[tuple[int, ...], list[int]] = {}  # a ridge's integer cofactors
         self.rounds = 0  # refinement rounds: moves of the seeds' walk and updates of refuted guesses (`step`)
 
@@ -898,17 +881,18 @@ class _Wrap:
         """orient(ridges[w], q) for each (w, q) in zip(which, queries), and
         its float value; `ridges` is an int array of sorted vertex rows.
         The batch filter decides what it certifies.  In the exact range
-        (`_HullSpace`) the float value of each other sign is exact;
-        otherwise each other sign is the integer dot product of q's row
-        with the ridge's exact cofactors, computed once per ridge: the sign
-        of the determinant that `infdown_sign` would decide by Bareiss."""
-        signs, values = _orient_batch(self.prows, self.psize, ridges, which, queries)
+        (`_HullSpace`; each entry reads its query's flag) the float value
+        of each other sign is exact; otherwise each other sign is the
+        integer dot product of q's row with the ridge's exact cofactors,
+        computed once per ridge: the sign of the determinant that
+        `infdown_sign` would decide by Bareiss."""
+        space = self.space
+        signs, values = _orient_batch(space.prows, space.psizes, ridges, which, queries)
         unsure = np.flatnonzero(signs == 0)
-        if self.space.exact:
-            signs[unsure] = np.sign(values[unsure])
-            return signs, values
-        pints = self.pints
-        for i in unsure.tolist():
+        exact = space.exact[queries[unsure]]
+        signs[unsure[exact]] = np.sign(values[unsure[exact]])
+        pints = space.pints
+        for i in unsure[~exact].tolist():
             ridge = tuple(ridges[which[i]].tolist())
             cof = self.cofactors.get(ridge)
             if cof is None:
@@ -922,7 +906,7 @@ class _Wrap:
         its far sign, or -1 where there is none.  A ridge without a far
         candidate must lie on the boundary of conv(Z), so a vertex beyond
         it means a broken del(X1) or del(X2) left a hole there."""
-        n = len(self.prows)
+        n = len(self.space.rows)
         out = np.full(len(ridges), -1)
         step = max(1, _BATCH // n)
         for lo in range(0, len(ridges), step):
@@ -997,7 +981,7 @@ class _Wrap:
         So no vertex of Z lies below T + b when no neighbour of b in the
         other cloud's triangulation does."""
         space, p, n1 = self.space, self.space.P, self.n1
-        m, n = len(ridges), len(self.prows)
+        m, n = len(ridges), len(space.rows)
         in_x1 = ridges[:, 0] < n1
         lo, size = np.where(in_x1, n1, 0), np.where(in_x1, n - n1, n1)
         fars, _ = self.orient(ridges, np.arange(m), lo)
@@ -1064,7 +1048,7 @@ class _Wrap:
         the tops of both, rows padded with -1, and star[ptr[v] : ptr[v + 1]]
         those that hold v (`_csr`): a part's link is gathered from the star
         of its first vertex, about `_BATCH` star entries at a time."""
-        m, n, n1 = len(ridges), len(self.prows), self.n1
+        m, n, n1 = len(ridges), len(self.space.rows), self.n1
         anchors = np.stack([ridges[:, 0], ridges[np.arange(m), np.count_nonzero(ridges < n1, axis=1)]])
         counts = ptr[anchors + 1] - ptr[anchors]
         ends = np.cumsum(counts.sum(axis=0))
@@ -1172,7 +1156,7 @@ class _Wrap:
         Each level records the ridges of its new tops, and the mixed ridges
         that then have one top make the next level's jobs (`step`); a
         slab ridge lies on the boundary of conv(Z)."""
-        p, n1, n = self.space.P, self.n1, len(self.prows)
+        p, n1, n = self.space.P, self.n1, len(self.space.rows)
         ptr, nbr = _csr(n, np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]]))
         width = max(tops1.shape[1], tops2.shape[1])
         tops = np.full((len(tops1) + len(tops2), width), -1, dtype=np.int64)

@@ -121,7 +121,7 @@ def _named(t: CellTable, bad: np.ndarray) -> tuple:
 
 def _check(tables: list[CellTable]):
     """InputError unless the tables hold a filtered complex: in each
-    dimension distinct rows of increasing vertices in lexicographic order,
+    dimension distinct rows of increasing vertices >= 0 in lexicographic order,
     every facet row the cell without that vertex (key equality), every
     value a number >= 0 and >= its facets' values, and the subcomplex
     closed under faces and at value 0.  The first offending cell of the
@@ -131,6 +131,8 @@ def _check(tables: list[CellTable]):
         rising = np.all(rows[:, 1:] > rows[:, :-1], axis=1)
         if not rising.all():
             raise InputError(f"simplex vertices must be strictly increasing: {_named(t, ~rising)}")
+        if np.any(rows[:, 0] < 0):
+            raise InputError(f"negative vertex index in {_named(t, rows[:, 0] < 0)}")
         differ = rows[1:] != rows[:-1]
         col = differ.argmax(axis=1)[:, None]
         if not np.take_along_axis(differ, col, 1).all():

@@ -57,6 +57,31 @@ def sos_assignment_order(ranks, ncoords: int) -> list[tuple[tuple[int, int], ...
     return [a for _, a in sorted(out)]
 
 
+def exact_range_reference(rows: np.ndarray, int_rows) -> bool:
+    """Whether the float lifted rows `rows` of a cloud are in the exact
+    range, entry by entry: every float row integer-valued, the float rows
+    the homogeneous integer rows `int_rows` up to a positive factor per
+    column (not roundings of them), and P! * prod_c max(1, range of column
+    c) < 2^53 over the float rows."""
+    if not np.all(rows == np.floor(rows)):
+        return False
+    bound = math.factorial(rows.shape[1])
+    for lo, hi in zip(rows.min(axis=0).tolist(), rows.max(axis=0).tolist()):
+        bound *= max(1, int(hi) - int(lo))
+    if bound >= 1 << 53:
+        return False
+    for c, col in enumerate(zip(*rows.tolist())):
+        col = [int(x) for x in col]  # Python ints: exact products
+        ref = max(range(len(col)), key=lambda i: abs(col[i]))
+        f0, i0 = col[ref], int_rows[ref][c]
+        if f0 == 0:
+            if any(row[c] for row in int_rows):
+                return False
+        elif i0 == 0 or (i0 > 0) != (f0 > 0) or any(f * i0 != row[c] * f0 for f, row in zip(col, int_rows)):
+            return False
+    return True
+
+
 def _solve_gauss(a, b):
     """Plain float Gaussian elimination; None if (near) singular."""
     n = len(b)

@@ -166,6 +166,30 @@ class TestCompute:
         assert main(["compute", str(f), "--subset-indices", str(a)]) == 2
         assert "exceed the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, subset, error",
+        [
+            ("x,y\n0.0,0.0\n2.0,0.0\n0.0,2.0\n2.0,2.0\n", None, None),  # a header line
+            ("0.0,0.0\nnan,1.0\n", None, "pts.csv:2: non-finite coordinate"),
+            ("\n   \n\n", None, "pts.csv: no points found"),
+            ("0.0,0.0\n1.0,0.0\n", "0\nfoo\n", "a.txt:2: bad index 'foo'"),
+        ],
+    )
+    def test_read_errors_exit_2(self, text, subset, error, square, tmp_path, capsys):
+        f = tmp_path / "pts.csv"
+        f.write_text(text)
+        args = ["compute", str(f)]
+        if subset is not None:
+            (tmp_path / "a.txt").write_text(subset)
+            args += ["--subset-indices", str(tmp_path / "a.txt")]
+        if error is None:  # the header is skipped: the square's barcode
+            assert main(args) == 0 and main(["compute", str(square)]) == 0
+            first, second = capsys.readouterr().out.split("\n}\n", 1)
+            assert json.loads(first + "}") == json.loads(second)
+        else:
+            assert main(args) == 2
+            assert error in capsys.readouterr().err
+
     def test_s_factor_rejected(self, square, subset0, capsys):
         # The lift height is derived from the input; there is no knob for it.
         for command in ("compute", "check"):
@@ -285,6 +309,17 @@ class TestBench:
     def test_annulus_requires_d2(self, capsys):
         assert main(["bench", "--sizes", "10", "--dim", "3", "--generator", "annulus"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--sizes", ","], "no sizes given"),
+            (["--sizes", "5", "--dim", "0"], "--dim must be at least 1"),
+        ],
+    )
+    def test_bad_arguments_exit_2(self, args, error, capsys):
+        assert main(["bench", *args]) == 2
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_bad_dim_exit_2(self, dim):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from _faults import certify_nothing
+from _oracles import exact_range_reference
 
 from reldelcech.delaunay import Triangulation, delaunay, face_tables
 from reldelcech.filtered_complex import Simplex
@@ -24,6 +25,23 @@ def random_cloud(rng, n, d, low=0.0, high=1.0):
 def rows(a) -> list[tuple[int, ...]]:
     """The rows of an int array as vertex tuples."""
     return list(map(tuple, a.tolist()))
+
+
+def sides(space, verts, queries) -> list[int]:
+    """The perturbed orientation sign of (verts..., q) for each query q:
+    one `_perturbed_signs` call with the one facet `verts`, sorted."""
+    mod = importlib.import_module("reldelcech.delaunay")
+    queries = np.array(queries, dtype=np.int64)
+    return mod._perturbed_signs(space, np.array([verts]), np.zeros(len(queries), dtype=np.int64), queries).tolist()
+
+
+def int_space(rows):
+    """The `_HullSpace` of integer rows taken as they are, the last column
+    as the lift: the float rows equal them, and the exact-range flag is
+    `_exact_range`'s for rows that need no shift."""
+    mod = importlib.import_module("reldelcech.delaunay")
+    ints = [(*r, 1) for r in rows]
+    return mod._HullSpace(np.array(rows, dtype=float), ints, np.full(len(rows), mod._exact_range(ints, 0)))
 
 
 class TestSimplex:
@@ -345,7 +363,7 @@ class TestHullSpace:
         assert rank == len(ref[0]) - 2
         # Float rows: the correctly rounded rationals, bit for bit.
         want = [tuple(float(x).hex() for x in row[:-1]) for row in ref]
-        assert [tuple(x.hex() for x in row) for row in space.frows] == want
+        assert [tuple(x.hex() for x in row) for row in space.rows.tolist()] == want
         # Integer rows: each column a positive multiple of the reference.
         for c in range(rank + 2):
             col = [row[c] for row in ref]
@@ -360,19 +378,20 @@ class TestHullSpace:
     def test_one_float_filter_per_test(self, monkeypatch):
         # Each visibility test of the hull is one entry of one kernel call
         # over the full rows (`_orient_batch`, via `_perturbed_signs`), and
-        # the first simplex takes its orientation from one `sides` call,
-        # itself one entry; every other inside sign follows by parity
-        # (`_Hull`).  The entries that the kernel cannot certify, here the
-        # same-slab ties of a lifted pair (random floats are outside the
-        # exact range), take one tie minor each, all of one round in one
-        # `_minors` call.  The vertical tests of the final facets run in
-        # one more batch, and only what it cannot certify goes to
-        # `infdown_sign`, once each; that runs filtered_det_sign, except
-        # on the structural zeros: a facet with a constant coordinate
-        # column below the lift column is vertical without a determinant.
+        # the first simplex takes its orientation from the first
+        # `_perturbed_signs` call, itself one entry; every other inside sign
+        # follows by parity (`_Hull`).  The entries that the kernel cannot
+        # certify, here the same-slab ties of a lifted pair (random floats
+        # are outside the exact range), take one tie minor each, all of one
+        # round in one `_minors` call.  The vertical tests of the final
+        # facets run in one more batch, and only what it cannot certify
+        # goes to `infdown_sign`, once each; that runs filtered_det_sign,
+        # except on the structural zeros: a facet with a constant
+        # coordinate column below the lift column is vertical without a
+        # determinant.
         mod = importlib.import_module("reldelcech.delaunay")
-        batches, minors, sides, vertical, filters = [], [], [], [], []
-        real_batch, real_minors, real_sides = mod._orient_batch, mod._minors, mod._HullSpace.sides
+        batches, minors, perturbed, vertical, filters = [], [], [], [], []
+        real_batch, real_minors, real_perturbed = mod._orient_batch, mod._minors, mod._perturbed_signs
         real_vertical, real_filter = mod._HullSpace.infdown_sign, mod.filtered_det_sign
 
         def batch(rows, size, simplices, which, queries):
@@ -386,20 +405,20 @@ class TestHullSpace:
 
         monkeypatch.setattr(mod, "_orient_batch", batch)
         monkeypatch.setattr(mod, "_minors", minor)
-        monkeypatch.setattr(mod._HullSpace, "sides", lambda sp, verts, qs: sides.append((verts, list(qs))) or real_sides(sp, verts, qs))
+        monkeypatch.setattr(mod, "_perturbed_signs", lambda sp, vs, w, qs: perturbed.append((vs[w].tolist(), qs.tolist())) or real_perturbed(sp, vs, w, qs))
         monkeypatch.setattr(mod._HullSpace, "infdown_sign", lambda sp, verts: vertical.append(verts) or real_vertical(sp, verts))
         monkeypatch.setattr(mod, "filtered_det_sign", lambda rows: filters.append(rows) or real_filter(rows))
         x = np.random.default_rng(72).random((40, 2)).tolist()
         z = lift(PointCloud(x[:10]), PointCloud(x[10:]), 1.0).z
         delaunay(z)
         p = 4  # the hull of a lifted planar pair lives in R^4
-        assert sides == [((0, 1, 2, 3), [4])]
+        assert perturbed[0] == ([[0, 1, 2, 3]], [4])
         *hull, down = batches
         assert down[0] == p - 1
         at_minors = {at for at, *_ in minors}
         assert [k for k, *_ in hull] == [p - 1 if i in at_minors else p for i in range(len(hull))]
         full = [b for b in hull if b[0] == p]
-        assert full[0][1:3] == ([[0, 1, 2, 3]], [4])
+        assert full[0][1:3] == ([[0, 1, 2, 3]], [4]) and len(perturbed) == len(full)
         tests = [(tuple(f), q, s) for _, fs, qs, ss in full for f, q, s in zip(fs, qs, ss)]
         assert len({(f, q) for f, q, _ in tests}) == len(tests)
         # Each `_minors` call follows the full call whose entries it
@@ -414,7 +433,7 @@ class TestHullSpace:
         _, fs, qs, ss = down
         assert vertical == [(*f, q) for f, q, s in zip(fs, qs, ss) if s == 0]
         _, space = mod._hull_space(z)
-        zeros = [v for v in vertical if mod._constant_columns([space.int_rows[u] for u in v], p - 1)]
+        zeros = [v for v in vertical if any(len({space.int_rows[u][c] for u in v}) == 1 for c in range(p - 1))]
         assert zeros and len(filters) == len(vertical) - len(zeros)
 
     def test_hull_rounds_are_few(self, monkeypatch):
@@ -489,7 +508,7 @@ class TestHullSpace:
                 queries = [q for q in range(len(cloud)) if q not in verts]
                 rows = [space.int_rows[v] for v in verts]
                 want = [sos_sign(rows + [space.int_rows[q]], list(verts) + [q]) for q in queries]
-                assert space.sides(verts, queries) == want, (verts, queries)
+                assert sides(space, verts, queries) == want, (verts, queries)
                 total += len(queries)
                 if cloud is z and len({v < n1 for v in verts}) == 1:
                     ties.update(verts + (q,) for q in queries if (q < n1) == (verts[0] < n1))
@@ -529,7 +548,7 @@ class TestHullSpace:
                 queries = [q for q in slab if q not in verts]
                 rows = [space.int_rows[v] for v in verts]
                 want = [sos_sign(rows + [space.int_rows[q]], list(verts) + [q]) for q in queries]
-                assert space.sides(verts, queries) == want, (verts, queries)
+                assert sides(space, verts, queries) == want, (verts, queries)
                 below += sum(q < verts[0] for q in queries)
                 above += sum(q > verts[0] for q in queries)
         assert below > 0 and above > 0
@@ -597,7 +616,7 @@ class TestHullOrientation:
         on_hull = sorted(set(hull.facets.ravel().tolist()))
         for verts, inside in zip(rows(hull.facets), hull.inside_signs.tolist()):
             off = [v for v in on_hull if v not in verts]
-            assert hull.space.sides(verts, off) == [inside] * len(off), verts
+            assert sides(hull.space, verts, off) == [inside] * len(off), verts
 
     def test_vertical_sign_matches_direction_row_determinant(self, monkeypatch):
         # infdown_sign is the projected facet's orientation: the exact sign
@@ -685,7 +704,7 @@ class TestHullOracle:
         # a vertex of no final facet.
         mod = importlib.import_module("reldelcech.delaunay")
         pts = [(0, 4, 8), (28, 12, 20), (8, 36, 16), (20, 24, 44), (14, 19, 22)]
-        space = mod._HullSpace([tuple(map(float, p)) for p in pts], [(*p, 1) for p in pts])
+        space = int_space(pts)
         with pytest.raises(AssertionError, match="lifted point inside hull"):
             mod._Hull(space, order)
 
@@ -874,7 +893,7 @@ class TestSeeds:
         calls, _ = self._seeded(*SEED_PAIRS[name], monkeypatch)
         assert calls
         for wrap, seeds, partners in calls:
-            n1, n = wrap.n1, len(wrap.prows)
+            n1, n = wrap.n1, len(wrap.space.rows)
             for in_x1, (lo, hi) in ((True, (n1, n)), (False, (0, n1))):
                 ridges = seeds[(seeds[:, 0] < n1) == in_x1]
                 m = len(ridges)
@@ -966,14 +985,14 @@ class TestOrientBatch:
             z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
             tri = mod.pair_delaunay(z, delaunay(PointCloud(x1)), delaunay(PointCloud(x2)))
             space = tri._space
-            assert space.exact
+            assert space.exact.all()
             ridges = tri.tables[-2].simplices
             which, queries = np.repeat(np.arange(len(ridges)), len(z)), np.tile(np.arange(len(z)), len(ridges))
-            pints = mod._Wrap(space, len(x1)).pints
+            pints = space.pints
             rows = ridges.tolist()
             want = [det_sign_exact([pints[v] for v in rows[w]] + [pints[q]]) for w, q in zip(which.tolist(), queries.tolist())]
             for exact in (True, False):
-                monkeypatch.setattr(space, "exact", exact)
+                monkeypatch.setattr(space, "exact", np.full(len(z), exact))
                 cofactor_calls.clear()
                 signs, _ = mod._Wrap(space, len(x1)).orient(ridges, which, queries)
                 assert signs.tolist() == want
@@ -1016,11 +1035,6 @@ class TestExactRange:
     outside it the range is off."""
 
     @staticmethod
-    def _space(rows):
-        mod = importlib.import_module("reldelcech.delaunay")
-        return mod._HullSpace([tuple(map(float, r)) for r in rows], [(*r, 1) for r in rows])
-
-    @staticmethod
     def _rows(rng, ranges, n=12):
         """n integer rows whose column c spans exactly ranges[c], from a
         random offset; half of the entries at an end of their range."""
@@ -1046,8 +1060,8 @@ class TestExactRange:
         last = (limit - 1) // (math.factorial(k) * math.prod(ranges))
         for top in (last, last - 1):  # at the bound, and just inside it
             rows = self._rows(rng, ranges + [top])
-            space = self._space(rows)
-            assert space.exact and _exact_range_bound(space) < limit
+            space = int_space(rows)
+            assert space.exact.all() and _exact_range_bound(space) < limit
             m, n = 30, len(rows)
             simplices = np.array([rng.choice(n, k, replace=False) for _ in range(m)])
             which, queries = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
@@ -1056,20 +1070,20 @@ class TestExactRange:
             assert values.tolist() == want
             assert any(abs(v) > 2**40 for v in want)
         # One column step past the bound.
-        space = self._space(self._rows(rng, ranges + [last + 1]))
-        assert _exact_range_bound(space) >= limit and not space.exact
+        space = int_space(self._rows(rng, ranges + [last + 1]))
+        assert _exact_range_bound(space) >= limit and not space.exact.any()
 
     def test_range_is_off_for_rounded_or_fractional_rows(self):
         mod = importlib.import_module("reldelcech.delaunay")
         grid = _grid(3, 3)
         _, space = mod._hull_space(PointCloud(grid))
-        assert space.exact
+        assert space.exact.all()
         _, space = mod._hull_space(PointCloud([[x * 2.0**-20 for x in p] for p in grid]))
-        assert not space.exact  # not integer-valued
+        assert not space.exact.any()  # not integer-valued
         # Translated by 2^40, the rows are integers and the ranges small,
         # but the float lifts (~2^81) are rounded.
         _, space = mod._hull_space(PointCloud([[x + 2.0**40 for x in p] for p in grid]))
-        assert _exact_range_bound(space) < 1 << 53 and not space.exact
+        assert _exact_range_bound(space) < 1 << 53 and not space.exact.any()
 
     def test_workload_clouds(self):
         # Integer grids and their lifted pairs are in range; random
@@ -1077,10 +1091,36 @@ class TestExactRange:
         mod = importlib.import_module("reldelcech.delaunay")
         for name in ("grid12x12", "grid4x4x4", "repro"):
             _, space = mod._hull_space(HULL_CLOUDS[name])
-            assert space.exact, name
+            assert space.exact.all(), name
         for name in ("uniform2d", "uniform3d", "pair2d", "pair3d"):
             _, space = mod._hull_space(HULL_CLOUDS[name])
-            assert not space.exact, name
+            assert not space.exact.any(), name
+
+    def test_flag_matches_the_entrywise_reference(self):
+        # The flag, read from the shifts and the integer rows, is the
+        # reference's entry-by-entry comparison of the float and integer
+        # rows: on the hull clouds, on both clouds and the lifted Z of
+        # every seed and joint pair, on the tilted 2x6 integer grid in R^3
+        # (flat, in range) and on a grid of spacing 1/2 (out of it).
+        mod = importlib.import_module("reldelcech.delaunay")
+        tilt = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+        clouds = dict(HULL_CLOUDS)
+        clouds["grid2x6 tilted"] = PointCloud((np.array(_grid(2, 6)) @ tilt).tolist())
+        clouds["half grid"] = PointCloud((np.array(_grid(4, 4)) / 2).tolist())
+        for name, (x1, x2) in [*SEED_PAIRS.items(), *JOINT_PAIRS.items()]:
+            x1, x2 = PointCloud(np.asarray(x1).tolist()), PointCloud(np.asarray(x2).tolist())
+            clouds[name + " X1"], clouds[name + " X2"], clouds[name + " Z"] = x1, x2, lift(x1, x2, 1.0).z
+        flags = {}
+        for name, cloud in clouds.items():
+            _, space = mod._hull_space(cloud)
+            assert space.exact.all() or not space.exact.any(), name
+            flags[name] = bool(space.exact[0])
+            assert flags[name] == exact_range_reference(space.rows, space.int_rows), name
+        assert flags["grid2x6 tilted"] and not flags["half grid"]
+        # Scaled by 2^-20 nothing is in range; an integer grid translated
+        # by 1e5 still is.
+        assert not any(flags[f"{name} scaled {part}"] for name in ("random2d", "grid12x12", "ring") for part in ("X1", "X2", "Z"))
+        assert flags["grid12x12 translated Z"] and not flags["random2d translated Z"]
 
 
 def _circle():
@@ -1230,7 +1270,7 @@ class TestJointHulls:
         # no more scalar `sos_sign` or `exact_cofactors` calls than alone.
         mod = importlib.import_module("reldelcech.delaunay")
         grid, floats = (PointCloud(x) for x in JOINT_PAIRS["grid+floats"])
-        assert mod._hull_space(grid)[1].exact and not mod._hull_space(floats)[1].exact
+        assert mod._hull_space(grid)[1].exact.all() and not mod._hull_space(floats)[1].exact.any()
         ranks, cofactor_calls = [], []
         real_cofactors = mod.exact_cofactors
         monkeypatch.setattr(mod, "sos_sign", lambda rows, r: ranks.append(r) or sos_sign(rows, r))
@@ -1248,8 +1288,9 @@ class TestJointHulls:
     def test_rounds_are_the_deeper_hulls(self, name, monkeypatch):
         # The joint hull takes as many rounds as the deeper of the two,
         # not their sum, and its visibility tests stay one kernel call per
-        # round: the full-width calls are the two first simplices'
-        # orientations, their one first `_add`, and one `_add` per round.
+        # round: the full-width calls are the orientations of both first
+        # simplices in one batch, their one first `_add`, and one `_add`
+        # per round.
         mod = importlib.import_module("reldelcech.delaunay")
         if name == "uniform2d":
             x = np.random.default_rng([1, 0]).random((250, 2))
@@ -1266,4 +1307,4 @@ class TestJointHulls:
         delaunay(x1, x2)
         joint = hulls[-1]
         assert joint.rounds == max(r1, r2) and joint.rounds < r1 + r2
-        assert calls.count(joint.space.P) <= 2 + 1 + joint.rounds
+        assert calls.count(joint.space.P) <= 1 + 1 + joint.rounds

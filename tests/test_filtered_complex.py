@@ -43,6 +43,13 @@ class TestBuild:
         c = build(cells)
         assert list(c.cells) == cells
 
+    def test_negative_vertex_index(self):
+        # Vertices index a point cloud; -1 used to build and reduce.
+        with pytest.raises(InputError, match=r"negative vertex index in \(-1,\)"):
+            loads("-1 0.0 0\n0 0.0 0\n-1 0 1.0 0\n")
+        with pytest.raises(InputError, match=r"negative vertex index in \(-1,\)"):
+            build(cells_of(((-1,), 0, False), ((0,), 0, False), ((-1, 0), 1, False)))
+
     def test_raw_tusize_accepted(self):
         c = build([((0,), 0.0, False), ([1], 0, 0), (Simplex((0, 1)), 2, False)])
         assert len(c) == 3
@@ -148,6 +155,8 @@ class TestTables:
             (2, "facets", (0, 1), 0, "missing face"),
             (1, "simplices", 2, (0, 2), "duplicate"),
             (1, "simplices", 1, (2, 0), "strictly increasing"),
+            (0, "simplices", 0, -1, "negative vertex index"),
+            (1, "simplices", 0, (-1, 1), "negative vertex index"),
             (1, "values", 1, math.nan, "NaN"),
             (1, "values", 2, -1.0, "negative"),
             (0, "values", 0, 0.25, "must have value 0"),
