@@ -282,8 +282,8 @@ def _exact_range(int_rows: list[tuple[int, ...]], shift: int) -> bool:
     columns (`_hull_space`); no float entry is read."""
     if shift:
         return False
-    cols = list(zip(*int_rows))[:-1]
-    if max(map(abs, cols[-1])) > 1 << 53:
+    cols = list(zip(*int_rows))[:-1]  # without the homogeneous column
+    if max(map(abs, cols[-1])) > 1 << 53:  # the lifts
         return False
     bound = math.factorial(len(cols))
     for col in cols:
