@@ -22,13 +22,15 @@ The lifted set Z of a pair of clouds (X1 at height +s, X2 at -s) gets no
 hull of its own: `pair_delaunay` gift-wraps del(Z) from del(X1) and
 del(X2).  Under the heights-first tie rule every top of del(Z) joins a
 face of del(X1) and a face of del(X2) (Cayley trick), so the top across a
-ridge with vertices in both clouds has its new vertex in the link of the
-ridge's X1 part in del(X1) or of its X2 part in del(X2).  An unperturbed
-far-side test in projection and a wrap with the hull's own perturbed
-orientation pick it, so the tops are the lifted hull's.  The wrap is seeded
-with every top of a cloud that spans its slab of Z, each joined to its one
-partner in the other cloud by a batched walk; where neither cloud spans
-(non-parallel flat clouds), `delaunay(z)` triangulates Z.
+ridge with vertices in both clouds has its new vertex adjacent to every
+vertex of the ridge's X1 part in del(X1) or of its X2 part in del(X2).
+The wrap takes those common neighbours from the edge graph of both, which
+its seeds walk too, and an unperturbed far-side test in projection and
+the hull's own perturbed orientation pick the new vertex among them, so
+the tops are the lifted hull's.  The wrap is seeded with every top of a
+cloud that spans its slab of Z, each joined to its one partner in the
+other cloud; where neither cloud spans (non-parallel flat clouds),
+`delaunay(z)` triangulates Z.
 
 Every float test runs in one elementwise numpy kernel, `_orient_batch`,
 many at a time.  The hull makes all facets of one round and tests all
@@ -637,7 +639,7 @@ class _Hull:
         waiting and the new ridges puts the two facets of a ridge next to
         each other."""
         p = verts.shape[1]
-        cols = np.array([[c for c in range(p) if c != k] for k in range(p)], dtype=np.intp)
+        _, cols = _rank_tables(p - 1)
         keep = verts.ravel() != np.repeat(skip, p)
         new = (verts[:, cols].reshape(-1, p - 1)[keep], np.repeat(ids, p)[keep], verts.ravel()[keep])
         ridges, facet, apex = (np.concatenate([x, y]) for x, y in zip(self._waiting, new))
@@ -823,8 +825,8 @@ def delaunay(cloud: PointCloud, *more: PointCloud) -> Triangulation | tuple[Tria
 
 
 # Queries per kernel call of a batch that grows with the cloud (`_Wrap.beyond`,
-# the jump of `_Wrap.seed`, `_Wrap.candidates`' star entries, the minors of
-# `_resolve` in eighths): bounds their arrays on large clouds.
+# the jump of `_Wrap.seed`, the minors of `_resolve` in eighths): bounds
+# their arrays on large clouds.
 _BATCH = 1 << 12
 
 
@@ -920,32 +922,32 @@ class _Wrap:
             out[lo + found] = queries[hit][first]
         return out
 
-    def check_tops(self, tops: list[tuple[int, ...]]):
-        """The wrap's checks on `tops`, a whole triangulation of Z's
-        vertices: AssertionError if a ridge has more than two tops, if the
-        two tops of a ridge are flat or lie on one side of it, or if a
-        vertex of Z lies beyond a ridge of one top (`beyond`)."""
-        apexes: dict[tuple[int, ...], list[int]] = {}
-        for top in tops:
-            for ridge, a in zip(face_tuples(top), reversed(top)):
-                apexes.setdefault(ridge, []).append(a)
-        ridges = [r for r, ends in apexes.items() if len(ends) <= 2]
-        rows = np.array(ridges, dtype=np.int64).reshape(len(ridges), -1)
-        counts = [len(apexes[r]) for r in ridges]
-        which = np.repeat(np.arange(len(ridges)), counts)
-        signs, _ = self.orient(rows, which, np.array([a for r in ridges for a in apexes[r]], dtype=np.int64))
-        ends = dict(zip(ridges, np.split(signs, np.cumsum(counts)[:-1])))
-        single = [i for i, r in enumerate(ridges) if len(ends[r]) == 1 and ends[r][0]]
-        fars = -np.array([ends[ridges[i]][0] for i in single], dtype=np.int64)
-        beyond = dict(zip((ridges[i] for i in single), self.beyond(rows[single], fars).tolist()))
-        for ridge, a in apexes.items():
-            if len(a) > 2:
-                raise AssertionError(f"ridge {ridge} of del(Z) has {len(a)} tops")
-            s = ends[ridge]
-            if 0 in s or len(s) == 2 and s[0] == s[1]:
-                raise AssertionError(f"the tops of ridge {ridge} of del(Z) are flat or overlap")
-            if beyond.get(ridge, -1) >= 0:
-                raise AssertionError(f"vertex {beyond[ridge]} of Z lies beyond the boundary ridge {ridge} of del(Z)")
+    def check_tops(self, tops: np.ndarray):
+        """The wrap's checks on `tops`, the sorted vertex rows of a whole
+        triangulation of Z's vertices: AssertionError if a ridge has more
+        than two tops, if the two tops of a ridge are flat or lie on one
+        side of it (their orient signs, one batch, do not add up to 0 or
+        one is 0), or if a vertex of Z lies beyond a ridge of one top
+        (`beyond`).  Its faces are laid out as in `run`."""
+        p = tops.shape[1]
+        _, cols = _rank_tables(p - 1)
+        ridges, where = unique_rows(tops[:, cols].reshape(-1, p - 1))
+        count = np.bincount(where, minlength=len(ridges))
+        bad = np.flatnonzero(count > 2)
+        if len(bad):
+            raise AssertionError(f"ridge {tuple(ridges[bad[0]].tolist())} of del(Z) has {count[bad[0]]} tops")
+        signs, _ = self.orient(ridges, where, tops.ravel())  # each face's vertex off it
+        total = np.bincount(where, weights=signs, minlength=len(ridges)).astype(np.int64)
+        flat = (count == 2) & (total != 0)
+        flat[where[signs == 0]] = True
+        bad = np.flatnonzero(flat)
+        if len(bad):
+            raise AssertionError(f"the tops of ridge {tuple(ridges[bad[0]].tolist())} of del(Z) are flat or overlap")
+        single = np.flatnonzero(count == 1)
+        beyond = self.beyond(ridges[single], -total[single])
+        bad = np.flatnonzero(beyond >= 0)
+        if len(bad):
+            raise AssertionError(f"vertex {beyond[bad[0]]} of Z lies beyond the boundary ridge {tuple(ridges[single[bad[0]]].tolist())} of del(Z)")
 
     def seed(self, ridges: np.ndarray, ptr: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The partner b of each top T of a cloud that spans its slab of Z,
@@ -1041,40 +1043,26 @@ class _Wrap:
             self.rounds += 1
         return b, below
 
-    def candidates(self, ridges: np.ndarray, apexes: np.ndarray, ptr: np.ndarray, star: np.ndarray, tops: np.ndarray):
-        """(which, queries), by job, then by vertex: the vertices q of the
-        link of the X1 part of ridges[w] in del(X1) or of its X2 part in
-        del(X2), but for apexes[w], for each mixed ridge w.  `tops` are
-        the tops of both, rows padded with -1, and star[ptr[v] : ptr[v + 1]]
-        those that hold v (`_csr`): a part's link is gathered from the star
-        of its first vertex, about `_BATCH` star entries at a time."""
+    def candidates(self, ridges: np.ndarray, apexes: np.ndarray, ptr: np.ndarray, nbr: np.ndarray, edges: np.ndarray):
+        """(which, queries), by job, then by vertex: for each mixed ridge
+        w, the vertices but apexes[w] adjacent to every vertex of one part
+        of ridges[w], its X1 part in del(X1) or its X2 part in del(X2): a
+        superset of the part's link (`pair_delaunay`).  A part's are the
+        neighbours of its first vertex, nbr[ptr[v] : ptr[v + 1]] in
+        increasing order (`_csr`), whose keys u * n + v with its other
+        vertices are in `edges`, the sorted keys of the edges; no vertex
+        makes one with itself.  X1's come first, below n1."""
         m, n, n1 = len(ridges), len(self.space.rows), self.n1
-        anchors = np.stack([ridges[:, 0], ridges[np.arange(m), np.count_nonzero(ridges < n1, axis=1)]])
+        anchors = np.stack([ridges[:, 0], ridges[np.arange(m), np.count_nonzero(ridges < n1, axis=1)]], axis=1).ravel()
         counts = ptr[anchors + 1] - ptr[anchors]
-        ends = np.cumsum(counts.sum(axis=0))
-        out = []
-        at = 0
-        while at < m:
-            hi = max(at + 1, int(np.searchsorted(ends, ends[at] - counts[:, at].sum() + _BATCH, side="right")))
-            c = counts[:, at:hi].ravel()
-            job = np.repeat(np.tile(np.arange(at, hi), 2), c)
-            in_x1 = np.repeat(np.arange(2 * (hi - at)) < hi - at, c)
-            held = tops[star[_slices(ptr[anchors[:, at:hi].ravel()], c)]]
-            ok = np.ones(len(job), dtype=bool)
-            for r in ridges[job].T:  # column by column: numpy's small-axis reductions cost more
-                has = held[:, 0] == r
-                for h in held.T[1:]:
-                    has |= h == r
-                ok &= has | ((r < n1) != in_x1)
-            q = held[ok].ravel()
-            job = np.repeat(job[ok], tops.shape[1])
-            keep = (q >= 0) & (q != apexes[job])
-            for r in ridges[job].T:
-                keep &= q != r
-            out.append(_sorted_unique(job[keep] * n + q[keep]))
-            at = hi
-        keys = np.concatenate(out)
-        return keys // n, keys % n
+        which = np.repeat(np.arange(m), counts[0::2] + counts[1::2])
+        q = nbr[_slices(ptr[anchors], counts)]
+        rows = ridges[which]
+        e, c = np.nonzero(((rows < n1) == (q < n1)[:, None]) & (rows != np.repeat(anchors, counts)[:, None]))
+        keys = rows[e, c] * n + q[e]
+        ok = q != apexes[which]
+        ok[e[edges[np.minimum(np.searchsorted(edges, keys), len(edges) - 1)] != keys]] = False
+        return which[ok], q[ok]
 
     def step(self, ridges: np.ndarray, fars: np.ndarray, which: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One level of the wrap.  Job w is the ridge ridges[w] and
@@ -1150,24 +1138,20 @@ class _Wrap:
 
     def run(self, tops1: np.ndarray, tops2: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Tops of del(Z), from the tops of del(X1) and del(X2) and the
-        edges of both, in Z's indices; at least one cloud spans its slab
-        of Z (its tops have P - 1 vertices).  Level 0 is the seeds, the
+        edges of both, in Z's indices, whose graph the seeds walk and the
+        candidates come from (`candidates`); at least one cloud spans its
+        slab of Z (its tops have P - 1 vertices).  Level 0 is the seeds, the
         tops of the spanning clouds joined to their partners (`seed`).
         Each level records the ridges of its new tops, and the mixed ridges
         that then have one top make the next level's jobs (`step`); a
         slab ridge lies on the boundary of conv(Z)."""
         p, n1, n = self.space.P, self.n1, len(self.space.rows)
         ptr, nbr = _csr(n, np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]]))
-        width = max(tops1.shape[1], tops2.shape[1])
-        tops = np.full((len(tops1) + len(tops2), width), -1, dtype=np.int64)
-        tops[: len(tops1), : tops1.shape[1]] = tops1
-        tops[len(tops1) :, : tops2.shape[1]] = tops2
-        owner, col = np.nonzero(tops >= 0)
-        sptr, star = _csr(n, tops[owner, col], owner)
+        keys = np.repeat(np.arange(n), np.diff(ptr)) * n + nbr  # sorted
         ridges = np.concatenate([t for t in (tops1, tops2) if t.shape[1] == p - 1])
         b, downs = self.seed(ridges, ptr, nbr)
         new, _ = _join(ridges, b)
-        cols = np.array([[c for c in range(p) if c != i] for i in range(p)], dtype=np.intp)
+        _, cols = _rank_tables(p - 1)
         seen = np.zeros((0, p - 1), dtype=np.int64)  # every ridge of a top found so far
         count = np.zeros(0, dtype=np.int64)  # and its number of tops
         found = []
@@ -1191,7 +1175,7 @@ class _Wrap:
             ridges, i = faces[jobs], jobs % p
             d = down[jobs // p]
             fars = np.where((p - 1 - i) % 2 == 0, -d, d)  # -orient(ridge, apex)
-            which, queries = self.candidates(ridges, new[jobs // p, i], sptr, star, tops)
+            which, queries = self.candidates(ridges, new.ravel()[jobs], ptr, nbr, keys)
             b, beyond = self.step(ridges, fars, which, queries)
             bad = np.flatnonzero(beyond >= 0)
             if len(bad):
@@ -1215,9 +1199,12 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     2000): every top of del(Z) is a join t1 * t2 of a face t1 of
     del(X1) and a face t2 of del(X2).  So the top across a mixed ridge R
     (vertices in both clouds) of a top T = R + a is R + b, b in the link
-    of R & X1 in del(X1) or of R & X2 in del(X2): the candidates.  A slab
-    ridge, in one cloud, lies on the boundary of conv(Z) and has no other
-    top.
+    of R & X1 in del(X1) or of R & X2 in del(X2).  The candidates are a
+    superset, the common neighbours of R_i = R & X_i in del(X_i) for each
+    i (`_Wrap.candidates`): R_i + b being a face makes b adjacent to all
+    of R_i.  No vertex of Z lies below the true top R + b, so the wrap
+    picks the same b from either.  A slab ridge, in one cloud, lies on
+    the boundary of conv(Z) and has no other top.
 
     Seeds.  Write rho = rank(Z).  When a cloud has rank rho - 1, each of
     its tops T spans its slab of Z and is a ridge of del(Z) with exactly
@@ -1251,7 +1238,8 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     recorded; a top found across two ridges of a level is kept once.  A
     ridge that would get a third top, a vertex beyond a boundary ridge
     and a vertex of Z in no top raise AssertionError: a broken del(X1) or
-    del(X2) causes them.
+    del(X2) causes them, or its edges still give the true del(Z), whose
+    slabs `relative_lift._check_slabs` finds unequal to it.
     """
     if z.dimension + 1 > DIM_CAP:
         raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")
@@ -1259,7 +1247,7 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     if tri1 is None or tri2 is None:
         tops = (tri1 or tri2).tops
         if rank:  # a single vertex has no ridge
-            _Wrap(space, 0).check_tops(list(map(tuple, tops.tolist())))
+            _Wrap(space, 0).check_tops(tops)
     else:
         n1 = len(tri1.cloud)
         if not len(tri1.tops) or not len(tri2.tops):
@@ -1269,7 +1257,7 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
             tops = _Wrap(space, n1).run(tri1.tops, tri2.tops + n1, np.concatenate(edges + [np.zeros((0, 2), dtype=np.int64)]))
         else:
             tops = delaunay(z).tops
-            _Wrap(space, n1).check_tops(list(map(tuple, tops.tolist())))
+            _Wrap(space, n1).check_tops(tops)
     covered = np.zeros(len(z), dtype=bool)
     covered[tops.ravel()] = True
     if not covered.all():

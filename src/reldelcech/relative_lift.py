@@ -12,12 +12,12 @@ in one `delaunay` call (`delaunay.pair_delaunay`).  With ties broken by the
 lift heights first, every top of del(Z) is the join of a face of del(X1)
 and a face of del(X2) (Cayley trick, Huber, Rambau & Santos): so the top
 across a ridge with vertices at both heights takes its new vertex from the
-links of the ridge's two parts in del(X1) and del(X2).  Of those
-candidates, the ones strictly beyond the ridge in projection are wrapped
-with the lifted hull's perturbed orientation test, which gives the lifted
-hull's tops; the wrap is seeded with every top of a cloud that spans its
-slab of Z, each joined to its partner, the other cloud's vertex nearest
-its circumcenter.
+common neighbours of the ridge's two parts in the edge graphs of del(X1)
+and del(X2).  Of those candidates, the ones strictly beyond the ridge in
+projection are wrapped with the lifted hull's perturbed orientation test,
+which gives the lifted hull's tops; the wrap is seeded with every top of a
+cloud that spans its slab of Z, each joined to its partner, the other
+cloud's vertex nearest its circumcenter.
 
 Each ball is taken from the cell's faces or from the cell itself (Bauer &
 Edelsbrunner, "The Morse theory of Cech and Delaunay complexes"): a
@@ -263,7 +263,7 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     del(X1) and del(X2) are triangulated once, in one `delaunay` call
     whose hull rounds serve both clouds (`_triangulate`), and del(Z) is
     wrapped from them (`delaunay.pair_delaunay`): a candidate for the top
-    across a ridge with vertices in both clouds is a vertex of the link of
+    across a ridge with vertices in both clouds is a common neighbour of
     the ridge's X1 part in del(X1) or of its X2 part in del(X2).  Only the
     candidates strictly beyond the ridge in projection can make a top that
     is not vertical, and among them the wrap keeps the one whose lifted
@@ -274,12 +274,12 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     cloud's vertex nearest its circumcenter, which one batched walk over
     that cloud's triangulation finds for all.  A broken del(X1) or
     del(X2) raises AssertionError there (a third top on a ridge, a vertex
-    beyond a boundary ridge, or a vertex in no top).  With one cloud
-    empty, del(Z) is the other's triangulation, checked the same way.
-    Then del(Z) must have Euler characteristic 1 (`_check_euler`), and
-    its all-plus cells must be exactly the lifted del(X1) and its
-    all-minus cells the lifted del(X2) (`_check_slabs`), else
-    AssertionError.
+    beyond a boundary ridge, or a vertex in no top) or in the slab check
+    below.  With one cloud empty, del(Z) is the other's triangulation,
+    checked the same way.  Then del(Z) must have Euler characteristic 1
+    (`_check_euler`), and its all-plus cells must be exactly the lifted
+    del(X1) and its all-minus cells the lifted del(X2) (`_check_slabs`),
+    else AssertionError.
 
     A cell outside the subcomplex is filtered by the smallest enclosing
     ball (MEB) of its projected vertices, taken from its faces or from its

@@ -10,6 +10,7 @@ import pytest
 from _faults import certify_nothing
 from _oracles import exact_range_reference
 
+from reldelcech.cli import generate_cloud
 from reldelcech.delaunay import Triangulation, delaunay, face_tables
 from reldelcech.filtered_complex import Simplex
 from reldelcech.geometry import InputError, PointCloud
@@ -731,6 +732,27 @@ PARALLEL = {
     "full rank": ([(0.1, 0.2), (0.9, 0.1), (0.4, 0.8)], [(0.5, -0.7), (1.6, 0.9), (-0.6, 1.1), (0.6, 0.35)]),
 }
 
+# Pairs beyond the Cech oracle's 14 points, for the wrap against the
+# lifted hull of Z: random, grids with cospherical ties (one at a
+# non-dyadic scale), and nearly cocircular points.
+LARGE = ["uniform d=2 n=2000", "uniform d=3 n=500", "grid20x20", "grid20x20 x0.1", "grid6x6x6", "circle n=100"]
+
+
+def _large_pair(name: str):
+    """(X1, X2) of the pair `name` of LARGE: a quarter of the points in X1,
+    half on the grids."""
+    rng = np.random.default_rng(LARGE.index(name))
+    if name.startswith("uniform"):
+        d, n = (int(w[2:]) for w in name.split()[1:])
+        pts = rng.random((n, d))
+    elif name.startswith("grid"):
+        shape = [int(k) for k in name.split()[0][4:].split("x")]
+        pts = np.array(_grid(*shape)) * (0.1 if name.endswith("x0.1") else 1.0)
+        return _split(pts, rng.choice(len(pts), len(pts) // 2, replace=False))
+    else:
+        pts = generate_cloud("sphere", 100, 2, rng).coords
+    return _split(pts, rng.choice(len(pts), len(pts) // 4, replace=False))
+
 
 class TestPairDelaunay:
     """`pair_delaunay` wraps del(Z) from del(X1) and del(X2) and keeps the
@@ -756,6 +778,11 @@ class TestPairDelaunay:
         for x1, x2 in (PARALLEL[name], PARALLEL[name][::-1]):
             hulls, _ = self._run(x1, x2, monkeypatch)
             assert hulls == []
+
+    @pytest.mark.parametrize("name", LARGE)
+    def test_wrap_matches_the_lifted_hull_at_scale(self, name, monkeypatch):
+        hulls, _ = self._run(*_large_pair(name), monkeypatch)
+        assert hulls == []
 
     def test_empty_side_takes_the_other_triangulation(self):
         mod = importlib.import_module("reldelcech.delaunay")

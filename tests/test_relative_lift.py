@@ -244,8 +244,9 @@ def write_pair(tmp_path, x1, x2) -> list[str]:
     return ["compute", str(pts), "--subset-indices", str(sub)]
 
 
-# A pair whose dropped tops break the wrap in each of its ways: a third top
-# on a ridge, or a hole whose boundary ridge has vertices beyond it.
+# A pair whose dropped tops break del(Z) in each of its ways: a third top
+# on a ridge, a hole whose boundary ridge has vertices beyond it, or a slab
+# that is not the broken triangulation.
 _RNG = np.random.default_rng(71)
 X1_EIGHT, X2_EIGHT = _RNG.random((8, 2)).tolist(), _RNG.random((8, 2)).tolist()
 BROKEN_WRAP = r"would get a third top|lies beyond the boundary ridge|has no top"
@@ -329,18 +330,29 @@ class TestSharedTriangulations:
 
     @pytest.mark.parametrize("drop", [drop_x1_top, drop_x2_top])
     def test_wrap_from_a_broken_triangulation_raises_and_exits_1(self, drop, monkeypatch, tmp_path, capsys):
-        # del(Z) is wrapped from the broken triangulation itself: without
-        # its checks, a lost top left a hole or overlapping tops, silently.
+        # del(Z) is wrapped from the broken triangulation itself.  A lost
+        # top leaves a hole or a third top on a ridge, which the wrap
+        # reports; or the wrap, whose candidates come from the edges,
+        # rebuilds the true del(Z), and the slab check names the lost top.
+        # Each way must occur: the slab check and a hole for del(X1), all
+        # three for del(X2).
         x1, x2 = cloud(X1_EIGHT), cloud(X2_EIGHT)
-        tops = len(delaunay(x1 if drop is drop_x1_top else x2).tops)
+        if drop is drop_x1_top:
+            tops, lo, slab, want = delaunay(x1).tops, 0, "all-plus simplex {} of del(Z) is not in del(X1)", {"slab", "beyond"}
+        else:
+            tops, lo, slab, want = delaunay(x2).tops, len(x1), "all-minus simplex {} of del(Z) is not in del(X2)", {"slab", "beyond", "third"}
         seen = set()
-        for k in range(tops):
+        for k, top in enumerate(tops.tolist()):
             with monkeypatch.context() as m:
                 drop(m, k)
-                with pytest.raises(AssertionError, match=BROKEN_WRAP) as err:
+                with pytest.raises(AssertionError, match=rf"{BROKEN_WRAP}|is not in del\(X[12]\)") as err:
                     build_pipeline(x1, x2)
-            seen.add("third" if "third" in str(err.value) else "beyond")
-        assert seen == {"third", "beyond"}
+            if "is not in" in str(err.value):
+                assert str(err.value) == slab.format(tuple(v + lo for v in top))
+                seen.add("slab")
+            else:
+                seen.add("third" if "third" in str(err.value) else "beyond")
+        assert seen == want
         drop(monkeypatch)
         assert cli.main(write_pair(tmp_path, X1_EIGHT, X2_EIGHT)) == 1
         assert "AssertionError" in capsys.readouterr().err
