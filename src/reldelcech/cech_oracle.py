@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .filtered_complex import Cell, FilteredComplex, Simplex, build
-from .geometry import InputError, PointCloud, smallest_enclosing_ball
+from .geometry import InputError, PointCloud, smallest_enclosing_ball, subset_indices
 from .persistence import Barcode
 
 ORACLE_CAP = 14
@@ -31,9 +31,7 @@ def relative_cech(
         raise InputError(f"oracle cap exceeded: {n} > {cap} points")
     if n == 0:
         raise InputError("empty cloud")
-    a = set(int(i) for i in a_indices)
-    if a and (min(a) < 0 or max(a) >= n):
-        raise InputError("subset index out of range")
+    a = set(subset_indices(a_indices, n))
     if max_simplex_dim < 0:
         raise InputError("max_simplex_dim must be >= 0")
     pts = x.coords.tolist()

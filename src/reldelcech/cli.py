@@ -18,7 +18,7 @@ import numpy as np
 
 from .cech_oracle import ORACLE_CAP, compare_barcodes, relative_cech
 from .filtered_complex import dumps
-from .geometry import InputError, PointCloud, unique_rows
+from .geometry import InputError, PointCloud, subset_indices, unique_rows
 from .persistence import Barcode, barcode, boundary_matrix, reduce_matrix
 from .relative_lift import build_pipeline
 
@@ -86,12 +86,10 @@ def read_subset(path: str, n: int) -> set[int]:
 
 def split_pair(x: PointCloud, a_indices: set[int]) -> tuple[PointCloud, PointCloud]:
     """(X1, X2): the points of x with an index in a_indices, and the rest,
-    each in the order of x.  InputError for an index outside 0..n-1."""
-    index = [int(i) for i in a_indices]
-    if index and (min(index) < 0 or max(index) >= len(x)):
-        raise InputError("subset index out of range")
+    each in the order of x.  InputError for an index that is no integer
+    or lies outside 0..n-1 (`subset_indices`)."""
     in_a = np.zeros(len(x), dtype=bool)
-    in_a[index] = True
+    in_a[subset_indices(a_indices, len(x))] = True
     return PointCloud(x.coords[in_a], dimension=x.dimension), PointCloud(x.coords[~in_a], dimension=x.dimension)
 
 

@@ -13,6 +13,7 @@ the rest, so zero really means degenerate.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from typing import NamedTuple
 
@@ -28,6 +29,18 @@ MEB_TOL = 1e-9
 
 class InputError(ValueError):
     """Invalid input data (maps to CLI exit code 2)."""
+
+
+def subset_indices(a_indices, n: int) -> list[int]:
+    """a_indices as ints: InputError unless each is an integer (a Python
+    or numpy int, by `operator.index`) in 0..n-1."""
+    try:
+        index = [operator.index(i) for i in a_indices]
+    except TypeError:
+        raise InputError("subset index must be an integer") from None
+    if index and (min(index) < 0 or max(index) >= n):
+        raise InputError("subset index out of range")
+    return index
 
 
 def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

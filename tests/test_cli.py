@@ -10,7 +10,8 @@ import pytest
 
 import reldelcech
 from _faults import inject_fault
-from reldelcech.cli import generate_cloud, main, read_points, read_subset, render_svg, split_pair
+from reldelcech.cech_oracle import relative_cech
+from reldelcech.cli import check_pair, generate_cloud, main, read_points, read_subset, render_svg, split_pair
 from reldelcech.filtered_complex import loads
 from reldelcech.geometry import InputError
 from reldelcech.persistence import Barcode
@@ -68,6 +69,16 @@ class TestReaders:
             split_pair(x, {0, index})
         x1, x2 = split_pair(x, {0, 2})
         assert x1.coords.tolist() == [[0.0, 0.0], [0.0, 1.0]] and x2.coords.tolist() == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("index", [1.5, "1"])
+    def test_non_integer_index_is_rejected(self, index):
+        # int() truncated 1.5 and parsed "1": point 1 went to X1.
+        x = reldelcech.PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        for run in (split_pair, check_pair, lambda x, a: relative_cech(x, a, 2)):
+            with pytest.raises(InputError, match="subset index must be an integer"):
+                run(x, {0, index})
+        x1, _ = split_pair(x, {np.int64(0), 2})
+        assert x1.coords.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
     def test_missing_file(self):
         with pytest.raises(InputError):
