@@ -112,8 +112,9 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
 
     Dimensions are processed in decreasing order; when a pair (i, j) is
     found, column i is known to die and is cleared instead of reduced.
+    It rebinds columns and never edits one, so `m` keeps its own.
     """
-    cols = [list(col) for col in m.columns]
+    cols = list(m.columns)
     dims = m.dims()
     pivot: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []

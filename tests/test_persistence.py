@@ -117,6 +117,18 @@ class TestReduce:
         lows = [col[-1] for col in red.columns if col]
         assert len(lows) == len(set(lows))
 
+    def test_matrix_is_left_unchanged(self):
+        # The reduced columns share lists with the matrix: an edit in place
+        # would change the boundary matrix under its caller.
+        rng = np.random.default_rng(6)
+        c = relative_cech(PointCloud(rng.random((8, 2)).tolist()), {1, 4}, 3)
+        for relative in (True, False):
+            m = boundary_matrix(c, relative)
+            before = [list(col) for col in m.columns]
+            red = reduce_matrix(m)
+            assert m.columns == before
+            assert red.columns != before
+
 
 class TestBarcode:
     def test_pair_cloud_absolute(self):
