@@ -140,7 +140,9 @@ def test_run_does_not_import_numpy_ma():
     # `np.unique` without index outputs, and the set routines built on it,
     # import numpy.ma (+0.5 MB of peak RSS) to test for a masked array.
     # A fresh interpreter runs the pipeline and the barcode on the 12x12
-    # grid pair, whose cocircular ties reach every fallback.
+    # grid pair, whose cocircular ties reach every fallback, on the grid
+    # alone (A empty) and on two crossing lines: the last two check del(Z)
+    # without wrapping it.
     script = """
 import sys
 import numpy as np
@@ -149,8 +151,10 @@ from reldelcech.persistence import barcode
 from reldelcech.relative_lift import build_pipeline
 grid = [(float(i), float(j)) for i in range(12) for j in range(12)]
 a = set(np.random.default_rng(3).choice(144, 72, replace=False).tolist())
-pipe = build_pipeline(PointCloud([p for i, p in enumerate(grid) if i in a]), PointCloud([p for i, p in enumerate(grid) if i not in a]))
-barcode(pipe.complex, relative=True, max_dim=2)
+lines = [(t, 0.0) for t in (-2.0, -0.5, 1.0, 2.5)], [(0.5 + t, 2.0 * t) for t in (-1.0, 0.25, 1.5)]
+for x1, x2 in [([p for i, p in enumerate(grid) if i in a], [p for i, p in enumerate(grid) if i not in a]), ([], grid), lines]:
+    pipe = build_pipeline(PointCloud(x1, dimension=2), PointCloud(x2, dimension=2))
+    barcode(pipe.complex, relative=True, max_dim=2)
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
