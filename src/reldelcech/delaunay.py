@@ -672,7 +672,10 @@ class _Hull:
         starts = np.concatenate([self._start[a] + 1, self._start[b]])
         counts = np.concatenate([self._count[a] - 1, self._count[b]])
         keys = np.repeat(np.tile(np.arange(len(a)), 2) * n, counts) + self._conflicts[_slices(starts, counts)]
-        keys = _sorted_unique(keys)
+        keys.sort()
+        once = np.ones(len(keys), dtype=bool)
+        once[1:] = keys[1:] != keys[:-1]
+        keys = keys[once]
         self._count[settled[self._open[settled] == 0]] = 0
         if not len(a):
             return ridges, a, b, wa, wb
@@ -688,15 +691,6 @@ def _slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The indices starts[i], ..., starts[i] + counts[i] - 1 for each i,
     in order."""
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of the int array `keys`, sorted; `keys` is
-    sorted in place."""
-    keys.sort()
-    once = np.ones(len(keys), dtype=bool)
-    once[1:] = keys[1:] != keys[:-1]
-    return keys[once]
 
 
 # -- public triangulation ------------------------------------------------------
@@ -1147,7 +1141,7 @@ class _Wrap:
         slab ridge lies on the boundary of conv(Z)."""
         p, n1, n = self.space.P, self.n1, len(self.space.rows)
         ptr, nbr = _csr(n, np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]]))
-        keys = np.repeat(np.arange(n), np.diff(ptr)) * n + nbr  # sorted
+        keys = np.repeat(np.arange(n), np.diff(ptr)) * n + nbr  # the edges u * n + v, sorted
         ridges = np.concatenate([t for t in (tops1, tops2) if t.shape[1] == p - 1])
         b, downs = self.seed(ridges, ptr, nbr)
         new, _ = _join(ridges, b)

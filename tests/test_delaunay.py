@@ -732,26 +732,17 @@ PARALLEL = {
     "full rank": ([(0.1, 0.2), (0.9, 0.1), (0.4, 0.8)], [(0.5, -0.7), (1.6, 0.9), (-0.6, 1.1), (0.6, 0.35)]),
 }
 
-# Pairs beyond the Cech oracle's 14 points, for the wrap against the
+# Clouds beyond the Cech oracle's 14 points, for the wrap against the
 # lifted hull of Z: random, grids with cospherical ties (one at a
 # non-dyadic scale), and nearly cocircular points.
-LARGE = ["uniform d=2 n=2000", "uniform d=3 n=500", "grid20x20", "grid20x20 x0.1", "grid6x6x6", "circle n=100"]
-
-
-def _large_pair(name: str):
-    """(X1, X2) of the pair `name` of LARGE: a quarter of the points in X1,
-    half on the grids."""
-    rng = np.random.default_rng(LARGE.index(name))
-    if name.startswith("uniform"):
-        d, n = (int(w[2:]) for w in name.split()[1:])
-        pts = rng.random((n, d))
-    elif name.startswith("grid"):
-        shape = [int(k) for k in name.split()[0][4:].split("x")]
-        pts = np.array(_grid(*shape)) * (0.1 if name.endswith("x0.1") else 1.0)
-        return _split(pts, rng.choice(len(pts), len(pts) // 2, replace=False))
-    else:
-        pts = generate_cloud("sphere", 100, 2, rng).coords
-    return _split(pts, rng.choice(len(pts), len(pts) // 4, replace=False))
+LARGE = {
+    "uniform d=2 n=2000": lambda rng: rng.random((2000, 2)),
+    "uniform d=3 n=500": lambda rng: rng.random((500, 3)),
+    "grid20x20": lambda rng: np.array(_grid(20, 20)),
+    "grid20x20 x0.1": lambda rng: np.array(_grid(20, 20)) * 0.1,
+    "grid6x6x6": lambda rng: np.array(_grid(6, 6, 6)),
+    "circle n=100": lambda rng: generate_cloud("sphere", 100, 2, rng).coords,
+}
 
 
 class TestPairDelaunay:
@@ -779,9 +770,13 @@ class TestPairDelaunay:
             hulls, _ = self._run(x1, x2, monkeypatch)
             assert hulls == []
 
-    @pytest.mark.parametrize("name", LARGE)
+    @pytest.mark.parametrize("name", list(LARGE))
     def test_wrap_matches_the_lifted_hull_at_scale(self, name, monkeypatch):
-        hulls, _ = self._run(*_large_pair(name), monkeypatch)
+        # A quarter of the points in X1, half on the grids.
+        rng = np.random.default_rng(97)
+        pts = LARGE[name](rng)
+        a = rng.choice(len(pts), len(pts) // (2 if name.startswith("grid") else 4), replace=False)
+        hulls, _ = self._run(*_split(pts, a), monkeypatch)
         assert hulls == []
 
     def test_empty_side_takes_the_other_triangulation(self):
