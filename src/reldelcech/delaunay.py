@@ -47,10 +47,13 @@ in batches what the kernel cannot certify wherever it can: same-slab
 ties by their tie minor, and exact zeros in range by the first lift
 terms of the perturbation; only the rest goes to the scalar `sos_sign`.
 
-A `Triangulation` is arrays only: its tops are an (n, k + 1) int array
-of sorted vertex rows, and each dimension below is the `FaceTable` of
-their faces (`face_tables`).  The hull and the wrap work on vertex
-arrays; no per-simplex object is built.
+A `Triangulation` is its cloud and its face tables, nothing else: its
+tops are an (n, k + 1) int array of sorted vertex rows, and each
+dimension below is the `FaceTable` of their faces (`face_tables`).  One
+helper, `faces`, forms the facets of any table of vertex rows, face i
+without vertex i; the face tables, the hull's ridges, the wrap's and the
+filtered complex's checks all take them from it.  The hull and the wrap
+work on vertex arrays; no per-simplex object is built.
 """
 
 from __future__ import annotations
@@ -64,10 +67,8 @@ import numpy as np
 
 from .geometry import DIM_CAP, InputError, PointCloud, unique_rows
 from .predicates import (
-    _FILTER_C,
     batch_cofactors,
     certified_signs,
-    cofactors,
     det_sign_exact,
     exact_cofactors,
     exact_ints,
@@ -78,20 +79,12 @@ from .predicates import (
 _HULL_SEED = 0x9E3779B9  # orders hull insertion; the output does not depend on it
 
 
-def face_tuples(vs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Vertex tuples of the codimension-1 faces of the simplex vs, in
-    lexicographic order: dropping a later vertex leaves a smaller tuple."""
-    if len(vs) == 1:
-        return []
-    return [vs[:i] + vs[i + 1 :] for i in range(len(vs) - 1, -1, -1)]
-
-
 class FaceTable(NamedTuple):
     """The k-simplices of a complex as arrays.  `simplices` is (n, k + 1):
     one row of strictly increasing vertex indices per simplex, the rows
     sorted lexicographically.  `facets` is (n, k + 1): its column i holds
     the row, in the table of dimension k - 1, of the facet without vertex
-    i ((n, 0) for k = 0)."""
+    i, face i of `faces` ((n, 0) for k = 0)."""
 
     simplices: np.ndarray
     facets: np.ndarray
@@ -116,6 +109,13 @@ def find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
+def faces(rows: np.ndarray) -> np.ndarray:
+    """The facets of each vertex row of `rows`, an (n, k + 1) int array:
+    an (n, k + 1, k) array whose face i drops vertex i.  Faces of a
+    sorted row are sorted, and a later face is lexicographically smaller."""
+    return rows[:, _rank_tables(rows.shape[1] - 1)[1]]
+
+
 def face_tables(tops: np.ndarray) -> list[FaceTable]:
     """The `FaceTable` of each dimension 0..k of the complex whose top
     simplices are the rows of `tops`, an (n, k + 1) int array of strictly
@@ -125,9 +125,8 @@ def face_tables(tops: np.ndarray) -> list[FaceTable]:
     rows, _ = unique_rows(tops)
     tables = []
     for dim in range(k, 0, -1):
-        drops = np.concatenate([np.delete(rows, i, axis=1) for i in range(dim + 1)])
-        lower, inverse = unique_rows(drops)
-        tables.append(FaceTable(rows, inverse.reshape(dim + 1, len(rows)).T))
+        lower, inverse = unique_rows(faces(rows).reshape(-1, dim))
+        tables.append(FaceTable(rows, inverse.reshape(len(rows), dim + 1)))
         rows = lower
     tables.append(FaceTable(rows, np.empty((len(rows), 0), dtype=np.int64)))
     return tables[::-1]
@@ -377,76 +376,32 @@ def _rank_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     (the facet's rows are sorted), and others[r], the rows but row r."""
     rank = [list(range(j)) + [p] + list(range(j, p)) for j in range(p + 1)]
     others = [[i for i in range(p + 1) if i != r] for r in range(p + 1)]
-    return np.array(rank), np.array(others)
+    return np.array(rank), np.array(others, dtype=np.int64).reshape(p + 1, p)
 
 
-class _Orientation:
-    """Float filter for the homogeneous orientation of k points u_0..u_{k-1}
-    of R^k and a query x: det[[u_0, 1], ..., [u_{k-1}, 1], [x, 1]] is
-    (-1)^k det(u_1 - u_0, ..., u_{k-1} - u_0, x - u_0), and that edge
-    determinant is the dot product of x - u_0 with the cofactors of its
-    last row, computed once by `predicates.cofactors`.
+def _orient_batch(rows: np.ndarray, size: np.ndarray, simplices: np.ndarray, which: np.ndarray, queries: np.ndarray):
+    """Float filter for the homogeneous orientation of many simplices
+    against many queries at once.
+
+    `rows` is an (n, k) float array, `size` the largest magnitude in each
+    row, `simplices` an (m, k) array of vertex rows, and query i asks for
+    the orientation of simplex which[i] = (u_0, ..., u_{k-1}) and vertex
+    x = queries[i]: det[[u_0, 1], ..., [u_{k-1}, 1], [x, 1]], which is
+    (-1)^k det(u_1 - u_0, ..., u_{k-1} - u_0, x - u_0), the dot product of
+    x - u_0 with the cofactors of that edge determinant's last row.
+    Returns (signs, values): the certified sign of each query, 0 where the
+    filter does not certify it, and its float value.
 
     The float rows are rounded to half an ulp of their own magnitude, and
     an edge entry inherits the error of both of its rows: far from the
     origin (a lift |x|^2 against edges of |x|), that is more than the
-    edges' own half ulps.  So the filter's scale is the largest magnitude
-    among the edges and the rows themselves; `size` bounds the rows'.
-
-    The scalar reference of `_orient_batch`, which the tests hold it to
-    bit for bit; no run path uses it."""
-
-    def __init__(self, pts, size: float):
-        base = pts[0]
-        k = len(base)
-        block = [[a - b for a, b in zip(u, base)] for u in pts[1:]]
-        self.base = base
-        self.cof = cofactors(block)
-        self.scale = max([1.0, size] + [abs(x) for row in block for x in row])
-        self.homog = -1 if k % 2 else 1
-        self.bound, self.powers = _FILTER_C[k], range(k)
-
-    def sign(self, x, size: float) -> int:
-        """Certified orientation sign of (u_0, ..., u_{k-1}, x), whose
-        entries are at most `size` in magnitude; 0 when the filter cannot
-        certify it.  The certification is `predicates.certified_sign`'s,
-        in its float operations, inlined."""
-        val = 0.0
-        scale = size if size > self.scale else self.scale
-        for a, b, cf in zip(x, self.base, self.cof):
-            dc = a - b
-            val += dc * cf
-            if dc > scale:
-                scale = dc
-            elif -dc > scale:
-                scale = -dc
-        bound = self.bound
-        for _ in self.powers:
-            bound *= scale
-        if bound < abs(val) < math.inf:
-            return self.homog if val > 0 else -self.homog
-        return 0
-
-    def value(self, x) -> float:
-        """The float orientation of (u_0, ..., u_{k-1}, x), uncertified."""
-        return self.homog * sum((a - b) * cf for a, b, cf in zip(x, self.base, self.cof))
-
-
-def _orient_batch(rows: np.ndarray, size: np.ndarray, simplices: np.ndarray, which: np.ndarray, queries: np.ndarray):
-    """`_Orientation` of many simplices against many queries at once.
-
-    `rows` is an (n, k) float array, `size` the largest magnitude in each
-    row, `simplices` an (m, k) array of vertex rows, and query i asks for
-    the orientation of simplex which[i] and vertex queries[i].  Returns
-    (signs, values): `_Orientation.sign` and `.value` of each query, a
-    sign 0 where the filter does not certify it.
-
-    The float operations are the scalar ones, elementwise and in the same
-    order: the cofactors by `batch_cofactors`, the dot product left to
-    right from 0.0, the scale as the largest of 1, the simplex's sizes,
-    its edge entries, the query's size and its edge entries, and the
-    bound by `certified_signs`.  So every value and every decision is
-    bit-identical to the scalar filter's.  No matrix product, no axis sum
+    edges' own half ulps.  So the filter's scale is the largest of 1, the
+    simplex's sizes, its edge entries, the query's size and its edge
+    entries.  The cofactors come from `batch_cofactors`, the dot product
+    is taken left to right from 0.0, and the bound is `certified_signs`':
+    the float operations of the scalar filter (`predicates.cofactors` and
+    `certified_sign`), elementwise and in the same order, so every value
+    and decision is bit-identical to it.  No matrix product, no axis sum
     (pairwise summation reorders the additions), so no BLAS either."""
     k = rows.shape[1]
     with np.errstate(all="ignore"):
@@ -564,13 +519,13 @@ class _Hull:
         space, order = self.space, self.order
         p, n = space.P, len(order)
         inits = np.sort([order[lo : lo + p + 1] for lo in space.starts], axis=1)
-        # Facet e lacks init[p - e]; moving it after the others takes e swaps.
+        # Facet i lacks init[i]; moving it after the others takes p - i swaps.
         d = _perturbed_signs(space, inits[:, :-1], np.arange(len(inits)), inits[:, -1])
-        verts = np.array([f for init in inits.tolist() for f in face_tuples(tuple(init))], dtype=np.int64)
+        verts = faces(inits).reshape(-1, p)
         rest = [np.arange(lo + p + 1, hi) for lo, hi in zip(space.starts, [*space.starts[1:], n])]
         which = np.repeat(np.arange(len(verts)), np.repeat([len(r) for r in rest], p + 1))
         ranks = np.concatenate([np.tile(r, p + 1) for r in rest])
-        ids = self._add(verts, np.outer(d, (-1) ** np.arange(p + 1)).ravel(), which, ranks)
+        ids = self._add(verts, np.outer(d, (-1) ** (p - np.arange(p + 1))).ravel(), which, ranks)
         jobs = self._match(ids, verts, np.full(len(verts), -1))
         while len(jobs[1]):
             jobs = self._round(*jobs)
@@ -639,9 +594,8 @@ class _Hull:
         waiting and the new ridges puts the two facets of a ridge next to
         each other."""
         p = verts.shape[1]
-        _, cols = _rank_tables(p - 1)
         keep = verts.ravel() != np.repeat(skip, p)
-        new = (verts[:, cols].reshape(-1, p - 1)[keep], np.repeat(ids, p)[keep], verts.ravel()[keep])
+        new = (faces(verts).reshape(-1, p - 1)[keep], np.repeat(ids, p)[keep], verts.ravel()[keep])
         ridges, facet, apex = (np.concatenate([x, y]) for x, y in zip(self._waiting, new))
         order = np.lexsort(ridges.T[::-1])
         ridges, facet, apex = ridges[order], facet[order], apex[order]
@@ -703,9 +657,8 @@ class Triangulation:
     increasing vertex rows, in any order; a row given twice raises
     AssertionError, where `face_tables` would drop it without a word."""
 
-    def __init__(self, cloud: PointCloud, tops: np.ndarray, space: _HullSpace):
+    def __init__(self, cloud: PointCloud, tops: np.ndarray):
         self.cloud = cloud
-        self._space = space
         self.tables = face_tables(tops)
         if len(self.tops) < len(tops):
             twice = np.bincount(find_rows(self.tops, tops)).argmax()
@@ -719,20 +672,6 @@ class Triangulation:
     @property
     def top_dim(self) -> int:
         return len(self.tables) - 1
-
-    def insphere_sign(self, top: tuple[int, ...], queries) -> list[int]:
-        """Perturbed in-circumsphere sign of each query vertex against a top
-        simplex, given by its sorted vertex tuple: +1 strictly inside under
-        the symbolic perturbation, else -1.
-        """
-        if any(q in top for q in queries):
-            raise InputError("query vertex belongs to the simplex")
-        s_inf = self._space.infdown_sign(top)
-        if s_inf == 0:
-            raise InputError("vertical simplex has no oriented circumsphere")
-        queries = np.array(queries, dtype=np.int64)
-        signs = _perturbed_signs(self._space, np.array([top], dtype=np.int64), np.zeros(len(queries), dtype=np.int64), queries)
-        return [1 if o == s_inf else -1 for o in signs.tolist()]
 
 
 def _hull_space(cloud: PointCloud):
@@ -811,7 +750,7 @@ def delaunay(cloud: PointCloud, *more: PointCloud) -> Triangulation | tuple[Tria
             tops[i] = lower[cloud_of == c] - lo
             if not len(tops[i]):
                 raise AssertionError("hull produced no lower facets")
-    tris = tuple(Triangulation(c, t, s) for c, t, (_, s) in zip(clouds, tops, spaces))
+    tris = tuple(Triangulation(c, t) for c, t in zip(clouds, tops))
     return tris[0] if len(tris) == 1 else tris
 
 
@@ -924,8 +863,7 @@ class _Wrap:
         one is 0), or if a vertex of Z lies beyond a ridge of one top
         (`beyond`).  Its faces are laid out as in `run`."""
         p = tops.shape[1]
-        _, cols = _rank_tables(p - 1)
-        ridges, where = unique_rows(tops[:, cols].reshape(-1, p - 1))
+        ridges, where = unique_rows(faces(tops).reshape(-1, p - 1))
         count = np.bincount(where, minlength=len(ridges))
         bad = np.flatnonzero(count > 2)
         if len(bad):
@@ -1145,7 +1083,6 @@ class _Wrap:
         ridges = np.concatenate([t for t in (tops1, tops2) if t.shape[1] == p - 1])
         b, downs = self.seed(ridges, ptr, nbr)
         new, _ = _join(ridges, b)
-        _, cols = _rank_tables(p - 1)
         seen = np.zeros((0, p - 1), dtype=np.int64)  # every ridge of a top found so far
         count = np.zeros(0, dtype=np.int64)  # and its number of tops
         found = []
@@ -1154,19 +1091,19 @@ class _Wrap:
             down = np.empty(len(new), dtype=np.int64)
             down[inverse] = downs
             found.append(new)
-            faces = new[:, cols].reshape(-1, p - 1)  # by top, then by dropped vertex
+            facets = faces(new).reshape(-1, p - 1)  # by top, then by dropped vertex
             old = len(seen)
-            seen, where = unique_rows(np.concatenate([seen, faces]))
-            count = np.bincount(where, weights=np.append(count, np.ones(len(faces))), minlength=len(seen)).astype(np.int64)
-            tops_now = count[where[old:]]  # of each face of the new tops
+            seen, where = unique_rows(np.concatenate([seen, facets]))
+            count = np.bincount(where, weights=np.append(count, np.ones(len(facets))), minlength=len(seen)).astype(np.int64)
+            tops_now = count[where[old:]]  # of each facet of the new tops
             third = np.flatnonzero(tops_now > 2)
             if len(third):
-                face, top = faces[third[0]], new[third[0] // p]
-                raise AssertionError(f"ridge {tuple(face.tolist())} of del(Z) would get a third top {tuple(top.tolist())}")
-            jobs = np.flatnonzero((tops_now == 1) & (faces[:, 0] < n1) & (faces[:, -1] >= n1))
+                facet, top = facets[third[0]], new[third[0] // p]
+                raise AssertionError(f"ridge {tuple(facet.tolist())} of del(Z) would get a third top {tuple(top.tolist())}")
+            jobs = np.flatnonzero((tops_now == 1) & (facets[:, 0] < n1) & (facets[:, -1] >= n1))
             if not len(jobs):
                 break
-            ridges, i = faces[jobs], jobs % p
+            ridges, i = facets[jobs], jobs % p
             d = down[jobs // p]
             fars = np.where((p - 1 - i) % 2 == 0, -d, d)  # -orient(ridge, apex)
             which, queries = self.candidates(ridges, new.ravel()[jobs], ptr, nbr, keys)
@@ -1256,4 +1193,4 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     covered[tops.ravel()] = True
     if not covered.all():
         raise AssertionError(f"vertex {covered.argmin()} of Z is in no top of del(Z)")
-    return Triangulation(z, tops, space)
+    return Triangulation(z, tops)

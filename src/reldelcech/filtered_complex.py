@@ -5,14 +5,16 @@ distinguished subcomplex (subcomplex cells sit at value 0 and come first in
 the reduction order).  Validation raises instead of repairing: producers are
 expected to hand in downward-closed, monotone data.
 
-The cells of each dimension k are held as one `CellTable`: the vertex rows,
-sorted lexicographically, each row's facets as rows of dimension k - 1
-(`delaunay.FaceTable`), and their values and subcomplex flags.  Every check
-is an array operation over these tables.  The cells also keep the order
-they were given in, which `cells`, `dumps` and the indices of
-`canonical_order` refer to.
+A complex is its face tables.  The cells of each dimension k are one
+`CellTable`: the vertex rows, sorted lexicographically, each row's facets
+as rows of dimension k - 1 (`delaunay.FaceTable`), and their values and
+subcomplex flags.  Every check is an array operation over these tables.
+The cells have one order, which needs no bookkeeping: by dimension, and
+within a dimension by table row, that is, by vertex tuple.  `cells`,
+`dumps` and the indices of `canonical_order` refer to it, whatever order
+cells were handed in.
 
-`Simplex` and `Cell` are per-cell views of these rows.  `loads`, the
+`Simplex` and `Cell` are output views of these rows.  `loads`, the
 oracle and hand-built complexes hand cells in as them, and `cells` builds
 them on first use; the pipeline hands in tables and builds none.
 """
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delaunay import face_tuples, find_rows
+from .delaunay import faces, find_rows
 from .geometry import InputError
 
 
@@ -55,8 +57,12 @@ class Simplex:
         return len(self.vertices) - 1
 
     def boundary(self) -> list["Simplex"]:
-        """Codimension-1 faces, in lexicographic order (`face_tuples`)."""
-        return [Simplex._of(f) for f in face_tuples(self.vertices)]
+        """Codimension-1 faces, in lexicographic order: dropping a later
+        vertex leaves a smaller tuple."""
+        vs = self.vertices
+        if len(vs) == 1:
+            return []
+        return [Simplex._of(vs[:i] + vs[i + 1 :]) for i in range(len(vs) - 1, -1, -1)]
 
     def __iter__(self):
         return iter(self.vertices)
@@ -81,19 +87,18 @@ class CellTable(NamedTuple):
     sub: np.ndarray
 
 
-def _tables_of(cells) -> tuple[list[CellTable], list[np.ndarray]]:
-    """One `CellTable` per dimension of the cells, given in any order, and
-    each table row's position in that order.  A facet that is not among
-    the cells gets row -1."""
+def _tables_of(cells) -> list[CellTable]:
+    """One `CellTable` per dimension of the cells, given in any order.  A
+    facet that is not among the cells gets row -1."""
     by_dim: dict[int, list] = {}
-    for pos, (s, v, sub) in enumerate(cells):
+    for s, v, sub in cells:
         vs = s.vertices if isinstance(s, Simplex) else Simplex(s).vertices
-        by_dim.setdefault(len(vs) - 1, []).append((pos, vs, float(v), bool(sub)))
-    tables, index = [], []
+        by_dim.setdefault(len(vs) - 1, []).append((vs, float(v), bool(sub)))
+    tables = []
     for k in range(max(by_dim, default=-1) + 1):
-        pos, rows, values, sub = list(zip(*by_dim.get(k, []))) or ((), (), (), ())
+        rows, values, sub = list(zip(*by_dim.get(k, []))) or ((), (), ())
         try:
-            rows = np.array(rows, dtype=np.int64).reshape(len(pos), k + 1)
+            rows = np.array(rows, dtype=np.int64).reshape(len(values), k + 1)
         except OverflowError:
             raise InputError(f"vertex index of a {k}-cell out of range") from None
         order = np.lexsort(rows.T[::-1])
@@ -101,12 +106,9 @@ def _tables_of(cells) -> tuple[list[CellTable], list[np.ndarray]]:
         if k == 0:
             facets = np.empty((len(rows), 0), dtype=np.int64)
         else:
-            drops = [np.delete(rows, i, axis=1) for i in range(k + 1)]
-            facets = np.stack([find_rows(tables[-1].simplices, d) for d in drops], axis=1)
-        values = np.array(values, dtype=float)[order]
-        tables.append(CellTable(rows, facets, values, np.array(sub, dtype=bool)[order]))
-        index.append(np.array(pos, dtype=np.int64)[order])
-    return tables, index
+            facets = find_rows(tables[-1].simplices, faces(rows).reshape(-1, k)).reshape(len(rows), k + 1)
+        tables.append(CellTable(rows, facets, np.array(values, dtype=float)[order], np.array(sub, dtype=bool)[order]))
+    return tables
 
 
 def _named(t: CellTable, bad: np.ndarray) -> tuple:
@@ -140,7 +142,7 @@ def _check(tables: list[CellTable]):
         if np.any(np.take_along_axis(rows[1:], col, 1) < np.take_along_axis(rows[:-1], col, 1)):
             raise AssertionError("cell table rows are not in lexicographic order")
     for lower, t in zip(tables, tables[1:]):
-        drops = np.stack([np.delete(t.simplices, i, axis=1) for i in range(t.simplices.shape[1])], axis=1)
+        drops = faces(t.simplices)
         found = (t.facets >= 0) & (t.facets < len(lower.simplices))
         found[found] = np.all(lower.simplices[t.facets[found]] == drops[found], axis=1)
         if not found.all():
@@ -164,40 +166,32 @@ def _check(tables: list[CellTable]):
 
 
 class FilteredComplex:
-    """Cells in dimension tables (`tables`, one `CellTable` per dimension
-    from 0), checked on construction.
+    """The cells of a complex as its dimension tables (`tables`, one
+    `CellTable` per dimension from 0), checked on construction.
 
-    `FilteredComplex(cells)` takes (simplex, value, in_subcomplex) triples
-    in any order; `FilteredComplex(tables=...)` takes the tables, the cells
-    then in dimension-major order.  Either way `index[k]` holds each row's
-    position in that order, and the flat arrays `value`, `dim`, `sub` and
-    `row` (a cell's row in its table) are indexed by it.
+    The cells are in table order: by dimension, then by table row.  The
+    flat arrays `value`, `dim` and `sub` are the tables concatenated, and
+    `offsets[k]` is the index of the first k-cell (`offsets[-1]` the
+    number of cells).
     """
 
-    def __init__(self, cells=(), tables: list[CellTable] | None = None):
-        if tables is None:
-            tables, index = _tables_of(cells)
-        else:
-            sizes = [len(t.values) for t in tables]
-            index = [np.arange(a, a + n) for a, n in zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes)]
+    def __init__(self, tables: list[CellTable]):
         _check(tables)
-        self.tables, self.index = tables, index
-        n = sum(len(i) for i in index)
-        self.value = np.empty(n)
-        self.dim = np.empty(n, dtype=np.int64)
-        self.sub = np.empty(n, dtype=bool)
-        self.row = np.empty(n, dtype=np.int64)
-        for k, (t, i) in enumerate(zip(tables, index)):
-            self.value[i], self.dim[i], self.sub[i], self.row[i] = t.values, k, t.sub, np.arange(len(i))
+        self.tables = tables
+        sizes = [len(t.values) for t in tables]
+        self.offsets = np.cumsum([0, *sizes])
+        self.value = np.concatenate([np.empty(0), *(t.values for t in tables)])
+        self.dim = np.repeat(np.arange(len(tables)), sizes)
+        self.sub = np.concatenate([np.empty(0, dtype=bool), *(t.sub for t in tables)])
+
+    def _rows(self):
+        """The vertex list of each cell, in order."""
+        return (vs for t in self.tables for vs in t.simplices.tolist())
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """The cells in their order, as `Cell` tuples (built on first use)."""
-        out: list = [None] * len(self)
-        for t, index in zip(self.tables, self.index):
-            for i, vs, v, sub in zip(index.tolist(), t.simplices.tolist(), t.values.tolist(), t.sub.tolist()):
-                out[i] = Cell(Simplex._of(tuple(vs)), v, sub)
-        return tuple(out)
+        return tuple(Cell(Simplex._of(tuple(vs)), v, sub) for vs, v, sub in zip(self._rows(), self.value.tolist(), self.sub.tolist()))
 
     def __len__(self):
         return len(self.value)
@@ -205,12 +199,12 @@ class FilteredComplex:
     def canonical_order(self) -> list[int]:
         """Indices sorted by (subcomplex first, value, dimension, vertices).
 
-        Within a dimension a cell's table row is the rank of its vertex
-        tuple, so this is one `np.lexsort`.  It is a linear extension of
-        the face partial order, as required by the boundary-matrix
-        reduction.
+        Within a dimension the cells are in the order of their vertex
+        tuples, and `np.lexsort` is stable, so ties on the first three
+        keys keep that order.  It is a linear extension of the face
+        partial order, as required by the boundary-matrix reduction.
         """
-        return np.lexsort((self.row, self.dim, self.value, ~self.sub)).tolist()
+        return np.lexsort((self.dim, self.value, ~self.sub)).tolist()
 
     def euler_characteristic(self, t: float) -> int:
         alive = self.value <= t
@@ -218,18 +212,14 @@ class FilteredComplex:
 
 
 def build(cells=(), tables: list[CellTable] | None = None) -> FilteredComplex:
-    """Validate and build, from cells or from tables (`FilteredComplex`);
-    raises InputError on any invariant violation."""
-    return FilteredComplex(cells, tables)
+    """Validate and build, from cells in any order (`_tables_of`) or from
+    tables; raises InputError on any invariant violation."""
+    return FilteredComplex(_tables_of(cells) if tables is None else tables)
 
 
 def dumps(c: FilteredComplex) -> str:
-    """One cell per line: `v0 v1 ... vk <value> <0|1>`."""
-    rows = [t.simplices.tolist() for t in c.tables]
-    lines = [
-        f"{' '.join(map(str, rows[k][r]))} {v!r} {int(sub)}"
-        for k, r, v, sub in zip(c.dim.tolist(), c.row.tolist(), c.value.tolist(), c.sub.tolist())
-    ]
+    """One cell per line, in the complex's order: `v0 v1 ... vk <value> <0|1>`."""
+    lines = [f"{' '.join(map(str, vs))} {v!r} {int(sub)}" for vs, v, sub in zip(c._rows(), c.value.tolist(), c.sub.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -4,10 +4,11 @@ Relative persistence quotients out the marked subcomplex: its cells
 contribute neither rows nor columns, which computes the homology of the
 factor chain complex directly.  Columns are sorted index lists, read from
 the complex's facet tables (`filtered_complex.CellTable`) through one rank
-array; addition is symmetric difference; dimensions are processed in
-decreasing order so that columns of already-paired birth cells can be
-cleared without reduction.  Barcodes read the value and dimension arrays of
-the complex.
+array: a complex's k-cells are its cells from offsets[k] on, in table
+order, so facet row r of a k-cell is cell offsets[k - 1] + r.  Addition
+is symmetric difference; dimensions are processed in decreasing order so
+that columns of already-paired birth cells can be cleared without
+reduction.  Barcodes read the value and dimension arrays of the complex.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtered_complex import Cell, FilteredComplex
+from .filtered_complex import FilteredComplex
 from .geometry import InputError
 
 
@@ -38,11 +39,6 @@ class BoundaryMatrix:
     def size(self) -> int:
         return len(self.columns)
 
-    @property
-    def cells(self) -> list[Cell]:
-        cells = self.complex.cells
-        return [cells[i] for i in self.selected.tolist()]
-
     def dims(self) -> list[int]:
         return self.complex.dim[self.selected].tolist()
 
@@ -54,10 +50,11 @@ def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None 
     """Boundary matrix over the canonical order (or an explicit valid order).
 
     relative=True drops subcomplex cells from rows and columns; with an empty
-    subcomplex both modes coincide.  A cell's faces are its facet rows in
-    the complex's tables (`CellTable.facets`), mapped to columns by one
-    rank array.  A face outside the selected cells is dropped; a face that
-    `order` puts after its cell raises AssertionError.
+    subcomplex both modes coincide.  A k-cell's faces are its facet rows
+    in the complex's tables (`CellTable.facets`) plus offsets[k - 1],
+    mapped to columns by one rank array.  A face outside the selected
+    cells is dropped; a face that `order` puts after its cell raises
+    AssertionError.
     """
     if order is None:
         order = c.canonical_order()
@@ -67,9 +64,9 @@ def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None 
     rank = np.full(len(c), -1, dtype=np.int64)
     rank[selected] = np.arange(len(selected))
     columns: list[list[int]] = [[] for _ in range(len(selected))]
-    for lower, index, t in zip(c.index, c.index[1:], c.tables[1:]):
-        own = rank[index]
-        faces = rank[lower[t.facets]][own >= 0]
+    for k, t in enumerate(c.tables[1:], start=1):
+        own = rank[c.offsets[k] : c.offsets[k + 1]]
+        faces = rank[c.offsets[k - 1] + t.facets][own >= 0]
         own = own[own >= 0]
         if np.any(faces >= own[:, None]):
             raise AssertionError("order is not a linear extension of the face order")

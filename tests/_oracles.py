@@ -3,7 +3,9 @@
 Everything here is deliberately written against different formulations than
 the library code paths it validates: subset enumeration instead of Welzl,
 minor expansion instead of Bareiss, a degree-sorted table instead of a
-numeral walk, bitset Gaussian elimination instead of column reduction.
+numeral walk, bitset Gaussian elimination instead of column reduction, the
+standard column reduction instead of reduction with clearing, one scalar
+filter per orientation instead of the batch kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from reldelcech.delaunay import _hull_space, _perturbed_signs
+from reldelcech.predicates import _FILTER_C, cofactors
 
 
 def minor_expansion_det(rows) -> Fraction:
@@ -170,3 +175,74 @@ def betti_at(c, relative: bool, t: float, max_dim: int) -> dict[int, int]:
         k: counts.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(max_dim + 1)
     }
+
+
+class Orientation:
+    """Float filter for the homogeneous orientation of k points u_0..u_{k-1}
+    of R^k and a query x: det[[u_0, 1], ..., [u_{k-1}, 1], [x, 1]] is
+    (-1)^k det(u_1 - u_0, ..., u_{k-1} - u_0, x - u_0), and that edge
+    determinant is the dot product of x - u_0 with the cofactors of its
+    last row, computed once by `predicates.cofactors`.
+
+    The float rows are rounded to half an ulp of their own magnitude, and
+    an edge entry inherits the error of both of its rows: far from the
+    origin (a lift |x|^2 against edges of |x|), that is more than the
+    edges' own half ulps.  So the filter's scale is the largest magnitude
+    among the edges and the rows themselves; `size` bounds the rows'.
+
+    The scalar reference of `delaunay._orient_batch`, which the tests hold
+    to it bit for bit."""
+
+    def __init__(self, pts, size: float):
+        base = pts[0]
+        k = len(base)
+        block = [[a - b for a, b in zip(u, base)] for u in pts[1:]]
+        self.base = base
+        self.cof = cofactors(block)
+        self.scale = max([1.0, size] + [abs(x) for row in block for x in row])
+        self.homog = -1 if k % 2 else 1
+        self.bound, self.powers = _FILTER_C[k], range(k)
+
+    def sign(self, x, size: float) -> int:
+        """Certified orientation sign of (u_0, ..., u_{k-1}, x), whose
+        entries are at most `size` in magnitude; 0 when the filter cannot
+        certify it.  The certification is `predicates.certified_sign`'s,
+        in its float operations, inlined."""
+        val = 0.0
+        scale = size if size > self.scale else self.scale
+        for a, b, cf in zip(x, self.base, self.cof):
+            dc = a - b
+            val += dc * cf
+            if dc > scale:
+                scale = dc
+            elif -dc > scale:
+                scale = -dc
+        bound = self.bound
+        for _ in self.powers:
+            bound *= scale
+        if bound < abs(val) < math.inf:
+            return self.homog if val > 0 else -self.homog
+        return 0
+
+    def value(self, x) -> float:
+        """The float orientation of (u_0, ..., u_{k-1}, x), uncertified."""
+        return self.homog * sum((a - b) * cf for a, b, cf in zip(x, self.base, self.cof))
+
+
+def insphere_signs(cloud, tops):
+    """(top, queries, signs) for each sorted vertex row `top` of `tops`:
+    the perturbed in-circumsphere sign of each vertex q of `cloud` not in
+    it, +1 strictly inside under the symbolic perturbation, else -1.  A
+    point is inside the circumsphere of a top iff its lift lies below the
+    top's lifted hyperplane: iff its perturbed orientation against the top
+    (`_perturbed_signs`) is that of a point straight below it
+    (`infdown_sign`), which is not 0 for a top of a Delaunay
+    triangulation.  One `_hull_space` of the cloud serves every top."""
+    _, space = _hull_space(cloud)
+    for top in map(tuple, tops.tolist()):
+        below = space.infdown_sign(top)
+        assert below != 0, f"vertical top {top}"
+        queries = [q for q in range(len(cloud)) if q not in top]
+        which = np.zeros(len(queries), dtype=np.int64)
+        signs = _perturbed_signs(space, np.array([top]), which, np.array(queries, dtype=np.int64))
+        yield top, queries, [1 if o == below else -1 for o in signs.tolist()]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _faults import inject_fault
-from _oracles import betti_at, brute_meb_radius, minor_expansion_det
+from _oracles import betti_at, brute_meb_radius, insphere_signs, minor_expansion_det
 from reldelcech import relative_lift
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
 from reldelcech.cli import check_pair, generate_cloud, main, split_pair
@@ -196,9 +196,7 @@ def test_criterion_5_delaunay_empty_circumsphere():
         pts = np.unique(rng.random((n, m)), axis=0)
         cloud = PointCloud(pts.tolist())
         t = delaunay(cloud)
-        for top in map(tuple, t.tops.tolist()):
-            queries = [q for q in range(len(cloud)) if q not in top]
-            signs = t.insphere_sign(top, queries)
+        for top, queries, signs in insphere_signs(cloud, t.tops):
             assert len(signs) == len(queries)
             assert all(s <= 0 for s in signs)
     print(f"\nACCEPTANCE 5 delaunay empty circumsphere: PASS (200 clouds, {time.time() - t0:.1f}s)")

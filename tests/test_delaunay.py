@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from _faults import certify_nothing
-from _oracles import exact_range_reference
+from _oracles import Orientation, exact_range_reference, insphere_signs
 
 from reldelcech.cli import generate_cloud
 from reldelcech.delaunay import Triangulation, delaunay, face_tables
@@ -160,10 +160,7 @@ class TestDegenerate:
 
 
 def _assert_empty_circumspheres(t):
-    n = len(t.cloud)
-    for top in rows(t.tops):
-        queries = [q for q in range(n) if q not in top]
-        signs = t.insphere_sign(top, queries)
+    for top, queries, signs in insphere_signs(t.cloud, t.tops):
         assert len(signs) == len(queries)
         for q, s in zip(queries, signs):
             assert s <= 0, (top, q)
@@ -237,7 +234,7 @@ class TestFaces:
         # `face_tables` would drop the repeated row without a word.
         t = delaunay(random_cloud(np.random.default_rng(18), 10, 2))
         with pytest.raises(AssertionError, match=r"top \(\d+, \d+, \d+\) is given twice"):
-            Triangulation(t.cloud, np.vstack([t.tops, t.tops[:1]]), t._space)
+            Triangulation(t.cloud, np.vstack([t.tops, t.tops[:1]]))
 
     @pytest.mark.parametrize("low", [1 << 16, (1 << 62) - 64])
     def test_face_tables_on_large_vertex_indices(self, low):
@@ -452,11 +449,13 @@ class TestHullSpace:
         # which gets all cofactors of all its simplices from one
         # `batch_cofactors` expansion, not one evaluation per column or
         # per query; so does the float guess of all seeds of the wrap
-        # (`_Wrap.seed`); the scalar reference `_Orientation` gets its own
-        # from one `cofactors` call.
+        # (`_Wrap.seed`); the scalar reference `Orientation` gets its own
+        # from one `cofactors` call, and the run path has none.
         mod = importlib.import_module("reldelcech.delaunay")
+        oracles = importlib.import_module("_oracles")
+        assert not hasattr(mod, "cofactors")
         counts = {"cofactors": 0, "batch_cofactors": 0, "kernel": 0, "seed": 0}
-        real_cofactors, real_batch_cofactors, real_kernel = mod.cofactors, mod.batch_cofactors, mod._orient_batch
+        real_cofactors, real_batch_cofactors, real_kernel = oracles.cofactors, mod.batch_cofactors, mod._orient_batch
 
         def counting(name, real):
             def call(*args):
@@ -465,7 +464,7 @@ class TestHullSpace:
 
             return call
 
-        monkeypatch.setattr(mod, "cofactors", counting("cofactors", real_cofactors))
+        monkeypatch.setattr(oracles, "cofactors", counting("cofactors", real_cofactors))
         monkeypatch.setattr(mod, "batch_cofactors", counting("batch_cofactors", real_batch_cofactors))
         monkeypatch.setattr(mod, "_orient_batch", counting("kernel", real_kernel))
         monkeypatch.setattr(mod._Wrap, "seed", counting("seed", mod._Wrap.seed))
@@ -476,7 +475,7 @@ class TestHullSpace:
         assert counts["kernel"] > 0 and counts["seed"] == 2
         assert counts["batch_cofactors"] == counts["kernel"] + counts["seed"] and counts["cofactors"] == 0
         for k in (2, 3, 4):
-            mod._Orientation([tuple(row) for row in rng.random((k, k)).tolist()], 1.0)
+            Orientation([tuple(row) for row in rng.random((k, k)).tolist()], 1.0)
         assert counts["cofactors"] == 3
 
     @pytest.mark.parametrize("name", sorted(SIDES_CLOUDS))
@@ -832,7 +831,7 @@ class TestPairDelaunay:
             ([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 3.0)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)], "3 tops"),
         ]:
             x = PointCloud(pts)
-            broken = mod.Triangulation(x, np.array(list(tops)), delaunay(x)._space)
+            broken = mod.Triangulation(x, np.array(list(tops)))
             z = lift(x, empty, 1.0).z
             with pytest.raises(AssertionError, match=err):
                 mod.pair_delaunay(z, broken, None)
@@ -944,7 +943,7 @@ class TestSeeds:
 
 
 class TestOrientBatch:
-    """`_orient_batch` is the scalar `_Orientation` over many simplices
+    """`_orient_batch` is the scalar `Orientation` over many simplices
     and queries, bit for bit, and the wrap's exact fallback is Bareiss's
     sign."""
 
@@ -974,7 +973,7 @@ class TestOrientBatch:
                 signs, values = mod._orient_batch(rows, size, simplices, which, queries)
             want_signs, want_values = [], []
             for w, q in zip(which.tolist(), queries.tolist()):
-                o = mod._Orientation([tuple(rows[v].tolist()) for v in simplices[w]], float(size[simplices[w]].max()))
+                o = Orientation([tuple(rows[v].tolist()) for v in simplices[w]], float(size[simplices[w]].max()))
                 want_signs.append(o.sign(tuple(rows[q].tolist()), float(size[q])))
                 want_values.append(o.value(tuple(rows[q].tolist())).hex())
             assert signs.tolist() == want_signs, kind
@@ -1006,7 +1005,7 @@ class TestOrientBatch:
             x1, x2 = [pts[i] for i in a], [p for i, p in enumerate(pts) if i not in a]
             z = lift(PointCloud(x1), PointCloud(x2), 1.0).z
             tri = mod.pair_delaunay(z, delaunay(PointCloud(x1)), delaunay(PointCloud(x2)))
-            space = tri._space
+            _, space = mod._hull_space(z)
             assert space.exact.all()
             ridges = tri.tables[-2].simplices
             which, queries = np.repeat(np.arange(len(ridges)), len(z)), np.tile(np.arange(len(z)), len(ridges))

@@ -115,13 +115,18 @@ class TestCanonicalOrder:
         cells = [Cell(Simplex(vs), v, sub) for vs, (v, sub) in value.items()]
         rng.shuffle(cells)
         c = build(cells)
-        want = sorted(range(len(cells)), key=lambda i: (not cells[i][2], cells[i][1], len(cells[i][0]), cells[i][0].vertices))
-        assert c.canonical_order() == want
+
+        def canonical(c):
+            return [(c.cells[i].simplex, repr(c.cells[i].value), c.cells[i].in_subcomplex) for i in c.canonical_order()]
+
+        key = lambda cell: (not cell.in_subcomplex, cell.value, cell.simplex.dim, cell.simplex.vertices)
+        want = [(cell.simplex, repr(cell.value), cell.in_subcomplex) for cell in sorted(cells, key=key)]
+        assert canonical(c) == want
         text = dumps(c)
         assert "-0.0" in text and "inf" in text
         again = loads(text)
         assert dumps(again) == text
-        assert again.canonical_order() == want
+        assert canonical(again) == want
 
 
 class TestTables:

@@ -34,7 +34,7 @@ def line_pair_complex():
 class TestBoundaryMatrix:
     def test_quotient_drops_subcomplex_faces(self):
         m = boundary_matrix(line_pair_complex(), relative=True)
-        simp = [c.simplex.vertices for c in m.cells]
+        simp = [m.complex.cells[i].simplex.vertices for i in m.selected]
         assert simp == [(1,), (0, 1), (1, 2), (0, 1, 2)]
         assert m.columns[0] == []
         assert m.columns[1] == [0]  # edge 01 -> vertex 1 only (0 is quotiented)
@@ -90,8 +90,9 @@ class TestReduce:
     def test_worked_example_pairing(self):
         m = boundary_matrix(line_pair_complex(), relative=True)
         red = reduce_matrix(m)
+        cells = [m.complex.cells[i] for i in m.selected]
         named = {
-            (m.cells[i].simplex.vertices, m.cells[j].simplex.vertices)
+            (cells[i].simplex.vertices, cells[j].simplex.vertices)
             for i, j in red.pairs
         }
         assert named == {((1,), (0, 1)), ((1, 2), (0, 1, 2))}

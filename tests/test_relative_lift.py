@@ -193,7 +193,7 @@ def drop_lifted_edge(monkeypatch, lo: int, hi: int):
         t = real(z, tri1, tri2)
         edge = next(e for e in t.tables[1].simplices.tolist() if lo <= e[0] and e[-1] < hi)
         tops = [top for top in t.tops.tolist() if not set(edge) <= set(top)]
-        return Triangulation(z, np.array(tops), t._space)
+        return Triangulation(z, np.array(tops))
 
     monkeypatch.setattr(relative_lift, "pair_delaunay", broken)
 
@@ -210,7 +210,7 @@ def drop_top(monkeypatch, call: int, k: int = 0):
         tris = list(tris) if len(clouds) > 1 else [tris]
         if call < len(tris):
             t = tris[call]
-            tris[call] = Triangulation(t.cloud, np.delete(t.tops, k, axis=0), t._space)
+            tris[call] = Triangulation(t.cloud, np.delete(t.tops, k, axis=0))
         return tuple(tris) if len(clouds) > 1 else tris[0]
 
     monkeypatch.setattr(relative_lift, "delaunay", broken)
@@ -370,7 +370,7 @@ def drop_hull_top(monkeypatch, k: int):
 
     def broken(c):
         t = delaunay(c)
-        return Triangulation(c, np.delete(t.tops, k, axis=0), t._space)
+        return Triangulation(c, np.delete(t.tops, k, axis=0))
 
     monkeypatch.setattr(mod, "delaunay", broken)
 
@@ -618,7 +618,7 @@ class TestVerifyEmbedding:
         pipe = build_pipeline(cloud(X1_TRIANGLE), cloud(X2_AROUND))
         tri = pipe.triangulation
         tops = np.array([t for t in tri.tops.tolist() if t[:3] != [0, 1, 2]])
-        rep = verify_embedding(pipe.cfg, Triangulation(tri.cloud, tops, tri._space))
+        rep = verify_embedding(pipe.cfg, Triangulation(tri.cloud, tops))
         assert re.fullmatch(r"lifted del\(X1\) simplex \([012](, [012])+\) missing from del\(Z\)", rep.failure)
 
     def test_degenerate_shared_square_is_flagged_or_consistent(self):
@@ -736,7 +736,7 @@ def crack_del_z(monkeypatch):
         t = real(z, tri1, tri2)
         star = t.tops[(t.tops == 0).any(axis=1)]
         _, copy = np.unique(star, return_inverse=True)
-        return Triangulation(z, np.concatenate([t.tops, len(z) + copy.reshape(star.shape)]), t._space)
+        return Triangulation(z, np.concatenate([t.tops, len(z) + copy.reshape(star.shape)]))
 
     monkeypatch.setattr(relative_lift, "pair_delaunay", cracked)
 
