@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .filtered_complex import Cell, FilteredComplex, Simplex, build
@@ -64,51 +65,51 @@ def _near_diagonal(bar: tuple[float, float], tol: float) -> bool:
     return not math.isinf(bar[1]) and bar[1] - bar[0] <= 2 * tol
 
 
-def _max_matching(adj, n_left, n_right) -> dict[int, int]:
-    """Maximum bipartite matching (augmenting paths); returns right->left."""
-    match_right: dict[int, int] = {}
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
+def _uncovered(bars1, bars2, tol) -> list:
+    """The far bars of bars1, those more than 2*tol from the diagonal,
+    that a maximum matching of them into bars2 (`_bars_match`) leaves
+    uncovered.  A bar's partners are among the bars whose births lie
+    within 2*tol of its own, found by bisection in the sorted births.  The
+    matching grows by augmenting paths (Kuhn), each found depth first
+    with an explicit stack, so no recursion deepens with the number of
+    bars."""
+    bars2 = sorted(bars2)
+    births = [b[0] for b in bars2]
+    adj = {}
+    for i, b1 in enumerate(bars1):
+        if not _near_diagonal(b1, tol):
+            near = range(bisect_left(births, b1[0] - 2 * tol), bisect_right(births, b1[0] + 2 * tol))
+            adj[i] = [j for j in near if _bars_match(b1, bars2[j], tol)]
+    owner: dict[int, int] = {}  # a bar of bars2 -> the bar of bars1 it covers
+    out = []
+    for root in adj:
+        seen: set[int] = set()
+        stack, taken = [(root, iter(adj[root]))], []  # taken[k]: the bar stack[k] would take
+        while stack:
+            j = next((j for j in stack[-1][1] if j not in seen), None)
+            if j is None:
+                stack.pop()
+                del taken[-1:]
                 continue
             seen.add(j)
-            if j not in match_right or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(n_left):
-        augment(i, set())
-    return match_right
+            taken.append(j)
+            if j not in owner:
+                owner.update((s, i) for (i, _), s in zip(stack, taken))
+                break
+            stack.append((owner[j], iter(adj[owner[j]])))
+        else:
+            out.append(bars1[root])
+    return out
 
 
 def _diagrams_match(bars1, bars2, tol) -> tuple[bool, list, list]:
     """Optimal matching with the diagonal free, as for bottleneck distance:
-    each side is padded with one diagonal slot per opposite bar, bars within
-    2*tol of the diagonal may use them, and the match succeeds iff the padded
-    matching is perfect.  Returns (ok, unmatched1, unmatched2)."""
-    n1, n2 = len(bars1), len(bars2)
-    # Left nodes: 0..n1-1 real, n1..n1+n2-1 diagonal slots for bars2.
-    # Right nodes: 0..n2-1 real, n2..n2+n1-1 diagonal slots for bars1.
-    adj = []
-    for i, b1 in enumerate(bars1):
-        edges = [j for j, b2 in enumerate(bars2) if _bars_match(b1, b2, tol)]
-        if _near_diagonal(b1, tol):
-            edges.append(n2 + i)
-        adj.append(edges)
-    for j, b2 in enumerate(bars2):
-        edges = [j] if _near_diagonal(b2, tol) else []
-        edges.extend(range(n2, n2 + n1))  # diagonal-diagonal always allowed
-        adj.append(edges)
-    match_right = _max_matching(adj, n1 + n2, n2 + n1)
-    matched_left = set(match_right.values())
-    ok = all(i in matched_left for i in range(n1)) and all(
-        j in match_right for j in range(n2)
-    )
-    un1 = [bars1[i] for i in range(n1) if i not in matched_left]
-    un2 = [bars2[j] for j in range(n2) if j not in match_right]
-    return ok, un1, un2
+    bars within 2*tol of the diagonal may go unmatched, and the diagrams
+    match iff one matching covers the far bars of both.  By the
+    Mendelsohn-Dulmage theorem it exists iff a matching covers the far
+    bars of each (`_uncovered`).  Returns (ok, uncovered1, uncovered2)."""
+    un1, un2 = _uncovered(bars1, bars2, tol), _uncovered(bars2, bars1, tol)
+    return not un1 and not un2, un1, un2
 
 
 @dataclass

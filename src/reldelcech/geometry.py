@@ -33,9 +33,10 @@ class InputError(ValueError):
 
 def subset_indices(a_indices, n: int) -> list[int]:
     """a_indices as ints: InputError unless each is an integer (a Python
-    or numpy int, by `operator.index`) in 0..n-1."""
+    or numpy int, by `operator.index`) in 0..n-1.  A bool is no index: a
+    mask [True, False, True] would pick points 1, 0 and 1."""
     try:
-        index = [operator.index(i) for i in a_indices]
+        index = [operator.index(None if isinstance(i, bool) else i) for i in a_indices]
     except TypeError:
         raise InputError("subset index must be an integer") from None
     if index and (min(index) < 0 or max(index) >= n):

@@ -141,6 +141,27 @@ def brute_meb_radius(pts, dim) -> float:
     return best
 
 
+def standard_reduction(m) -> tuple[list[tuple[int, int]], list[int]]:
+    """(pairs, unpaired) of the boundary matrix `m` by the standard column
+    reduction (Edelsbrunner, Letscher & Zomorodian, "Topological
+    persistence and simplification", DCG 2002): columns left to right in
+    the filtration order, each column added to by the earlier column of
+    its lowest row until that row is no other column's lowest or the
+    column is zero.  No clearing, columns as sets of rows."""
+    lowest: dict[int, int] = {}  # row -> the reduced column whose lowest row it is
+    reduced, pairs = [], []
+    for j, col in enumerate(m.columns):
+        col = set(col)
+        while col and max(col) in lowest:
+            col ^= reduced[lowest[max(col)]]
+        reduced.append(col)
+        if col:
+            lowest[max(col)] = j
+            pairs.append((max(col), j))
+    paired = {i for pair in pairs for i in pair}
+    return sorted(pairs), [j for j in range(len(reduced)) if j not in paired]
+
+
 def betti_at(c, relative: bool, t: float, max_dim: int) -> dict[int, int]:
     """Betti numbers of the (quotient) complex at scale t via bitset GF(2)
     Gaussian elimination of the boundary operators."""

@@ -107,6 +107,19 @@ class TestCompareBarcodes:
         with pytest.raises(InputError):
             compare_barcodes(self.bc(h0=[]), self.bc(h1=[]), tol=1e-9)
 
+    def test_many_bars(self):
+        # 1200 disjoint H0 bars: the matching with diagonal slots walked the
+        # chain of earlier slot assignments, one recursion level per step,
+        # and raised RecursionError.
+        tol = 1e-9
+        bars = [(float(i), i + 0.5) for i in range(1200)]
+        assert compare_barcodes(self.bc(h0=bars), self.bc(h0=list(bars)), tol=tol).matched
+        moved = list(bars)
+        moved[600] = (600.0, 600.5 + 3 * tol)
+        diff = compare_barcodes(self.bc(h0=bars), self.bc(h0=moved), tol=tol)
+        assert not diff.matched
+        assert diff.unmatched == {0: ([(600.0, 600.5)], [(600.0, 600.5 + 3 * tol)])}
+
     def test_permutation_robust_matching(self):
         bars = [(0.1 * i, 0.1 * i + 0.5) for i in range(6)]
         b1 = self.bc(h1=list(bars))

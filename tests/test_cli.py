@@ -80,6 +80,15 @@ class TestReaders:
         x1, _ = split_pair(x, {np.int64(0), 2})
         assert x1.coords.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
+    @pytest.mark.parametrize("mask", [[True, False, True], np.array([True, False, True])])
+    def test_boolean_mask_is_rejected(self, mask):
+        # A mask is no list of indices: operator.index took [True, False,
+        # True] as [1, 0, 1], and points 0 and 1 went to X1.
+        x = reldelcech.PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        for run in (split_pair, check_pair, lambda x, a: relative_cech(x, a, 2)):
+            with pytest.raises(InputError, match="subset index must be an integer"):
+                run(x, mask)
+
     def test_missing_file(self):
         with pytest.raises(InputError):
             read_points("/nonexistent/pts.csv")

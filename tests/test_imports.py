@@ -160,3 +160,33 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["grid12x12", "uniform250"])
+def test_run_builds_no_per_cell_objects(name, monkeypatch, tmp_path, capsys):
+    # A run works on face tables: `compute`, with the complex dumped too,
+    # must construct no `Simplex` and no `Cell`, the output views.
+    from reldelcech.filtered_complex import Cell, Simplex, loads
+
+    made = []
+    real_init, real_of, real_new = Simplex.__init__, Simplex._of.__func__, Cell.__new__
+    monkeypatch.setattr(Simplex, "__init__", lambda self, vs: made.append(Simplex) or real_init(self, vs))
+    monkeypatch.setattr(Simplex, "_of", classmethod(lambda cls, vs: made.append(Simplex) or real_of(cls, vs)))
+    monkeypatch.setattr(Cell, "__new__", lambda cls, *args: made.append(Cell) or real_new(cls, *args))
+    rng = np.random.default_rng(3)
+    if name == "grid12x12":
+        xy = [(float(i), float(j)) for i in range(12) for j in range(12)]
+        a = rng.choice(144, 72, replace=False).tolist()
+    else:
+        xy = rng.random((250, 2)).tolist()
+        a = rng.choice(250, 62, replace=False).tolist()
+    pts, sub, dump = tmp_path / "x.csv", tmp_path / "a.txt", tmp_path / "complex.txt"
+    pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in xy))
+    sub.write_text("".join(f"{i}\n" for i in a))
+    assert cli.main(["compute", str(pts), "--subset-indices", str(sub), "--dump-complex", str(dump)]) == 0
+    capsys.readouterr()
+    assert made == []
+    # The counters see the views where they are built: `loads` builds
+    # one `Simplex` and one `Cell` per cell, and so does `cells`.
+    n = len(loads(dump.read_text()).cells)
+    assert made.count(Simplex) == 2 * n and made.count(Cell) == 2 * n

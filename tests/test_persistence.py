@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from _oracles import standard_reduction
 
 from reldelcech.cech_oracle import relative_cech
+from reldelcech.cli import generate_cloud, split_pair
 from reldelcech.filtered_complex import Cell, Simplex, build
 from reldelcech.geometry import PointCloud
+from reldelcech.relative_lift import build_pipeline
 from reldelcech.persistence import (
     Barcode,
     barcode,
@@ -129,6 +132,26 @@ class TestReduce:
             red = reduce_matrix(m)
             assert m.columns == before
             assert red.columns != before
+
+    @pytest.mark.parametrize("case", ["uniform2d-250", "uniform3d-80", "grid12x12", "grid4x4x4"])
+    def test_pairs_match_the_standard_reduction(self, case):
+        # Clearing and the decreasing-dimension order must pair exactly as
+        # the plain left-to-right reduction does, on pipeline complexes
+        # whose equal values (grids, half of the points in A) make many ties.
+        rng = np.random.default_rng(17)
+        if case.startswith("uniform"):
+            n, d = {"uniform2d-250": (250, 2), "uniform3d-80": (80, 3)}[case]
+            x = generate_cloud("uniform-box", n, d, rng)
+        else:
+            shape = {"grid12x12": (12, 12), "grid4x4x4": (4, 4, 4)}[case]
+            x = PointCloud([[float(c) for c in p] for p in itertools.product(*map(range, shape))])
+        a = rng.choice(len(x), size=len(x) // (4 if case.startswith("uniform") else 2), replace=False).tolist()
+        c = build_pipeline(*split_pair(x, a)).complex
+        for relative in (True, False):
+            m = boundary_matrix(c, relative)
+            red = reduce_matrix(m)
+            assert (red.pairs, red.unpaired) == standard_reduction(m), relative
+            assert red.pairs
 
 
 class TestBarcode:
