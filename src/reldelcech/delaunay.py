@@ -861,7 +861,7 @@ class _Wrap:
         than two tops, if the two tops of a ridge are flat or lie on one
         side of it (their orient signs, one batch, do not add up to 0 or
         one is 0), or if a vertex of Z lies beyond a ridge of one top
-        (`beyond`).  Its faces are laid out as in `run`."""
+        (`beyond`).  Its ridges are the tops' `faces`, as in `run`."""
         p = tops.shape[1]
         ridges, where = unique_rows(faces(tops).reshape(-1, p - 1))
         count = np.bincount(where, minlength=len(ridges))
