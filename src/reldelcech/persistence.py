@@ -6,13 +6,16 @@ factor chain complex directly.  Columns are sorted index lists, read from
 the complex's facet tables (`filtered_complex.CellTable`) through one rank
 array: a complex's k-cells are its cells from offsets[k] on, in table
 order, so facet row r of a k-cell is cell offsets[k - 1] + r.  Addition
-is symmetric difference; dimensions are processed in decreasing order so
-that columns of already-paired birth cells can be cleared without
-reduction.  Barcodes read the value and dimension arrays of the complex.
+is symmetric difference.  The reduction's one piece of state is the pivot
+map, lowest row -> its column; dimensions are processed in decreasing
+order, so a row that is already a key is a birth that dies there, and its
+column is cleared without reduction.  Barcodes read the value and
+dimension arrays of the complex.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,15 +38,15 @@ class BoundaryMatrix:
     selected: np.ndarray
     columns: list[list[int]]
 
-    @property
-    def size(self) -> int:
-        return len(self.columns)
 
-    def dims(self) -> list[int]:
-        return self.complex.dim[self.selected].tolist()
-
-    def values(self) -> list[float]:
-        return self.complex.value[self.selected].tolist()
+def _permutation(order, n: int) -> np.ndarray:
+    """`order` as an int64 array, if it lists each of 0..n - 1 exactly once."""
+    a = np.asarray(order)
+    if a.shape == (n,) and (n == 0 or a.dtype.kind in "iu"):
+        a = a.astype(np.int64, copy=False)
+        if np.all((a >= 0) & (a < n)) and np.all(np.bincount(a, minlength=n) == 1):
+            return a
+    raise InputError(f"order must list each of the {n} cell indices exactly once")
 
 
 def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None = None) -> BoundaryMatrix:
@@ -53,12 +56,11 @@ def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None 
     subcomplex both modes coincide.  A k-cell's faces are its facet rows
     in the complex's tables (`CellTable.facets`) plus offsets[k - 1],
     mapped to columns by one rank array.  A face outside the selected
-    cells is dropped; a face that `order` puts after its cell raises
+    cells is dropped.  An `order` that is not a permutation of the cell
+    indices raises InputError; one that puts a face after its cell raises
     AssertionError.
     """
-    if order is None:
-        order = c.canonical_order()
-    selected = np.asarray(order, dtype=np.int64)
+    selected = _permutation(c.canonical_order() if order is None else order, len(c))
     if relative:
         selected = selected[~c.sub[selected]]
     rank = np.full(len(c), -1, dtype=np.int64)
@@ -107,41 +109,32 @@ class Reduction:
 def reduce_matrix(m: BoundaryMatrix) -> Reduction:
     """Left-to-right column reduction with the clearing optimization.
 
-    Dimensions are processed in decreasing order; when a pair (i, j) is
-    found, column i is known to die and is cleared instead of reduced.
+    The one piece of state is `pivot`, lowest row -> its column.  Columns
+    are reduced by decreasing dimension, in increasing order within one.
+    A row that is some column's lowest is a birth that dies there, so its
+    own column reduces to zero: the keys of `pivot` are exactly the
+    columns that clearing skips.  The pairs are the items of `pivot`.
     It rebinds columns and never edits one, so `m` keeps its own.
     """
     cols = list(m.columns)
-    dims = m.dims()
     pivot: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    cleared: set[int] = set()
-    by_dim: dict[int, list[int]] = {}
-    for j, d in enumerate(dims):
-        by_dim.setdefault(d, []).append(j)
-    for d in sorted(by_dim, reverse=True):
-        for j in by_dim[d]:
-            if j in cleared:
-                cols[j] = []
-                continue
-            col = cols[j]
-            while col:
-                low = col[-1]
-                k = pivot.get(low)
-                if k is None:
-                    break
-                col = _xor_merge(col, cols[k])
-            cols[j] = col
-            if col:
-                low = col[-1]
-                pivot[low] = j
-                pairs.append((low, j))
-                cleared.add(low)
-    paired_rows = {i for i, _ in pairs}
-    paired_cols = {j for _, j in pairs}
-    unpaired = [i for i in range(m.size) if i not in paired_rows and i not in paired_cols]
-    pairs.sort()
-    return Reduction(pairs, unpaired, cols)
+    for j in np.argsort(-m.complex.dim[m.selected], kind="stable").tolist():
+        if j in pivot:
+            cols[j] = []
+            continue
+        col = cols[j]
+        while col:
+            k = pivot.get(col[-1])
+            if k is None:
+                break
+            col = _xor_merge(col, cols[k])
+        cols[j] = col
+        if col:
+            pivot[col[-1]] = j
+    paired = set(pivot)
+    paired.update(pivot.values())
+    unpaired = [i for i in range(len(cols)) if i not in paired]
+    return Reduction(sorted(pivot.items()), unpaired, cols)
 
 
 class Barcode:
@@ -169,9 +162,6 @@ class Barcode:
             if b <= t and (math.isinf(d) or t < d)
         )
 
-    def total_bars(self) -> int:
-        return sum(len(v) for v in self._bars.values())
-
     def __eq__(self, other):
         return isinstance(other, Barcode) and self._bars == other._bars and self.max_dim == other.max_dim
 
@@ -192,18 +182,6 @@ class Barcode:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Barcode":
-        intervals = {}
-        max_dim = 0
-        for entry in data["dims"]:
-            k = int(entry["dim"])
-            max_dim = max(max_dim, k)
-            intervals[k] = [
-                (float(b), math.inf if d is None else float(d)) for b, d in entry["bars"]
-            ]
-        return cls(intervals, max_dim)
-
 
 def barcode(c: FilteredComplex, relative: bool, max_dim: int, order: list[int] | None = None) -> Barcode:
     """Barcode of the (relative) filtration up to homology dimension max_dim.
@@ -214,18 +192,15 @@ def barcode(c: FilteredComplex, relative: bool, max_dim: int, order: list[int] |
         raise InputError("max_dim must be >= 0")
     m = boundary_matrix(c, relative, order=order)
     red = reduce_matrix(m)
-    values, dims = m.values(), m.dims()
+    values = c.value[m.selected].tolist()
+    dims = c.dim[m.selected].tolist()
+    bars = itertools.chain(
+        ((i, values[j]) for i, j in red.pairs if values[i] != values[j]),
+        ((i, math.inf) for i in red.unpaired),
+    )
     intervals: dict[int, list[tuple[float, float]]] = {}
-    for i, j in red.pairs:
-        birth = values[i]
-        death = values[j]
-        if birth == death:
-            continue
+    for i, death in bars:
         k = dims[i]
         if k <= max_dim:
-            intervals.setdefault(k, []).append((birth, death))
-    for i in red.unpaired:
-        k = dims[i]
-        if k <= max_dim:
-            intervals.setdefault(k, []).append((values[i], math.inf))
+            intervals.setdefault(k, []).append((values[i], death))
     return Barcode(intervals, max_dim)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written against different formulations than
 the library code paths it validates: subset enumeration instead of Welzl,
-minor expansion instead of Bareiss, a degree-sorted table instead of a
-numeral walk, bitset Gaussian elimination instead of column reduction, the
-standard column reduction instead of reduction with clearing, one scalar
-filter per orientation instead of the batch kernel.
+minor expansion instead of Bareiss, Welzl on every cell instead of balls
+taken from faces, a degree-sorted table instead of a numeral walk, bitset
+Gaussian elimination instead of column reduction, the standard column
+reduction instead of reduction with clearing, one scalar filter per
+orientation instead of the batch kernel.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from reldelcech.delaunay import _hull_space, _perturbed_signs
+from reldelcech.geometry import smallest_enclosing_ball
 from reldelcech.predicates import _FILTER_C, cofactors
 
 
@@ -139,6 +141,22 @@ def brute_meb_radius(pts, dim) -> float:
                 if best is None or r < best:
                     best = r
     return best
+
+
+def welzl_values(c, proj: np.ndarray) -> np.ndarray:
+    """The filtration values of the complex `c`, recomputed cell by cell:
+    `smallest_enclosing_ball` of each cell's vertices' rows of `proj`,
+    raised dimension by dimension to its facets' values, 0 on subcomplex
+    cells.  No ball is taken from a face or a batched circumball."""
+    out: list[np.ndarray] = []
+    for t in c.tables:
+        balls = (0.0 if sub else smallest_enclosing_ball(proj[row].tolist())[1] for row, sub in zip(t.simplices, t.sub))
+        values = np.fromiter(balls, float, len(t.sub))
+        if out:
+            values = np.maximum(values, out[-1][t.facets].max(axis=1))
+        values[t.sub] = 0.0
+        out.append(values)
+    return np.concatenate(out)
 
 
 def standard_reduction(m) -> tuple[list[tuple[int, int]], list[int]]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reldelcech
-from reldelcech import cli, relative_lift
+from reldelcech import cli, persistence, relative_lift
 
 PACKAGE = pathlib.Path(reldelcech.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -134,6 +134,32 @@ def test_benchmark_instance_runs_and_checks(monkeypatch, tmp_path):
     assert len(x) == 30 and len(a) == 8
     assert instance.output_problems(bc, pipe.complex, a) == []
     assert relative_lift.verify_embedding(pipe.cfg, pipe.triangulation).ok is True
+
+
+def test_benchmark_trace_reads_the_barcode_layer(monkeypatch, tmp_path):
+    # The traced pass tags boundary_matrix and reduce_matrix by what
+    # perfbench/spans.py reads of their results (`columns`, `pairs`); a
+    # renamed attribute would fail only in the benchmark's traced pass.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # load them read-only
+    mods = {}
+    for name in ("spans", "instance"):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        mods[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mods[name])
+    spans, instance = mods["spans"], mods["instance"]
+    rng = np.random.default_rng(89)
+    pts = tmp_path / "instance.points.csv"
+    pts.write_text("".join(",".join(map(repr, p.coords)) + "\n" for p in cli.generate_cloud("uniform-box", 30, 2, rng)))
+    sub = tmp_path / "instance.subset.txt"
+    sub.write_text("".join(f"{i}\n" for i in sorted(rng.choice(30, size=8, replace=False).tolist())))
+    tracer = spans.Tracer()
+    tracer.current_instance = 0
+    with tracer.installed():
+        x, a, pipe, bc = instance.run(str(pts), str(sub), tracer)
+    metrics = spans.layer_metrics(tracer, {0: 3})[0]
+    m = persistence.boundary_matrix(pipe.complex, relative=True)
+    assert metrics["boundary_matrix.nnz"] == sum(len(col) for col in m.columns) > 0
+    assert metrics["reduce.pairs"] == len(persistence.reduce_matrix(m).pairs) > 0
 
 
 def test_run_does_not_import_numpy_ma():

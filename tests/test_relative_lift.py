@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from _faults import certify_nothing
+from _oracles import welzl_values
 
 from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
@@ -522,6 +524,25 @@ class TestFiltration:
                     assert c.value == want, (name, sorted(a), vs)
                     checked += 1
         assert checked > 10000
+
+    def test_values_match_welzl_at_workload_sizes(self):
+        # Welzl on every cell (`_oracles.welzl_values`) against the face
+        # rule and the batched circumballs, bit for bit, on the benchmark's
+        # shapes: uniform d=2 n=250 and d=3 n=80 with a quarter of the
+        # points in A, the 12x12 and 4x4x4 grids with half.
+        cells = 0
+        for i, (shape, frac) in enumerate([((250, 2), 0.25), ((80, 3), 0.25), ((12, 12), 0.5), ((4, 4, 4), 0.5)] * 2):
+            rng = np.random.default_rng([1, i])
+            if frac == 0.25:
+                x = cli.generate_cloud("uniform-box", *shape, rng)
+            else:
+                x = PointCloud([[float(c) for c in p] for p in itertools.product(*map(range, shape))])
+            a = rng.choice(len(x), size=round(frac * len(x)), replace=False).tolist()
+            pipe = build_pipeline(*cli.split_pair(x, a))
+            want = welzl_values(pipe.complex, pipe.cfg.z.coords[:, :-1])
+            assert want.tobytes() == pipe.complex.value.tobytes(), (shape, i)
+            cells += len(want)
+        assert cells > 25000
 
     @pytest.mark.parametrize("d, n", [(2, 60), (3, 30)])
     def test_face_balls_replace_most_welzl_calls(self, d, n, monkeypatch):
