@@ -200,6 +200,15 @@ def generate_cloud(kind: str, n: int, d: int, rng: np.random.Generator) -> Point
 # -- subcommands -------------------------------------------------------------------
 
 
+def _write(path: str, text: str):
+    """Write `text` to the file `path`; InputError when it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"{path}: {e}") from e
+
+
 def cmd_compute(args) -> int:
     x = read_points(args.points)
     a = read_subset(args.subset_indices, len(x)) if args.subset_indices else set()
@@ -210,16 +219,13 @@ def cmd_compute(args) -> int:
     b = barcode(fc, relative=True, max_dim=max_dim)
     payload = json.dumps(b.to_json_dict(relative), indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        _write(args.out, payload + "\n")
     else:
         print(payload)
     if args.dump_complex:
-        with open(args.dump_complex, "w") as fh:
-            fh.write(dumps(fc))
+        _write(args.dump_complex, dumps(fc))
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(b))
+        _write(args.svg, render_svg(b))
     return 0
 
 
@@ -252,7 +258,11 @@ def cmd_bench(args) -> int:
         raise InputError(f"--subset-fraction must be in [0, 1], got {args.subset_fraction}")
     sizes = []
     for chunk in args.sizes:
-        sizes.extend(int(s) for s in chunk.split(",") if s)
+        for tok in filter(None, chunk.split(",")):
+            try:
+                sizes.append(int(tok))
+            except ValueError:
+                raise InputError(f"--sizes: bad size '{tok}'") from None
     if not sizes:
         raise InputError("no sizes given")
     rows = ["n_total,d,cells_total,cells_subcomplex,wall_ms_pipeline,wall_ms_reduction"]
@@ -278,8 +288,7 @@ def cmd_bench(args) -> int:
         cs.append(total)
     csv = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+        _write(args.out, csv)
     else:
         sys.stdout.write(csv)
     if len(set(ns)) >= 2:  # a line through one size is undetermined

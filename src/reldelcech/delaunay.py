@@ -492,9 +492,9 @@ class _Hull:
 
     All visibility tests of a round are one batch of `_perturbed_signs`:
     one kernel call, one more for the same-slab ties and exact zeros it
-    cannot certify, and the scalar `sos_sign` for the rest.  A facet's
-    conflict array is dropped once all its ridges are settled: once it
-    has been t1 of a job on each of them, or buried by equal pivots.  The
+    cannot certify, and the scalar `sos_sign` for the rest.  Every
+    conflict set lives in `_conflicts` until the hull is done: the hull
+    never sets the run's peak memory, which is the reduction's.  The
     result is `facets`, the final facets' sorted vertex rows, and
     `inside_signs`."""
 
@@ -502,10 +502,9 @@ class _Hull:
         self.space = space
         self.order = np.array(order, dtype=np.int64)
         self.rounds = 0
-        # Per facet id, grown by `_reserve`: inside sign, pivot rank,
-        # ridges not yet settled, and its slice of `_conflicts` (count 0
-        # once dropped).
-        self._inside = self._pivot = self._open = self._start = self._count = np.zeros(0, dtype=np.int64)
+        # Per facet id, grown by `_reserve`: inside sign, pivot rank and
+        # its slice of `_conflicts`.
+        self._inside = self._pivot = self._start = self._count = np.zeros(0, dtype=np.int64)
         self._made = 0
         self._conflicts = np.zeros(0, dtype=np.int64)  # ranks
         self._used = 0  # the length of `_conflicts` in use
@@ -536,34 +535,15 @@ class _Hull:
         if np.count_nonzero(np.bincount(self.facets.ravel(), minlength=n)) < n:
             raise AssertionError("lifted point inside hull: duplicate input?")
 
-    def _reserve(self, size: int):
-        """Room for `size` facets in the per-facet arrays, doubled as needed."""
-        if size > len(self._pivot):
-            cap = max(size, 2 * len(self._pivot))
-            for name in ("_inside", "_pivot", "_open", "_start", "_count"):
-                old = getattr(self, name)
-                new = np.zeros(cap, dtype=np.int64)
+    def _reserve(self, facets: int, conflicts: int):
+        """Room for `facets` facets in the per-facet arrays and `conflicts`
+        ranks in `_conflicts`, each doubled as needed."""
+        for name in ("_inside", "_pivot", "_start", "_count", "_conflicts"):
+            old, size = getattr(self, name), conflicts if name == "_conflicts" else facets
+            if size > len(old):
+                new = np.zeros(max(size, 2 * len(old)), dtype=np.int64)
                 new[: len(old)] = old
                 setattr(self, name, new)
-
-    def _store(self, conf: np.ndarray) -> int:
-        """Append `conf` to `_conflicts` and return where it starts; first
-        compact it when the dropped entries are most of it."""
-        if self._used + len(conf) > len(self._conflicts):
-            live = np.flatnonzero(self._count[: self._made])
-            kept = int(self._count[live].sum())
-            if 2 * kept < self._used:
-                self._conflicts = self._conflicts[_slices(self._start[live], self._count[live])]
-                self._start[live] = np.cumsum(self._count[live]) - self._count[live]
-                self._used = kept
-            if self._used + len(conf) > len(self._conflicts):
-                grown = np.zeros(max(self._used + len(conf), 2 * len(self._conflicts)), dtype=np.int64)
-                grown[: self._used] = self._conflicts[: self._used]
-                self._conflicts = grown
-        at = self._used
-        self._conflicts[at : at + len(conf)] = conf
-        self._used += len(conf)
-        return at
 
     def _add(self, verts: np.ndarray, inside: np.ndarray, which: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """New facets with sorted vertex rows `verts` and inside signs
@@ -577,12 +557,13 @@ class _Hull:
         first = np.cumsum(count) - count
         ids = np.arange(self._made, self._made + len(verts))
         self._made += len(verts)
-        self._reserve(self._made)
+        self._reserve(self._made, self._used + len(conf))
         self._inside[ids] = inside
         self._pivot[ids] = np.where(count > 0, np.append(conf, 0)[first], len(self.order))
-        self._open[ids] = space.P
-        self._start[ids] = self._store(conf) + first
+        self._start[ids] = self._used + first
         self._count[ids] = count
+        self._conflicts[self._used : self._used + len(conf)] = conf
+        self._used += len(conf)
         final = count == 0
         self._final.append((verts[final], inside[final]))
         return ids
@@ -618,8 +599,6 @@ class _Hull:
         wa, wb = np.where(swap, wb, wa), np.where(swap, wa, wb)
         pivot = self._pivot[a]
         make = pivot < self._pivot[b]
-        settled = np.concatenate([a, b[~make]])
-        np.subtract.at(self._open, settled, 1)
         ridges, a, b, wa, wb, pivot = ridges[make], a[make], b[make], wa[make], wb[make], pivot[make]
         # Candidates: C(a) but its first entry, the pivot, and C(b), by
         # (job, rank) keys, each kept once.
@@ -630,7 +609,6 @@ class _Hull:
         once = np.ones(len(keys), dtype=bool)
         once[1:] = keys[1:] != keys[:-1]
         keys = keys[once]
-        self._count[settled[self._open[settled] == 0]] = 0
         if not len(a):
             return ridges, a, b, wa, wb
         pts = self.order[pivot]

@@ -118,6 +118,12 @@ class TestCompute:
         assert capsys.readouterr().out == ""
         json.loads(dst.read_text())
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg", "--dump-complex"])
+    def test_unwritable_output_exit_2(self, flag, square, tmp_path, capsys):
+        dst = tmp_path / "missing" / "out"
+        assert main(["compute", str(square), flag, str(dst)]) == 2
+        assert f"error: {dst}: " in capsys.readouterr().err
+
     def test_dump_complex_round_trip(self, square, subset0, tmp_path, capsys):
         dump = tmp_path / "complex.txt"
         rc = main(
@@ -335,11 +341,17 @@ class TestBench:
         [
             (["--sizes", ","], "no sizes given"),
             (["--sizes", "5", "--dim", "0"], "--dim must be at least 1"),
+            (["--sizes", "10,abc"], "--sizes: bad size 'abc'"),
         ],
     )
     def test_bad_arguments_exit_2(self, args, error, capsys):
         assert main(["bench", *args]) == 2
         assert error in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        dst = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--sizes", "5", "--out", str(dst)]) == 2
+        assert f"error: {dst}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_bad_dim_exit_2(self, dim):

@@ -854,6 +854,40 @@ class TestPairDelaunay:
                 mod.pair_delaunay(lift(empty, x, 1.0).z, None, broken)
 
 
+def _cloud_tops(n, d):
+    """delaunay(X) of a uniform cloud, with the points it triangulates."""
+    x = PointCloud(np.random.default_rng(99).random((n, d)))
+    return delaunay(x).tops, x.coords
+
+
+def _lifted_tops(n, d):
+    """del(Z) of a uniform pair, a quarter of the points in X1, with Z."""
+    rng = np.random.default_rng(99)
+    x1, x2 = _split(rng.random((n, d)), rng.choice(n, n // 4, replace=False))
+    pipe = build_pipeline(PointCloud(x1), PointCloud(x2))
+    return pipe.triangulation.tops, pipe.cfg.z.coords
+
+
+# General position only: on grids Qhull need not split a cospherical set
+# the way Simulation of Simplicity does.
+QHULL = {
+    "del(X) uniform d=2 n=10000": lambda: _cloud_tops(10000, 2),
+    "del(X) uniform d=3 n=2000": lambda: _cloud_tops(2000, 3),
+    "del(Z) uniform d=2 n=2000": lambda: _lifted_tops(2000, 2),
+    "del(Z) uniform d=3 n=500": lambda: _lifted_tops(500, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(QHULL))
+def test_tops_match_qhull(name):
+    # Qhull (`scipy.spatial.Delaunay`) shares none of the predicates, the
+    # hull rounds or the wrap.  scipy is a test dependency only.
+    spatial = pytest.importorskip("scipy.spatial")
+    tops, pts = QHULL[name]()
+    ref = np.sort(spatial.Delaunay(pts).simplices, axis=1)
+    assert np.array_equal(tops, ref[np.lexsort(ref.T[::-1])])
+
+
 def _seed_pairs():
     """(X1, X2) pairs for the seeds' partner oracle: random pairs of
     d = 1..3, the 12x12, 4x4x4 and 3x4 grids, the radius-5 integer ring,
