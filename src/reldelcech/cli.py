@@ -217,15 +217,17 @@ def cmd_compute(args) -> int:
     x1, x2 = split_pair(x, a)
     fc = build_pipeline(x1, x2).complex
     b = barcode(fc, relative=True, max_dim=max_dim)
+    # The side files first: a path that cannot be written exits 2 with
+    # nothing on standard output.
+    if args.dump_complex:
+        _write(args.dump_complex, dumps(fc))
+    if args.svg:
+        _write(args.svg, render_svg(b))
     payload = json.dumps(b.to_json_dict(relative), indent=2)
     if args.out:
         _write(args.out, payload + "\n")
     else:
         print(payload)
-    if args.dump_complex:
-        _write(args.dump_complex, dumps(fc))
-    if args.svg:
-        _write(args.svg, render_svg(b))
     return 0
 
 

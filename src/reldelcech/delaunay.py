@@ -330,32 +330,46 @@ def _resolve(space: _HullSpace, verts: np.ndarray, which: np.ndarray, queries: n
     rank, others = _rank_tables(p)
     rank = rank[(rows[:, :-1] < rows[:, -1:]).sum(axis=1)]  # rank[i, t]: the row of rank t
     a = tie.nonzero()[0]
-    ties = len(a)
-    r, c = rank[a, 0], h[a]
     exact = space.exact[rows[:, -1]]
     if exact.any():
         signs[todo[exact]] = np.sign(values[todo[exact]])
         b = ((signs[todo] == 0) & exact & ~tie).nonzero()[0]
-        r = np.concatenate([r, rank[b].ravel()])
-        c = np.concatenate([c, np.full(len(b) * (p + 1), p - 1)])
-        a = np.concatenate([a, np.repeat(b, p + 1)])
+        if len(b):
+            signs[todo[b]] = _lift_terms(space, rows[b], rank[b])
     if len(a):
         # At most _BATCH // 8 minors per call: each holds ~1 KB of kernel
         # arrays, and a wrap level on a 3D grid can have thousands.
+        r, c = rank[a, 0], h[a]
         pts, step = rows[a[:, None], others[r]], _BATCH // 8
         parts = [_minors(space, pts[i : i + step], c[i : i + step]) for i in range(0, len(a), step)]
         s, v = (np.concatenate(x) for x in zip(*parts))
         s[exact[a]] = np.sign(v[exact[a]])
-        s *= 1 - 2 * ((r + c) & 1)
-        signs[todo[a[:ties]]] = s[:ties]
-        if ties < len(a):
-            s = s[ties:].reshape(-1, p + 1)
-            signs[todo[b]] = s[np.arange(len(b)), (s != 0).argmax(axis=1)]
+        signs[todo[a]] = s * (1 - 2 * ((r + c) & 1))
     int_rows = space.int_rows
     for i in todo[signs[todo] == 0].tolist():
         vs, x = verts[which[i]].tolist(), int(queries[i])
         signs[i] = sos_sign([int_rows[v] for v in vs] + [int_rows[x]], vs + [x])
     return signs
+
+
+def _lift_terms(space: _HullSpace, rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The first nonzero lift term of each exact zero in range, 0 where
+    all are 0: rows[i] are the determinant's rows, the query last, and
+    rank[i, t] its row of rank t.  The term of row r is (-1)^(r + P - 1)
+    times the minor without row r and the lift column P - 1, the
+    orientation of the other rows in projection.  All come from one
+    cofactor pass: with E the projected edges, rows 1..P minus row 0, and
+    cof = batch_cofactors(E^T), the minor without row 0 is sum(cof) and
+    the one without row r >= 1 is (-1)^(r - 1) cof[r - 1].  So the terms
+    are (-1)^P (-sum(cof), cof[0], ..., cof[P - 1]).  In range every
+    partial sum of cof is a determinant below the range bound
+    (`_exact_range`), so exact."""
+    p = space.P
+    proj = space.rows[rows, : p - 1]
+    cof = batch_cofactors((proj[:, 1:] - proj[:, :1]).transpose(0, 2, 1))
+    terms = np.sign(np.concatenate([-cof.sum(axis=1)[:, None], cof], axis=1))
+    terms = np.take_along_axis(terms, rank, axis=1) * (-1) ** p  # in rank order
+    return terms[np.arange(len(rows)), (terms != 0).argmax(axis=1)]
 
 
 def _minors(space: _HullSpace, pts: np.ndarray, drop: np.ndarray):

@@ -35,8 +35,9 @@ The rule runs one dimension at a time over del(Z)'s face tables
 (`delaunay.FaceTable`).  The circumballs of edges, and of the cells that
 need their own, are solved in batches in the operations of
 `geometry.circumball_weights`; the largest facet ball is a gather and a
-first-max `argmax`; every distance is `math.dist`.  So each ball is
-bit-identical to the one Welzl's algorithm returns.
+first-max `argmax`; every distance is `math.dist`'s, computed for all
+rows at once in its own float operations (`_distances`).  So each ball
+is bit-identical to the one Welzl's algorithm returns.
 
 The complex does not depend on s > 0, so s is no parameter: `choose_s`
 derives it from the bounding box of the input (see there why any s gives
@@ -119,9 +120,76 @@ def _check_dimensions(x1: PointCloud, x2: PointCloud):
 _INTERIOR = 1e-6
 
 
-def _distances(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """`math.dist` of each center row and point row, Welzl's distance."""
-    return np.fromiter(map(math.dist, centers.tolist(), points.tolist()), float, len(centers))
+# Veltkamp's constant, 2^27 + 1: it splits a float into two halves of at
+# most 26 bits each, whose products are exact.
+_SPLIT = 134217729.0
+
+# Rows per pass of `_distances`: its temporaries then stay in cache.
+_CHUNK = 8192
+
+
+def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact square, elementwise: (z, zz) with z + zz = x * x,
+    from the Veltkamp halves hi + lo = x (mul12 of x and x)."""
+    t = x * _SPLIT
+    hi = t - (t - x)
+    lo = x - hi
+    p = hi * hi
+    q = hi * lo + lo * hi
+    z = p + q
+    return z, p - z + q + lo * lo
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """CPython 3.11's `vector_norm` of each column of `diff`, a (d, n)
+    array of absolute differences, elementwise (see `_distances`)."""
+    top = np.zeros(diff.shape[1])
+    for x in diff:
+        top = np.maximum(top, x)
+    if len(diff) <= 1:
+        return top
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # in the columns left to math.dist
+        _, e = np.frexp(top)
+        scale = np.ldexp(1.0, -e)
+        csum, f1, f2 = np.ones(len(top)), np.zeros(len(top)), np.zeros(len(top))
+        for x in diff:
+            z, zz = _square(x * scale)
+            s, csum = csum, csum + z
+            f1 = f1 + zz
+            f2 = f2 + ((s - csum) + z)
+        h = np.sqrt(csum - 1.0 + (f1 + f2))
+        z, zz = _square(h)  # mul12(-h, h) is (-z, -zz): rounding is symmetric
+        s, csum = csum, csum - z
+        f1 = f1 - zz
+        f2 = f2 + ((s - csum) - z)
+        h = h + (csum - 1.0 + (f1 + f2)) / (2.0 * h)
+        out = np.where(top == 0.0, 0.0, h / scale)
+    for i in np.flatnonzero(~np.isfinite(top) | (e < -1023)).tolist():
+        out[i] = math.dist(diff[:, i].tolist(), [0.0] * len(diff))
+    return out
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`math.dist` of the rows of a and b (the last axis, broadcast), in
+    its operations, so bit-identical to Welzl's distance.
+
+    This is CPython 3.11's `vector_norm` elementwise (`_norms`).  Each
+    row of |a - b| is scaled by a power of two that puts its largest
+    entry in [0.5, 1); each square is split exactly into z + zz
+    (`_square`), and z is added to a sum that starts at 1.0 with the
+    error of each addition kept (fast two-sum): the low parts gather in
+    f1 and f2.  One square root of that sum is corrected once, from the
+    exact square of itself, and scaled back.  A row of one entry is its
+    magnitude, a zero row is 0, and a row whose largest entry is
+    subnormal, infinite or NaN is left to `math.dist` itself.
+    """
+    diff = np.abs(a - b)
+    d = diff.shape[-1]
+    cols = np.ascontiguousarray(diff.reshape(-1, d).T)
+    out = np.empty(cols.shape[1])
+    for i in range(0, len(out), _CHUNK):
+        out[i : i + _CHUNK] = _norms(cols[:, i : i + _CHUNK])
+    return out.reshape(diff.shape[:-1])
 
 
 def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +242,7 @@ def _circumballs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shift = shift + alpha[:, i, None] * u[:, i]
         total = total + alpha[:, i]
     centers = q0 + shift
-    radii = _distances(centers, q0)
-    for j in range(1, m):
-        radii = np.maximum(radii, _distances(centers, pts[:, j]))
+    radii = _distances(centers[:, None], pts).max(axis=1)
     weight = np.minimum(1.0 - total, alpha.min(axis=1))
     return centers, radii, ~singular & (weight > _INTERIOR)
 

@@ -124,6 +124,14 @@ class TestCompute:
         assert main(["compute", str(square), flag, str(dst)]) == 2
         assert f"error: {dst}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--svg", "--dump-complex"])
+    def test_unwritable_side_file_prints_nothing(self, flag, square, tmp_path, capsys):
+        # The side files are written before the barcode: a failed one
+        # leaves standard output empty, not holding a complete barcode.
+        dst = tmp_path / "missing" / "out"
+        assert main(["compute", str(square), flag, str(dst)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_dump_complex_round_trip(self, square, subset0, tmp_path, capsys):
         dump = tmp_path / "complex.txt"
         rc = main(

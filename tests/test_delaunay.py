@@ -1260,6 +1260,38 @@ class TestPerturbedSigns:
         else:
             assert checked[d + 2], checked
 
+    @pytest.mark.parametrize("shape", [(20, 20), (6, 7), (5, 5, 3), (6, 6, 6)], ids=lambda s: "x".join(map(str, s)))
+    def test_lift_terms_match_sos_sign_on_grids(self, shape, monkeypatch):
+        # In the exact range an exact zero that is no same-slab tie takes
+        # its lift terms from one cofactor pass (`_lift_terms`), and
+        # `_minors` serves only the ties.  Every zero sign that `_resolve`
+        # fills in, in the hulls and in the wrap, must be `sos_sign` of
+        # its rows: on integer grids (in range) as they are, translated
+        # by -7 and reflected by x -7, and at x 0.5 + 3 (out of range).
+        mod = importlib.import_module("reldelcech.delaunay")
+        real_resolve, real_lift = mod._resolve, mod._lift_terms
+        checked, lifted = [], []
+
+        def resolve(space, verts, which, queries, signs, values):
+            zero = np.flatnonzero(signs == 0)
+            out = real_resolve(space, verts, which, queries, signs, values)
+            for i in zero.tolist():
+                vs, q = verts[which[i]].tolist(), int(queries[i])
+                assert out[i] == sos_sign([space.int_rows[v] for v in vs] + [space.int_rows[q]], vs + [q]), (vs, q)
+            checked.append(len(zero))
+            return out
+
+        monkeypatch.setattr(mod, "_resolve", resolve)
+        monkeypatch.setattr(mod, "_lift_terms", lambda space, rows, rank: lifted.append(len(rows)) or real_lift(space, rows, rank))
+        grid = np.array(_grid(*shape))
+        a = np.random.default_rng(5).choice(len(grid), len(grid) // 2, replace=False).tolist()
+        for scale, shift in ((1.0, 0.0), (1.0, -7.0), (-7.0, 0.0), (0.5, 3.0)):
+            checked.clear(), lifted.clear()
+            x = PointCloud(grid * scale + shift)
+            build_pipeline(PointCloud(x.coords[a]), PointCloud(np.delete(x.coords, a, axis=0)))
+            assert sum(checked) > 0
+            assert (sum(lifted) > 0) == (scale != 0.5), (scale, shift, sum(lifted))
+
     def test_scalar_remainder_is_small_on_the_grid_pair(self, monkeypatch):
         # On the 12x12 grid pair no ridge takes the integer cofactors, and
         # the scalar `sos_sign` decides at most 10% of the entries that

@@ -149,6 +149,77 @@ class TestReduce:
             assert red.pairs
 
 
+def apparent_pairs(m) -> list[tuple[int, int]]:
+    """(sigma, tau) for each column tau whose lowest row sigma has tau as
+    its first coface, read from the list columns."""
+    first: dict[int, int] = {}
+    for j, col in enumerate(m.columns):
+        for i in col:
+            first.setdefault(i, j)
+    return [(col[-1], j) for j, col in enumerate(m.columns) if col and first[col[-1]] == j]
+
+
+def pipeline_complex(case):
+    """The complex of the `TestReduce::test_pairs_match_the_standard_reduction`
+    case of that name: uniform d=2 n=250 and d=3 n=80 with a quarter of
+    the points in A, and the 12x12 and 4x4x4 grids with half of them."""
+    rng = np.random.default_rng(17)
+    if case.startswith("uniform"):
+        n, d = {"uniform2d-250": (250, 2), "uniform3d-80": (80, 3)}[case]
+        x = generate_cloud("uniform-box", n, d, rng)
+    else:
+        shape = {"grid12x12": (12, 12), "grid4x4x4": (4, 4, 4)}[case]
+        x = PointCloud([[float(c) for c in p] for p in itertools.product(*map(range, shape))])
+    a = rng.choice(len(x), size=len(x) // (4 if case.startswith("uniform") else 2), replace=False).tolist()
+    return build_pipeline(*split_pair(x, a)).complex
+
+
+class TestApparentPairs:
+    @pytest.mark.parametrize("case", ["uniform2d-250", "uniform3d-80", "grid12x12", "grid4x4x4", "cech"])
+    def test_apparent_pairs_are_persistence_pairs(self, case):
+        # Every apparent pair is a pair of the plain reduction, which knows
+        # nothing of them; on the pipeline complexes they are most pairs,
+        # so the reduction forms a small share of the columns.
+        if case == "cech":
+            rng = np.random.default_rng(8)
+            c = relative_cech(PointCloud(rng.random((9, 2)).tolist()), {1, 5}, 3)
+        else:
+            c = pipeline_complex(case)
+        for relative in (True, False):
+            m = boundary_matrix(c, relative)
+            pairs, _ = standard_reduction(m)
+            apparent = apparent_pairs(m)
+            assert apparent and set(apparent) <= set(pairs), relative
+            if case != "cech":
+                assert 2 * len(apparent) > len(pairs)
+                assert len(reduce_matrix(m).reduced) < len(m.columns) / 2
+
+    def test_reduction_adds_an_apparent_column(self):
+        # Vertices a, b, c at 0 and edges ab, bc, ac at 1, 2, 3: (b, ab)
+        # and (c, bc) are apparent, and ac, lowest row c, adds bc and then
+        # ab, each read from the face array, and reduces to zero.
+        c = build(
+            [
+                Cell(Simplex((0,)), 0, False),
+                Cell(Simplex((1,)), 0, False),
+                Cell(Simplex((2,)), 0, False),
+                Cell(Simplex((0, 1)), 1, False),
+                Cell(Simplex((1, 2)), 2, False),
+                Cell(Simplex((0, 2)), 3, False),
+            ]
+        )
+        m = boundary_matrix(c, relative=False)
+        assert m.columns == [[], [], [], [0, 1], [1, 2], [0, 2]]
+        assert apparent_pairs(m) == [(1, 3), (2, 4)]
+        red = reduce_matrix(m)
+        assert (red.pairs, red.unpaired) == standard_reduction(m) == ([(1, 3), (2, 4)], [0, 5])
+        assert red.reduced[4] == [1, 2] and red.reduced[3] == [0, 1]  # read when ac added them
+        assert red.columns == [[], [], [], [0, 1], [1, 2], []]
+        b = barcode(c, relative=False, max_dim=1)
+        assert b.bars(0) == [(0.0, 1.0), (0.0, 2.0), (0.0, math.inf)]
+        assert b.bars(1) == [(3.0, math.inf)]
+
+
 class TestBarcode:
     def test_pair_cloud_absolute(self):
         x = PointCloud([(0.0, 0.0), (2.0, 0.0)])

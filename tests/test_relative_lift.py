@@ -584,6 +584,40 @@ class TestFiltration:
                             checked += 1
         assert checked > 2000
 
+    def test_distances_equal_math_dist_bit_for_bit(self):
+        # `_distances` is `math.dist` in numpy operations, so that every
+        # radius stays Welzl's to the bit.  On ~1.3M rows of d = 1..3:
+        # uniform rows and copies scaled by 2^-20 and translated by 1e5,
+        # thirds against tenths, entries from 1e-30 to 1e30, zero rows,
+        # rows whose largest entry is subnormal (left to math.dist) or
+        # just above 2^-1024 (with subnormal entries), and one center
+        # against several points (the broadcast of `_circumballs`).  A
+        # Python whose math.dist rounds otherwise fails here.
+        rng = np.random.default_rng(30)
+        n = 60_000
+        rows = 0
+        for d in (1, 2, 3):
+            a, b = rng.random((n, d)), rng.random((n, d))
+            kinds = {
+                "uniform": (a, b),
+                "2^-20": (a * 2.0**-20, b * 2.0**-20),
+                "1e5": (a + 1e5, b + 1e5),
+                "thirds-tenths": (rng.integers(-300, 300, (n, d)) / 3, rng.integers(-1000, 1000, (n, d)) / 10),
+                "1e+-30": (a * 10.0 ** rng.uniform(-30, 30, (n, d)), b * 10.0 ** rng.uniform(-30, 30, (n, d))),
+                "zero": (np.zeros((100, d)), np.zeros((100, d))),
+                "subnormal": (rng.integers(0, 1 << 40, (2000, d)) * 5e-324, rng.integers(0, 1 << 40, (2000, d)) * 5e-324),
+                "near 2^-1024": (rng.uniform(0, 2.0**-1021, (2000, d)), np.zeros((2000, d))),
+                "broadcast": (a[: n // 4, None], rng.random((n // 4, 4, d))),
+            }
+            for name, (p, q) in kinds.items():
+                got = relative_lift._distances(p, q)
+                p, q = np.broadcast_arrays(p, q)
+                want = np.array(list(map(math.dist, p.reshape(-1, d).tolist(), q.reshape(-1, d).tolist())))
+                bad = np.flatnonzero(got.ravel().view(np.int64) != want.view(np.int64))
+                assert len(bad) == 0, (d, name, len(bad), got.ravel()[bad[0]], want[bad[0]])
+                rows += len(want)
+        assert rows > 1_000_000
+
     def test_center_near_a_face_falls_back_to_welzl(self, monkeypatch):
         # An acute triangle that is nearly right-angled at its top vertex:
         # no edge ball holds the opposite vertex, and the circumcenter's
