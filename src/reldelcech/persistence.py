@@ -170,8 +170,8 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
     n = len(faces)
     low = faces[:, -1]
     first = np.full(n, n, dtype=np.int64)
-    col, slot = np.nonzero(faces >= 0)
-    np.minimum.at(first, faces[col, slot], col)
+    owner, slot = np.nonzero(faces >= 0)
+    np.minimum.at(first, faces[owner, slot], owner)
     tau = np.flatnonzero(low >= 0)
     tau = tau[first[low[tau]] == tau]
     apparent = np.zeros(n, dtype=bool)
@@ -266,7 +266,7 @@ def barcode(c: FilteredComplex, relative: bool, max_dim: int, order: list[int] |
     death = np.concatenate([values[red.deaths[keep]], np.full(len(red.essential), math.inf)])
     dims = c.dim[m.selected][born]
     intervals: dict[int, list[tuple[float, float]]] = {}
-    for k in range(min(max_dim, len(c.tables) - 1) + 1):
+    for k in range(max_dim + 1):
         at = dims == k
         intervals[k] = list(zip(values[born[at]].tolist(), death[at].tolist()))
     return Barcode(intervals, max_dim)
