@@ -784,6 +784,7 @@ class _Wrap:
     partner b in the other cloud: b is the partner iff no neighbour of b
     in that cloud's triangulation lies below the lifted hyperplane of
     T + b (`seed` proves it), so a walk over that triangulation finds it.
+    `check` checks the del(Z) of every path of `pair_delaunay`.
 
     orient(ridge, q) is the unperturbed orientation of a ridge and a query
     in projection (rows without the lift), exact: 0 when q lies on the
@@ -830,9 +831,9 @@ class _Wrap:
 
     def beyond(self, ridges: np.ndarray, fars: np.ndarray) -> np.ndarray:
         """For each ridge, the first vertex q of Z with orient(ridge, q) =
-        its far sign, or -1 where there is none.  A ridge without a far
-        candidate must lie on the boundary of conv(Z), so a vertex beyond
-        it means a broken del(X1) or del(X2) left a hole there."""
+        its far sign, or -1 where there is none.  A ridge of one top must
+        lie on the boundary of conv(Z), so a vertex beyond it means a hole
+        in del(Z) (`check`)."""
         n = len(self.space.rows)
         out = np.full(len(ridges), -1)
         step = max(1, _BATCH // n)
@@ -847,27 +848,36 @@ class _Wrap:
             out[lo + found] = queries[hit][first]
         return out
 
-    def check_tops(self, tops: np.ndarray):
-        """The wrap's checks on `tops`, the sorted vertex rows of a whole
-        triangulation of Z's vertices: AssertionError if a ridge has more
-        than two tops, if the two tops of a ridge are flat or lie on one
-        side of it (their orient signs, one batch, do not add up to 0 or
-        one is 0), or if a vertex of Z lies beyond a ridge of one top
-        (`beyond`).  Its ridges are the tops' `faces`, as in `run`."""
-        p = tops.shape[1]
-        ridges, where = unique_rows(faces(tops).reshape(-1, p - 1))
-        count = np.bincount(where, minlength=len(ridges))
+    def check(self, tri: Triangulation):
+        """The ridge checks of del(Z) that `pair_delaunay` lists, in that
+        order: AssertionError at the first that fails.  Face i of a top T
+        drops vertex i, and orient(face, T[i]) is (-1)^(P-1-i) times T's
+        vertical sign (class docstring), so one `_vertical_signs` entry
+        per top gives the side of every face."""
+        space, n1, p = self.space, self.n1, self.space.P
+        n = len(space.rows)
+        ridges, facets = tri.tables[-2].simplices, tri.tables[-1].facets.ravel()
+        count = np.bincount(facets, minlength=len(ridges))
         bad = np.flatnonzero(count > 2)
         if len(bad):
             raise AssertionError(f"ridge {tuple(ridges[bad[0]].tolist())} of del(Z) has {count[bad[0]]} tops")
-        signs, _ = self.orient(ridges, where, tops.ravel())  # each face's vertex off it
-        total = np.bincount(where, weights=signs, minlength=len(ridges)).astype(np.int64)
-        flat = (count == 2) & (total != 0)
-        flat[where[signs == 0]] = True
-        bad = np.flatnonzero(flat)
+        covered = np.zeros(n, dtype=bool)
+        covered[tri.tables[0].simplices] = True
+        if not covered.all():
+            raise AssertionError(f"vertex {covered.argmin()} of Z is in no top of del(Z)")
+        down = _vertical_signs(space, tri.tops)
+        bad = np.flatnonzero(down == 0)
         if len(bad):
-            raise AssertionError(f"the tops of ridge {tuple(ridges[bad[0]].tolist())} of del(Z) are flat or overlap")
-        single = np.flatnonzero(count == 1)
+            raise AssertionError(f"top {tuple(tri.tops[bad[0]].tolist())} of del(Z) is vertical")
+        sides = np.where((p - 1 - np.arange(p)) % 2 == 0, down[:, None], -down[:, None])  # orient(face i, vertex i)
+        total = np.bincount(facets, weights=sides.ravel(), minlength=len(ridges)).astype(np.int64)
+        bad = np.flatnonzero((count == 2) & (total != 0))
+        if len(bad):
+            raise AssertionError(f"the tops of ridge {tuple(ridges[bad[0]].tolist())} of del(Z) lie on one side of it")
+        scan = count == 1
+        if 0 < n1 < n:
+            scan &= (ridges[:, 0] < n1) & (ridges[:, -1] >= n1)
+        single = np.flatnonzero(scan)
         beyond = self.beyond(ridges[single], -total[single])
         bad = np.flatnonzero(beyond >= 0)
         if len(bad):
@@ -988,13 +998,12 @@ class _Wrap:
         ok[e[edges[np.minimum(np.searchsorted(edges, keys), len(edges) - 1)] != keys]] = False
         return which[ok], q[ok]
 
-    def step(self, ridges: np.ndarray, fars: np.ndarray, which: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, ridges: np.ndarray, fars: np.ndarray, which: np.ndarray, queries: np.ndarray) -> np.ndarray:
         """One level of the wrap.  Job w is the ridge ridges[w] and
         fars[w] = orient(ridge, b) for the vertex b of the top across it;
         its candidates are the queries q of the entries (w, q), sorted by
-        job.  Returns, per job, b (-1 when no candidate lies on the far
-        side) and the first vertex of Z beyond a ridge without far
-        candidates (-1 when there is none).
+        job.  Returns, per job, b, or -1 when no candidate lies on the far
+        side: the ridge then keeps one top, and `check` scans it.
 
         Far side: orient(ridge, q) of every candidate, in one batch.
         Pencil guess: the far candidates q of a ridge R turn around it in
@@ -1054,11 +1063,7 @@ class _Wrap:
                 b[multi[w[first]]] = cand[first]
                 w, cand = w[~first], cand[~first]
                 self.rounds += bool(first.any())
-        out = np.full(len(ridges), -1)
-        empty = np.flatnonzero(b < 0)
-        if len(empty):
-            out[empty] = self.beyond(ridges[empty], fars[empty])
-        return b, out
+        return b
 
     def run(self, tops1: np.ndarray, tops2: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Tops of del(Z), from the tops of del(X1) and del(X2) and the
@@ -1068,7 +1073,9 @@ class _Wrap:
         tops of the spanning clouds joined to their partners (`seed`).
         Each level records the ridges of its new tops, and the mixed ridges
         that then have one top make the next level's jobs (`step`); a
-        slab ridge lies on the boundary of conv(Z)."""
+        slab ridge lies on the boundary of conv(Z).  A ridge with two or
+        more tops is no job, so the wrap ends on any input; `check`
+        reports a third top and a mixed ridge left with one."""
         p, n1, n = self.space.P, self.n1, len(self.space.rows)
         ptr, nbr = _csr(n, np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]]))
         keys = np.repeat(np.arange(n), np.diff(ptr)) * n + nbr  # the edges u * n + v, sorted
@@ -1087,22 +1094,14 @@ class _Wrap:
             old = len(seen)
             seen, where = unique_rows(np.concatenate([seen, facets]))
             count = np.bincount(where, weights=np.append(count, np.ones(len(facets))), minlength=len(seen)).astype(np.int64)
-            tops_now = count[where[old:]]  # of each facet of the new tops
-            third = np.flatnonzero(tops_now > 2)
-            if len(third):
-                facet, top = facets[third[0]], new[third[0] // p]
-                raise AssertionError(f"ridge {tuple(facet.tolist())} of del(Z) would get a third top {tuple(top.tolist())}")
-            jobs = np.flatnonzero((tops_now == 1) & (facets[:, 0] < n1) & (facets[:, -1] >= n1))
+            jobs = np.flatnonzero((count[where[old:]] == 1) & (facets[:, 0] < n1) & (facets[:, -1] >= n1))
             if not len(jobs):
                 break
             ridges, i = facets[jobs], jobs % p
             d = down[jobs // p]
             fars = np.where((p - 1 - i) % 2 == 0, -d, d)  # -orient(ridge, apex)
             which, queries = self.candidates(ridges, new.ravel()[jobs], ptr, nbr, keys)
-            b, beyond = self.step(ridges, fars, which, queries)
-            bad = np.flatnonzero(beyond >= 0)
-            if len(bad):
-                raise AssertionError(f"vertex {beyond[bad[0]]} of Z lies beyond the boundary ridge {tuple(ridges[bad[0]].tolist())} of del(Z)")
+            b = self.step(ridges, fars, which, queries)
             hit = b >= 0
             new, j = _join(ridges[hit], b[hit])
             downs = np.where((p - 1 - j) % 2 == 0, fars[hit], -fars[hit])
@@ -1116,8 +1115,7 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     (`relative_lift.lift`).  The tops equal `delaunay(z)`'s.
 
     With one cloud empty, Z is the other at one height, and del(Z) has
-    its tops; `_Wrap.check_tops` checks them as the wrap checks its own.
-    Otherwise `sos_sign`'s heights-first rule makes del(Z) restrict to
+    its tops.  Otherwise `sos_sign`'s heights-first rule makes del(Z) restrict to
     del(X1) and del(X2) (Cayley trick, Huber, Rambau & Santos, JEMS
     2000): every top of del(Z) is a join t1 * t2 of a face t1 of
     del(X1) and a face t2 of del(X2).  So the top across a mixed ridge R
@@ -1139,17 +1137,14 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     lemma that b is the partner when no neighbour of b in that
     triangulation lies below T + b.  Otherwise neither cloud's affine
     hull is parallel to the other's (two crossing lines in R^2, skew lines
-    or two planes in R^3), and `delaunay(z)` triangulates Z;
-    `_Wrap.check_tops` checks its tops with the same batches.
+    or two planes in R^3), and `delaunay(z)` triangulates Z.
 
     Far side.  The top across R lies in projection (Z's coordinates
     without the lift) on the other side of R's hyperplane than a, and is
     not vertical, so b lies strictly there.  A candidate on R's
     hyperplane would make a vertical facet, which `delaunay` drops; so
     the test is unperturbed (`_Wrap.orient`), and R lies on the boundary
-    of conv(Z) when no candidate is strictly beyond it.  That is checked
-    against every vertex of Z (`_Wrap.beyond`): a broken del(X1) or
-    del(X2) leaves a hole there.
+    of conv(Z) when no candidate is strictly beyond it: it keeps one top.
 
     Wrap.  Among the far candidates, b is the one whose lifted hyperplane
     with R has no other candidate below it, by the perturbed orientation
@@ -1158,31 +1153,35 @@ def pair_delaunay(z: PointCloud, tri1: Triangulation | None, tri2: Triangulation
     and it is unique under the perturbation.  The seeds are level 0, and
     each later level wraps, in a few batches (`_Wrap.step`), every mixed
     ridge that has one top once the tops of the level before are
-    recorded; a top found across two ridges of a level is kept once.  A
-    ridge that would get a third top, a vertex beyond a boundary ridge
-    and a vertex of Z in no top raise AssertionError: a broken del(X1) or
-    del(X2) causes them, or its edges still give the true del(Z), whose
-    slabs `relative_lift._check_slabs` finds unequal to it.
+    recorded; a top found across two ridges of a level is kept once.
+
+    Checks.  Each path builds its `Triangulation`, and `_Wrap.check`
+    checks it: at most two tops per ridge; every vertex of Z in a top; no
+    vertical top, and the two tops of a ridge on opposite sides of it; no
+    vertex of Z beyond a ridge of one top (`_Wrap.beyond`), but for a
+    slab ridge while both clouds are nonempty: it spans the plane at
+    height +s or -s in Z's affine hull, which supports conv(Z).
+    `relative_lift.build_pipeline` then checks that del(Z) has Euler
+    characteristic 1 and that its slabs are the lifted del(X1) and
+    del(X2) (`_check_euler`, `_check_slabs`).  Each raises AssertionError:
+    a broken del(X1) or del(X2) fails a ridge check, or its edges still
+    give the true del(Z), whose slabs `_check_slabs` finds unequal to it.
     """
     if z.dimension + 1 > DIM_CAP:
         raise InputError(f"dimension {z.dimension} exceeds triangulation cap {DIM_CAP - 1}")
     rank, space = _hull_space(z)
+    n1 = len(tri1.cloud) if tri1 is not None else 0
+    wrap = _Wrap(space, n1)
     if tri1 is None or tri2 is None:
-        tops = (tri1 or tri2).tops
-        if rank:  # a single vertex has no ridge
-            _Wrap(space, 0).check_tops(tops)
+        tri = Triangulation(z, (tri1 or tri2).tops)
     else:
-        n1 = len(tri1.cloud)
         if not len(tri1.tops) or not len(tri2.tops):
             raise AssertionError(f"del(X{1 if not len(tri1.tops) else 2}) has no top")
         if rank - 1 in (tri1.top_dim, tri2.top_dim):
             edges = [t.tables[1].simplices + lo for t, lo in ((tri1, 0), (tri2, n1)) if t.top_dim]
-            tops = _Wrap(space, n1).run(tri1.tops, tri2.tops + n1, np.concatenate(edges + [np.zeros((0, 2), dtype=np.int64)]))
+            tri = Triangulation(z, wrap.run(tri1.tops, tri2.tops + n1, np.concatenate(edges + [np.zeros((0, 2), dtype=np.int64)])))
         else:
-            tops = delaunay(z).tops
-            _Wrap(space, n1).check_tops(tops)
-    covered = np.zeros(len(z), dtype=bool)
-    covered[tops.ravel()] = True
-    if not covered.all():
-        raise AssertionError(f"vertex {covered.argmin()} of Z is in no top of del(Z)")
-    return Triangulation(z, tops)
+            tri = delaunay(z)
+    if rank:  # a single vertex has no ridge
+        wrap.check(tri)
+    return tri

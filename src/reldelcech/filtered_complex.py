@@ -196,15 +196,16 @@ class FilteredComplex:
     def __len__(self):
         return len(self.value)
 
-    def canonical_order(self) -> list[int]:
-        """Indices sorted by (subcomplex first, value, dimension, vertices).
+    def canonical_order(self) -> np.ndarray:
+        """Indices sorted by (subcomplex first, value, dimension, vertices),
+        an int64 array.
 
         Within a dimension the cells are in the order of their vertex
         tuples, and `np.lexsort` is stable, so ties on the first three
         keys keep that order.  It is a linear extension of the face
         partial order, as required by the boundary-matrix reduction.
         """
-        return np.lexsort((self.dim, self.value, ~self.sub)).tolist()
+        return np.lexsort((self.dim, self.value, ~self.sub))
 
     def euler_characteristic(self, t: float) -> int:
         alive = self.value <= t

@@ -185,8 +185,8 @@ _MEB_SEED = 0x5EB
 def _solve_spd(g: list[list[float]], b: list[float]) -> list[float] | None:
     """Gaussian elimination with partial pivoting; None when near-singular,
     a pivot at most 1e-14 of the largest entry of g.  The test is relative
-    to g's own scale, so scaling the points by a power of two scales the
-    solution exactly."""
+    to g's own scale, so scaling g and b by a power of two that neither
+    under- nor overflows gives the same solution, bit for bit."""
     n = len(b)
     a = [g[i] + [b[i]] for i in range(n)]
     scale = max(max(abs(x) for x in row[:-1]) for row in a)
@@ -220,14 +220,21 @@ def circumball_weights(support: list[tuple[float, ...]]):
     """`circumball` and the barycentric weights of its center with respect
     to `support`, one per point (the center is their weighted sum; they sum
     to 1).  The weights are None when the support is affinely dependent,
-    where the center comes from a least-squares solve instead."""
+    where the center comes from a least-squares solve instead.
+
+    The Gram matrix is that of the edges u scaled by 2^-e, e the exponent
+    of their largest entry, so that it neither under- nor overflows at any
+    scale of the points; the solve is the one of the unscaled Gram
+    wherever that does neither (`_solve_spd`)."""
     q0 = support[0]
     if len(support) == 1:
         return q0, 0.0, [1.0]
     dim = len(q0)
     u = [[s[c] - q0[c] for c in range(dim)] for s in support[1:]]
     k = len(u)
-    g = [[sum(u[i][c] * u[j][c] for c in range(dim)) for j in range(k)] for i in range(k)]
+    e = math.frexp(max(abs(x) for row in u for x in row))[1]
+    v = [[math.ldexp(x, -e) for x in row] for row in u]
+    g = [[sum(v[i][c] * v[j][c] for c in range(dim)) for j in range(k)] for i in range(k)]
     b = [0.5 * g[i][i] for i in range(k)]
     alpha = _solve_spd([row[:] for row in g], b)
     weights = None

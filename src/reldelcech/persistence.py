@@ -80,7 +80,7 @@ def boundary_matrix(c: FilteredComplex, relative: bool, order: list[int] | None 
     `order` that is not a permutation of the cell indices raises
     InputError; one that puts a face after its cell raises AssertionError.
     """
-    selected = _permutation(c.canonical_order() if order is None else order, len(c))
+    selected = c.canonical_order() if order is None else _permutation(order, len(c))
     if relative:
         selected = selected[~c.sub[selected]]
     rank = np.full(len(c), -1, dtype=np.int64)

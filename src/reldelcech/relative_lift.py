@@ -17,7 +17,9 @@ and del(X2).  Of those candidates, the ones strictly beyond the ridge in
 projection are wrapped with the lifted hull's perturbed orientation test,
 which gives the lifted hull's tops; the wrap is seeded with every top of a
 cloud that spans its slab of Z, each joined to its partner, the other
-cloud's vertex nearest its circumcenter.
+cloud's vertex nearest its circumcenter.  `pair_delaunay` lists the
+checks that del(Z) gets, and which module runs each; a broken del(Z)
+raises AssertionError.
 
 Each ball is taken from the cell's faces or from the cell itself (Bauer &
 Edelsbrunner, "The Morse theory of Cech and Delaunay complexes"): a
@@ -227,15 +229,17 @@ def _circumballs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (centers, radii, interior).  `interior` is where the solve is regular
     and every barycentric weight of the center exceeds `_INTERIOR`.  A
     singular solve takes alpha = 0, which is the least-squares answer for
-    coinciding points (X1 and X2 may share one)."""
+    coinciding points (X1 and X2 may share one).  Each block's Gram is
+    that of its edges scaled by its own power of two, as there."""
     n, m, d = pts.shape
     order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)  # tuple order
     pts = np.take_along_axis(pts, order[:, :, None], axis=1)
     q0 = pts[:, 0]
     u = pts[:, 1:] - q0[:, None]
+    v = np.ldexp(u, -np.frexp(np.abs(u).max(axis=(1, 2)))[1][:, None, None])
     g = np.zeros((n, m - 1, m - 1))
     for c in range(d):
-        g = g + u[:, :, None, c] * u[:, None, :, c]
+        g = g + v[:, :, None, c] * v[:, None, :, c]
     alpha, singular = _solve(np.concatenate([g, 0.5 * np.diagonal(g, axis1=1, axis2=2)[:, :, None]], axis=2))
     shift, total = np.zeros((n, d)), np.zeros(n)
     for i in range(m - 1):
@@ -307,7 +311,7 @@ def _check_euler(tri: Triangulation):
     """AssertionError unless del(Z) has Euler characteristic 1, the sum
     of (-1)^k times its number of k-simplices: it triangulates the convex
     polytope conv(Z), which is contractible.  A crack or a hole that the
-    wrap's own checks let through changes it."""
+    ridge checks of `pair_delaunay` let through changes it."""
     chi = sum((-1) ** k * len(table.simplices) for k, table in enumerate(tri.tables))
     if chi != 1:
         raise AssertionError(f"del(Z) has Euler characteristic {chi}, not 1")
@@ -338,14 +342,13 @@ def build_pipeline(x1: PointCloud, x2: PointCloud) -> Pipeline:
     whole breadth-first level at once.  The levels start from every top
     of a cloud that spans its slab of Z, joined to its partner, the other
     cloud's vertex nearest its circumcenter, which one batched walk over
-    that cloud's triangulation finds for all.  A broken del(X1) or
-    del(X2) raises AssertionError there (a third top on a ridge, a vertex
-    beyond a boundary ridge, or a vertex in no top) or in the slab check
-    below.  With one cloud empty, del(Z) is the other's triangulation,
-    checked the same way.  Then del(Z) must have Euler characteristic 1
-    (`_check_euler`), and its all-plus cells must be exactly the lifted
-    del(X1) and its all-minus cells the lifted del(X2) (`_check_slabs`),
-    else AssertionError.
+    that cloud's triangulation finds for all.  With one cloud empty,
+    del(Z) is the other's triangulation.  `pair_delaunay` checks the
+    ridges, vertices and sides of del(Z) on every path; here del(Z) must
+    have Euler characteristic 1 (`_check_euler`), and its all-plus cells
+    must be exactly the lifted del(X1) and its all-minus cells the lifted
+    del(X2) (`_check_slabs`), else AssertionError.  These two stay here
+    so that they see whatever `pair_delaunay` returns.
 
     A cell outside the subcomplex is filtered by the smallest enclosing
     ball (MEB) of its projected vertices, taken from its faces or from its

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,23 +22,25 @@ from reldelcech.geometry import smallest_enclosing_ball
 from reldelcech.predicates import _FILTER_C, cofactors
 
 
-def minor_expansion_det(rows) -> Fraction:
-    """Exact determinant by first-row expansion with column-set memoization."""
+def minor_expansion_det(rows):
+    """Exact determinant by first-row expansion with column-set memoization,
+    in the entries' own type: ints or Fractions, never floats."""
     n = len(rows)
+    assert not any(isinstance(x, float) for row in rows for x in row), "pass ints or Fractions"
     memo: dict = {}
 
     def go(i, cols):
         if i == n:
-            return Fraction(1)
+            return 1
         key = (i, cols)
         if key in memo:
             return memo[key]
-        total = Fraction(0)
+        total = 0
         sign = 1
         for c in sorted(cols):
             x = rows[i][c]
             if x:
-                total += sign * Fraction(x) * go(i + 1, cols - {c})
+                total += sign * x * go(i + 1, cols - {c})
             sign = -sign
         memo[key] = total
         return total
@@ -178,6 +180,45 @@ def standard_reduction(m) -> tuple[list[tuple[int, int]], list[int]]:
             pairs.append((max(col), j))
     paired = {i for pair in pairs for i in pair}
     return sorted(pairs), [j for j in range(len(reduced)) if j not in paired]
+
+
+def qhull_relative_barcode(x1: np.ndarray, x2: np.ndarray, max_dim: int, spatial) -> dict[int, list[tuple[float, float]]]:
+    """The relative Delaunay-Cech barcode of (X1 + X2, X1), bars sorted per
+    dimension, from Qhull (`spatial`, `scipy.spatial`): del(Z) is
+    `spatial.Delaunay` of X1 at height +1 and X2 at -1, every face of its
+    tops a tuple.  A cell's value is `smallest_enclosing_ball` of its
+    projected vertices, raised to its facets' values; the all-plus cells,
+    L, are 0.  A cone over L at value 0, apex -1, makes the absolute
+    homology of K + cone(L) that of (K, L) but for one essential H0 bar,
+    the apex's, which is dropped.  `standard_reduction` runs in (value,
+    dimension, vertices) order, and zero-length bars are dropped, as
+    `persistence.barcode` does.  General position only: Qhull breaks ties
+    its own way."""
+    n1, proj = len(x1), np.vstack([x1, x2])
+    z = np.hstack([proj, np.repeat([1.0, -1.0], [n1, len(x2)])[:, None]])
+    cells = set()
+    for top in np.sort(spatial.Delaunay(z).simplices, axis=1).tolist():
+        for k in range(1, len(top) + 1):
+            cells.update(itertools.combinations(top, k))
+    value: dict[tuple[int, ...], float] = {}
+    for cell in sorted(cells, key=len):
+        facets = itertools.combinations(cell, len(cell) - 1) if len(cell) > 1 else ()
+        r = smallest_enclosing_ball(proj[list(cell)].tolist())[1]
+        value[cell] = 0.0 if cell[-1] < n1 else max([r, *(value[f] for f in facets)])
+    value.update({(-1, *cell): 0.0 for cell in cells if cell[-1] < n1})
+    value[(-1,)] = 0.0
+    order = sorted(value, key=lambda c: (value[c], len(c), c))
+    index = {c: i for i, c in enumerate(order)}
+    columns = [[index[f] for f in itertools.combinations(c, len(c) - 1)] if len(c) > 1 else [] for c in order]
+    pairs, unpaired = standard_reduction(SimpleNamespace(columns=columns))
+    bars: dict[int, list[tuple[float, float]]] = {k: [] for k in range(max_dim + 1)}
+    for i, j in pairs:
+        if value[order[i]] != value[order[j]] and len(order[i]) <= max_dim + 1:
+            bars[len(order[i]) - 1].append((value[order[i]], value[order[j]]))
+    for i in unpaired:
+        if order[i] != (-1,) and len(order[i]) <= max_dim + 1:
+            bars[len(order[i]) - 1].append((value[order[i]], math.inf))
+    return {k: sorted(b) for k, b in bars.items()}
 
 
 def betti_at(c, relative: bool, t: float, max_dim: int) -> dict[int, int]:

@@ -9,7 +9,6 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,19 +120,24 @@ def test_criterion_4_geometry_kernel():
         assert abs(got - want) <= 1e-9 * (1.0 + want), (pts, got, want)
     n_meb = 10_000
 
+    def scaled(pts):
+        """The points times D, the largest denominator of their coordinates
+        (a power of two), as Python ints.  Scaling the coordinate columns
+        by D and the lift column by D^2 multiplies each determinant by a
+        positive constant, so its sign is the rational one."""
+        ratios = [[c.as_integer_ratio() for c in p] for p in pts]
+        den = max(d for p in ratios for _, d in p)
+        return [[n * (den // d) for n, d in p] for p in ratios]
+
     def oracle_orientation(pts):
         m = len(pts[0])
-        rows = [[Fraction(c) for c in p] + [Fraction(1)] for p in pts]
-        h = minor_expansion_det(rows)
+        h = minor_expansion_det([p + [1] for p in scaled(pts)])
         s = (h > 0) - (h < 0)
         return -s if m % 2 else s
 
     def oracle_in_sphere(pts, q):
         m = len(q)
-        rows = [
-            [Fraction(c) for c in p] + [sum(Fraction(c) ** 2 for c in p), Fraction(1)]
-            for p in list(pts) + [q]
-        ]
+        rows = [p + [sum(c * c for c in p), 1] for p in scaled(list(pts) + [q])]
         ell = minor_expansion_det(rows)
         s = (ell > 0) - (ell < 0)
         return s * oracle_orientation(pts) * (1 if m % 2 == 0 else -1)

@@ -842,7 +842,9 @@ class TestPairDelaunay:
         empty = PointCloud([], dimension=2)
         for pts, tops, err in [
             # Both diagonals of a quadrilateral: each edge's two tops overlap.
-            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.1, 1.2)], itertools.combinations(range(4), 3), "flat or overlap"),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.1, 1.2)], itertools.combinations(range(4), 3), "lie on one side"),
+            # Three collinear points make a flat top.
+            ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)], [(0, 1, 2), (0, 1, 3), (1, 2, 3)], r"top \(0, 1, 2\) of del\(Z\) is vertical"),
             ([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 3.0)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)], "3 tops"),
         ]:
             x = PointCloud(pts)
@@ -969,8 +971,8 @@ class TestSeeds:
                 m = len(ridges)
                 fars, _ = wrap.orient(ridges, np.arange(m), np.full(m, lo))
                 which, queries = np.repeat(np.arange(m), hi - lo), np.tile(np.arange(lo, hi), m)
-                want, beyond = wrap.step(ridges, fars, which, queries)
-                assert np.all(beyond < 0)
+                want = wrap.step(ridges, fars, which, queries)
+                assert np.all(want >= 0)
                 assert partners[(seeds[:, 0] < n1) == in_x1].tolist() == want.tolist()
 
     def test_random_pair_wraps_in_few_levels(self, monkeypatch):

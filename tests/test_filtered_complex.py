@@ -151,7 +151,7 @@ class TestTables:
     def test_tables_round_trip(self):
         c = build(tables=self.tables())
         assert [cell.simplex.vertices for cell in c.cells] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-        assert c.canonical_order() == [0, 1, 3, 2, 4, 5, 6]
+        assert c.canonical_order().tolist() == [0, 1, 3, 2, 4, 5, 6]
         assert len(c.tables[0].simplices) == 3 and c.euler_characteristic(0.6) == 1
 
     @pytest.mark.parametrize(

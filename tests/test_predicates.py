@@ -17,7 +17,7 @@ from reldelcech.predicates import (
 
 
 def exact_sign(rows) -> int:
-    d = minor_expansion_det(rows)
+    d = minor_expansion_det([[Fraction(x) for x in row] for row in rows])
     return (d > 0) - (d < 0)
 
 
@@ -72,8 +72,8 @@ def test_cofactors_exact_on_small_integers():
         assert len(cof) == n
         for j, c in enumerate(cof):
             minor = [row[:j] + row[j + 1 :] for row in m[:-1]]
-            assert c == (-1) ** (n - 1 + j) * minor_expansion_det(minor)
-        det = minor_expansion_det(m)
+            assert c == (-1) ** (n - 1 + j) * minor_expansion_det([[int(x) for x in row] for row in minor])
+        det = minor_expansion_det([[int(x) for x in row] for row in m])
         assert sum(x * c for x, c in zip(m[-1], cof)) == det
         assert filtered_det_sign(m) == (exact_sign(m) or None)
 

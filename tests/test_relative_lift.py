@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from _faults import certify_nothing
-from _oracles import welzl_values
+from _oracles import qhull_relative_barcode, welzl_values
 
 from reldelcech import cli, relative_lift
 from reldelcech.cech_oracle import compare_barcodes, relative_cech
@@ -247,11 +247,11 @@ def write_pair(tmp_path, x1, x2) -> list[str]:
 
 
 # A pair whose dropped tops break del(Z) in each of its ways: a third top
-# on a ridge, a hole whose boundary ridge has vertices beyond it, or a slab
-# that is not the broken triangulation.
+# on a ridge, a vertex in no top, a hole whose boundary ridge has vertices
+# beyond it, or a slab that is not the broken triangulation.
 _RNG = np.random.default_rng(71)
 X1_EIGHT, X2_EIGHT = _RNG.random((8, 2)).tolist(), _RNG.random((8, 2)).tolist()
-BROKEN_WRAP = r"would get a third top|lies beyond the boundary ridge|has no top"
+BROKEN_WRAP = r"has \d+ tops|is in no top|lies beyond the boundary ridge|has no top"
 
 
 class TestSharedTriangulations:
@@ -333,16 +333,16 @@ class TestSharedTriangulations:
     @pytest.mark.parametrize("drop", [drop_x1_top, drop_x2_top])
     def test_wrap_from_a_broken_triangulation_raises_and_exits_1(self, drop, monkeypatch, tmp_path, capsys):
         # del(Z) is wrapped from the broken triangulation itself.  A lost
-        # top leaves a hole or a third top on a ridge, which the wrap
-        # reports; or the wrap, whose candidates come from the edges,
-        # rebuilds the true del(Z), and the slab check names the lost top.
-        # Each way must occur: the slab check and a hole for del(X1), all
-        # three for del(X2).
+        # top leaves a third top on a ridge, a vertex in no top or a hole,
+        # which the check of del(Z) reports; or the wrap, whose candidates
+        # come from the edges, rebuilds the true del(Z), and the slab check
+        # names the lost top.  Each way must occur: all four for del(X1),
+        # the slab check and a third top for del(X2).
         x1, x2 = cloud(X1_EIGHT), cloud(X2_EIGHT)
         if drop is drop_x1_top:
-            tops, lo, slab, want = delaunay(x1).tops, 0, "all-plus simplex {} of del(Z) is not in del(X1)", {"slab", "beyond"}
+            tops, lo, slab, want = delaunay(x1).tops, 0, "all-plus simplex {} of del(Z) is not in del(X1)", {"slab", "beyond", "third", "uncovered"}
         else:
-            tops, lo, slab, want = delaunay(x2).tops, len(x1), "all-minus simplex {} of del(Z) is not in del(X2)", {"slab", "beyond", "third"}
+            tops, lo, slab, want = delaunay(x2).tops, len(x1), "all-minus simplex {} of del(Z) is not in del(X2)", {"slab", "third"}
         seen = set()
         for k, top in enumerate(tops.tolist()):
             with monkeypatch.context() as m:
@@ -353,7 +353,7 @@ class TestSharedTriangulations:
                 assert str(err.value) == slab.format(tuple(v + lo for v in top))
                 seen.add("slab")
             else:
-                seen.add("third" if "third" in str(err.value) else "beyond")
+                seen.add(next(mode for key, mode in (("tops", "third"), ("no top", "uncovered"), ("beyond", "beyond")) if key in str(err.value)))
         assert seen == want
         drop(monkeypatch)
         assert cli.main(write_pair(tmp_path, X1_EIGHT, X2_EIGHT)) == 1
@@ -574,7 +574,8 @@ class TestFiltration:
         for d in (1, 2, 3):
             for m in range(2, d + 2):
                 for pts in (rng.random((200, m, d)), rng.integers(0, 3, (200, m, d)).astype(float),
-                            1e5 + rng.random((50, m, d)), 2.0**-40 * rng.random((50, m, d))):
+                            1e5 + rng.random((50, m, d)), 2.0**-40 * rng.random((50, m, d)),
+                            2.0**-560 * rng.random((50, m, d)), 2.0**500 * rng.random((50, m, d))):
                     centers, radii, interior = relative_lift._circumballs(pts)
                     for block, c, r, ok in zip(pts.tolist(), centers.tolist(), radii.tolist(), interior.tolist()):
                         want_c, want_r, weights = circumball_weights(sorted(map(tuple, block)))
@@ -920,6 +921,22 @@ class TestPipelineBarcodes:
         assert b.bars(0) == [(0.0, 0.5)]
         assert b.bars(1) == [(0.5, 1.0)]
 
+    @pytest.mark.parametrize("d, n", [(2, 500), (3, 200)])
+    def test_whole_barcode_matches_a_qhull_reference(self, d, n):
+        # Far above the Cech oracle's cap: a reference that shares only
+        # `smallest_enclosing_ball` with the pipeline, not the wrap, the
+        # face tables, the balls taken from faces, the boundary matrix,
+        # the apparent pairs or the clearing.
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(cli._GEN_SEED)
+        x = cli.generate_cloud("uniform-box", n, d, rng)
+        a = set(rng.choice(n, size=n // 4, replace=False).tolist())
+        x1, x2 = cli.split_pair(x, a)
+        got = barcode(build_pipeline(x1, x2).complex, relative=True, max_dim=d)
+        want = qhull_relative_barcode(x1.coords, x2.coords, d, spatial)
+        assert sum(map(len, want.values())) > n
+        assert {k: got.bars(k) for k in got.dims()} == want
+
     def test_monotone_complex_always_builds(self):
         rng = np.random.default_rng(61)
         for trial in range(10):
@@ -936,6 +953,19 @@ class TestPipelineBarcodes:
 class TestScaleEquivariance:
     """Scaling the cloud by c scales every bar by c: no absolute tolerance
     may hide small features or merge close points."""
+
+    @pytest.mark.parametrize(
+        "x1, x2, death",
+        [
+            ([(0.0, 0.0)], [(1e-170, 0.0)], 5e-171),  # the edge's Gram underflows
+            ([(5e153, 5e153)], [(-5e153, -5e153)], math.hypot(5e153, 5e153)),  # and overflows
+        ],
+    )
+    def test_edge_ball_at_extreme_scales(self, x1, x2, death):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = barcode(build_pipeline(cloud(x1), cloud(x2)).complex, relative=True, max_dim=1)
+        assert b.bars(0) == [(0.0, death)]
 
     @staticmethod
     def _barcode(x, a):
@@ -959,13 +989,15 @@ class TestScaleEquivariance:
         # Scaling by a power of two is exact in floats, and the solve's
         # singular test is relative to the Gram's own scale: every bar
         # scales exactly, and no circumball falls back to least squares.
+        # At 2^-560 the edges' Gram would underflow unless it is formed
+        # from edges scaled to unit size.
         solves = []
         real = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or real(*a, **k))
         x = np.random.default_rng(84).random((n, d))
         a = set(range(0, n, 4))
         base = self._barcode(x, a)
-        for e in (-30, -20, 10):
+        for e in (-30, -20, 10, -560):
             scaled = self._barcode(x * 2.0**e, a)
             assert repr(scaled) == repr(Barcode({k: [(2.0**e * b, 2.0**e * w) for b, w in base.bars(k)] for k in base.dims()}, 2)), e
         assert solves == []
